@@ -4,7 +4,7 @@ The package ties together five layers: exact point arithmetic on the cubic
 x^3 + y^3 = m0 z^3 and its Weierstrass twin, canonical heights with rigorous
 interval radii, a construction that manufactures integers with prescribed
 numbers of coprime cube-sum representations, machine-checkable JSON
-certificates for those runs, and an independent brute-force census oracle.
+certificates for those runs, and an independent exhaustive census oracle.
 """
 
 from .certificate import (
@@ -56,7 +56,6 @@ from .heights import (
 )
 from .numeric import ApproxReal, gcd3, icbrt, log_abs, to_primitive
 from .oracle import (
-    HAVE_COMPILED_KERNEL,
     RepCensus,
     count_reps,
     search_points,

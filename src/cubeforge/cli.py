@@ -2,7 +2,7 @@
 
 Subcommands mirror the library: point search, the birational map, canonical
 heights, independence certification, certificate construction and
-verification, the brute-force census, and the density-constant report.
+verification, the exhaustive census, and the density-constant report.
 Results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
 0 success, 1 a named check failed, 2 invalid input, 3 precision budget
 exceeded.
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "recheck a stored certificate")
     p.add_argument("--cert", required=True, help="certificate JSON file")
 
-    p = add("count", _cmd_count, "brute-force census of x^3 + y^3 = m")
+    p = add("count", _cmd_count, "exhaustive census of x^3 + y^3 = m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--unordered", action="store_true", help="also report unordered pairs"

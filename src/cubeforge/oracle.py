@@ -1,10 +1,18 @@
-"""Independent brute-force oracle for sum-of-two-cubes counts.
+"""Independent exhaustive oracle for sum-of-two-cubes counts.
 
-count_reps shares no code with the construction machinery: it scans the
-proven bound |x| <= ceil(sqrt(|m|)) and cube-tests the complement, so its
-answers can arbitrate any claim a certificate makes about representation
-counts.  A compiled int64 kernel handles small |m| when available; the
-pure-Python kernel is the reference and the fallback.
+count_reps shares no code with the construction machinery, so its answers
+can arbitrate any claim a certificate makes about representation counts.
+It runs over the divisors s = x + y of m instead of over x:
+
+    x^3 + y^3 = s * q,   s = x + y,   q = x^2 - x y + y^2,
+
+and 4 q - s^2 = 3 (x - y)^2 >= 0, while q > 0 for every (x, y) != (0, 0).
+So for m != 0 the sum s is a divisor of m with the sign of m, and
+|s|^3 = |s| * s^2 <= |s| * 4 q = 4 |m|.  For each such s the product is
+x y = (s^2 - m / s) / 3 and (x - y)^2 = s^2 - 4 x y, so one divisibility
+test and one integer square root decide whether s yields a solution.  The
+scan over |s| <= icbrt(4 |m|) is therefore exhaustive and costs O(|m|^(1/3))
+steps.
 """
 
 from __future__ import annotations
@@ -12,32 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from . import _census_py
 from .curves import CubicPoint, CurveConfig, smul, to_weierstrass
 from .heights import canonical_height
-from .numeric import gcd3
-
-try:
-    from . import _census
-except ImportError:
-    _census = None
-
-HAVE_COMPILED_KERNEL = _census is not None
-INT64_SAFE_M = 4_000_000_000_000
+from .numeric import gcd3, icbrt
 
 # torsion on these curves has order dividing a bound this small
 _TORSION_ORDER_LIMIT = 12
 
 
-def backend_name(m: int) -> str:
-    if _census is not None and abs(m) <= INT64_SAFE_M:
-        return "compiled"
-    return "pure"
-
-
 @dataclass(frozen=True)
 class RepCensus:
-    """Exhaustive ordered census of x^3 + y^3 = m over the scan bound."""
+    """Exhaustive ordered census of x^3 + y^3 = m.
+
+    scan_bound is the proven bound on |x + y|, icbrt(4 |m|): every solution
+    has x + y dividing m with |x + y|^3 <= 4 |m| (see the module docstring).
+    """
 
     m: int
     ordered_count: int
@@ -50,20 +47,42 @@ class RepCensus:
 
 
 def count_reps(m: int) -> RepCensus:
-    """Every ordered integer solution of x^3 + y^3 = m, m nonzero."""
+    """Every ordered integer solution of x^3 + y^3 = m, m nonzero, ascending x.
+
+    Scans the sums s = x + y: s divides m, has the sign of m and satisfies
+    |s|^3 <= 4 |m|.  For each such s, x and y are the roots of
+    t^2 - s t + (s^2 - m / s) / 3, which are integers exactly when the
+    division by 3 is exact and the discriminant is a perfect square.
+    """
     if m == 0:
         raise ValueError(
             "m = 0 has the infinite family (t, -t); census is undefined"
         )
-    if _census is not None and abs(m) <= INT64_SAFE_M:
-        pairs = _census.census_scan(m)
-    else:
-        pairs = _census_py.census_scan(m)
+    bound = icbrt(4 * abs(m))[0]
+    sign = 1 if m > 0 else -1
+    pairs = []
+    for a in range(1, bound + 1):
+        if m % a:
+            continue
+        s = sign * a
+        xy, rem = divmod(s * s - m // s, 3)
+        disc = s * s - 4 * xy  # (x - y)^2
+        if rem or disc < 0:
+            continue
+        d = isqrt(disc)
+        if d * d != disc:
+            continue
+        # d^2 = s^2 - 4 xy gives d = s (mod 2), so both halves are exact
+        x, y = (s + d) // 2, (s - d) // 2
+        pairs.append((x, y))
+        if d:
+            pairs.append((y, x))
+    pairs.sort()
     return RepCensus(
         m=m,
         ordered_count=len(pairs),
         pairs=tuple(pairs),
-        scan_bound=isqrt(abs(m)) + 1,
+        scan_bound=bound,
     )
 
 

@@ -241,11 +241,19 @@ def test_criterion_7_oracle_ground_truth():
         for rep in cert.representations:
             assert rep in census.pairs
             confirmed += 1
+    # a 14-digit m, out of reach of a sqrt(|m|) scan
+    cert = build_certificate(CurveConfig(7), [GENERATORS[7]], 4)
+    assert len(str(abs(cert.m))) == 14
+    census = count_reps(cert.m)
+    for rep in cert.representations:
+        assert rep in census.pairs
+        confirmed += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(
         f"criterion 7 PASS: taxicab counts match, {confirmed} certified"
-        f" representations found independently, {elapsed:.2f}s"
+        f" representations found independently (largest m has"
+        f" {len(str(abs(cert.m)))} digits), {elapsed:.2f}s"
     )
 
 

@@ -1,4 +1,4 @@
-"""Brute-force census and its agreement with the compiled kernel."""
+"""Exhaustive census: the divisor kernel against the sqrt(|m|) reference."""
 
 from math import isqrt
 
@@ -10,12 +10,29 @@ from cubeforge import (
     CubicPoint,
     CurveConfig,
     count_reps,
+    icbrt,
     search_points,
     torsion_probe,
 )
-from cubeforge import oracle
-from cubeforge.oracle import HAVE_COMPILED_KERNEL, backend_name
-from cubeforge import _census_py
+
+TA4 = 6963472309248
+TA5 = 48988659276962496
+
+
+def sqrt_scan(m):
+    """Reference census: scan |x| <= isqrt(|m|) + 1 and cube-test m - x^3.
+
+    Exhaustive because a solution with x, y of one sign has |x|^3 <= |m|,
+    and one with opposite signs has x^2 - x y + y^2 >= x^2 while x + y is a
+    nonzero integer, so |m| >= x^2.  Too slow beyond small |m|.
+    """
+    bound = isqrt(abs(m)) + 1
+    pairs = []
+    for x in range(-bound, bound + 1):
+        y, exact = icbrt(m - x * x * x)
+        if exact:
+            pairs.append((x, y))
+    return pairs
 
 
 class TestCountReps:
@@ -31,7 +48,7 @@ class TestCountReps:
     def test_pairs_listing(self):
         census = count_reps(1729)
         assert census.pairs == ((1, 12), (9, 10), (10, 9), (12, 1))
-        assert census.scan_bound == isqrt(1729) + 1
+        assert census.scan_bound == icbrt(4 * 1729)[0]
         assert census.unordered_pairs() == ((1, 12), (9, 10))
 
     def test_mixed_sign_pairs(self):
@@ -73,36 +90,53 @@ class TestCountReps:
         assert xs == sorted(xs)
         for x, y in census.pairs:
             assert x**3 + y**3 == m
-            assert abs(x) <= census.scan_bound
+            assert abs(x + y) <= census.scan_bound
             assert (y, x) in census.pairs
+        assert census.scan_bound == icbrt(4 * abs(m))[0]
+
+    def test_fourth_taxicab(self):
+        census = count_reps(TA4)
+        assert census.ordered_count == 10
+        assert census.unordered_pairs() == (
+            (-40884, 42228),
+            (2421, 19083),
+            (5436, 18948),
+            (10200, 18072),
+            (13322, 16630),
+        )
+
+    def test_fifth_taxicab(self):
+        census = count_reps(TA5)
+        assert census.ordered_count == 14
+        assert census.unordered_pairs() == (
+            (-681184, 714700),
+            (-576920, 622316),
+            (38787, 365757),
+            (107839, 362753),
+            (205292, 342952),
+            (221424, 336588),
+            (231518, 331954),
+        )
+        assert all(x**3 + y**3 == TA5 for x, y in census.pairs)
 
 
 class TestKernelAgreement:
-    @pytest.mark.skipif(
-        not HAVE_COMPILED_KERNEL, reason="compiled kernel not built"
-    )
     @given(st.integers(-10**5, 10**5))
     @settings(max_examples=300, deadline=None)
-    def test_compiled_matches_pure(self, m):
-        assert oracle._census.census_scan(m) == _census_py.census_scan(m)
+    def test_matches_sqrt_scan(self, m):
+        if m == 0:
+            return
+        assert list(count_reps(m).pairs) == sqrt_scan(m)
 
-    @pytest.mark.skipif(
-        not HAVE_COMPILED_KERNEL, reason="compiled kernel not built"
-    )
-    def test_compiled_matches_pure_spot_checks(self):
+    def test_matches_sqrt_scan_on_cube_sums(self):
+        sums = {x**3 + y**3 for x in range(-40, 41) for y in range(-40, 41)}
+        sums.discard(0)
+        for m in sums:
+            assert list(count_reps(m).pairs) == sqrt_scan(m)
+
+    def test_matches_sqrt_scan_spot_checks(self):
         for m in (1729, 4104, 87539319, -87539319, 10**7 + 3, -(10**7) - 3):
-            assert oracle._census.census_scan(m) == _census_py.census_scan(m)
-
-    def test_backend_selection(self):
-        assert backend_name(10**14) == "pure"
-        if HAVE_COMPILED_KERNEL:
-            assert backend_name(1729) == "compiled"
-
-    def test_pure_path_dispatch(self, monkeypatch):
-        # force m above the (patched) threshold so the pure kernel serves
-        monkeypatch.setattr(oracle, "INT64_SAFE_M", 100)
-        census = count_reps(1729)
-        assert census.pairs == ((1, 12), (9, 10), (10, 9), (12, 1))
+            assert list(count_reps(m).pairs) == sqrt_scan(m)
 
 
 class TestSearchPoints:
