@@ -20,7 +20,7 @@ from .construct import (
     Certificate,
     ChainConstants,
     DivisorCheck,
-    evaluate_checks,
+    verify_checks,
 )
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal
@@ -312,7 +312,7 @@ def verify_certificate(document: str | dict) -> VerifyReport:
     """
     cert = parse_certificate(document)
     cfg = CurveConfig(cert.m0)
-    checks = evaluate_checks(cfg, cert, cert.tol)
+    checks = verify_checks(cfg, cert)
     return VerifyReport(
         m0=cert.m0,
         rank=cert.rank,

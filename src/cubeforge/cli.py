@@ -5,7 +5,7 @@ heights, independence certification, certificate construction and
 verification, the exhaustive census, and the density-constant report.
 Results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
 0 success, 1 a named check failed, 2 invalid input, 3 precision budget
-exceeded.
+exceeded, 4 an unexpected internal error (one "error:" line, no traceback).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload) -> None:
@@ -310,6 +311,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except Exception as exc:  # no documented code: report it, never as exit 1
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

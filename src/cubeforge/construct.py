@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 
@@ -290,35 +290,89 @@ def _failed_checks(done: dict[str, bool]) -> dict[str, bool]:
     return {name: out[name] for name in CHECK_NAMES}
 
 
-def evaluate_checks(cfg: CurveConfig, cert: Certificate, tol: float) -> dict[str, bool]:
-    """Recompute every claim of a certificate from its generators.
+@dataclass(frozen=True)
+class Derivation:
+    """Everything (m0, generators, N, tol) determine, derived once per process.
 
-    Nothing stored is trusted: the lattice, m, the representations, the
-    constants and the bounds are all rebuilt and compared against the stored
-    values.  Returns the full ordered check map.
+    The fields after ``hhat_bar`` are None when two box combinations collide
+    or one is the identity; ``constants`` and ``bound_rhs`` are None also
+    when the height interval is not bounded away from zero.
     """
-    checks: dict[str, bool] = {}
-    gens = cert.generators
-    checks["generators_on_curve"] = bool(gens) and all(
-        on_cubic(cfg, *p.triple()) for p in gens
+
+    independent: bool
+    hhat_bar: ApproxReal
+    lattice: list[tuple[tuple[int, ...], CubicPoint]] | None = None
+    divisors: list[DivisorCheck] | None = None
+    m: int | None = None
+    representations: list[tuple[int, int]] | None = None
+    constants: ChainConstants | None = None
+    bound_rhs: ApproxReal | None = None
+
+
+def derive(
+    cfg: CurveConfig, generators: list[CubicPoint], box_size: int, tol: float
+) -> Derivation:
+    """Run the construction once; build and verify both start here.
+
+    hhat_bar is read off the Gram diagonal of the independence certificate,
+    which holds 2 hhat(P_i): halving is exact, so no height is computed twice.
+    """
+    rank = len(generators)
+    gram, independent = independence(
+        cfg, [to_weierstrass(cfg, p) for p in generators], tol
     )
-    checks["generators_primitive"] = all(is_primitive(p) for p in gens)
-    checks["generators_nontrivial"] = all(not p.is_identity for p in gens)
-    if not all(checks.values()):
-        return _failed_checks(checks)
-
-    rank = len(gens)
-    gens_w = [to_weierstrass(cfg, p) for p in gens]
-    _, independent = independence(cfg, gens_w, tol)
-    checks["generators_independent"] = independent
-
-    heights = [canonical_height(cfg, w, tol) for w in gens_w]
-    hhat_bar = reduce(interval_max, heights)
-    checks["heights_match"] = hhat_bar.intersects(cert.hhat_bar)
-
+    hhat_bar = reduce(
+        interval_max, (gram.entries[i][i].ldexp(-1) for i in range(rank))
+    )
     try:
-        lattice = generate_lattice_points(cfg, gens, cert.box_size)
+        lattice = generate_lattice_points(cfg, generators, box_size)
     except GeneratorDependenceError:
+        return Derivation(independent, hhat_bar)
+    divisors = [divisor_check(cfg, q) for _, q in lattice]
+    m, reps = representations_from_lattice(cfg, lattice)
+    constants = bound_rhs = None
+    if hhat_bar.lower() > 0.0:
+        constants = chain_constants(cfg, rank, hhat_bar)
+        bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
+    return Derivation(
+        independent, hhat_bar, lattice, divisors, m, reps, constants, bound_rhs
+    )
+
+
+def _generator_checks(cfg: CurveConfig, gens: list[CubicPoint]) -> dict[str, bool]:
+    return {
+        "generators_on_curve": bool(gens)
+        and all(on_cubic(cfg, *p.triple()) for p in gens),
+        "generators_primitive": all(is_primitive(p) for p in gens),
+        "generators_nontrivial": all(not p.is_identity for p in gens),
+    }
+
+
+def _record_matches(got, want, interval: str) -> bool:
+    """Equal field by field, except that the named intervals need only meet."""
+    mine, theirs = getattr(got, interval), getattr(want, interval)
+    return replace(got, **{interval: theirs}) == want and mine.intersects(theirs)
+
+
+def evaluate_checks(
+    cfg: CurveConfig, cert: Certificate, derived: Derivation
+) -> dict[str, bool]:
+    """Compare a certificate against the derivation from its own inputs.
+
+    ``derived`` is derive(cfg, cert.generators, cert.box_size, cert.tol).
+    Each stored value is compared with its derived counterpart, and the
+    exact claims (points on the curve, the cube-sum identity of every stored
+    representation) are tested on the stored data; nothing is derived again.
+    Returns the full ordered check map.  A lattice collision or a height
+    interval touching zero ends it early with the remaining checks false.
+    """
+    checks = _generator_checks(cfg, cert.generators)
+    rank = len(cert.generators)
+    checks["generators_independent"] = derived.independent
+    checks["heights_match"] = derived.hhat_bar.intersects(cert.hhat_bar)
+
+    lattice = derived.lattice
+    if lattice is None:
         return _failed_checks(checks)
     checks["lattice_points_match"] = lattice == cert.lattice_points
     checks["lattice_on_curve"] = all(
@@ -326,24 +380,20 @@ def evaluate_checks(cfg: CurveConfig, cert: Certificate, tol: float) -> dict[str
     )
     checks["lattice_primitive"] = all(is_primitive(q) for _, q in lattice)
 
-    divisors = [divisor_check(cfg, q) for _, q in lattice]
+    divisors = derived.divisors
     checks["divisor_divisibility"] = all(d.divisibility_pass for d in divisors)
     checks["divisor_bound"] = all(d.bound_pass for d in divisors)
     checks["divisor_records_match"] = len(divisors) == len(
         cert.divisor_checks
     ) and all(
-        got.d == want.d
-        and got.a == want.a
-        and got.b == want.b
-        and got.divisibility_pass == want.divisibility_pass
-        and got.bound_pass == want.bound_pass
-        and got.bound.intersects(want.bound)
+        _record_matches(got, want, "bound")
         for got, want in zip(divisors, cert.divisor_checks)
     )
 
-    m_true, reps_true = representations_from_lattice(cfg, lattice)
-    checks["m_matches_product"] = cert.m == m_true
-    checks["representations_match_formula"] = cert.representations == reps_true
+    checks["m_matches_product"] = cert.m == derived.m
+    checks["representations_match_formula"] = (
+        cert.representations == derived.representations
+    )
     checks["representation_identity"] = all(
         x**3 + y**3 == cert.m for x, y in cert.representations
     )
@@ -354,20 +404,14 @@ def evaluate_checks(cfg: CurveConfig, cert: Certificate, tol: float) -> dict[str
         len(cert.representations) == cert.box_size**rank
     )
 
-    if hhat_bar.lower() <= 0.0:
+    constants = derived.constants
+    if constants is None:
         return _failed_checks(checks)
-
-    constants = chain_constants(cfg, rank, hhat_bar)
-    checks["constants_match"] = (
-        constants.rank == cert.constants.rank
-        and constants.height_factor == cert.constants.height_factor
-        and constants.z_factor == cert.constants.z_factor
-        and constants.m_factor == cert.constants.m_factor
-        and constants.n_min == cert.constants.n_min
-        and constants.z_constant.intersects(cert.constants.z_constant)
+    checks["constants_match"] = _record_matches(
+        constants, cert.constants, "z_constant"
     )
 
-    log_m = log_abs(cert.m) if abs(cert.m) != 1 else ApproxReal(0.0, 0.0)
+    log_m = log_abs(cert.m)
     log_m_from_parts = log_abs(cfg.m0) + sum(
         (log_abs(q.z) * 3 for _, q in lattice), start=ApproxReal(0.0, 0.0)
     )
@@ -377,14 +421,33 @@ def evaluate_checks(cfg: CurveConfig, cert: Certificate, tol: float) -> dict[str
     chain_rhs = (
         ApproxReal.from_int(constants.m_factor)
         * ApproxReal.from_int(cert.box_size ** (rank + 2))
-        * ApproxReal.exact(hhat_bar.upper())
+        * ApproxReal.exact(derived.hhat_bar.upper())
     )
     checks["chain_bound"] = log_m.upper() <= chain_rhs.upper()
 
-    bound_true = representation_bound(rank, hhat_bar.upper(), cert.m)
-    checks["bound_rhs_match"] = bound_true.intersects(cert.bound_rhs)
-    checks["final_inequality"] = cert.box_size**rank > bound_true.upper()
+    checks["bound_rhs_match"] = derived.bound_rhs.intersects(cert.bound_rhs)
+    checks["final_inequality"] = cert.box_size**rank > derived.bound_rhs.upper()
     return {name: checks[name] for name in CHECK_NAMES}
+
+
+def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
+    """The verifier's check map: screen the document, then derive once.
+
+    Nothing is derived unless the generators are nontrivial primitive curve
+    points and the document holds exactly N^r representations, so the work
+    is bounded by the size of the document (N is compared with the count
+    before N^r is formed).  A failed screen returns the partial map.
+    """
+    checks = _generator_checks(cfg, cert.generators)
+    if all(checks.values()):
+        count = len(cert.representations)
+        checks["representation_count"] = (
+            cert.box_size <= count and cert.box_size**cert.rank == count
+        )
+    if not all(checks.values()):
+        return _failed_checks(checks)
+    derived = derive(cfg, cert.generators, cert.box_size, cert.tol)
+    return evaluate_checks(cfg, cert, derived)
 
 
 def build_certificate(
@@ -399,55 +462,31 @@ def build_certificate(
     generators cannot be certified independent at this tolerance, and lets
     PrecisionBudgetError from the height engine propagate.
     """
-    if not generators:
-        raise ValueError("at least one generator is required")
     if box_size < 1:
         raise ValueError("box size must be at least 1")
-    for p in generators:
-        if p.is_identity:
-            raise ValueError("the identity point cannot be a generator")
-        if not on_cubic(cfg, *p.triple()):
-            raise ValueError(f"generator {p.triple()} is not on the curve")
-        if not is_primitive(p):
-            raise ValueError(f"generator {p.triple()} is not primitive")
-
-    rank = len(generators)
-    gens_w = [to_weierstrass(cfg, p) for p in generators]
-    _, independent = independence(cfg, gens_w, tol)
-    if not independent:
+    failed = [k for k, ok in _generator_checks(cfg, generators).items() if not ok]
+    if failed:
+        raise ValueError(f"unusable generators: {', '.join(failed)} failed")
+    derived = derive(cfg, generators, box_size, tol)
+    if not derived.independent:
         raise GeneratorDependenceError(
             "generators not certified independent at this tolerance"
         )
-
-    heights = [canonical_height(cfg, w, tol) for w in gens_w]
-    hhat_bar = reduce(interval_max, heights)
-    constants = chain_constants(cfg, rank, hhat_bar)
-
-    lattice = generate_lattice_points(cfg, generators, box_size)
-    divisors = [divisor_check(cfg, q) for _, q in lattice]
-    m, reps = representations_from_lattice(cfg, lattice)
-    for x, y in reps:
-        if x**3 + y**3 != m:
-            raise RuntimeError(
-                "internal invariant violated: representation identity failed"
-            )
-    bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
-
     cert = Certificate(
         m0=cfg.m0,
-        rank=rank,
+        rank=len(generators),
         box_size=box_size,
         tol=tol,
         generators=list(generators),
-        hhat_bar=hhat_bar,
-        lattice_points=lattice,
-        divisor_checks=divisors,
-        m=m,
-        representations=reps,
-        constants=constants,
-        bound_rhs=bound_rhs,
+        hhat_bar=derived.hhat_bar,
+        lattice_points=derived.lattice,
+        divisor_checks=derived.divisors,
+        m=derived.m,
+        representations=derived.representations,
+        constants=derived.constants,
+        bound_rhs=derived.bound_rhs,
     )
-    cert.checks = evaluate_checks(cfg, cert, tol)
+    cert.checks = evaluate_checks(cfg, cert, derived)
     return cert
 
 

@@ -1,6 +1,8 @@
 """Certificate serialization, determinism, and adversarial verification."""
 
 import copy
+import hashlib
+import time
 
 import pytest
 
@@ -14,6 +16,10 @@ from cubeforge import (
 )
 from cubeforge.certificate import certificate_to_dict
 from cubeforge.construct import CHECK_NAMES
+
+# sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
+# a change to how the certificate is derived must not change a byte of it
+GOLDEN_SHA256 = "418108e42651f708c1f806c56a741af51ebb93a7b4b9b1e9dd9014f5c698ec4a"
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +66,11 @@ class TestSerialization:
         second = certificate_to_json(cert6)
         assert first == second
         assert '"generated_at": "2025-08-14T00:00:00Z"' in first
+
+    def test_golden_bytes(self, cfg6, gen6, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
 
     def test_round_trip(self, cert6):
         parsed = parse_certificate(certificate_to_json(cert6))
@@ -159,9 +170,24 @@ class TestVerification:
             [str(double.x), str(double.y), str(double.z)],
         ]
         doc["lattice_points"] = []
-        doc["representations"] = []
+        # N^r = 4 stored representations, so the count screen lets it through
+        doc["representations"] = doc["representations"] * 2
         report = verify_certificate(doc)
+        assert report.checks["representation_count"]
         assert not report.checks["generators_independent"]
+        assert not report.all_passed
+
+    @pytest.mark.parametrize("box_size", [1, 3, 10**7])
+    def test_box_size_is_screened_against_the_document(self, cert6_doc, box_size):
+        # N^r must equal the stored representation count before anything is
+        # regenerated, so an inflated N costs nothing
+        doc = copy.deepcopy(cert6_doc)
+        doc["N"] = box_size
+        start = time.perf_counter()
+        report = verify_certificate(doc)
+        assert time.perf_counter() - start < 2.0
+        assert not report.checks["representation_count"]
+        assert report.checks["generators_on_curve"]
         assert not report.all_passed
 
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from cubeforge import cli
 from cubeforge.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_PRECISION,
@@ -182,6 +184,21 @@ class TestConstruct:
              str(tmp_path / "nope.json"), "--N", "2"],
         )
         assert rc == EXIT_INVALID_INPUT
+
+    def test_unexpected_exception_is_exit_4(self, capsys, gen_file, monkeypatch):
+        # an exception with no documented code must not read as "check failed"
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "build_certificate", overflow)
+        rc, out, err = run(
+            capsys,
+            ["construct", "--m0", "6", "--generators", gen_file, "--N", "2"],
+        )
+        assert rc == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "OverflowError" in err and "Traceback" not in err
 
 
 class TestVerify:

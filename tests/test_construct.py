@@ -1,18 +1,23 @@
 """Divisor control, chain constants, lattice generation, certificates."""
 
+from collections import Counter
+
 import pytest
 
+from cubeforge import construct, heights
 from cubeforge import (
     CubicPoint,
     CurveConfig,
     GeneratorDependenceError,
     build_certificate,
+    certificate_to_json,
     chain_constants,
     density_constant,
     divisor_check,
     generate_lattice_points,
     lattice_height_bound_check,
     minimal_box_size,
+    verify_certificate,
     z_size_constant,
 )
 from cubeforge.construct import (
@@ -213,3 +218,39 @@ class TestLatticeHeightBound:
 
     def test_holds_on_second_curve(self, cfg7, gen7):
         assert lattice_height_bound_check(cfg7, [gen7], 3)
+
+
+class TestDerivedOnce:
+    """Build and verify each run the derivation once per process."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for module, name in (
+            (heights, "canonical_height"),
+            (construct, "canonical_height"),
+            (construct, "generate_lattice_points"),
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_rank_two_build_and_verify(self, calls):
+        # rank 2 needs hhat(P1), hhat(P2) and hhat(P1 + P2), nothing more
+        cfg = CurveConfig(91)
+        cert = build_certificate(
+            cfg, [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 2
+        )
+        # N = 2 is below the minimal box size 8, which is all that fails
+        failing = {k for k, ok in cert.checks.items() if not ok}
+        assert failing == {"theorem_preconditions"}
+        assert calls == {"canonical_height": 3, "generate_lattice_points": 1}
+        calls.clear()
+        report = verify_certificate(certificate_to_json(cert))
+        assert report.checks == cert.checks
+        assert calls == {"canonical_height": 3, "generate_lattice_points": 1}
