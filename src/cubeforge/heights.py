@@ -10,17 +10,27 @@ so after k doublings the truncation error of 4**-k * h_x(2**k P) / 2 is at
 most C / 4**k with C = h(b)/6 + 1.576.  That turns the limit into a
 terminating algorithm with a certified radius: pick k with C / 4**k below the
 requested tolerance, double k times exactly, and take the scaled naive height.
+
+The doublings act on X alone, held as coprime integers A/B with B > 0:
+
+    X(2P) = (A^4 - 8 b A B^3) / (4 B (A^3 + b B^3)).
+
+When gcd(A, B) = 1 the common factor of these two forms divides their
+resultant R = 2^8 3^6 b^4, so gcd(R, num mod R, den mod R) is the full gcd
+and each step is reduced without a gcd on coordinates of full size.  The
+result is X(2^k P) in lowest terms, the same number the group law gives.
 Coordinate digits grow fourfold per doubling, so a digit budget caps the work
 and a too-tight tolerance fails loudly instead of thrashing.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurveConfig, WeierstrassPoint, add
+from .curves import CurveConfig, WeierstrassPoint, add, on_weierstrass
 from .numeric import ApproxReal, log_abs
 
 OFFSET_BELOW = ApproxReal.from_decimal("1.48")
@@ -72,9 +82,29 @@ def offset_window(cfg: CurveConfig) -> tuple[ApproxReal, ApproxReal]:
     return (-(w + OFFSET_BELOW), w + OFFSET_ABOVE)
 
 
-def _decimal_digits(p: WeierstrassPoint) -> int:
-    bits = max(p.x.numerator.bit_length(), p.x.denominator.bit_length())
+def _decimal_digits(num: int, den: int) -> int:
+    bits = max(num.bit_length(), den.bit_length())
     return int(bits * 0.30103) + 1
+
+
+def doubling_resultant(b: int) -> int:
+    """Resultant of the two forms of the X-doubling map on Y^2 = X^3 + b."""
+    return 2**8 * 3**6 * b**4
+
+
+def double_x(a: int, d: int, b: int) -> tuple[int, int]:
+    """X(2P) in lowest terms from X(P) = a/d in lowest terms with d > 0.
+
+    A returned denominator of 0 means 2P is the point at infinity.
+    """
+    a3 = a * a * a
+    bd3 = b * d * d * d
+    num = a * (a3 - 8 * bd3)
+    # 4 d (a^3 + b d^3) = 4 d^4 Y^2 >= 0 on the curve, zero only when Y = 0
+    den = 4 * d * (a3 + bd3)
+    r = doubling_resultant(b)
+    g = math.gcd(r, num % r, den % r)
+    return num // g, den // g
 
 
 def canonical_height(
@@ -87,12 +117,15 @@ def canonical_height(
     """Canonical height of P with error radius at most tol.
 
     A point whose doubling chain reaches infinity is torsion and gets the
-    exact answer 0 with radius 0.
+    exact answer 0 with radius 0.  An affine P off the curve is a ValueError:
+    the X-only doubling formula holds only on Y^2 = X^3 + b.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if p.is_infinity:
         return ApproxReal(0.0, 0.0)
+    if not on_weierstrass(cfg, p):
+        raise ValueError(f"({p.x}, {p.y}) is not on Y^2 = X^3 + ({cfg.b})")
     if budget is None:
         budget = digit_budget()
 
@@ -105,7 +138,8 @@ def canonical_height(
     def achievable(steps: int) -> float:
         return tail_upper * 0.25**steps / _TOL_MARGIN
 
-    start_digits = _decimal_digits(p)
+    a, d = p.x.numerator, p.x.denominator
+    start_digits = _decimal_digits(a, d)
     if start_digits * 4**k > budget:
         k_ok = 0
         while start_digits * 4 ** (k_ok + 1) <= budget:
@@ -117,12 +151,11 @@ def canonical_height(
             achievable(k_ok),
         )
 
-    q = p
     for step in range(k):
-        q = add(cfg, q, q)
-        if q.is_infinity:
+        a, d = double_x(a, d, cfg.b)
+        if d == 0:
             return ApproxReal(0.0, 0.0)
-        if _decimal_digits(q) > budget:
+        if _decimal_digits(a, d) > budget:
             raise PrecisionBudgetError(
                 f"precision budget exceeded after {step + 1} doublings "
                 f"(budget {budget} digits); achievable tolerance is about "
@@ -130,7 +163,7 @@ def canonical_height(
                 achievable(step + 1),
             )
 
-    scaled = naive_height(q).ldexp(-(2 * k + 1))
+    scaled = log_abs(max(abs(a), d)).ldexp(-(2 * k + 1))
     truncation = tail.ldexp(-2 * k).upper()
     return ApproxReal(scaled.value, scaled.radius + truncation)
 

@@ -87,8 +87,11 @@ class TestHeight:
         assert json.loads(out) == {"value": 0.0, "radius": 0.0}
 
     def test_off_curve(self, capsys):
-        rc, _, _ = run(capsys, ["height", "--m0", "6", "--point", "28,81"])
+        # canonical_height rejects the point before any doubling
+        rc, out, err = run(capsys, ["height", "--m0", "6", "--point", "28,81"])
         assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "(28, 81) is not on Y^2 = X^3 + (-15552)" in err
 
     def test_budget_exhaustion(self, capsys, monkeypatch):
         monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "50")

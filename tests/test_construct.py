@@ -219,6 +219,15 @@ class TestLatticeHeightBound:
     def test_holds_on_second_curve(self, cfg7, gen7):
         assert lattice_height_bound_check(cfg7, [gen7], 3)
 
+    def test_holds_at_rank_two(self):
+        gens = [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)]
+        assert lattice_height_bound_check(CurveConfig(91), gens, 2)
+
+    def test_refuted_by_a_zero_bound(self, cfg6, gen6, monkeypatch):
+        # with height factor 0 every nonzero lattice point exceeds the bound
+        monkeypatch.setattr(construct, "height_factor", lambda rank: 0)
+        assert not lattice_height_bound_check(cfg6, [gen6], 3)
+
 
 class TestDerivedOnce:
     """Build and verify each run the derivation once per process."""

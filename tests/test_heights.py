@@ -1,7 +1,13 @@
 """Canonical heights: convergence, laws, windows, and budget behavior."""
 
-import pytest
+import math
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubeforge import curves, heights
 from cubeforge import (
     CubicPoint,
     CurveConfig,
@@ -18,10 +24,31 @@ from cubeforge import (
     smul,
     to_weierstrass,
 )
-from cubeforge.heights import digit_budget, tail_constant
+from cubeforge.heights import (
+    digit_budget,
+    double_x,
+    doubling_resultant,
+    tail_constant,
+)
 from tests.conftest import KNOWN_GENERATORS
 
 TOL = 1e-3
+
+# the generator pairs of the certificate benchmark, which certify independent
+POOL = {
+    91: (CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)),
+    1729: (CubicPoint(1, 12, 1), CubicPoint(9, 10, 1)),
+}
+
+
+def pool_points():
+    """(cfg, name, point) for both generators of each pool curve and their sum."""
+    for m0, gens in POOL.items():
+        cfg = CurveConfig(m0)
+        p, q = (to_weierstrass(cfg, g) for g in gens)
+        yield cfg, f"{m0}:P1", p
+        yield cfg, f"{m0}:P2", q
+        yield cfg, f"{m0}:P1+P2", add(cfg, p, q)
 
 
 class TestNaiveHeight:
@@ -94,11 +121,191 @@ class TestCanonicalHeight:
         with pytest.raises(ValueError):
             canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 0.0)
 
+    def test_off_curve_rejected(self, cfg6):
+        # the X-only doubling formula is only valid on the curve
+        with pytest.raises(ValueError, match="is not on"):
+            canonical_height(cfg6, WeierstrassPoint.affine(28, 81), TOL)
+
     def test_negative_multiple_same_height(self, cfg6):
         w = WeierstrassPoint.affine(28, 80)
         h1 = canonical_height(cfg6, w, TOL)
         h2 = canonical_height(cfg6, WeierstrassPoint.affine(28, -80), TOL)
         assert abs(h1.value - h2.value) <= h1.radius + h2.radius
+
+
+def fraction_chain(cfg, w, steps):
+    """X of 2^j P in lowest terms for j = 1..steps, by the exact group law.
+
+    Stops after the first doubling that reaches infinity, reported as None.
+    """
+    chain = []
+    q = w
+    for _ in range(steps):
+        q = add(cfg, q, q)
+        if q.is_infinity:
+            chain.append(None)
+            break
+        chain.append((q.x.numerator, q.x.denominator))
+    return chain
+
+
+def integer_chain(cfg, w, steps):
+    """The same chain through the integer X-only doubling of canonical_height."""
+    chain = []
+    a, d = w.x.numerator, w.x.denominator
+    for _ in range(steps):
+        a, d = double_x(a, d, cfg.b)
+        if d == 0:
+            chain.append(None)
+            break
+        assert math.gcd(a, d) == 1 and d > 0
+        chain.append((a, d))
+    return chain
+
+
+def sylvester_resultant(f, g):
+    """Exact resultant of two binary forms given by coefficient lists."""
+    n = len(f) + len(g) - 2
+    rows = [[0] * i + f + [0] * (n - len(f) - i) for i in range(len(g) - 1)]
+    rows += [[0] * i + g + [0] * (n - len(g) - i) for i in range(len(f) - 1)]
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
+
+
+class TestIntegerDoubling:
+    """The X-only integer doubling against the Fraction group law."""
+
+    # k chosen by canonical_height at tol 1e-4 on both pool curves
+    STEPS = 8
+
+    def test_known_generators(self):
+        for m0 in (6, 7, 9):
+            cfg = CurveConfig(m0)
+            w = to_weierstrass(cfg, KNOWN_GENERATORS[m0])
+            assert integer_chain(cfg, w, self.STEPS) == fraction_chain(
+                cfg, w, self.STEPS
+            )
+
+    def test_pool_points(self):
+        for cfg, name, w in pool_points():
+            chain = integer_chain(cfg, w, self.STEPS)
+            assert len(chain) == self.STEPS, name
+            assert chain == fraction_chain(cfg, w, self.STEPS), name
+
+    def test_negative_m0(self):
+        cfg = CurveConfig(-7)
+        w = to_weierstrass(cfg, CubicPoint(-2, 1, 1))
+        assert integer_chain(cfg, w, self.STEPS) == fraction_chain(
+            cfg, w, self.STEPS
+        )
+
+    def test_torsion(self, cfg1):
+        two = (CurveConfig(2), WeierstrassPoint.affine(12, 0))
+        three = (cfg1, WeierstrassPoint.affine(12, 36))
+        for cfg, w in (two, three):
+            assert integer_chain(cfg, w, 3) == fraction_chain(cfg, w, 3)
+        assert integer_chain(*two, 3) == [None]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m0=st.sampled_from([6, 7, 9, -7, 91]),
+        i=st.integers(-3, 3),
+        j=st.integers(-2, 2),
+    )
+    def test_small_multiples(self, m0, i, j):
+        # i P1 + j P2 on the rank-2 pool curve, i P on the rank-1 curves
+        cfg = CurveConfig(m0)
+        if m0 in POOL:
+            p, q = (to_weierstrass(cfg, g) for g in POOL[m0])
+            w = add(cfg, smul(cfg, i, p), smul(cfg, j, q))
+        else:
+            gen = KNOWN_GENERATORS.get(m0, CubicPoint(-2, 1, 1))
+            w = smul(cfg, i, to_weierstrass(cfg, gen))
+        if w.is_infinity:
+            return
+        assert integer_chain(cfg, w, 5) == fraction_chain(cfg, w, 5)
+
+    @pytest.mark.parametrize("m0", [1, 6, -7, 91, 1729])
+    def test_resultant_constant(self, m0):
+        # F = A^4 - 8bAB^3 and G = 4A^3B + 4bB^4, the doubling forms
+        b = CurveConfig(m0).b
+        f = [1, 0, 0, -8 * b, 0]
+        g = [0, 4, 0, 0, 4 * b]
+        assert sylvester_resultant(f, g) == doubling_resultant(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m0=st.sampled_from([1, 6, -7, 91, 1729]),
+        a=st.integers(-(10**12), 10**12),
+        d=st.integers(1, 10**12),
+    )
+    def test_common_factor_divides_resultant(self, m0, a, d):
+        # on coprime inputs, on the curve or not, gcd(F, G) divides R
+        if math.gcd(a, d) != 1:
+            return
+        b = CurveConfig(m0).b
+        num = a**4 - 8 * b * a * d**3
+        den = 4 * a**3 * d + 4 * b * d**4
+        assert doubling_resultant(b) % math.gcd(num, den) == 0
+
+
+class TestBitIdentical:
+    """Heights and budget errors frozen from the Fraction doubling engine."""
+
+    # (value, radius) of canonical_height at tol 1e-4, as float.hex()
+    FROZEN = {
+        "91:P1": ("0x1.392a406cc059ep-1", "0x1.05d356bf6f062p-14"),
+        "91:P2": ("0x1.0770737bc9141p-1", "0x1.05d356bf6d464p-14"),
+        "91:P1+P2": ("0x1.84e441aeb562cp+0", "0x1.05d356bf7f5f1p-14"),
+        "1729:P1": ("0x1.a85be8665b995p-1", "0x1.44a3e6cf7f784p-14"),
+        "1729:P2": ("0x1.af7f555155a16p-1", "0x1.44a3e6cf7fb89p-14"),
+        "1729:P1+P2": ("0x1.4a70d873a79a2p+0", "0x1.44a3e6cf87cabp-14"),
+    }
+
+    def test_pool_heights(self):
+        for cfg, name, w in pool_points():
+            h = canonical_height(cfg, w, 1e-4)
+            assert (h.value.hex(), h.radius.hex()) == self.FROZEN[name], name
+
+    def test_budget_error(self, cfg6):
+        with pytest.raises(PrecisionBudgetError) as info:
+            canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9, budget=2000)
+        assert str(info.value) == (
+            "precision budget exceeded: tolerance 1e-09 needs about "
+            "8589934592 digits but the budget is 2000; achievable tolerance "
+            "is about 0.0125"
+        )
+        assert info.value.achievable_tol.hex() == "0x1.980b504de971cp-7"
+
+
+class TestNoGroupLaw:
+    def test_canonical_height_never_adds(self, monkeypatch):
+        points = list(pool_points())
+        calls = []
+        for module in (curves, heights):
+            original = module.add
+
+            def counting(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "add", counting)
+        for cfg, _, w in points:
+            canonical_height(cfg, w, 1e-4)
+        assert calls == []
 
 
 class TestHeightLaws:
