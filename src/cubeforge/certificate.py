@@ -4,6 +4,7 @@ A certificate is a JSON document that pins every input and every claimed
 output of one construction run.  Serialization is deterministic: fixed key
 order, big integers as decimal strings, approximate reals as value/radius
 pairs, and a timestamp that honors SOURCE_DATE_EPOCH for reproducible runs.
+Schema "2" stores each divisor record as exact integers and verdicts only.
 Verification re-derives everything from the generators alone and compares;
 no stored boolean is ever trusted.
 """
@@ -25,7 +26,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # certificate integers routinely exceed the default int<->str digit limit
 if hasattr(sys, "set_int_max_str_digits"):
@@ -77,7 +78,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
                     "b": str(dc.b),
                     "divisibility_pass": dc.divisibility_pass,
                     "bound_pass": dc.bound_pass,
-                    "bound": _interval_to_json(dc.bound),
                 },
             }
             for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
@@ -111,15 +111,23 @@ def _as_int(value, what: str) -> int:
         raise _fail(f"{what} is not a valid integer: {value!r}") from None
 
 
+def _as_float(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _fail(f"{what} is out of float range") from None
+
+
 def _as_interval(value, what: str) -> ApproxReal:
-    if (
-        not isinstance(value, dict)
-        or set(value) != {"value", "radius"}
-        or not all(isinstance(value[k], (int, float)) for k in value)
-    ):
+    if not isinstance(value, dict) or set(value) != {"value", "radius"}:
         raise _fail(f"{what} must be an object with value and radius")
     try:
-        return ApproxReal(float(value["value"]), float(value["radius"]))
+        return ApproxReal(
+            _as_float(value["value"], f"{what} value"),
+            _as_float(value["radius"], f"{what} radius"),
+        )
     except ValueError as exc:
         raise _fail(f"{what}: {exc}") from None
 
@@ -176,8 +184,8 @@ def parse_certificate(document: str | dict) -> Certificate:
     box_size = _as_int(data["N"], "N")
     if box_size < 1:
         raise _fail("N must be at least 1")
-    tol = data["tol"]
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
+    tol = _as_float(data["tol"], "tol")
+    if not tol > 0.0:  # also refuses NaN
         raise _fail("tol must be a positive number")
 
     if not isinstance(data["generators"], list) or not data["generators"]:
@@ -226,7 +234,6 @@ def parse_certificate(document: str | dict) -> Certificate:
             "b",
             "divisibility_pass",
             "bound_pass",
-            "bound",
         } - set(div):
             raise _fail("divisor record is incomplete")
         if not isinstance(div["divisibility_pass"], bool) or not isinstance(
@@ -241,7 +248,6 @@ def parse_certificate(document: str | dict) -> Certificate:
                 b=_as_int(div["b"], "divisor b"),
                 divisibility_pass=div["divisibility_pass"],
                 bound_pass=div["bound_pass"],
-                bound=_as_interval(div["bound"], "divisor bound"),
             )
         )
 
@@ -255,6 +261,9 @@ def parse_certificate(document: str | dict) -> Certificate:
             (_as_int(rep[0], "representation x"), _as_int(rep[1], "representation y"))
         )
 
+    m = _as_int(data["m"], "m")
+    if m == 0:
+        raise _fail("m must be nonzero")
     checks_raw = data["checks"]
     if not isinstance(checks_raw, dict) or not all(
         isinstance(v, bool) for v in checks_raw.values()
@@ -265,12 +274,12 @@ def parse_certificate(document: str | dict) -> Certificate:
         m0=m0,
         rank=rank,
         box_size=box_size,
-        tol=float(tol),
+        tol=tol,
         generators=generators,
         hhat_bar=_as_interval(data["hhat_bar"], "hhat_bar"),
         lattice_points=lattice_points,
         divisor_checks=divisor_checks,
-        m=_as_int(data["m"], "m"),
+        m=m,
         representations=representations,
         constants=constants,
         bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .certificate import (
     CertificateFormatError,
+    _interval_to_json,
     certificate_to_json,
     verify_certificate,
 )
@@ -54,10 +55,6 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _interval_json(a: ApproxReal) -> dict:
-    return {"value": a.value, "radius": a.radius}
-
-
 def _parse_cubic(text: str) -> CubicPoint:
     parts = text.split(",")
     if len(parts) != 3:
@@ -90,8 +87,10 @@ def _load_triples(path: str) -> list[CubicPoint]:
         raise ValueError(f"{path}: expected a nonempty JSON array of [x, y, z]")
     points = []
     for entry in data:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"{path}: each entry must be a triple [x, y, z]")
+        if not isinstance(entry, list) or len(entry) != 3 or not all(
+            isinstance(c, (int, str)) and not isinstance(c, bool) for c in entry
+        ):
+            raise ValueError(f"{path}: each entry must be an integer triple [x, y, z]")
         points.append(CubicPoint(*(int(c) for c in entry)))
     return points
 
@@ -128,7 +127,7 @@ def _cmd_phi(args) -> int:
 def _cmd_height(args) -> int:
     cfg = CurveConfig(args.m0)
     p = _parse_weierstrass(args.point)
-    _emit(_interval_json(canonical_height(cfg, p, args.tol)))
+    _emit(_interval_to_json(canonical_height(cfg, p, args.tol)))
     return EXIT_OK
 
 
@@ -144,7 +143,7 @@ def _cmd_independence(args) -> int:
         {
             "independent": independent,
             "gram": [
-                [_interval_json(e) for e in row] for row in gram.entries
+                [_interval_to_json(e) for e in row] for row in gram.entries
             ],
         }
     )
@@ -210,10 +209,10 @@ def _cmd_certify_corollary(args) -> int:
     payload = {
         "r": args.r,
         "m_factor": str(m_factor(args.r)),
-        "hhat_bar_upper": _interval_json(hhat_upper),
+        "hhat_bar_upper": _interval_to_json(hhat_upper),
         "exponent_num": args.r,
         "exponent_den": args.r + 2,
-        "constant": _interval_json(constant),
+        "constant": _interval_to_json(constant),
         "target": args.target,
         "passes": None if args.target is None else constant.lower() >= args.target,
     }

@@ -35,9 +35,6 @@ from .heights import canonical_height, independence
 from .numeric import ApproxReal, interval_max, log_abs
 
 _TWO_THIRDS = ApproxReal.from_fraction(Fraction(2, 3))
-_FIVE_HALVES = ApproxReal.from_fraction(Fraction(5, 2))
-_HALF = ApproxReal.from_fraction(Fraction(1, 2))
-_THIRD = ApproxReal.from_fraction(Fraction(1, 3))
 
 _BOX_SIZE_CAP = 1_000_000
 
@@ -53,8 +50,8 @@ class DivisorCheck:
     d = gcd(12 m0 z, x + y) with cofactors a, b satisfying d a = 12 m0 z and
     d b = x + y.  divisibility_pass checks d^2 | 3 * 12^3 * m0^2 * b, and
     bound_pass checks d < 3^(1/3) * 12 * |m0|^(5/2) * z^(1/2), decided
-    exactly as d^6 < 9 * 12^6 * |m0|^15 * z^3.  ``bound`` is an interval
-    enclosure of the right side for reporting.
+    exactly as d^6 < 9 * 12^6 * |m0|^15 * z^3.  The record is all integers
+    and booleans, so it is exact at every size of z.
     """
 
     d: int
@@ -62,7 +59,6 @@ class DivisorCheck:
     b: int
     divisibility_pass: bool
     bound_pass: bool
-    bound: ApproxReal
 
 
 def divisor_check(cfg: CurveConfig, p: CubicPoint) -> DivisorCheck:
@@ -75,13 +71,7 @@ def divisor_check(cfg: CurveConfig, p: CubicPoint) -> DivisorCheck:
     b = s // d
     divisibility = (5184 * cfg.m0 * cfg.m0 * b) % (d * d) == 0
     bound_ok = d**6 < 9 * 12**6 * abs(cfg.m0) ** 15 * p.z**3
-    bound = (
-        log_abs(3) * _THIRD
-        + log_abs(12)
-        + log_abs(cfg.m0) * _FIVE_HALVES
-        + log_abs(p.z) * _HALF
-    ).exp()
-    return DivisorCheck(d, a, b, divisibility, bound_ok, bound)
+    return DivisorCheck(d, a, b, divisibility, bound_ok)
 
 
 def z_size_constant(cfg: CurveConfig) -> ApproxReal:
@@ -348,12 +338,6 @@ def _generator_checks(cfg: CurveConfig, gens: list[CubicPoint]) -> dict[str, boo
     }
 
 
-def _record_matches(got, want, interval: str) -> bool:
-    """Equal field by field, except that the named intervals need only meet."""
-    mine, theirs = getattr(got, interval), getattr(want, interval)
-    return replace(got, **{interval: theirs}) == want and mine.intersects(theirs)
-
-
 def evaluate_checks(
     cfg: CurveConfig, cert: Certificate, derived: Derivation
 ) -> dict[str, bool]:
@@ -383,12 +367,7 @@ def evaluate_checks(
     divisors = derived.divisors
     checks["divisor_divisibility"] = all(d.divisibility_pass for d in divisors)
     checks["divisor_bound"] = all(d.bound_pass for d in divisors)
-    checks["divisor_records_match"] = len(divisors) == len(
-        cert.divisor_checks
-    ) and all(
-        _record_matches(got, want, "bound")
-        for got, want in zip(divisors, cert.divisor_checks)
-    )
+    checks["divisor_records_match"] = divisors == cert.divisor_checks
 
     checks["m_matches_product"] = cert.m == derived.m
     checks["representations_match_formula"] = (
@@ -407,9 +386,11 @@ def evaluate_checks(
     constants = derived.constants
     if constants is None:
         return _failed_checks(checks)
-    checks["constants_match"] = _record_matches(
-        constants, cert.constants, "z_constant"
-    )
+    # every field equal, except that the z_constant intervals need only meet
+    z_stored = cert.constants.z_constant
+    checks["constants_match"] = constants.z_constant.intersects(
+        z_stored
+    ) and replace(constants, z_constant=z_stored) == cert.constants
 
     log_m = log_abs(cert.m)
     log_m_from_parts = log_abs(cfg.m0) + sum(

@@ -115,7 +115,12 @@ class ApproxReal:
     def from_int(cls, n: int) -> "ApproxReal":
         if abs(n) < _EXACT_FLOAT_BOUND:
             return cls(float(n), 0.0)
-        v = float(n)
+        try:
+            v = float(n)
+        except OverflowError:
+            raise ValueError(
+                f"a {n.bit_length()}-bit integer is beyond float range"
+            ) from None
         return cls(v, 2.0 * math.ulp(abs(v)))
 
     @classmethod

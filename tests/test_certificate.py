@@ -2,12 +2,19 @@
 
 import copy
 import hashlib
+import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubeforge import (
     CertificateFormatError,
+    CubicPoint,
+    CurveConfig,
+    PrecisionBudgetError,
+    VerifyReport,
     build_certificate,
     certificate_to_json,
     parse_certificate,
@@ -18,8 +25,9 @@ from cubeforge.certificate import certificate_to_dict
 from cubeforge.construct import CHECK_NAMES
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
-# a change to how the certificate is derived must not change a byte of it
-GOLDEN_SHA256 = "418108e42651f708c1f806c56a741af51ebb93a7b4b9b1e9dd9014f5c698ec4a"
+# a change to how the certificate is derived must not change a byte of it.
+# Schema "2" is the schema "1" document without the float divisor bounds.
+GOLDEN_SHA256 = "89f617168f309a7e5308ec0938f4d927187ee391a3352c531349911627bc26d0"
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +65,14 @@ class TestSerialization:
             "checks",
         }
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "1"
+        assert cert6_doc["schema_version"] == "2"
         assert set(cert6_doc["checks"]) == set(CHECK_NAMES)
+
+    def test_divisor_record_is_exact(self, cert6_doc):
+        for entry in cert6_doc["lattice_points"]:
+            record = entry["divisor"]
+            assert list(record) == ["d", "a", "b", "divisibility_pass", "bound_pass"]
+            assert not any(isinstance(v, float) for v in record.values())
 
     def test_deterministic_bytes(self, cert6, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755129600")
@@ -204,7 +218,7 @@ class TestFormatErrors:
 
     def test_bad_schema_version(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["schema_version"] = "2"
+        doc["schema_version"] = "1"
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -249,3 +263,75 @@ class TestFormatErrors:
         del doc["lattice_points"][0]["divisor"]
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("tol",),
+            ("hhat_bar", "value"),
+            ("hhat_bar", "radius"),
+            ("bound_rhs", "value"),
+            ("bound_rhs", "radius"),
+            ("constants", "z_constant", "value"),
+            ("constants", "z_constant", "radius"),
+        ],
+    )
+    def test_integer_beyond_float_range(self, cert6_doc, path):
+        doc = copy.deepcopy(cert6_doc)
+        _leaf_parent(doc, path)[path[-1]] = 10**400
+        with pytest.raises(CertificateFormatError, match="out of float range"):
+            verify_certificate(json.dumps(doc))
+
+    def test_zero_m(self, cert6_doc):
+        doc = copy.deepcopy(cert6_doc)
+        doc["m"] = "0"
+        with pytest.raises(CertificateFormatError):
+            verify_certificate(doc)
+
+
+def _leaf_parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+_FUZZ_DOC = certificate_to_dict(
+    build_certificate(CurveConfig(6), [CubicPoint(17, 37, 21)], 2)
+)
+
+_HOSTILE_LEAVES = st.one_of(
+    st.integers(min_value=2**1024, max_value=2**1400),
+    st.integers(max_value=0),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+class TestMutationFuzz:
+    # each example verifies one m0=6, N=2 document: milliseconds when it
+    # works, so a 2 s deadline catches any hostile input that makes it slow
+    @settings(max_examples=500, deadline=2000)
+    @given(path=st.sampled_from(_leaf_paths(_FUZZ_DOC)), leaf=_HOSTILE_LEAVES)
+    @example(path=("tol",), leaf=10**400)
+    @example(path=("m",), leaf=0)
+    def test_verifier_is_total(self, path, leaf):
+        doc = copy.deepcopy(_FUZZ_DOC)
+        _leaf_parent(doc, path)[path[-1]] = leaf
+        try:
+            report = verify_certificate(json.dumps(doc))
+        except (CertificateFormatError, PrecisionBudgetError):
+            return
+        assert isinstance(report, VerifyReport)

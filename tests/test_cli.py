@@ -142,6 +142,43 @@ class TestIndependence:
         assert rc == EXIT_INVALID_INPUT
 
 
+class TestTripleFiles:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[17.9, 37, 21]],
+            [[17.0, 37, 21]],
+            [[True, 37, 21]],
+            [[17, None, 21]],
+            [[17, 37, [21]]],
+            [["17.9", 37, 21]],
+            [["seventeen", 37, 21]],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "--N", "4", "--generators"], ["independence", "--points"]],
+        ids=["construct", "independence"],
+    )
+    def test_non_integer_entries_rejected(self, capsys, tmp_path, entries, argv):
+        # int() would truncate 17.9 and read true as 1, silently changing the point
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(entries))
+        rc, out, err = run(capsys, [*argv, str(path), "--m0", "6"])
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "error:" in err
+
+    def test_decimal_strings_accepted(self, capsys, tmp_path):
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps([["17", "37", "21"]]))
+        rc, out, _ = run(
+            capsys, ["independence", "--m0", "6", "--points", str(path)]
+        )
+        assert rc == EXIT_OK
+        assert json.loads(out)["independent"] is True
+
+
 class TestConstruct:
     def test_small_box_fails_preconditions(self, capsys, gen_file, tmp_path):
         out_path = tmp_path / "cert2.json"
@@ -167,6 +204,21 @@ class TestConstruct:
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
         assert all(payload["checks"].values())
+
+    @pytest.mark.parametrize("box_size", ["20", "24"])
+    def test_large_box_construct_and_verify(self, capsys, gen_file, tmp_path,
+                                            box_size):
+        # the coordinates pass any float's range from N=20 on
+        out_path = tmp_path / "cert.json"
+        rc, _, err = run(
+            capsys,
+            ["construct", "--m0", "6", "--generators", gen_file, "--N",
+             box_size, "--out", str(out_path)],
+        )
+        assert rc == EXIT_OK, err
+        rc, out, _ = run(capsys, ["verify", "--cert", str(out_path)])
+        assert rc == EXIT_OK
+        assert json.loads(out)["all_passed"] is True
 
     def test_dependent_generators(self, capsys, tmp_path):
         path = tmp_path / "dep.json"
@@ -286,6 +338,16 @@ class TestCertifyCorollary:
             ["certify-corollary", "--r", "0", "--hB", "1", "--hxmax", "1"],
         )
         assert rc == EXIT_INVALID_INPUT
+
+    def test_rank_beyond_float_range(self, capsys):
+        # m_factor(1100) = 9 * 2^1101 - 20 has no float
+        rc, out, err = run(
+            capsys,
+            ["certify-corollary", "--r", "1100", "--hB", "1", "--hxmax", "1"],
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "1105-bit integer is beyond float range" in err
 
 
 class TestParser:

@@ -1,13 +1,16 @@
 """Divisor control, chain constants, lattice generation, certificates."""
 
 from collections import Counter
+from dataclasses import fields
 
+import mpmath
 import pytest
 
 from cubeforge import construct, heights
 from cubeforge import (
     CubicPoint,
     CurveConfig,
+    DivisorCheck,
     GeneratorDependenceError,
     build_certificate,
     certificate_to_json,
@@ -21,6 +24,7 @@ from cubeforge import (
     z_size_constant,
 )
 from cubeforge.construct import (
+    CHECK_NAMES,
     height_factor,
     m_factor,
     representations_from_lattice,
@@ -43,9 +47,20 @@ class TestDivisorCheck:
         # d^2 = 2916 divides 3 * 12^3 * 36 * 1 = 186624 = 64 * 2916
         assert r.divisibility_pass
         assert r.bound_pass
-        # 3^(1/3) * 12 * 6^(5/2) * sqrt(21) at 60-digit precision
-        assert r.bound.contains(6993.7392707726857)
-        assert r.bound.radius < 1e-8
+        # the paper's bound 3^(1/3) * 12 * 6^(5/2) * sqrt(21), at 60 digits
+        with mpmath.workdps(60):
+            bound = mpmath.cbrt(3) * 12 * mpmath.mpf(6) ** 2.5 * mpmath.sqrt(21)
+            assert abs(bound - mpmath.mpf("6993.7392707726857")) < 1e-12
+            assert r.d < bound
+        # and the exact form the check decides: d^6 < 9 * 12^6 * 6^15 * 21^3
+        assert 54**6 < 9 * 12**6 * 6**15 * 21**3
+
+    def test_record_is_exact(self, cfg6, gen6):
+        assert [f.name for f in fields(DivisorCheck)] == [
+            "d", "a", "b", "divisibility_pass", "bound_pass"
+        ]
+        r = divisor_check(cfg6, gen6)
+        assert all(type(v) in (int, bool) for v in vars(r).values())
 
     def test_trivial_gcd(self, cfg7):
         r = divisor_check(cfg7, CubicPoint(2, -1, 1))
@@ -179,6 +194,16 @@ class TestBuildCertificate:
         assert not cert.checks["theorem_preconditions"]
         failing = {k for k, v in cert.checks.items() if not v}
         assert failing == {"theorem_preconditions"}
+
+    @pytest.mark.parametrize("box_size", [20, 24])
+    def test_large_boxes_certify(self, cfg6, gen6, box_size):
+        # z of 20P already exceeds e^1418, past any float
+        cert = build_certificate(cfg6, [gen6], box_size)
+        assert list(cert.checks) == list(CHECK_NAMES)
+        assert cert.all_checks_pass
+        report = verify_certificate(certificate_to_json(cert))
+        assert report.all_passed
+        assert report.checks == cert.checks
 
     def test_box_at_threshold_all_pass(self, cfg6, gen6):
         cert = build_certificate(cfg6, [gen6], 4)

@@ -1,6 +1,7 @@
 """Integer kernels and the interval type."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -141,6 +142,14 @@ class TestApproxReal:
         big = ApproxReal.from_int(10**30)
         assert big.radius > 0
         assert contains_fraction(big, Fraction(10**30))
+
+    def test_from_int_beyond_float_range(self):
+        # the largest float converts; from 2^1024 - 2^970 on, float() overflows
+        top = ApproxReal.from_int(2**1024 - 2**971)
+        assert top.value == sys.float_info.max
+        for n in (2**1024 - 2**970, 2**1024, -(2**1100)):
+            with pytest.raises(ValueError, match=f"{n.bit_length()}-bit integer"):
+                ApproxReal.from_int(n)
 
     def test_from_decimal(self):
         a = ApproxReal.from_decimal("1.48")
