@@ -2,11 +2,15 @@
 
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run.  Serialization is deterministic: fixed key
-order, big integers as decimal strings, approximate reals as value/radius
-pairs, and a timestamp that honors SOURCE_DATE_EPOCH for reproducible runs.
-Schema "2" stores each divisor record as exact integers and verdicts only.
-Verification re-derives everything from the generators alone and compares;
-no stored boolean is ever trusted.
+order, approximate reals as value/radius pairs, and a timestamp that honors
+SOURCE_DATE_EPOCH for reproducible runs.  Schema "3" writes every stored
+integer string as ``hex(n)`` ("0x1f", "-0x1f"), which CPython converts in
+linear time both ways, where decimal strings cost quadratic time; the
+parser accepts exactly that form or a JSON number.  Divisor records are
+exact integers and verdicts.  Verification re-derives everything from the
+generators alone and compares; no stored boolean is ever trusted, and the
+identity x^3 + y^3 = m is proved from the lattice instead of by cubing
+every stored representation (see construct.evaluate_checks).
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
-# certificate integers routinely exceed the default int<->str digit limit
+# hex() and int(s, 16) are exempt from the int<->str digit limit, but callers
+# still write certificate integers such as m in decimal (str(), JSON numbers),
+# and those routinely exceed the default limit of 4,300 digits
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(
         max(sys.get_int_max_str_digits(), 20_000_000)
@@ -53,37 +59,37 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_at": _timestamp(),
-        "m0": str(cert.m0),
+        "m0": hex(cert.m0),
         "r": cert.rank,
         "N": cert.box_size,
         "tol": cert.tol,
         "generators": [
-            [str(p.x), str(p.y), str(p.z)] for p in cert.generators
+            [hex(p.x), hex(p.y), hex(p.z)] for p in cert.generators
         ],
         "hhat_bar": _interval_to_json(cert.hhat_bar),
         "constants": {
-            "height_factor": str(cert.constants.height_factor),
-            "z_factor": str(cert.constants.z_factor),
-            "m_factor": str(cert.constants.m_factor),
+            "height_factor": hex(cert.constants.height_factor),
+            "z_factor": hex(cert.constants.z_factor),
+            "m_factor": hex(cert.constants.m_factor),
             "z_constant": _interval_to_json(cert.constants.z_constant),
             "n_min": cert.constants.n_min,
         },
         "lattice_points": [
             {
                 "index": list(idx),
-                "point": [str(q.x), str(q.y), str(q.z)],
+                "point": [hex(q.x), hex(q.y), hex(q.z)],
                 "divisor": {
-                    "d": str(dc.d),
-                    "a": str(dc.a),
-                    "b": str(dc.b),
+                    "d": hex(dc.d),
+                    "a": hex(dc.a),
+                    "b": hex(dc.b),
                     "divisibility_pass": dc.divisibility_pass,
                     "bound_pass": dc.bound_pass,
                 },
             }
             for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
         ],
-        "m": str(cert.m),
-        "representations": [[str(x), str(y)] for x, y in cert.representations],
+        "m": hex(cert.m),
+        "representations": [[hex(x), hex(y)] for x, y in cert.representations],
         "bound_rhs": _interval_to_json(cert.bound_rhs),
         "checks": dict(cert.checks),
     }
@@ -104,11 +110,27 @@ def _fail(message: str) -> CertificateFormatError:
 
 def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise _fail(f"{what} must be an integer or decimal string")
+        raise _fail(f"{what} must be an integer or hex string")
+    if isinstance(value, int):
+        return value
+    # exactly what hex() writes, checked without writing it: "0x" or "-0x",
+    # then as many lowercase ASCII digits as n has, which leaves no room for
+    # the "_", whitespace, sign or leading zero that int(value, 16) accepts
+    negative = value[:1] == "-"
     try:
-        return int(value)
+        n = int(value, 16)
     except ValueError:
-        raise _fail(f"{what} is not a valid integer: {value!r}") from None
+        n = None
+    if (
+        n is None
+        or (n < 0) != negative
+        or not value.startswith("0x", negative)
+        or len(value) != negative + 2 + max(1, (n.bit_length() + 3) // 4)
+        or not value.isascii()
+        or any(c in value for c in "ABCDEF")
+    ):
+        raise _fail(f"{what} is not a hex() string: {value[:40]!r}")
+    return n
 
 
 def _as_float(value, what: str) -> float:
@@ -306,7 +328,7 @@ class VerifyReport:
             "m0": str(self.m0),
             "r": self.rank,
             "N": self.box_size,
-            "m": str(self.m),
+            "m": hex(self.m),
             "checks": dict(self.checks),
             "all_passed": self.all_passed,
         }

@@ -344,9 +344,12 @@ def evaluate_checks(
     """Compare a certificate against the derivation from its own inputs.
 
     ``derived`` is derive(cfg, cert.generators, cert.box_size, cert.tol).
-    Each stored value is compared with its derived counterpart, and the
-    exact claims (points on the curve, the cube-sum identity of every stored
-    representation) are tested on the stored data; nothing is derived again.
+    Each stored value is compared with its derived counterpart; nothing is
+    derived again.  The cube-sum identity of the stored representations is
+    proved from the lattice, with no cube of a representation: when they
+    equal (Z/z_n)(x_n, y_n), m equals m0 Z^3 and every lattice point is on
+    the curve, x^3 + y^3 = m holds for each.  Only a document that fails one
+    of those three checks has its representations cubed and summed.
     Returns the full ordered check map.  A lattice collision or a height
     interval touching zero ends it early with the remaining checks false.
     """
@@ -373,9 +376,13 @@ def evaluate_checks(
     checks["representations_match_formula"] = (
         cert.representations == derived.representations
     )
-    checks["representation_identity"] = all(
-        x**3 + y**3 == cert.m for x, y in cert.representations
-    )
+    # the three checks prove the identity: each z_n is nonzero and divides
+    # Z = prod z_n, so ((Z/z_n) x_n)^3 + ((Z/z_n) y_n)^3 = m0 Z^3 = m
+    checks["representation_identity"] = (
+        checks["representations_match_formula"]
+        and checks["m_matches_product"]
+        and checks["lattice_on_curve"]
+    ) or all(x**3 + y**3 == cert.m for x, y in cert.representations)
     checks["representations_distinct"] = len(set(cert.representations)) == len(
         cert.representations
     )

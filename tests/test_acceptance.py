@@ -205,8 +205,8 @@ def test_criterion_6_desk_scale_construction(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 1  # N=3 sits below the threshold box size, reps still exact
     document = json.loads(cert_path.read_text())
-    m = int(document["m"])
-    reps = [(int(x), int(y)) for x, y in document["representations"]]
+    m = int(document["m"], 16)
+    reps = [(int(x, 16), int(y, 16)) for x, y in document["representations"]]
     assert len(reps) == 3
     assert len(set(reps)) == 3
     for x, y in reps:

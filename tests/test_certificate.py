@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,13 +22,14 @@ from cubeforge import (
     verify_certificate,
     write_certificate,
 )
-from cubeforge.certificate import certificate_to_dict
-from cubeforge.construct import CHECK_NAMES
+from cubeforge.certificate import _as_int, certificate_to_dict
+from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
 # a change to how the certificate is derived must not change a byte of it.
-# Schema "2" is the schema "1" document without the float divisor bounds.
-GOLDEN_SHA256 = "89f617168f309a7e5308ec0938f4d927187ee391a3352c531349911627bc26d0"
+# Schema "3" is the schema "2" document with every integer string rewritten
+# as hex(int(s)), re-dumped with json.dumps(indent=2) plus a newline.
+GOLDEN_SHA256 = "d83ac0e5fd237e9f7c1baa9c3e5e0136e7587943b4b8eefad8f358352c2e6e53"
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +44,14 @@ def cert6_doc(cert6):
 
 class TestSerialization:
     def test_big_ints_as_strings(self, cert6_doc):
-        assert cert6_doc["m"] == "49244246842992972624000"
-        assert cert6_doc["m0"] == "6"
-        assert cert6_doc["generators"] == [["17", "37", "21"]]
-        assert cert6_doc["representations"][0] == ["16329180", "35539980"]
+        assert cert6_doc["m"] == hex(49244246842992972624000)
+        assert cert6_doc["m"] == "0xa6d89355c80175d7080"
+        assert cert6_doc["m0"] == "0x6"
+        assert cert6_doc["generators"] == [["0x11", "0x25", "0x15"]]
+        assert cert6_doc["representations"][0] == [
+            hex(16329180), hex(35539980)
+        ]
+        assert cert6_doc["representations"][1][1] == "-0x2429db7"
 
     def test_schema_fields_present(self, cert6_doc):
         expected = {
@@ -65,7 +71,7 @@ class TestSerialization:
             "checks",
         }
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "2"
+        assert cert6_doc["schema_version"] == "3"
         assert set(cert6_doc["checks"]) == set(CHECK_NAMES)
 
     def test_divisor_record_is_exact(self, cert6_doc):
@@ -124,7 +130,7 @@ class TestVerification:
 
     def test_tampered_m(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["m"] = str(int(doc["m"]) + 18)
+        doc["m"] = hex(int(doc["m"], 16) + 18)
         report = verify_certificate(doc)
         assert not report.checks["m_matches_product"]
         assert not report.checks["representation_identity"]
@@ -132,14 +138,14 @@ class TestVerification:
 
     def test_tampered_representation(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["representations"][0] = ["16329180", "35539981"]
+        doc["representations"][0] = [hex(16329180), hex(35539981)]
         report = verify_certificate(doc)
         assert not report.checks["representations_match_formula"]
         assert not report.checks["representation_identity"]
 
     def test_tampered_lattice_point(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][1]["point"][0] = "2237724"
+        doc["lattice_points"][1]["point"][0] = hex(2237724)
         report = verify_certificate(doc)
         assert not report.checks["lattice_points_match"]
 
@@ -153,7 +159,7 @@ class TestVerification:
 
     def test_tampered_divisor_record(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][0]["divisor"]["d"] = "27"
+        doc["lattice_points"][0]["divisor"]["d"] = hex(27)
         report = verify_certificate(doc)
         assert not report.checks["divisor_records_match"]
 
@@ -165,7 +171,7 @@ class TestVerification:
 
     def test_off_curve_generator(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["generators"] = [["17", "37", "22"]]
+        doc["generators"] = [[hex(17), hex(37), hex(22)]]
         report = verify_certificate(doc)
         assert not report.checks["generators_on_curve"]
         assert not report.all_passed
@@ -180,8 +186,8 @@ class TestVerification:
         double = cubic_smul(CurveConfig(6), 2, gen6)
         doc["r"] = 2
         doc["generators"] = [
-            ["17", "37", "21"],
-            [str(double.x), str(double.y), str(double.z)],
+            [hex(17), hex(37), hex(21)],
+            [hex(double.x), hex(double.y), hex(double.z)],
         ]
         doc["lattice_points"] = []
         # N^r = 4 stored representations, so the count screen lets it through
@@ -203,6 +209,126 @@ class TestVerification:
         assert not report.checks["representation_count"]
         assert report.checks["generators_on_curve"]
         assert not report.all_passed
+
+
+class CountingInt(int):
+    """An int that counts how often it is raised to a power."""
+
+    powers = 0
+
+    def __pow__(self, exponent, modulo=None):
+        CountingInt.powers += 1
+        return int.__pow__(self, exponent, modulo)
+
+
+class TestIdentityProof:
+    def test_passing_document_cubes_no_representation(
+        self, cfg6, gen6, monkeypatch
+    ):
+        # the identity follows from the lattice, m = m0 Z^3 and the formula
+        cert = build_certificate(cfg6, [gen6], 4)
+        counted = replace(
+            cert,
+            representations=[
+                (CountingInt(x), CountingInt(y)) for x, y in cert.representations
+            ],
+        )
+        monkeypatch.setattr(CountingInt, "powers", 0)
+        checks = evaluate_checks(cfg6, counted, derive(cfg6, [gen6], 4, cert.tol))
+        assert all(checks.values())
+        assert CountingInt.powers == 0
+
+    def test_swapped_representations_still_satisfy_the_identity(
+        self, cfg6, gen6
+    ):
+        # (y, x) breaks the formula, so the identity is decided by cubing
+        doc = certificate_to_dict(build_certificate(cfg6, [gen6], 4))
+        doc["representations"] = [[y, x] for x, y in doc["representations"]]
+        report = verify_certificate(doc)
+        assert report.checks["representation_identity"]
+        failed = {name for name, ok in report.checks.items() if not ok}
+        assert failed == {"representations_match_formula"}
+
+
+class TestHexCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=-(2**20000), max_value=2**20000))
+    def test_round_trip(self, n):
+        assert _as_int(hex(n), "n") == n
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "49abc",
+            "12",
+            "0X1f",
+            "0x1F",
+            "0x_1f",
+            "0x1_f",
+            " 0x1f",
+            "0x1f ",
+            "0x1f\n",
+            "+0x1f",
+            "0x",
+            "-0x",
+            "",
+            "0x01",
+            "-0x01",
+            "-0x0",
+            "0b101",
+            "0x\u0661",
+        ],
+    )
+    def test_refuses_what_hex_does_not_write(self, text):
+        with pytest.raises(CertificateFormatError):
+            _as_int(text, "n")
+
+    @settings(max_examples=500)
+    @given(
+        text=st.one_of(
+            st.integers().map(hex),
+            st.from_regex(r"[+-]?0[xX][0-9a-fA-F_]{0,6}\s?", fullmatch=True),
+            st.text(alphabet="0123456789abcdefABCDEFxX_+- \n\u0661", max_size=8),
+        )
+    )
+    def test_accepts_exactly_what_hex_writes(self, text):
+        # reference: the definition, hex(int(text, 16)) == text
+        try:
+            written_by_hex = hex(int(text, 16)) == text
+        except ValueError:
+            written_by_hex = False
+        if written_by_hex:
+            assert _as_int(text, "n") == int(text, 16)
+        else:
+            with pytest.raises(CertificateFormatError):
+                _as_int(text, "n")
+
+    def test_json_numbers_are_accepted(self):
+        assert _as_int(12, "n") == 12
+        with pytest.raises(CertificateFormatError):
+            _as_int(True, "n")
+
+
+class TestScale:
+    # whole certificates at sizes the decimal schema made slow: rank 2 at
+    # N=16 (about 19 MB) and rank 3 at its minimal box
+    @pytest.mark.parametrize(
+        "m0, generators, box_size",
+        [
+            (91, [(-5, 6, 1), (3, 4, 1)], 16),
+            (657, [(-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)], 4),
+        ],
+    )
+    def test_build_and_verify(self, m0, generators, box_size):
+        cert = build_certificate(
+            CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size
+        )
+        assert list(cert.checks) == list(CHECK_NAMES)
+        assert all(cert.checks.values())
+        assert len(cert.representations) == box_size ** len(generators)
+        if len(generators) == 3:
+            assert cert.constants.n_min == box_size
+        assert verify_certificate(certificate_to_json(cert)).all_passed
 
 
 class TestFormatErrors:
@@ -248,7 +374,7 @@ class TestFormatErrors:
 
     def test_zero_m0(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["m0"] = "0"
+        doc["m0"] = "0x0"
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -284,7 +410,7 @@ class TestFormatErrors:
 
     def test_zero_m(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["m"] = "0"
+        doc["m"] = "0x0"
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -327,6 +453,7 @@ class TestMutationFuzz:
     @given(path=st.sampled_from(_leaf_paths(_FUZZ_DOC)), leaf=_HOSTILE_LEAVES)
     @example(path=("tol",), leaf=10**400)
     @example(path=("m",), leaf=0)
+    @example(path=("m",), leaf="49244246842992972624000")
     def test_verifier_is_total(self, path, leaf):
         doc = copy.deepcopy(_FUZZ_DOC)
         _leaf_parent(doc, path)[path[-1]] = leaf

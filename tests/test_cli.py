@@ -190,7 +190,7 @@ class TestConstruct:
         assert rc == EXIT_CHECK_FAILED
         assert "theorem_preconditions" in err
         payload = json.loads(out_path.read_text())
-        assert payload["m"] == "49244246842992972624000"
+        assert payload["m"] == hex(49244246842992972624000)
 
     def test_stdout_when_no_out(self, capsys, gen_file):
         rc, out, _ = run(
@@ -214,6 +214,20 @@ class TestConstruct:
             capsys,
             ["construct", "--m0", "6", "--generators", gen_file, "--N",
              box_size, "--out", str(out_path)],
+        )
+        assert rc == EXIT_OK, err
+        rc, out, _ = run(capsys, ["verify", "--cert", str(out_path)])
+        assert rc == EXIT_OK
+        assert json.loads(out)["all_passed"] is True
+
+    def test_rank_three_construct_and_verify(self, capsys, tmp_path):
+        gens = tmp_path / "rank3.json"
+        gens.write_text(json.dumps([[-7, 10, 1], [7, 17, 2], [-2890, 2971, 147]]))
+        out_path = tmp_path / "cert.json"
+        rc, _, err = run(
+            capsys,
+            ["construct", "--m0", "657", "--generators", str(gens), "--N", "4",
+             "--out", str(out_path)],
         )
         assert rc == EXIT_OK, err
         rc, out, _ = run(capsys, ["verify", "--cert", str(out_path)])
@@ -263,10 +277,12 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert payload["m0"] == "6"
+        # m is echoed in the certificate's hex encoding, linear to write
+        assert payload["m"] == json.loads(open(cert4_path).read())["m"]
 
     def test_tampered_certificate(self, capsys, cert4_path, tmp_path):
         doc = json.loads(open(cert4_path).read())
-        doc["m"] = str(int(doc["m"]) + 6)
+        doc["m"] = hex(int(doc["m"], 16) + 6)
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         rc, out, _ = run(capsys, ["verify", "--cert", str(bad)])
