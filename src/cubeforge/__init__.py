@@ -45,7 +45,6 @@ from .curves import (
     to_weierstrass,
 )
 from .heights import (
-    GramMatrix,
     PrecisionBudgetError,
     canonical_height,
     independence,

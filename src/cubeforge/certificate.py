@@ -3,14 +3,14 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run.  Serialization is deterministic: fixed key
 order, approximate reals as value/radius pairs, and a timestamp that honors
-SOURCE_DATE_EPOCH for reproducible runs.  Schema "3" writes every stored
+SOURCE_DATE_EPOCH for reproducible runs.  Schema "4" writes every stored
 integer string as ``hex(n)`` ("0x1f", "-0x1f"), which CPython converts in
 linear time both ways, where decimal strings cost quadratic time; the
-parser accepts exactly that form or a JSON number.  Divisor records are
-exact integers and verdicts.  Verification re-derives everything from the
-generators alone and compares; no stored boolean is ever trusted, and the
-identity x^3 + y^3 = m is proved from the lattice instead of by cubing
-every stored representation (see construct.evaluate_checks).
+parser accepts exactly that form or a JSON number of at most 4,300 digits.
+Divisor records are exact integers and verdicts.  There is no stored check
+map: verification re-derives everything from the generators alone and
+compares, and proves the identity x^3 + y^3 = m from the lattice without
+cubing a representation (see construct.evaluate_checks).
 """
 
 from __future__ import annotations
@@ -30,11 +30,13 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 # hex() and int(s, 16) are exempt from the int<->str digit limit, but callers
-# still write certificate integers such as m in decimal (str(), JSON numbers),
-# and those routinely exceed the default limit of 4,300 digits
+# still print certificate integers such as m in decimal with str(), and those
+# routinely exceed the default limit of 4,300 digits; the parser keeps that
+# default for JSON number literals itself
+_JSON_INT_DIGITS = 4300
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(
         max(sys.get_int_max_str_digits(), 20_000_000)
@@ -91,7 +93,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "m": hex(cert.m),
         "representations": [[hex(x), hex(y)] for x, y in cert.representations],
         "bound_rhs": _interval_to_json(cert.bound_rhs),
-        "checks": dict(cert.checks),
     }
 
 
@@ -154,48 +155,62 @@ def _as_interval(value, what: str) -> ApproxReal:
         raise _fail(f"{what}: {exc}") from None
 
 
+def _as_list(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise _fail(f"{what} must be an array")
+    if length is not None and len(value) != length:
+        raise _fail(f"{what} must have {length} elements")
+    return value
+
+
+def _as_record(value, what: str, keys) -> dict:
+    if not isinstance(value, dict):
+        raise _fail(f"{what} must be an object")
+    missing = set(keys) - set(value)
+    if missing:
+        raise _fail(f"{what} is missing {', '.join(sorted(missing))}")
+    return value
+
+
+def _as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise _fail(f"{what} must be a boolean")
+    return value
+
+
 def _as_triple(value, what: str) -> CubicPoint:
-    if not isinstance(value, list) or len(value) != 3:
-        raise _fail(f"{what} must be a three-element array")
-    x, y, z = (_as_int(c, what) for c in value)
-    return CubicPoint(x, y, z)
+    return CubicPoint(*(_as_int(c, what) for c in _as_list(value, what, 3)))
 
 
-_REQUIRED_KEYS = {
-    "schema_version",
-    "m0",
-    "r",
-    "N",
-    "tol",
-    "generators",
-    "hhat_bar",
-    "constants",
-    "lattice_points",
-    "m",
-    "representations",
-    "bound_rhs",
-    "checks",
-}
+def _json_int(literal: str) -> int:
+    # decimal literals convert in quadratic time: bounding their digits keeps
+    # the parse linear in the document despite the raised global limit
+    if len(literal.lstrip("-")) > _JSON_INT_DIGITS:
+        raise _fail(f"a JSON integer has more than {_JSON_INT_DIGITS} digits")
+    return int(literal)
+
+
+_REQUIRED_KEYS = (
+    "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
+    "constants", "lattice_points", "m", "representations", "bound_rhs",
+)
 
 
 def parse_certificate(document: str | dict) -> Certificate:
     """Parse and structurally validate a certificate document.
 
     Raises CertificateFormatError for anything malformed.  Semantic truth is
-    not judged here; that is verify_certificate's job.
+    not judged here; that is verify_certificate's job.  Keys the schema does
+    not name are ignored, so the parsed certificate carries no checks.
     """
     if isinstance(document, str):
         try:
-            data = json.loads(document)
+            data = json.loads(document, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise _fail(f"not valid JSON ({exc})") from None
     else:
         data = document
-    if not isinstance(data, dict):
-        raise _fail("top level must be an object")
-    missing = _REQUIRED_KEYS - set(data)
-    if missing:
-        raise _fail(f"missing keys: {', '.join(sorted(missing))}")
+    data = _as_record(data, "certificate", _REQUIRED_KEYS)
     if data["schema_version"] != SCHEMA_VERSION:
         raise _fail(f"unsupported schema_version {data['schema_version']!r}")
 
@@ -210,20 +225,20 @@ def parse_certificate(document: str | dict) -> Certificate:
     if not tol > 0.0:  # also refuses NaN
         raise _fail("tol must be a positive number")
 
-    if not isinstance(data["generators"], list) or not data["generators"]:
-        raise _fail("generators must be a nonempty array")
     generators = [
-        _as_triple(g, "generator") for g in data["generators"]
+        _as_triple(g, "generator")
+        for g in _as_list(data["generators"], "generators")
     ]
+    if not generators:
+        raise _fail("generators must be a nonempty array")
     if rank != len(generators):
         raise _fail("r must equal the number of generators")
 
-    constants_raw = data["constants"]
-    if not isinstance(constants_raw, dict):
-        raise _fail("constants must be an object")
-    for key in ("height_factor", "z_factor", "m_factor", "z_constant", "n_min"):
-        if key not in constants_raw:
-            raise _fail(f"constants.{key} is missing")
+    constants_raw = _as_record(
+        data["constants"],
+        "constants",
+        ("height_factor", "z_factor", "m_factor", "z_constant", "n_min"),
+    )
     constants = ChainConstants(
         rank=rank,
         height_factor=_as_int(constants_raw["height_factor"], "height_factor"),
@@ -233,64 +248,38 @@ def parse_certificate(document: str | dict) -> Certificate:
         n_min=_as_int(constants_raw["n_min"], "n_min"),
     )
 
-    if not isinstance(data["lattice_points"], list):
-        raise _fail("lattice_points must be an array")
     lattice_points = []
     divisor_checks = []
-    for entry in data["lattice_points"]:
-        if not isinstance(entry, dict) or {
-            "index",
-            "point",
-            "divisor",
-        } - set(entry):
-            raise _fail("each lattice point needs index, point and divisor")
-        idx_raw = entry["index"]
-        if not isinstance(idx_raw, list) or len(idx_raw) != rank:
-            raise _fail("lattice index arity must equal r")
-        idx = tuple(_as_int(i, "lattice index") for i in idx_raw)
-        point = _as_triple(entry["point"], "lattice point")
-        div = entry["divisor"]
-        if not isinstance(div, dict) or {
-            "d",
-            "a",
-            "b",
-            "divisibility_pass",
-            "bound_pass",
-        } - set(div):
-            raise _fail("divisor record is incomplete")
-        if not isinstance(div["divisibility_pass"], bool) or not isinstance(
-            div["bound_pass"], bool
-        ):
-            raise _fail("divisor flags must be booleans")
-        lattice_points.append((idx, point))
+    for entry in _as_list(data["lattice_points"], "lattice_points"):
+        entry = _as_record(entry, "lattice point", ("index", "point", "divisor"))
+        index = _as_list(entry["index"], "lattice index", rank)
+        div = _as_record(
+            entry["divisor"],
+            "divisor record",
+            ("d", "a", "b", "divisibility_pass", "bound_pass"),
+        )
+        lattice_points.append(
+            (
+                tuple(_as_int(i, "lattice index") for i in index),
+                _as_triple(entry["point"], "lattice point"),
+            )
+        )
         divisor_checks.append(
             DivisorCheck(
-                d=_as_int(div["d"], "divisor d"),
-                a=_as_int(div["a"], "divisor a"),
-                b=_as_int(div["b"], "divisor b"),
-                divisibility_pass=div["divisibility_pass"],
-                bound_pass=div["bound_pass"],
+                *(_as_int(div[key], f"divisor {key}") for key in "dab"),
+                _as_bool(div["divisibility_pass"], "divisibility_pass"),
+                _as_bool(div["bound_pass"], "bound_pass"),
             )
         )
 
-    if not isinstance(data["representations"], list):
-        raise _fail("representations must be an array")
-    representations = []
-    for rep in data["representations"]:
-        if not isinstance(rep, list) or len(rep) != 2:
-            raise _fail("each representation must be a two-element array")
-        representations.append(
-            (_as_int(rep[0], "representation x"), _as_int(rep[1], "representation y"))
-        )
+    representations = [
+        tuple(_as_int(c, "representation") for c in _as_list(p, "representation", 2))
+        for p in _as_list(data["representations"], "representations")
+    ]
 
     m = _as_int(data["m"], "m")
     if m == 0:
         raise _fail("m must be nonzero")
-    checks_raw = data["checks"]
-    if not isinstance(checks_raw, dict) or not all(
-        isinstance(v, bool) for v in checks_raw.values()
-    ):
-        raise _fail("checks must be an object of booleans")
 
     return Certificate(
         m0=m0,
@@ -305,7 +294,6 @@ def parse_certificate(document: str | dict) -> Certificate:
         representations=representations,
         constants=constants,
         bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),
-        checks=dict(checks_raw),
     )
 
 
@@ -337,9 +325,10 @@ class VerifyReport:
 def verify_certificate(document: str | dict) -> VerifyReport:
     """Recompute every check of a stored certificate.
 
-    The stored checks map is ignored; the report carries freshly derived
-    verdicts.  Structural problems raise CertificateFormatError, semantic
-    failures surface as False entries in the report.
+    The report carries freshly derived verdicts; a stored check map, like
+    any key the schema does not name, is never read.  Structural problems
+    raise CertificateFormatError, semantic failures surface as False entries
+    in the report.
     """
     cert = parse_certificate(document)
     cfg = CurveConfig(cert.m0)

@@ -20,6 +20,7 @@ from .certificate import (
     _interval_to_json,
     certificate_to_json,
     verify_certificate,
+    write_certificate,
 )
 from .construct import (
     GeneratorDependenceError,
@@ -143,7 +144,7 @@ def _cmd_independence(args) -> int:
         {
             "independent": independent,
             "gram": [
-                [_interval_to_json(e) for e in row] for row in gram.entries
+                [_interval_to_json(e) for e in row] for row in gram
             ],
         }
     )
@@ -154,12 +155,10 @@ def _cmd_construct(args) -> int:
     cfg = CurveConfig(args.m0)
     generators = _load_triples(args.generators)
     cert = build_certificate(cfg, generators, args.N, args.tol)
-    text = certificate_to_json(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_certificate(cert, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(certificate_to_json(cert))
     failed = [name for name, ok in cert.checks.items() if not ok]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
@@ -301,10 +300,7 @@ def main(argv=None) -> int:
     except GeneratorDependenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (CertificateFormatError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception as exc:  # no documented code: report it, never as exit 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurveConfig, WeierstrassPoint, add, on_weierstrass
@@ -111,14 +110,13 @@ def canonical_height(
     cfg: CurveConfig,
     p: WeierstrassPoint,
     tol: float = 1e-3,
-    *,
-    budget: int | None = None,
 ) -> ApproxReal:
     """Canonical height of P with error radius at most tol.
 
     A point whose doubling chain reaches infinity is torsion and gets the
     exact answer 0 with radius 0.  An affine P off the curve is a ValueError:
-    the X-only doubling formula holds only on Y^2 = X^3 + b.
+    the X-only doubling formula holds only on Y^2 = X^3 + b.  The digit
+    budget is read from CUBEFORGE_DIGIT_BUDGET (see digit_budget).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -126,8 +124,7 @@ def canonical_height(
         return ApproxReal(0.0, 0.0)
     if not on_weierstrass(cfg, p):
         raise ValueError(f"({p.x}, {p.y}) is not on Y^2 = X^3 + ({cfg.b})")
-    if budget is None:
-        budget = digit_budget()
+    budget = digit_budget()
 
     tail = tail_constant(cfg)
     tail_upper = tail.upper()
@@ -179,19 +176,9 @@ def pairing(
     return hs - canonical_height(cfg, p, tol) - canonical_height(cfg, q, tol)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Height-pairing Gram matrix of a tuple of points, entries as intervals."""
-
-    points: tuple[WeierstrassPoint, ...]
-    entries: tuple[tuple[ApproxReal, ...], ...]
-
-    def determinant(self) -> ApproxReal | None:
-        """Interval determinant, or None when a pivot cannot be signed."""
-        return _interval_det([list(row) for row in self.entries])
-
-
 def _interval_det(a: list[list[ApproxReal]]) -> ApproxReal | None:
+    """Interval determinant, eliminating in place; None when a pivot cannot
+    be signed."""
     n = len(a)
     det = ApproxReal.exact(1.0)
     for col in range(n):
@@ -220,8 +207,8 @@ def independence(
     cfg: CurveConfig,
     points: list[WeierstrassPoint],
     tol: float = 1e-3,
-) -> tuple[GramMatrix, bool]:
-    """Gram matrix of the points plus a certified independence verdict.
+) -> tuple[list[list[ApproxReal]], bool]:
+    """Gram matrix entries of the points plus a certified independence verdict.
 
     The verdict is True only when the interval determinant is strictly
     positive after all error propagation.  False means "not certified at
@@ -240,9 +227,8 @@ def independence(
             e = hs - heights[i] - heights[j]
             entries[i][j] = e
             entries[j][i] = e
-    gram = GramMatrix(tuple(points), tuple(tuple(row) for row in entries))
-    det = gram.determinant()
-    return gram, det is not None and det.lower() > 0.0
+    det = _interval_det([list(row) for row in entries])
+    return entries, det is not None and det.lower() > 0.0
 
 
 def offset_window_holds(

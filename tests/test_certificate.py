@@ -27,9 +27,9 @@ from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
 # a change to how the certificate is derived must not change a byte of it.
-# Schema "3" is the schema "2" document with every integer string rewritten
-# as hex(int(s)), re-dumped with json.dumps(indent=2) plus a newline.
-GOLDEN_SHA256 = "d83ac0e5fd237e9f7c1baa9c3e5e0136e7587943b4b8eefad8f358352c2e6e53"
+# Schema "4" is the schema "3" document without its "checks" key and with
+# schema_version "4", re-dumped with json.dumps(indent=2) plus a newline.
+GOLDEN_SHA256 = "7da001faf9f8ab9fac9ae7a41102a615e21c2c6e1e366235619ad90a31e0bf40"
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +68,10 @@ class TestSerialization:
             "m",
             "representations",
             "bound_rhs",
-            "checks",
         }
+        # no stored check map: verify derives every verdict afresh
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "3"
-        assert set(cert6_doc["checks"]) == set(CHECK_NAMES)
+        assert cert6_doc["schema_version"] == "4"
 
     def test_divisor_record_is_exact(self, cert6_doc):
         for entry in cert6_doc["lattice_points"]:
@@ -101,7 +100,9 @@ class TestSerialization:
         assert parsed.m == cert6.m
         assert parsed.representations == cert6.representations
         assert parsed.constants.n_min == cert6.constants.n_min
-        assert parsed.checks == cert6.checks
+        # the document stores no checks, so a parsed certificate has none
+        assert list(cert6.checks) == list(CHECK_NAMES)
+        assert parsed.checks == {}
 
     def test_write_certificate(self, cert6, tmp_path):
         path = tmp_path / "cert.json"
@@ -123,10 +124,12 @@ class TestVerification:
         assert report.all_passed
 
     def test_stored_booleans_ignored(self, cert6_doc):
+        # a forged all-true check map is a key the schema does not name
         doc = copy.deepcopy(cert6_doc)
-        doc["checks"] = {name: True for name in doc["checks"]}
-        report = verify_certificate(doc)
+        doc["checks"] = {name: True for name in CHECK_NAMES}
+        report = verify_certificate(json.dumps(doc))
         assert not report.checks["theorem_preconditions"]
+        assert report.checks == verify_certificate(cert6_doc).checks
 
     def test_tampered_m(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
@@ -239,15 +242,23 @@ class TestIdentityProof:
         assert CountingInt.powers == 0
 
     def test_swapped_representations_still_satisfy_the_identity(
-        self, cfg6, gen6
+        self, cfg6, gen6, monkeypatch
     ):
-        # (y, x) breaks the formula, so the identity is decided by cubing
-        doc = certificate_to_dict(build_certificate(cfg6, [gen6], 4))
-        doc["representations"] = [[y, x] for x, y in doc["representations"]]
+        # (y, x) cubes to m as well, but it breaks the formula that proves
+        # the identity, so the identity fails too and nothing is cubed
+        cert = build_certificate(cfg6, [gen6], 4)
+        doc = certificate_to_dict(cert)
+        doc["representations"] = [
+            [CountingInt(y), CountingInt(x)] for x, y in cert.representations
+        ]
+        monkeypatch.setattr(CountingInt, "powers", 0)
         report = verify_certificate(doc)
-        assert report.checks["representation_identity"]
+        assert CountingInt.powers == 0
         failed = {name for name, ok in report.checks.items() if not ok}
-        assert failed == {"representations_match_formula"}
+        assert failed == {
+            "representations_match_formula",
+            "representation_identity",
+        }
 
 
 class TestHexCodec:
@@ -414,6 +425,27 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
+    @pytest.mark.parametrize(
+        "sign, digits, refused",
+        [("", 4300, False), ("-", 4300, False), ("", 4301, True),
+         ("", 400_000, True)],
+    )
+    def test_json_integer_literal_digit_limit(
+        self, cert6_doc, sign, digits, refused
+    ):
+        # CPython's default int<->str limit, kept for JSON numbers: decimal
+        # conversion is quadratic, and 400,000 digits took over a second
+        doc = copy.deepcopy(cert6_doc)
+        doc["m"] = "LITERAL"
+        text = json.dumps(doc).replace('"LITERAL"', sign + "9" * digits)
+        if refused:
+            start = time.perf_counter()
+            with pytest.raises(CertificateFormatError, match="4300 digits"):
+                verify_certificate(text)
+            assert time.perf_counter() - start < 0.5
+        else:
+            assert not verify_certificate(text).checks["m_matches_product"]
+
 
 def _leaf_parent(doc, path):
     for key in path[:-1]:
@@ -454,6 +486,7 @@ class TestMutationFuzz:
     @example(path=("tol",), leaf=10**400)
     @example(path=("m",), leaf=0)
     @example(path=("m",), leaf="49244246842992972624000")
+    @example(path=("m",), leaf=10**4300)
     def test_verifier_is_total(self, path, leaf):
         doc = copy.deepcopy(_FUZZ_DOC)
         _leaf_parent(doc, path)[path[-1]] = leaf

@@ -201,9 +201,11 @@ class TestConstruct:
         assert json.loads(out)["N"] == 2
 
     def test_full_run_exit_zero(self, cert4_path):
+        # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert all(payload["checks"].values())
+        assert payload["schema_version"] == "4"
+        assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
     def test_large_box_construct_and_verify(self, capsys, gen_file, tmp_path,

@@ -280,9 +280,10 @@ class TestBitIdentical:
             h = canonical_height(cfg, w, 1e-4)
             assert (h.value.hex(), h.radius.hex()) == self.FROZEN[name], name
 
-    def test_budget_error(self, cfg6):
+    def test_budget_error(self, cfg6, monkeypatch):
+        monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2000")
         with pytest.raises(PrecisionBudgetError) as info:
-            canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9, budget=2000)
+            canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9)
         assert str(info.value) == (
             "precision budget exceeded: tolerance 1e-09 needs about "
             "8589934592 digits but the budget is 2000; achievable tolerance "
@@ -334,19 +335,22 @@ class TestHeightLaws:
 
 
 class TestPrecisionBudget:
-    def test_budget_error(self, cfg6):
+    def test_budget_error(self, cfg6, monkeypatch):
+        monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2000")
         w = WeierstrassPoint.affine(28, 80)
         with pytest.raises(PrecisionBudgetError) as info:
-            canonical_height(cfg6, w, 1e-9, budget=2000)
+            canonical_height(cfg6, w, 1e-9)
         assert "precision budget exceeded" in str(info.value)
         assert 0 < info.value.achievable_tol < 1.0
 
-    def test_achievable_tol_honest(self, cfg6):
+    def test_achievable_tol_honest(self, cfg6, monkeypatch):
         w = WeierstrassPoint.affine(28, 80)
+        monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2000")
         try:
-            canonical_height(cfg6, w, 1e-9, budget=2000)
+            canonical_height(cfg6, w, 1e-9)
         except PrecisionBudgetError as exc:
-            h = canonical_height(cfg6, w, exc.achievable_tol, budget=2100)
+            monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2100")
+            h = canonical_height(cfg6, w, exc.achievable_tol)
             assert h.radius <= exc.achievable_tol
 
     def test_env_override(self, cfg6, monkeypatch):
@@ -387,8 +391,8 @@ class TestIndependence:
         gram, ok = independence(cfg6, [WeierstrassPoint.affine(28, 80)], TOL)
         assert ok
         h = canonical_height(cfg6, WeierstrassPoint.affine(28, 80), TOL)
-        assert abs(gram.entries[0][0].value - 2 * h.value) <= (
-            gram.entries[0][0].radius + 2 * h.radius
+        assert abs(gram[0][0].value - 2 * h.value) <= (
+            gram[0][0].radius + 2 * h.radius
         )
 
     def test_torsion_not_certified(self, cfg1):
@@ -403,7 +407,7 @@ class TestIndependence:
     def test_gram_symmetric(self, cfg6):
         w = WeierstrassPoint.affine(28, 80)
         gram, _ = independence(cfg6, [w, smul(cfg6, 2, w)], TOL)
-        assert gram.entries[0][1] == gram.entries[1][0]
+        assert gram[0][1] == gram[1][0]
 
     def test_empty_rejected(self, cfg6):
         with pytest.raises(ValueError):
