@@ -25,7 +25,6 @@ from .construct import (
     density_constant,
     divisor_check,
     generate_lattice_points,
-    lattice_height_bound_check,
     minimal_box_size,
     z_size_constant,
 )

@@ -16,6 +16,7 @@ cubing a representation (see construct.evaluate_checks).
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -138,9 +139,13 @@ def _as_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{what} must be a number")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise _fail(f"{what} is out of float range") from None
+    # json.loads reads Infinity, NaN and 1e400 as non-finite floats
+    if not math.isfinite(x):
+        raise _fail(f"{what} must be a finite number")
+    return x
 
 
 def _as_interval(value, what: str) -> ApproxReal:
@@ -222,7 +227,7 @@ def parse_certificate(document: str | dict) -> Certificate:
     if box_size < 1:
         raise _fail("N must be at least 1")
     tol = _as_float(data["tol"], "tol")
-    if not tol > 0.0:  # also refuses NaN
+    if not tol > 0.0:
         raise _fail("tol must be a positive number")
 
     generators = [

@@ -31,7 +31,7 @@ from .curves import (
     on_cubic,
     to_weierstrass,
 )
-from .heights import canonical_height, independence
+from .heights import independence
 from .numeric import ApproxReal, interval_max, log_abs
 
 _TWO_THIRDS = ApproxReal.from_fraction(Fraction(2, 3))
@@ -476,28 +476,3 @@ def build_certificate(
     cert.checks = evaluate_checks(cfg, cert, derived)
     return cert
 
-
-def lattice_height_bound_check(
-    cfg: CurveConfig,
-    generators: list[CubicPoint],
-    box_size: int,
-    tol: float = 1e-3,
-) -> bool:
-    """Certify hhat(Q_n) <= A N^2 hhat for every box combination.
-
-    A is the height factor 3 * 2^(r-1) - 2.  The check passes when no
-    lattice point refutes the inequality after error propagation.
-    """
-    rank = len(generators)
-    gens_w = [to_weierstrass(cfg, p) for p in generators]
-    heights = [canonical_height(cfg, w, tol) for w in gens_w]
-    hhat_bar = reduce(interval_max, heights)
-    bound = (
-        ApproxReal.from_int(height_factor(rank) * box_size * box_size)
-        * hhat_bar
-    )
-    for _, q in generate_lattice_points(cfg, generators, box_size):
-        hq = canonical_height(cfg, to_weierstrass(cfg, q), tol)
-        if hq.lower() > bound.upper():
-            return False
-    return True

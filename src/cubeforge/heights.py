@@ -1,65 +1,66 @@
 """Naive and canonical heights on Y^2 = X^3 + b with rigorous error radii.
 
-The canonical height is computed straight from its doubling-limit definition
-hhat(P) = lim 4**-k * h_x(2**k P) / 2.  On curves of this shape the offset
-hhat - h_x/2 obeys an explicit two-sided window
+On the curves of this package b = -432 m0^2 < 0, and the canonical height
+(normalised as hhat(P) = lim 4**-k h_x(2**k P) / 2) is the sum of local
+heights, one per place (Silverman, "Computing heights on elliptic curves",
+Math. Comp. 51, 1988), taken here without their (1/12) log|Delta|_v terms,
+which cancel over all places.  Write Q = (a/e^2, c/e^3) in lowest terms.
 
-    -h(b)/6 - 1.48  <=  hhat(P) - h_x(P)/2  <=  h(b)/6 + 1.576,
+Finite places.  Modulo a prime p the only singular point of Y^2 = X^3 + b
+is (0, 0), and only the primes of 6 m0 are bad.  So when gcd(a, c, 6 m0) = 1
+the point Q reduces to a nonsingular point everywhere, each local height is
+max(0, log|X|_p)/2, and together they give log(e^2)/2.  The points of
+nonsingular reduction form a subgroup of finite index, so some multiple nP
+is of this kind; the least such n is found by adding P to itself, and
+hhat(P) = hhat(nP) / n^2.  Points needing more than GOOD_MULTIPLE_CAP
+multiples are refused.  Torsion here has order 2 or 3 only and gets exactly 0.
 
-so after k doublings the truncation error of 4**-k * h_x(2**k P) / 2 is at
-most C / 4**k with C = h(b)/6 + 1.576.  That turns the limit into a
-terminating algorithm with a certified radius: pick k with C / 4**k below the
-requested tolerance, double k times exactly, and take the scaled naive height.
+The archimedean place.  Tate's series, with t = 1/X and t_k = 1/X(2^k Q), is
 
-The doublings act on X alone, held as coprime integers A/B with B > 0:
+    lambda_inf(Q) = log(X)/2 + (1/8) sum_{k>=0} 4**-k log z_k,
+    z_k = 1 - 8 b t_k^3,    t_{k+1} = 4 t_k (1 + b t_k^3) / z_k.
 
-    X(2P) = (A^4 - 8 b A B^3) / (4 B (A^3 + b B^3)).
+On b < 0 the real locus has X >= |b|^(1/3), so 0 < t_k <= |b|^(-1/3) and
+z_k lies in [1, 9]: the series converges geometrically, and after K terms
+its tail lies in [0, (log 9)/6 * 4**-K].  Adding the two parts,
 
-When gcd(A, B) = 1 the common factor of these two forms divides their
-resultant R = 2^8 3^6 b^4, so gcd(R, num mod R, den mod R) is the full gcd
-and each step is reduced without a gcd on coordinates of full size.  The
-result is X(2^k P) in lowest terms, the same number the group law gives.
-Coordinate digits grow fourfold per doubling, so a digit budget caps the work
-and a too-tight tolerance fails loudly instead of thrashing.
+    hhat(Q) = log(a)/2 + (1/8) sum_{k<K} 4**-k log z_k + tail.
+
+The t-recursion runs in integer fixed point with F fractional bits, F about
+log2(1/tol) + log2(K |b|^(1/3)), and each iterate is clamped to the real
+locus; the bound on the rounding error is proved at _fixed_point_error.
+K and F grow linearly in log(1/tol), and no coordinate is ever doubled.
+A tolerance below what a float enclosure of the result can carry raises
+PrecisionBudgetError.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .curves import CurveConfig, WeierstrassPoint, add, on_weierstrass
-from .numeric import ApproxReal, log_abs
+from .numeric import ApproxReal, icbrt, log_abs
 
 OFFSET_BELOW = ApproxReal.from_decimal("1.48")
 OFFSET_ABOVE = ApproxReal.from_decimal("1.576")
 
 _SIXTH = ApproxReal.from_fraction(Fraction(1, 6))
 
-DEFAULT_DIGIT_BUDGET = 2_000_000
-DIGIT_BUDGET_ENV = "CUBEFORGE_DIGIT_BUDGET"
+# largest n tried for a multiple nP of nonsingular reduction everywhere;
+# cube-free m0 with small points need n <= 6, m0 = 7^4 needs 42
+GOOD_MULTIPLE_CAP = 60
 
-# safety margin so the chosen k strictly beats the tolerance after padding
-_TOL_MARGIN = 0.999
+# upper bound of (log 9)/6 = 0.36620..., the tail of Tate's series at K = 0
+_TAIL = 0.3663
 
 
 class PrecisionBudgetError(Exception):
-    """Raised when a tolerance needs more coordinate digits than allowed."""
+    """Raised when a tolerance is below what a float enclosure can carry."""
 
     def __init__(self, message: str, achievable_tol: float):
         super().__init__(message)
         self.achievable_tol = achievable_tol
-
-
-def digit_budget() -> int:
-    raw = os.environ.get(DIGIT_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_DIGIT_BUDGET
-    value = int(raw)
-    if value <= 0:
-        raise ValueError(f"{DIGIT_BUDGET_ENV} must be positive")
-    return value
 
 
 def naive_height(p: WeierstrassPoint) -> ApproxReal:
@@ -70,40 +71,96 @@ def naive_height(p: WeierstrassPoint) -> ApproxReal:
     return log_abs(m)
 
 
-def tail_constant(cfg: CurveConfig) -> ApproxReal:
-    """C = h(b)/6 + 1.576, the one-step truncation bound of the limit."""
-    return cfg.hb * _SIXTH + OFFSET_ABOVE
-
-
 def offset_window(cfg: CurveConfig) -> tuple[ApproxReal, ApproxReal]:
     """Enclosures of the two window edges for hhat - h_x/2."""
     w = cfg.hb * _SIXTH
     return (-(w + OFFSET_BELOW), w + OFFSET_ABOVE)
 
 
-def _decimal_digits(num: int, den: int) -> int:
-    bits = max(num.bit_length(), den.bit_length())
-    return int(bits * 0.30103) + 1
+def is_torsion(cfg: CurveConfig, p: WeierstrassPoint) -> bool:
+    """True for an affine point of finite order on Y^2 = X^3 + b.
 
-
-def doubling_resultant(b: int) -> int:
-    """Resultant of the two forms of the X-doubling map on Y^2 = X^3 + b."""
-    return 2**8 * 3**6 * b**4
-
-
-def double_x(a: int, d: int, b: int) -> tuple[int, int]:
-    """X(2P) in lowest terms from X(P) = a/d in lowest terms with d > 0.
-
-    A returned denominator of 0 means 2P is the point at infinity.
+    With b = -432 m0^2 < 0 the torsion subgroup is trivial, Z/2 or Z/3
+    (Z/6 needs b a sixth power), so P is torsion exactly when 2P = O, that
+    is Y = 0, or 3P = O, that is X a root of the 3-division polynomial
+    3X(X^3 + 4b).
     """
-    a3 = a * a * a
-    bd3 = b * d * d * d
-    num = a * (a3 - 8 * bd3)
-    # 4 d (a^3 + b d^3) = 4 d^4 Y^2 >= 0 on the curve, zero only when Y = 0
-    den = 4 * d * (a3 + bd3)
-    r = doubling_resultant(b)
-    g = math.gcd(r, num % r, den % r)
-    return num // g, den // g
+    return p.y == 0 or p.x * (p.x**3 + 4 * cfg.b) == 0
+
+
+def good_multiple(cfg: CurveConfig, p: WeierstrassPoint) -> tuple[int, WeierstrassPoint]:
+    """Least n >= 1 with nP of nonsingular reduction at every prime, and nP.
+
+    P must be affine and of infinite order.  nP = (a/e^2, c/e^3) qualifies
+    when gcd(a, c, 6 m0) = 1: no bad prime sends it to (0, 0).  Takes n - 1
+    additions; a point needing n > GOOD_MULTIPLE_CAP is a ValueError.
+    """
+    bad = 6 * cfg.m0
+    q = p
+    for n in range(1, GOOD_MULTIPLE_CAP + 1):
+        if math.gcd(q.x.numerator, q.y.numerator, bad) == 1:
+            return n, q
+        q = add(cfg, q, p)
+    raise ValueError(
+        f"({p.x}, {p.y}) has no multiple nP of nonsingular reduction at "
+        f"every prime with n <= {GOOD_MULTIPLE_CAP}"
+    )
+
+
+def _fixed_point_error(c: int, terms: int) -> int:
+    """An integer E with the rounding error of the weighted sum <= E / 2**F.
+
+    Write u = c t^3 with c = -b, so the real locus is 0 <= t <= c^(-1/3),
+    where u <= 1, and f(t) = 4t(1 - u)/(1 + 8u) is the t-recursion.  Then
+
+        f'(t) = 4(1 - 20u - 8u^2) / (1 + 8u)^2,
+
+    and |1 - 20u - 8u^2| <= (1 + 8u)^2 = 1 + 16u + 64u^2 for u in [0, 1]:
+    the upper side is clear, and the lower side is 0 <= 2 - 4u + 56u^2,
+    whose discriminant is negative.  So |f'| <= 4 on the real locus, and
+    clamping to that interval moves no iterate away from the true one.
+
+    With ulp = 2**-F, one step rounds u down (error < ulp, and
+    |d f / d u| = 36t/(1 + 8u)^2 <= 36 c^(-1/3) < 4.8 since c >= 432),
+    floors the quotient (< ulp) and clamps to the largest representable t
+    inside the locus (< ulp), so it adds rho < 8 ulp.  With e_0 < ulp from
+    t_0 = d/a, the errors obey e_k <= 4^k (e_0 + rho/3) < 4^(k+1) ulp.
+    log z_k moves by at most 8 ulp from the rounding of u and by
+    L e_k from e_k, where L = sup 24 c t^2/(1 + 8u) <= 24 c^(1/3).  The
+    weighted sum (1/8) sum_{k<K} 4^-k (8 ulp + L e_k) is therefore below
+    (4/3 + 12 c^(1/3) K) ulp, and c^(1/3) <= 2^ceil(bits(c)/3).
+    """
+    return 12 * terms * (1 << -(-c.bit_length() // 3)) + 2
+
+
+def _good_height(c: int, a: int, d: int, tol: float) -> ApproxReal:
+    """hhat(Q) for Q with X = a/d of nonsingular reduction everywhere.
+
+    The series tail and the fixed-point error take at most tol/2 of the
+    radius; the rest is float rounding.
+    """
+    terms = 0
+    while math.ldexp(_TAIL, -2 * terms) > 0.5 * tol:
+        terms += 1
+    err = _fixed_point_error(c, terms)
+    # E / 2**F <= tol/4, with a bit of slack for the float log2
+    bits = max(8, math.ceil(math.log2(err) - math.log2(tol)) + 3)
+    one = 1 << bits
+    t_max = icbrt((1 << 3 * bits) // c)[0]
+    t = min((d << bits) // a, t_max)
+    series = ApproxReal(0.0)
+    for k in range(terms):
+        u = (c * t * t * t) >> (2 * bits)
+        z = one + 8 * u
+        series += ApproxReal.from_fraction(Fraction(z, one)).log().ldexp(-2 * k)
+        t = min((4 * t * (one - u)) // z, t_max)
+    e_fp = ApproxReal.from_int(err).ldexp(-bits).upper()
+    tail = math.ldexp(_TAIL, -2 * terms)
+    return (
+        log_abs(a).ldexp(-1)
+        + series.ldexp(-3)
+        + ApproxReal.from_endpoints(-e_fp, tail + e_fp)
+    )
 
 
 def canonical_height(
@@ -113,56 +170,34 @@ def canonical_height(
 ) -> ApproxReal:
     """Canonical height of P with error radius at most tol.
 
-    A point whose doubling chain reaches infinity is torsion and gets the
-    exact answer 0 with radius 0.  An affine P off the curve is a ValueError:
-    the X-only doubling formula holds only on Y^2 = X^3 + b.  The digit
-    budget is read from CUBEFORGE_DIGIT_BUDGET (see digit_budget).
+    Torsion and the point at infinity get the exact answer 0 with radius 0.
+    An affine P off the curve is a ValueError, as is a point whose least
+    good multiple exceeds GOOD_MULTIPLE_CAP.  A tol below the float
+    enclosure of the result raises PrecisionBudgetError.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if p.is_infinity:
         return ApproxReal(0.0, 0.0)
     if not on_weierstrass(cfg, p):
         raise ValueError(f"({p.x}, {p.y}) is not on Y^2 = X^3 + ({cfg.b})")
-    budget = digit_budget()
-
-    tail = tail_constant(cfg)
-    tail_upper = tail.upper()
-    k = 0
-    while tail_upper * 0.25**k > _TOL_MARGIN * tol:
-        k += 1
-
-    def achievable(steps: int) -> float:
-        return tail_upper * 0.25**steps / _TOL_MARGIN
-
-    a, d = p.x.numerator, p.x.denominator
-    start_digits = _decimal_digits(a, d)
-    if start_digits * 4**k > budget:
-        k_ok = 0
-        while start_digits * 4 ** (k_ok + 1) <= budget:
-            k_ok += 1
+    if is_torsion(cfg, p):
+        return ApproxReal(0.0, 0.0)
+    n, q = good_multiple(cfg, p)
+    scale = n * n
+    h = _good_height(-cfg.b, q.x.numerator, q.x.denominator, min(tol * scale, 1.0))
+    if scale > 1:
+        h = h / ApproxReal.from_int(scale)
+    if h.radius > tol:
+        # float rounding is then over half the radius, and a larger tol
+        # barely moves it, so 4x the radius leaves room for the rest
+        achievable = 4.0 * h.radius
         raise PrecisionBudgetError(
-            f"precision budget exceeded: tolerance {tol:g} needs about "
-            f"{start_digits * 4 ** k} digits but the budget is {budget}; "
-            f"achievable tolerance is about {achievable(k_ok):.3g}",
-            achievable(k_ok),
+            f"tolerance {tol:g} is below the float enclosure of this "
+            f"height; achievable tolerance is about {achievable:.3g}",
+            achievable,
         )
-
-    for step in range(k):
-        a, d = double_x(a, d, cfg.b)
-        if d == 0:
-            return ApproxReal(0.0, 0.0)
-        if _decimal_digits(a, d) > budget:
-            raise PrecisionBudgetError(
-                f"precision budget exceeded after {step + 1} doublings "
-                f"(budget {budget} digits); achievable tolerance is about "
-                f"{achievable(step + 1):.3g}",
-                achievable(step + 1),
-            )
-
-    scaled = log_abs(max(abs(a), d)).ldexp(-(2 * k + 1))
-    truncation = tail.ldexp(-2 * k).upper()
-    return ApproxReal(scaled.value, scaled.radius + truncation)
+    return h
 
 
 def pairing(

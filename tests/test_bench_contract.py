@@ -1,9 +1,10 @@
-"""The names the benchmark in perfbench/ relies on still exist in the package.
+"""The names and inputs the benchmark in perfbench/ relies on still work.
 
 perfbench/spans.py traces functions by "module.function" name and
-perfbench/run.py gates every certificate op on a fixed check count.  Both
-files are read as source, never imported or edited, so a rename or a dropped
-check in the package fails here instead of silently in a benchmark run.
+perfbench/run.py gates every certificate op on a fixed check count, over a
+pool of curves at fixed (N, tol).  Both files are read as source, never
+imported or edited, so a rename, a dropped check or a pool certificate that
+stops passing fails here instead of silently in a benchmark run.
 """
 
 import ast
@@ -13,6 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from cubeforge import (
+    CubicPoint,
+    CurveConfig,
+    build_certificate,
+    certificate_to_json,
+    verify_certificate,
+)
 from cubeforge.construct import CHECK_NAMES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,6 +37,9 @@ def _assigned(filename: str, name: str) -> ast.expr:
 
 
 TRACED = [ast.literal_eval(key) for key in _assigned("spans.py", "TARGETS").keys]
+CHECK_COUNT = ast.literal_eval(_assigned("run.py", "CHECK_COUNT"))
+POOL = ast.literal_eval(_assigned("run.py", "POOL"))
+CERT_WORKLOADS = ast.literal_eval(_assigned("run.py", "CERT_WORKLOADS"))
 
 
 @pytest.mark.parametrize("target", TRACED)
@@ -41,6 +52,20 @@ def test_traced_name_is_a_package_function(target):
 
 
 def test_check_count_matches_check_names():
-    check_count = ast.literal_eval(_assigned("run.py", "CHECK_COUNT"))
-    assert len(CHECK_NAMES) == check_count
+    assert len(CHECK_NAMES) == CHECK_COUNT
     assert len(set(CHECK_NAMES)) == len(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("workload", sorted(CERT_WORKLOADS))
+@pytest.mark.parametrize("m0", sorted(POOL))
+def test_pool_certificate_passes(m0, workload):
+    # cert_tight runs at N = n_min, so a wider or shifted hhat_bar that
+    # raises n_min fails here first
+    box_size, tol = CERT_WORKLOADS[workload]
+    gens = [CubicPoint(*g) for g in POOL[m0]]
+    cert = build_certificate(CurveConfig(m0), gens, box_size, tol)
+    assert cert.constants.n_min <= box_size
+    assert len(cert.checks) == CHECK_COUNT
+    assert all(cert.checks.values()), cert.checks
+    report = verify_certificate(certificate_to_json(cert))
+    assert report.checks == cert.checks

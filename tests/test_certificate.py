@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import time
 from dataclasses import replace
 
@@ -29,7 +30,8 @@ from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 # a change to how the certificate is derived must not change a byte of it.
 # Schema "4" is the schema "3" document without its "checks" key and with
 # schema_version "4", re-dumped with json.dumps(indent=2) plus a newline.
-GOLDEN_SHA256 = "7da001faf9f8ab9fac9ae7a41102a615e21c2c6e1e366235619ad90a31e0bf40"
+# The local-height engine changed the hhat_bar and bound_rhs floats only.
+GOLDEN_SHA256 = "d848138525fd3747527362a14179dde5c38ba3f19627a59262b37b16bcb0e266"
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +385,15 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400", "NaN"])
+    def test_non_finite_tol(self, cert6_doc, literal):
+        # json.loads turns each literal into a float that is not finite
+        doc = copy.deepcopy(cert6_doc)
+        doc["tol"] = "TOL"
+        text = json.dumps(doc).replace('"TOL"', literal)
+        with pytest.raises(CertificateFormatError, match="finite"):
+            verify_certificate(text)
+
     def test_zero_m0(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
         doc["m0"] = "0x0"
@@ -484,6 +495,7 @@ class TestMutationFuzz:
     @settings(max_examples=500, deadline=2000)
     @given(path=st.sampled_from(_leaf_paths(_FUZZ_DOC)), leaf=_HOSTILE_LEAVES)
     @example(path=("tol",), leaf=10**400)
+    @example(path=("tol",), leaf=math.inf)
     @example(path=("m",), leaf=0)
     @example(path=("m",), leaf="49244246842992972624000")
     @example(path=("m",), leaf=10**4300)

@@ -87,23 +87,36 @@ class TestHeight:
         assert json.loads(out) == {"value": 0.0, "radius": 0.0}
 
     def test_off_curve(self, capsys):
-        # canonical_height rejects the point before any doubling
+        # canonical_height rejects the point before any other work
         rc, out, err = run(capsys, ["height", "--m0", "6", "--point", "28,81"])
         assert rc == EXIT_INVALID_INPUT
         assert out == ""
         assert "(28, 81) is not on Y^2 = X^3 + (-15552)" in err
 
-    def test_budget_exhaustion(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "50")
+    def test_budget_exhaustion(self, capsys):
+        # no float enclosure of a height carries a radius of 1e-300
         rc, _, err = run(
             capsys,
-            ["height", "--m0", "6", "--point", "28,80", "--tol", "1e-6"],
+            ["height", "--m0", "6", "--point", "28,80", "--tol", "1e-300"],
         )
         assert rc == EXIT_PRECISION
-        assert "budget" in err
+        assert "achievable tolerance" in err
 
 
 class TestIndependence:
+    def test_far_good_multiple(self, capsys, tmp_path):
+        # (202, -101, 1) on m0 = 7 * 101^3: the least multiple of
+        # nonsingular reduction at every prime is 102, past the cap
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps([[202, -101, 1]]))
+        rc, out, err = run(
+            capsys,
+            ["independence", "--m0", str(7 * 101**3), "--points", str(path)],
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "nonsingular reduction" in err
+
     def test_single_generator(self, capsys, gen_file):
         rc, out, _ = run(
             capsys, ["independence", "--m0", "6", "--points", gen_file]

@@ -18,7 +18,6 @@ from cubeforge import (
     density_constant,
     divisor_check,
     generate_lattice_points,
-    lattice_height_bound_check,
     minimal_box_size,
     verify_certificate,
     z_size_constant,
@@ -32,6 +31,7 @@ from cubeforge.construct import (
 )
 from cubeforge.heights import canonical_height
 from cubeforge.curves import to_weierstrass
+from tests.doubling_reference import lattice_height_bound_check
 
 ELKIES_M0 = 13293998056584952174157235
 
@@ -262,7 +262,6 @@ class TestDerivedOnce:
         counts = Counter()
         for module, name in (
             (heights, "canonical_height"),
-            (construct, "canonical_height"),
             (construct, "generate_lattice_points"),
         ):
             original = getattr(module, name)

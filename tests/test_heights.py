@@ -1,6 +1,8 @@
-"""Canonical heights: convergence, laws, windows, and budget behavior."""
+"""Canonical heights: local heights against the doubling reference, laws,
+windows, and the float floor."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,16 +23,19 @@ from cubeforge import (
     offset_window,
     offset_window_holds,
     pairing,
+    search_points,
     smul,
     to_weierstrass,
 )
-from cubeforge.heights import (
+from cubeforge.numeric import icbrt
+from tests import doubling_reference as ref
+from tests.conftest import KNOWN_GENERATORS
+from tests.doubling_reference import (
     digit_budget,
     double_x,
     doubling_resultant,
     tail_constant,
 )
-from tests.conftest import KNOWN_GENERATORS
 
 TOL = 1e-3
 
@@ -89,13 +94,14 @@ class TestCanonicalHeight:
         cfg = CurveConfig(2)
         w = to_weierstrass(cfg, CubicPoint(1, 1, 1))
         assert w == WeierstrassPoint.affine(12, 0)
-        h = canonical_height(cfg, w, TOL)
-        assert (h.value, h.radius) == (0.0, 0.0)
+        for tol in (TOL, 1e-12):
+            h = canonical_height(cfg, w, tol)
+            assert (h.value, h.radius) == (0.0, 0.0)
 
     def test_three_torsion_small(self, cfg1):
+        # 3P = O is recognised, so the answer is exact, not just small
         h = canonical_height(cfg1, WeierstrassPoint.affine(12, 36), TOL)
-        assert h.value <= TOL
-        assert h.radius <= TOL
+        assert (h.value, h.radius) == (0.0, 0.0)
 
     def test_radius_meets_tolerance(self, cfg6):
         w = WeierstrassPoint.affine(28, 80)
@@ -112,17 +118,19 @@ class TestCanonicalHeight:
     def test_refinement_honesty(self, cfg6, cfg7):
         for cfg, gen in ((cfg6, KNOWN_GENERATORS[6]), (cfg7, KNOWN_GENERATORS[7])):
             w = to_weierstrass(cfg, gen)
-            coarse = canonical_height(cfg, w, 1e-2)
-            fine = canonical_height(cfg, w, 1e-4)
-            assert coarse.lower() <= fine.value <= coarse.upper()
-            assert fine.radius <= coarse.radius
+            for coarse_tol, fine_tol in ((1e-2, 1e-4), (1e-4, 1e-12)):
+                coarse = canonical_height(cfg, w, coarse_tol)
+                fine = canonical_height(cfg, w, fine_tol)
+                assert coarse.lower() <= fine.value <= coarse.upper()
+                assert fine.radius <= coarse.radius
 
     def test_invalid_tol(self, cfg6):
-        with pytest.raises(ValueError):
-            canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                canonical_height(cfg6, WeierstrassPoint.affine(28, 80), tol)
 
     def test_off_curve_rejected(self, cfg6):
-        # the X-only doubling formula is only valid on the curve
+        # Tate's series and the reduction test hold only on the curve
         with pytest.raises(ValueError, match="is not on"):
             canonical_height(cfg6, WeierstrassPoint.affine(28, 81), TOL)
 
@@ -150,7 +158,7 @@ def fraction_chain(cfg, w, steps):
 
 
 def integer_chain(cfg, w, steps):
-    """The same chain through the integer X-only doubling of canonical_height."""
+    """The same chain through the integer X-only doubling of the reference."""
     chain = []
     a, d = w.x.numerator, w.x.denominator
     for _ in range(steps):
@@ -188,7 +196,7 @@ def sylvester_resultant(f, g):
 class TestIntegerDoubling:
     """The X-only integer doubling against the Fraction group law."""
 
-    # k chosen by canonical_height at tol 1e-4 on both pool curves
+    # k chosen by the reference engine at tol 1e-4 on both pool curves
     STEPS = 8
 
     def test_known_generators(self):
@@ -263,7 +271,8 @@ class TestIntegerDoubling:
 
 
 class TestBitIdentical:
-    """Heights and budget errors frozen from the Fraction doubling engine."""
+    """The reference's heights and budget errors, frozen from the Fraction
+    doubling engine."""
 
     # (value, radius) of canonical_height at tol 1e-4, as float.hex()
     FROZEN = {
@@ -277,13 +286,13 @@ class TestBitIdentical:
 
     def test_pool_heights(self):
         for cfg, name, w in pool_points():
-            h = canonical_height(cfg, w, 1e-4)
+            h = ref.canonical_height(cfg, w, 1e-4)
             assert (h.value.hex(), h.radius.hex()) == self.FROZEN[name], name
 
     def test_budget_error(self, cfg6, monkeypatch):
         monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2000")
         with pytest.raises(PrecisionBudgetError) as info:
-            canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9)
+            ref.canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9)
         assert str(info.value) == (
             "precision budget exceeded: tolerance 1e-09 needs about "
             "8589934592 digits but the budget is 2000; achievable tolerance "
@@ -305,7 +314,7 @@ class TestNoGroupLaw:
 
             monkeypatch.setattr(module, "add", counting)
         for cfg, _, w in points:
-            canonical_height(cfg, w, 1e-4)
+            ref.canonical_height(cfg, w, 1e-4)
         assert calls == []
 
 
@@ -335,11 +344,13 @@ class TestHeightLaws:
 
 
 class TestPrecisionBudget:
+    """The digit budget of the doubling reference."""
+
     def test_budget_error(self, cfg6, monkeypatch):
         monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2000")
         w = WeierstrassPoint.affine(28, 80)
         with pytest.raises(PrecisionBudgetError) as info:
-            canonical_height(cfg6, w, 1e-9)
+            ref.canonical_height(cfg6, w, 1e-9)
         assert "precision budget exceeded" in str(info.value)
         assert 0 < info.value.achievable_tol < 1.0
 
@@ -347,17 +358,17 @@ class TestPrecisionBudget:
         w = WeierstrassPoint.affine(28, 80)
         monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2000")
         try:
-            canonical_height(cfg6, w, 1e-9)
+            ref.canonical_height(cfg6, w, 1e-9)
         except PrecisionBudgetError as exc:
             monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "2100")
-            h = canonical_height(cfg6, w, exc.achievable_tol)
+            h = ref.canonical_height(cfg6, w, exc.achievable_tol)
             assert h.radius <= exc.achievable_tol
 
     def test_env_override(self, cfg6, monkeypatch):
         monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "1500")
         assert digit_budget() == 1500
         with pytest.raises(PrecisionBudgetError):
-            canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9)
+            ref.canonical_height(cfg6, WeierstrassPoint.affine(28, 80), 1e-9)
 
     def test_env_invalid(self, monkeypatch):
         monkeypatch.setenv("CUBEFORGE_DIGIT_BUDGET", "-5")
@@ -434,3 +445,144 @@ class TestOffsetWindow:
     def test_infinity_rejected(self, cfg6):
         with pytest.raises(ValueError):
             offset_window_holds(cfg6, INFINITY, TOL)
+
+
+RANK_THREE_657 = (
+    CubicPoint(-7, 10, 1),
+    CubicPoint(7, 17, 2),
+    CubicPoint(-2890, 2971, 147),
+)
+
+
+def cross_engine_samples():
+    """(label, cfg, point) for the known generators, both pool curves and
+    the rank-3 set on m0=657, with the pairwise sums of the last two."""
+    for m0 in (6, 7, 9, -7):
+        cfg = CurveConfig(m0)
+        gen = KNOWN_GENERATORS.get(m0, CubicPoint(-2, 1, 1))
+        yield f"{m0}:G", cfg, to_weierstrass(cfg, gen)
+    for cfg, name, w in pool_points():
+        yield name, cfg, w
+    cfg = CurveConfig(657)
+    gens = [to_weierstrass(cfg, g) for g in RANK_THREE_657]
+    for i, w in enumerate(gens):
+        yield f"657:P{i + 1}", cfg, w
+        for j in range(i + 1, len(gens)):
+            yield f"657:P{i + 1}+P{j + 1}", cfg, add(cfg, w, gens[j])
+
+
+class TestCrossEngine:
+    """Local heights against the doubling reference: the intervals meet."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4])
+    def test_samples(self, tol):
+        for label, cfg, w in cross_engine_samples():
+            new = canonical_height(cfg, w, tol)
+            old = ref.canonical_height(cfg, w, tol)
+            assert new.radius <= tol, label
+            assert new.intersects(old), (label, new, old)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        i=st.integers(-4, 4),
+        j=st.integers(-4, 4),
+        tol=st.sampled_from([1e-3, 1e-4]),
+    )
+    def test_pool_lattice(self, i, j, tol):
+        cfg = CurveConfig(91)
+        p, q = (to_weierstrass(cfg, g) for g in POOL[91])
+        w = add(cfg, smul(cfg, i, p), smul(cfg, j, q))
+        new = canonical_height(cfg, w, tol)
+        old = ref.canonical_height(cfg, w, tol)
+        assert new.radius <= tol
+        assert new.intersects(old), (new, old)
+
+
+def tate_step(b, t):
+    """One exact step t -> 4t(1 + b t^3) / (1 - 8 b t^3) of Tate's series."""
+    return 4 * t * (1 + b * t**3) / (1 - 8 * b * t**3)
+
+
+class TestLocalHeights:
+    def test_tight_tolerance_is_fast(self):
+        start = time.perf_counter()
+        found = [(name, canonical_height(cfg, w, 1e-12)) for cfg, name, w in pool_points()]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        for name, h in found:
+            assert 0.0 < h.radius <= 1e-12, name
+
+    @pytest.mark.parametrize("m0", [6, 91, 1729, 7 * 101**3])
+    def test_tate_step_is_four_lipschitz(self, m0):
+        # exact slopes between neighbours of a grid on 0 < t <= |b|^(-1/3),
+        # the real locus the fixed-point recursion is clamped to
+        b = CurveConfig(m0).b
+        t_max = Fraction(1, icbrt(-b)[0] + 1)
+        grid = [t_max * Fraction(k, 400) for k in range(401)]
+        slopes = [
+            abs(tate_step(b, t2) - tate_step(b, t1)) / (t2 - t1)
+            for t1, t2 in zip(grid, grid[1:])
+        ]
+        assert max(slopes) <= 4
+        # the bound is sharp at t = 0, where f'(0) = 4
+        assert max(slopes) > Fraction(39, 10)
+
+    def test_derivative_formula_bound(self):
+        # f'(t) = 4 (1 - 20u - 8u^2) / (1 + 8u)^2 with u = -b t^3 in [0, 1]
+        for k in range(1001):
+            u = Fraction(k, 1000)
+            assert abs(4 * (1 - 20 * u - 8 * u * u)) <= 4 * (1 + 8 * u) ** 2
+
+    @pytest.mark.parametrize("m0", [6, -6, 7, -7, 9, 12, 91, 657, 854, 1729])
+    def test_small_good_multiple(self, m0):
+        cfg = CurveConfig(m0)
+        found = [p for p in search_points(cfg, 60) if p.x + p.y != 0]
+        assert found
+        for p in found:
+            w = to_weierstrass(cfg, p)
+            n, q = heights.good_multiple(cfg, w)
+            assert 1 <= n <= 6, p
+            assert q == smul(cfg, n, w)
+            assert math.gcd(q.x.numerator, q.y.numerator, 6 * m0) == 1
+
+    def test_far_good_multiple_refused(self):
+        # least good multiple 102, past the cap of 60
+        cfg = CurveConfig(7 * 101**3)
+        w = to_weierstrass(cfg, CubicPoint(202, -101, 1))
+        with pytest.raises(ValueError, match="nonsingular reduction"):
+            canonical_height(cfg, w, TOL)
+
+    def test_non_minimal_model_multiple(self):
+        # m0 = 7^4 is not cube-free: its model is not minimal at 7
+        cfg = CurveConfig(7**4)
+        w = to_weierstrass(cfg, CubicPoint(-7, 14, 1))
+        assert heights.good_multiple(cfg, w)[0] == 42
+        h = canonical_height(cfg, w, 1e-6)
+        assert h.radius <= 1e-6
+        assert h.intersects(ref.canonical_height(cfg, w, 1e-2))
+
+
+class TestFloatFloor:
+    """PrecisionBudgetError now means a tol the float result cannot carry."""
+
+    def test_below_float_floor(self, cfg6):
+        w = WeierstrassPoint.affine(28, 80)
+        with pytest.raises(PrecisionBudgetError) as info:
+            canonical_height(cfg6, w, 1e-300)
+        assert "below the float enclosure" in str(info.value)
+        assert 1e-16 < info.value.achievable_tol < 1e-12
+
+    def test_achievable_tol_honest(self):
+        for cfg, name, w in pool_points():
+            with pytest.raises(PrecisionBudgetError) as info:
+                canonical_height(cfg, w, 1e-17)
+            tol = info.value.achievable_tol
+            assert canonical_height(cfg, w, tol).radius <= tol, name
+
+    def test_huge_tolerance(self, cfg6):
+        w = WeierstrassPoint.affine(28, 80)
+        fine = canonical_height(cfg6, w, 1e-6)
+        for tol in (1.0, 1e300, math.inf):
+            h = canonical_height(cfg6, w, tol)
+            assert h.radius <= 1.0
+            assert h.lower() <= fine.value <= h.upper()
