@@ -22,11 +22,10 @@ from fractions import Fraction
 from functools import reduce
 
 from .curves import (
+    CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
-    INFINITY,
-    add,
-    from_weierstrass,
+    cubic_add,
     is_primitive,
     on_cubic,
     to_weierstrass,
@@ -180,24 +179,23 @@ def generate_lattice_points(
         raise ValueError("at least one generator is required")
     if box_size < 1:
         raise ValueError("box size must be at least 1")
-    gens_w = [to_weierstrass(cfg, p) for p in generators]
     multiples = []
-    for w in gens_w:
-        row = [INFINITY, w]
+    for p in generators:
+        p = CubicPoint.from_triple(*p.triple())
+        row = [CUBIC_IDENTITY, p]
         for _ in range(2, box_size + 1):
-            row.append(add(cfg, row[-1], w))
+            row.append(cubic_add(cfg, row[-1], p))
         multiples.append(row)
     out: list[tuple[tuple[int, ...], CubicPoint]] = []
     seen: dict[CubicPoint, tuple[int, ...]] = {}
     for idx in itertools.product(range(1, box_size + 1), repeat=rank):
-        acc = INFINITY
-        for i, n in enumerate(idx):
-            acc = add(cfg, acc, multiples[i][n])
-        if acc.is_infinity:
+        q = multiples[0][idx[0]]
+        for i in range(1, rank):
+            q = cubic_add(cfg, q, multiples[i][idx[i]])
+        if q.is_identity:
             raise GeneratorDependenceError(
                 f"generators not independent: combination {idx} is the identity"
             )
-        q = from_weierstrass(cfg, acc)
         if q in seen:
             raise GeneratorDependenceError(
                 f"generators not independent: combinations {seen[q]} and "

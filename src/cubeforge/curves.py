@@ -7,9 +7,11 @@ The forward map sends a cubic point [x, y, z] with x + y != 0 to
     X = 12 m0 z / (x + y),    Y = 36 m0 (y - x) / (x + y),
 
 the identity [1, -1, 0] to the point at infinity, and the inverse recovers a
-projective triple proportional to (36 m0 - Y, 36 m0 + Y, 6 X).  The group law
-is computed exactly on W with Fraction coordinates and transported back to C,
-where points are kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
+projective triple proportional to (36 m0 - Y, 36 m0 + Y, 6 X).  Each model
+has its own exact group law: on C the integer projective formulas of twisted
+Hessian curves (cubic_add), on W chord and tangent in Fraction coordinates
+(add), which the heights use.  Points on C are kept primitive:
+gcd(x, y, z) = 1 and z > 0 off the identity.
 """
 
 from __future__ import annotations
@@ -169,13 +171,45 @@ def smul(cfg: CurveConfig, k: int, p: WeierstrassPoint) -> WeierstrassPoint:
 
 
 def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
-    """Group law on the cubic model, transported through the Weierstrass twin."""
-    s = add(cfg, to_weierstrass(cfg, p), to_weierstrass(cfg, q))
-    return from_weierstrass(cfg, s)
+    """Group law on the cubic model, in integer projective coordinates.
+
+    With (X : Y : Z) = (z : x : y) and a = -m0 the cubic is the twisted
+    Hessian curve a X^3 + Y^3 + Z^3 = 0, whose identity (0 : -1 : 1) is
+    [1 : -1 : 0].  The addition formulas of Bernstein, Chuengsatiansup, Kohel
+    and Lange ("Twisted Hessian curves", LATINCRYPT 2015) give the sum unless
+    they vanish, which includes doubling; the rotated formulas then give it.
+    On the curve the two never vanish together.
+    """
+    x1, y1, z1 = p.x, p.y, p.z
+    x2, y2, z2 = q.x, q.y, q.z
+    # the paper's (X3, Y3, Z3) is (z3, x3, y3) here
+    x3 = y1 * y1 * x2 * z2 - y2 * y2 * x1 * z1
+    y3 = x1 * x1 * y2 * z2 - x2 * x2 * y1 * z1
+    z3 = z1 * z1 * x2 * y2 - z2 * z2 * x1 * y1
+    if not (x3 or y3 or z3):
+        x3 = x2 * x2 * x1 * y1 + cfg.m0 * z1 * z1 * y2 * z2
+        y3 = -cfg.m0 * z2 * z2 * x1 * z1 - y1 * y1 * x2 * y2
+        z3 = y2 * y2 * y1 * z1 - x1 * x1 * x2 * z2
+        if not (x3 or y3 or z3):
+            raise ValueError(
+                f"both addition formulas vanish on {p.triple()} and "
+                f"{q.triple()}: the points are not on the curve"
+            )
+    return CubicPoint.from_triple(x3, y3, z3)
 
 
 def cubic_smul(cfg: CurveConfig, k: int, p: CubicPoint) -> CubicPoint:
-    return from_weierstrass(cfg, smul(cfg, k, to_weierstrass(cfg, p)))
+    """Scalar multiple k*P by binary double-and-add over cubic_add."""
+    if k < 0:
+        k, p = -k, p.neg()
+    acc = CUBIC_IDENTITY
+    while k:
+        if k & 1:
+            acc = cubic_add(cfg, acc, p)
+        k >>= 1
+        if k:
+            p = cubic_add(cfg, p, p)
+    return acc
 
 
 def is_primitive(p: CubicPoint) -> bool:

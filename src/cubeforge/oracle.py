@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .curves import CubicPoint, CurveConfig, smul, to_weierstrass
+from .curves import CubicPoint, CurveConfig, cubic_add, to_weierstrass
 from .heights import canonical_height
 from .numeric import gcd3, icbrt
 
@@ -111,9 +111,10 @@ def torsion_probe(cfg: CurveConfig, p: CubicPoint, tol: float = 1e-3) -> bool:
     """
     if p.is_identity:
         return True
-    w = to_weierstrass(cfg, p)
-    height_small = canonical_height(cfg, w, tol).value <= tol
-    multiple_vanishes = any(
-        smul(cfg, k, w).is_infinity for k in range(1, _TORSION_ORDER_LIMIT + 1)
-    )
-    return height_small and multiple_vanishes
+    height_small = canonical_height(cfg, to_weierstrass(cfg, p), tol).value <= tol
+    multiple = p
+    for _ in range(_TORSION_ORDER_LIMIT):
+        if multiple.is_identity:
+            return height_small
+        multiple = cubic_add(cfg, multiple, p)
+    return False

@@ -23,7 +23,7 @@ from cubeforge import (
     verify_certificate,
     write_certificate,
 )
-from cubeforge.certificate import _as_int, certificate_to_dict
+from cubeforge.certificate import _as_int, _hex, certificate_to_dict
 from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
@@ -263,11 +263,36 @@ class TestIdentityProof:
         }
 
 
+# strings bytes.fromhex() accepts but hex() never writes: whitespace between
+# byte pairs (2,106 digits, an even count, so pairs start after "0x"), and
+# one upper-cased digit
+_LONG = hex(7**3000)
+_LONG_SPACED = _LONG[:1000] + " " + _LONG[1000:]
+_UPPER_AT = next(i for i in range(1000, len(_LONG)) if _LONG[i] in "abcdef")
+_LONG_UPPER = _LONG[:_UPPER_AT] + _LONG[_UPPER_AT].upper() + _LONG[_UPPER_AT + 1:]
+
+
+# small values, and 2^k +- 1 on both sides of byte boundaries
+_BYTE_EDGES = [2**k + d for k in (8, 16, 64, 1024) for d in (-1, 1)]
+_EDGE_INTS = [0] + [
+    sign * n for n in (1, 15, 16, 255, 256, *_BYTE_EDGES) for sign in (1, -1)
+]
+
+
 class TestHexCodec:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=-(2**20000), max_value=2**20000))
     def test_round_trip(self, n):
         assert _as_int(hex(n), "n") == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=-(2**20000), max_value=2**20000))
+    def test_writes_what_hex_writes(self, n):
+        assert _hex(n) == hex(n)
+
+    @pytest.mark.parametrize("n", _EDGE_INTS)
+    def test_writes_what_hex_writes_at_edges(self, n):
+        assert _hex(n) == hex(n)
 
     @pytest.mark.parametrize(
         "text",
@@ -304,6 +329,13 @@ class TestHexCodec:
             st.text(alphabet="0123456789abcdefABCDEFxX_+- \n\u0661", max_size=8),
         )
     )
+    @example(text="0x1f 2a")
+    @example(text="-0x1f 2a")
+    @example(text="0x1f\t2a")
+    @example(text="0x1f\n2a")
+    @example(text=_LONG_SPACED)
+    @example(text=_LONG_UPPER)
+    @example(text=_LONG)
     def test_accepts_exactly_what_hex_writes(self, text):
         # reference: the definition, hex(int(text, 16)) == text
         try:

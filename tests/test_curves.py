@@ -1,5 +1,6 @@
 """Exact group law and the birational correspondence between the models."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,14 @@ from cubeforge import (
     cubic_add,
     cubic_smul,
     from_weierstrass,
+    generate_lattice_points,
     on_cubic,
     on_weierstrass,
+    search_points,
     smul,
     to_weierstrass,
 )
+from cubeforge import construct, curves
 from tests.conftest import KNOWN_GENERATORS
 
 
@@ -172,3 +176,79 @@ class TestNegativeM0:
         w = to_weierstrass(cfg, p)
         assert on_weierstrass(cfg, w)
         assert from_weierstrass(cfg, w) == p
+
+
+def _transported_add(cfg, p, q):
+    """The reference law: add on the Weierstrass twin, mapped back."""
+    return from_weierstrass(
+        cfg, add(cfg, to_weierstrass(cfg, p), to_weierstrass(cfg, q))
+    )
+
+
+def _transported_lattice(cfg, generators, box_size):
+    """The lattice of generate_lattice_points, built on the Weierstrass twin."""
+    rows = [
+        [smul(cfg, n, to_weierstrass(cfg, p)) for n in range(box_size + 1)]
+        for p in generators
+    ]
+    out = []
+    for idx in itertools.product(range(1, box_size + 1), repeat=len(rows)):
+        acc = INFINITY
+        for row, n in zip(rows, idx):
+            acc = add(cfg, acc, row[n])
+        out.append((idx, from_weierstrass(cfg, acc)))
+    return out
+
+
+_SWEEP_M0 = (1, 2, -2, 6, 7, 9, 12, 91, 657, 1729, 7 * 101**3)
+_P91 = (CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1))
+_GENS_657 = [CubicPoint(-7, 10, 1), CubicPoint(7, 17, 2), CubicPoint(-2890, 2971, 147)]
+
+
+class TestIntegerGroupLaw:
+    @pytest.mark.parametrize("m0", _SWEEP_M0)
+    def test_matches_weierstrass_transport(self, m0):
+        cfg = CurveConfig(m0)
+        found = search_points(cfg, 40)
+        points = [CUBIC_IDENTITY, *found, *(p.neg() for p in found)]
+        for p in found:
+            double = _transported_add(cfg, p, p)
+            points += [double, _transported_add(cfg, double, p)]
+            points.append(_transported_add(cfg, double, double))
+        for p, q in itertools.product(points, repeat=2):
+            assert cubic_add(cfg, p, q) == _transported_add(cfg, p, q)
+
+    @given(st.integers(-6, 6), st.integers(-6, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_sweep_on_91(self, i, j):
+        cfg = CurveConfig(91)
+        w1, w2 = (to_weierstrass(cfg, p) for p in _P91)
+        expected = from_weierstrass(cfg, add(cfg, smul(cfg, i, w1), smul(cfg, j, w2)))
+        p, q = (cubic_smul(cfg, k, g) for k, g in zip((i, j), _P91))
+        assert cubic_add(cfg, p, q) == expected
+
+    def test_rank_three_lattice(self):
+        cfg = CurveConfig(657)
+        assert generate_lattice_points(cfg, _GENS_657, 4) == (
+            _transported_lattice(cfg, _GENS_657, 4)
+        )
+
+    def test_lattice_never_touches_the_weierstrass_model(self, monkeypatch):
+        # a structural speed guard: the lattice is integer arithmetic only
+        cfg = CurveConfig(91)
+        expected = _transported_lattice(cfg, list(_P91), 8)
+
+        def refuse(*args):
+            raise AssertionError("the Weierstrass model was used")
+
+        for module in (curves, construct):
+            for name in ("add", "to_weierstrass", "from_weierstrass"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert generate_lattice_points(cfg, list(_P91), 8) == expected
+
+    def test_both_formulas_vanishing_is_refused(self, cfg6):
+        # (0, 0, 1) is on no curve with m0 != 0, and both formulas vanish
+        # on its double
+        p = CubicPoint(0, 0, 1)
+        with pytest.raises(ValueError, match="both addition formulas vanish"):
+            cubic_add(cfg6, p, p)
