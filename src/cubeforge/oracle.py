@@ -10,15 +10,19 @@ and 4 q - s^2 = 3 (x - y)^2 >= 0, while q > 0 for every (x, y) != (0, 0).
 So for m != 0 the sum s is a divisor of m with the sign of m, and
 |s|^3 = |s| * s^2 <= |s| * 4 q = 4 |m|.  For each such s the product is
 x y = (s^2 - m / s) / 3 and (x - y)^2 = s^2 - 4 x y, so one divisibility
-test and one integer square root decide whether s yields a solution.  The
-scan over |s| <= icbrt(4 |m|) is therefore exhaustive and costs O(|m|^(1/3))
-steps.
+test and one integer square root decide whether s yields a solution.
+
+The census factors m itself (factorize: trial division, Brent's rho and a
+proof of primality for every prime it returns) and tries only the divisors
+|s| <= icbrt(4 |m|) of m, so its work is the factoring plus one test per
+such divisor, not the O(|m|^(1/3)) steps of a scan over every |s|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 from .curves import CubicPoint, CurveConfig, cubic_add, to_weierstrass
 from .heights import canonical_height
@@ -26,6 +30,16 @@ from .numeric import gcd3, icbrt
 
 # torsion on these curves has order dividing a bound this small
 _TORSION_ORDER_LIMIT = 12
+# trial division takes every prime below this, so a cofactor left below its
+# square has no proper factor
+_WHEEL_LIMIT = 1000
+# Miller-Rabin on the primes 2..41 is deterministic below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+# rho steps multiplied together between two gcds
+_RHO_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -34,6 +48,8 @@ class RepCensus:
 
     scan_bound is the proven bound on |x + y|, icbrt(4 |m|): every solution
     has x + y dividing m with |x + y|^3 <= 4 |m| (see the module docstring).
+    It bounds the divisors tried, not the work: only divisors of m up to it
+    are tested.
     """
 
     m: int
@@ -46,11 +62,130 @@ class RepCensus:
         return tuple(sorted({(min(x, y), max(x, y)) for x, y in self.pairs}))
 
 
+def _wheel():
+    """2, 3 and the numbers 6k +- 1 below _WHEEL_LIMIT."""
+    yield 2
+    yield 3
+    p, step = 5, 2
+    while p < _WHEEL_LIMIT:
+        yield p
+        p, step = p + step, 6 - step
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on every base in _MR_BASES; n odd and above 41."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n by Brent's rho (BIT 20, 1980).
+
+    Iterates y -> y^2 + c mod n with Brent's cycle finding and one gcd per
+    _RHO_BATCH steps.  When a batch's product collapses to n the batch is
+    retraced one step at a time; c = 1, 2, ... until some c splits n.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g < n:
+            return g
+
+
+def _prime_or_factor(n: int) -> int | None:
+    """None when n is proved prime, else a proper factor of n.
+
+    n is at least _WHEEL_LIMIT^2 and has no prime factor below _WHEEL_LIMIT.
+    Below psi_13 Miller-Rabin decides.  Above it a probable prime gets the
+    Lucas n - 1 test: if for each prime q | n - 1 some a has a^(n-1) = 1 mod n
+    and gcd(a^((n-1)/q) - 1, n) = 1, then n - 1 divides p - 1 for every prime
+    p | n, so n is prime.  On a composite n some q is never witnessed, and
+    gcd(a, n) > 1 at the least prime p | n at the latest, so the search over
+    a always ends, with a factor.
+    """
+    if not _strong_probable_prime(n):
+        return _rho(n)
+    if n < _PSI_13:
+        return None
+    for q in factorize(n - 1):
+        for a in count(2):
+            g = gcd(a, n)
+            if g > 1:
+                return g
+            b = pow(a, (n - 1) // q, n)
+            g = gcd(b - 1, n)
+            if 1 < g < n:
+                return g
+            if pow(b, q, n) != 1:  # a^(n-1) != 1
+                return _rho(n)
+            if g == 1:
+                break
+    return None
+
+
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of |n|, n nonzero; every p is proved.
+
+    Trial division takes the primes below _WHEEL_LIMIT.  What is left has no
+    prime factor below it, so a cofactor under _WHEEL_LIMIT^2 is prime and a
+    larger one is split by Brent's rho until each part is proved prime.
+    """
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    n = abs(n)
+    factors: dict[int, int] = {}
+    for p in _wheel():
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        c = pending.pop()
+        d = None if c < _WHEEL_LIMIT**2 else _prime_or_factor(c)
+        if d is None:
+            factors[c] = factors.get(c, 0) + 1
+        else:
+            pending += (d, c // d)
+    return factors
+
+
 def count_reps(m: int) -> RepCensus:
     """Every ordered integer solution of x^3 + y^3 = m, m nonzero, ascending x.
 
-    Scans the sums s = x + y: s divides m, has the sign of m and satisfies
-    |s|^3 <= 4 |m|.  For each such s, x and y are the roots of
+    Tries the sums s = x + y: s divides m, has the sign of m and satisfies
+    |s|^3 <= 4 |m|.  The candidates |s| are the divisors of m up to that
+    bound, built from factorize(m) with each prime-power chain cut at the
+    bound.  For each s, x and y are the roots of
     t^2 - s t + (s^2 - m / s) / 3, which are integers exactly when the
     division by 3 is exact and the discriminant is a perfect square.
     """
@@ -59,11 +194,19 @@ def count_reps(m: int) -> RepCensus:
             "m = 0 has the infinite family (t, -t); census is undefined"
         )
     bound = icbrt(4 * abs(m))[0]
+    divisors = [1]
+    for p, e in factorize(m).items():
+        longer = []
+        for d in divisors:
+            for _ in range(e):
+                d *= p
+                if d > bound:
+                    break
+                longer.append(d)
+        divisors += longer
     sign = 1 if m > 0 else -1
     pairs = []
-    for a in range(1, bound + 1):
-        if m % a:
-            continue
+    for a in divisors:
         s = sign * a
         xy, rem = divmod(s * s - m // s, 3)
         disc = s * s - 4 * xy  # (x - y)^2

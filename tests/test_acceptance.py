@@ -249,19 +249,26 @@ def test_criterion_7_oracle_ground_truth():
         for rep in cert.representations:
             assert rep in census.pairs
             confirmed += 1
-    # a 14-digit m, out of reach of a sqrt(|m|) scan
-    cert = build_certificate(CurveConfig(7), [GENERATORS[7]], 4)
-    assert len(str(abs(cert.m))) == 14
-    census = count_reps(cert.m)
-    for rep in cert.representations:
-        assert rep in census.pairs
-        confirmed += 1
+    # the desk-scale m = 6 * 20171340^3 and a 28-digit m, out of reach of
+    # any scan over x or x + y: the census factors m itself
+    large_certs = [
+        build_certificate(CurveConfig(6), [GENERATORS[6]], 2),
+        build_certificate(CurveConfig(7), [GENERATORS[7]], 5),
+    ]
+    assert large_certs[0].m == 6 * 20171340**3
+    assert [len(str(abs(c.m))) for c in large_certs] == [23, 28]
+    for cert in large_certs:
+        census = count_reps(cert.m)
+        for rep in cert.representations:
+            assert rep in census.pairs
+            confirmed += 1
+    largest = max(len(str(abs(c.m))) for c in large_certs)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(
         f"criterion 7 PASS: taxicab counts match, {confirmed} certified"
         f" representations found independently (largest m has"
-        f" {len(str(abs(cert.m)))} digits), {elapsed:.2f}s"
+        f" {largest} digits), {elapsed:.2f}s"
     )
 
 

@@ -332,6 +332,17 @@ class TestCount:
         payload = json.loads(out)
         assert payload["unordered_count"] == 2
 
+    def test_desk_scale_certificate_m(self, capsys):
+        # m = 6 * 20171340^3, the README's N = 2 certificate on m0 = 6
+        rc, out, _ = run(
+            capsys, ["count", "--m", "49244246842992972624000", "--unordered"]
+        )
+        assert rc == EXIT_OK
+        payload = json.loads(out)
+        assert payload["ordered_count"] == 4
+        assert payload["unordered_count"] == 2
+        assert ["16329180", "35539980"] in payload["unordered_pairs"]
+
     def test_zero_rejected(self, capsys):
         rc, _, err = run(capsys, ["count", "--m", "0"])
         assert rc == EXIT_INVALID_INPUT

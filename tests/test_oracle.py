@@ -1,6 +1,15 @@
-"""Exhaustive census: the divisor kernel against the sqrt(|m|) reference."""
+"""Exhaustive census: the factoring kernel against two reference censuses.
 
-from math import isqrt
+count_reps factors m and tries only its divisors up to icbrt(4 |m|).  It is
+checked against the sqrt(|m|) cube-root scan below on small m, and against
+the O(|m|^(1/3)) divisor scan it replaced (tests/census_reference.py) up to
+|m| near 5e16.  TestFactor covers the factoring and primality proofs on the
+classical hard cases: Carmichael numbers, strong pseudoprimes to many
+bases, and numbers past the range where Miller-Rabin alone decides.
+"""
+
+import random
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +23,14 @@ from cubeforge import (
     search_points,
     torsion_probe,
 )
+from cubeforge.oracle import _strong_probable_prime, factorize
+from tests.census_reference import divisor_scan
 
 TA4 = 6963472309248
 TA5 = 48988659276962496
+# least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def sqrt_scan(m):
@@ -33,6 +47,41 @@ def sqrt_scan(m):
         if exact:
             pairs.append((x, y))
     return pairs
+
+
+def strong_probable_prime(n, base):
+    """One Miller-Rabin round on odd n > base, written out for the tests."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_by_trial(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def seeded_cube_sums(count, lo, hi, seed):
+    """count values m = x^3 + y^3 with lo <= |m| <= hi, half of each sign."""
+    rng = random.Random(seed)
+    reach = round(hi ** (1 / 3))
+    found = []
+    while len(found) < count:
+        sign = 1 if len(found) % 2 else -1
+        x = rng.randint(-reach, reach)
+        rest = sign * rng.uniform(lo, hi) - x**3
+        y = round(abs(rest) ** (1 / 3)) * (1 if rest > 0 else -1)
+        m = x**3 + y**3
+        if lo <= abs(m) <= hi and (m > 0) == (sign > 0):
+            found.append(m)
+    return found
 
 
 class TestCountReps:
@@ -132,11 +181,87 @@ class TestKernelAgreement:
         sums = {x**3 + y**3 for x in range(-40, 41) for y in range(-40, 41)}
         sums.discard(0)
         for m in sums:
-            assert list(count_reps(m).pairs) == sqrt_scan(m)
+            pairs = count_reps(m).pairs
+            assert list(pairs) == sqrt_scan(m)
+            assert pairs == divisor_scan(m)
 
     def test_matches_sqrt_scan_spot_checks(self):
         for m in (1729, 4104, 87539319, -87539319, 10**7 + 3, -(10**7) - 3):
             assert list(count_reps(m).pairs) == sqrt_scan(m)
+
+    @given(st.integers(-10**7, 10**7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_divisor_scan(self, m):
+        if m == 0:
+            return
+        assert count_reps(m).pairs == divisor_scan(m)
+
+    def test_matches_divisor_scan_on_seeded_draws(self):
+        draws = seeded_cube_sums(200, 10**11, 10**12, seed=20171340)
+        assert sum(m > 0 for m in draws) == 100
+        for m in draws:
+            assert count_reps(m).pairs == divisor_scan(m)
+
+    def test_matches_divisor_scan_on_taxicabs(self):
+        for m in (TA4, TA5, -TA5):
+            assert count_reps(m).pairs == divisor_scan(m)
+
+    @pytest.mark.parametrize("m0", [6, 7, 91, 1729])
+    def test_matches_divisor_scan_on_curve_values(self, m0):
+        # m0 z^3 is smooth: many divisors fall below the bound
+        for z in range(1, 101):
+            m = m0 * z**3
+            assert count_reps(m).pairs == divisor_scan(m)
+
+
+class TestFactor:
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            # Carmichael numbers
+            (561, {3: 1, 11: 1, 17: 1}),
+            (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+            (825265, {5: 1, 7: 1, 17: 1, 19: 1, 73: 1}),
+            (321197185, {5: 1, 19: 1, 23: 1, 29: 1, 37: 1, 137: 1}),
+            # strong pseudoprimes to base 2, to bases 2..7 and to 2..23
+            (2047, {23: 1, 89: 1}),
+            (3215031751, {151: 1, 751: 1, 28351: 1}),
+            (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+            (PSI_12, {399165290221: 1, 798330580441: 1}),
+            (PSI_13, {1287836182261: 1, 2575672364521: 1}),
+            (10**25 + 13, {10**25 + 13: 1}),
+            # prime powers past the trial-division wheel
+            (1009**3, {1009: 3}),
+            ((10**6 + 3) ** 2, {10**6 + 3: 2}),
+            (1, {}),
+            (-12, {2: 2, 3: 1}),
+        ],
+    )
+    def test_known_factorizations(self, n, factors):
+        assert factorize(n) == factors
+        assert factorize(-n) == factors
+
+    def test_psi_12_caught_by_base_41(self):
+        assert all(strong_probable_prime(PSI_12, b) for b in range(2, 41)
+                   if is_prime_by_trial(b))
+        assert not strong_probable_prime(PSI_12, 41)
+        assert not _strong_probable_prime(PSI_12)
+
+    def test_lucas_cases_pass_every_base(self):
+        # so only the n - 1 proof splits psi_13 and proves 10^25 + 13
+        for n in (PSI_13, 10**25 + 13):
+            assert n >= PSI_13 and _strong_probable_prime(n)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            factorize(0)
+
+    @given(st.integers(-10**12, 10**12).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_factors_are_prime_and_multiply_back(self, n):
+        factors = factorize(n)
+        assert prod(p**e for p, e in factors.items()) == abs(n)
+        assert all(e >= 1 and is_prime_by_trial(p) for p, e in factors.items())
 
 
 class TestSearchPoints:
