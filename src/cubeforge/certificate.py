@@ -12,6 +12,14 @@ Divisor records are exact integers and verdicts.  There is no stored check
 map: verification re-derives everything from the generators alone and
 compares, and proves the identity x^3 + y^3 = m from the lattice without
 cubing a representation (see construct.evaluate_checks).
+
+The writer produces exactly the bytes of ``json.dumps(doc, indent=2)`` plus
+a newline, without building ``doc`` whole.  The header, every key but
+``lattice_points`` and ``representations``, goes through json.dumps.  The
+two large arrays, N^r entries each, are rendered from fixed templates,
+because a hex() string needs no JSON escaping, and with ``indent`` set json
+would run its pure-Python encoder over every one of them.  The reader is
+still json.loads, so any whitespace and key order parse the same.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .construct import (
@@ -69,52 +78,110 @@ def _hex(n: int) -> str:
     return ("-0x" if n < 0 else "0x") + digits
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": _timestamp(),
-        "m0": _hex(cert.m0),
-        "r": cert.rank,
-        "N": cert.box_size,
-        "tol": cert.tol,
-        "generators": [
-            [_hex(p.x), _hex(p.y), _hex(p.z)] for p in cert.generators
-        ],
-        "hhat_bar": _interval_to_json(cert.hhat_bar),
-        "constants": {
-            "height_factor": _hex(cert.constants.height_factor),
-            "z_factor": _hex(cert.constants.z_factor),
-            "m_factor": _hex(cert.constants.m_factor),
-            "z_constant": _interval_to_json(cert.constants.z_constant),
-            "n_min": cert.constants.n_min,
+# the two slots the header leaves for the large arrays: an empty array is
+# "[]" in json.dumps(indent=2) output, and the key's quotes cannot occur
+# unescaped inside a JSON string, so each slot occurs exactly once
+_LATTICE_SLOT = '"lattice_points": []'
+_REPRESENTATIONS_SLOT = '"representations": []'
+
+# one element of each large array, laid out as json.dumps(indent=2) lays it
+# out at that depth; every %s is a hex() string or a JSON literal, and
+# neither ever needs escaping
+_LATTICE_ENTRY = """{
+      "index": [
+        %s
+      ],
+      "point": [
+        "%s",
+        "%s",
+        "%s"
+      ],
+      "divisor": {
+        "d": "%s",
+        "a": "%s",
+        "b": "%s",
+        "divisibility_pass": %s,
+        "bound_pass": %s
+      }
+    }"""
+_REPRESENTATION = """[
+      "%s",
+      "%s"
+    ]"""
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _array(entries: Iterator[str]) -> Iterator[str]:
+    """A top-level key's array of rendered entries, as json.dumps(indent=2)."""
+    separator = "[\n    "
+    for entry in entries:
+        yield separator
+        yield entry
+        separator = ",\n    "
+    yield "[]" if separator == "[\n    " else "\n  ]"
+
+
+def _document(cert: Certificate) -> Iterator[str]:
+    """The certificate document in pieces, json.dumps(indent=2) byte for byte.
+
+    The header, everything but the lattice and the representations, goes
+    through json.dumps; the two large arrays are rendered from the templates
+    above, one piece per element, with no escaping pass over their strings.
+    """
+    header = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "generated_at": _timestamp(),
+            "m0": _hex(cert.m0),
+            "r": cert.rank,
+            "N": cert.box_size,
+            "tol": cert.tol,
+            "generators": [
+                [_hex(p.x), _hex(p.y), _hex(p.z)] for p in cert.generators
+            ],
+            "hhat_bar": _interval_to_json(cert.hhat_bar),
+            "constants": {
+                "height_factor": _hex(cert.constants.height_factor),
+                "z_factor": _hex(cert.constants.z_factor),
+                "m_factor": _hex(cert.constants.m_factor),
+                "z_constant": _interval_to_json(cert.constants.z_constant),
+                "n_min": cert.constants.n_min,
+            },
+            "lattice_points": [],
+            "m": _hex(cert.m),
+            "representations": [],
+            "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
-        "lattice_points": [
-            {
-                "index": list(idx),
-                "point": [_hex(q.x), _hex(q.y), _hex(q.z)],
-                "divisor": {
-                    "d": _hex(dc.d),
-                    "a": _hex(dc.a),
-                    "b": _hex(dc.b),
-                    "divisibility_pass": dc.divisibility_pass,
-                    "bound_pass": dc.bound_pass,
-                },
-            }
-            for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
-        ],
-        "m": _hex(cert.m),
-        "representations": [[_hex(x), _hex(y)] for x, y in cert.representations],
-        "bound_rhs": _interval_to_json(cert.bound_rhs),
-    }
+        indent=2,
+    )
+    head, _, rest = header.partition(_LATTICE_SLOT)
+    middle, _, tail = rest.partition(_REPRESENTATIONS_SLOT)
+    yield head + '"lattice_points": '
+    yield from _array(
+        _LATTICE_ENTRY
+        % (
+            ",\n        ".join(map(str, idx)),
+            _hex(q.x), _hex(q.y), _hex(q.z),
+            _hex(dc.d), _hex(dc.a), _hex(dc.b),
+            _JSON_BOOL[dc.divisibility_pass], _JSON_BOOL[dc.bound_pass],
+        )
+        for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
+    )
+    yield middle + '"representations": '
+    yield from _array(
+        _REPRESENTATION % (_hex(x), _hex(y)) for x, y in cert.representations
+    )
+    yield tail + "\n"
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    return "".join(_document(cert))
 
 
 def write_certificate(cert: Certificate, path: str) -> None:
+    # piece by piece, so the whole document is never one string in memory
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(certificate_to_json(cert))
+        handle.writelines(_document(cert))
 
 
 def _fail(message: str) -> CertificateFormatError:

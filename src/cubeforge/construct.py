@@ -206,6 +206,23 @@ def generate_lattice_points(
     return out
 
 
+def product_tree(factors: list[int]) -> int:
+    """math.prod(factors), multiplying neighbours level by level.
+
+    Each product pairs factors of about equal size, so the big
+    multiplications run at Karatsuba speed instead of one growing product
+    times one small factor at a time (Bernstein, "Fast multiplication and
+    its applications", 2008).  The result is the same integer.
+    """
+    level = factors or [1]
+    while len(level) > 1:
+        paired = [a * b for a, b in zip(level[::2], level[1::2])]
+        if len(level) & 1:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
 def representations_from_lattice(
     cfg: CurveConfig, lattice: list[tuple[tuple[int, ...], CubicPoint]]
 ) -> tuple[int, list[tuple[int, int]]]:
@@ -214,7 +231,7 @@ def representations_from_lattice(
     The n-th representation scales (x_n, y_n) by the product of the other
     z's, so its cubes sum to m0 * (prod z)^3 = m exactly.
     """
-    z_total = math.prod(q.z for _, q in lattice)
+    z_total = product_tree([q.z for _, q in lattice])
     m = cfg.m0 * z_total**3
     reps = []
     for _, q in lattice:

@@ -23,7 +23,7 @@ from cubeforge import (
     verify_certificate,
     write_certificate,
 )
-from cubeforge.certificate import _as_int, _hex, certificate_to_dict
+from cubeforge.certificate import _as_int, _hex
 from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
@@ -32,6 +32,11 @@ from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 # schema_version "4", re-dumped with json.dumps(indent=2) plus a newline.
 # The local-height engine changed the hhat_bar and bound_rhs floats only.
 GOLDEN_SHA256 = "d848138525fd3747527362a14179dde5c38ba3f19627a59262b37b16bcb0e266"
+
+
+def certificate_to_dict(cert):
+    """The document as a mutable dict, for tampering and fuzzing."""
+    return json.loads(certificate_to_json(cert))
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +97,7 @@ class TestSerialization:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
+        _assert_json_fixed_point(text)
 
     def test_round_trip(self, cert6):
         parsed = parse_certificate(certificate_to_json(cert6))
@@ -106,10 +112,84 @@ class TestSerialization:
         assert list(cert6.checks) == list(CHECK_NAMES)
         assert parsed.checks == {}
 
-    def test_write_certificate(self, cert6, tmp_path):
+    def test_write_certificate(self, cert6, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         path = tmp_path / "cert.json"
         write_certificate(cert6, str(path))
+        assert path.read_bytes() == certificate_to_json(cert6).encode("utf-8")
         assert parse_certificate(path.read_text()).m == cert6.m
+
+
+def _assert_json_fixed_point(text):
+    # the writer renders the large arrays itself; json must agree on every byte
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+# the benchmark's certificate inputs (both curves at both workload sizes,
+# both generator orders, every generator plain or negated, (x, y) -> (y, x)),
+# one-element arrays at rank 1, N=1, and the rank-3 set at N=4
+_POOL = {91: ((-5, 6, 1), (3, 4, 1)), 1729: ((1, 12, 1), (9, 10, 1))}
+_WRITER_CASES = [
+    pytest.param(m0, gens, box_size, tol, id=f"{m0}-N{box_size}-{order}-{sign}")
+    for m0, pair in _POOL.items()
+    for box_size, tol in ((12, 1e-3), (8, 1e-4))
+    for order, ordered in (("P1P2", pair), ("P2P1", pair[::-1]))
+    for sign, gens in (
+        ("plain", ordered),
+        ("negated", tuple((y, x, z) for x, y, z in ordered)),
+    )
+] + [
+    pytest.param(6, ((17, 37, 21),), 1, 1e-3, id="rank1-N1"),
+    pytest.param(
+        657, ((-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)), 4, 1e-3, id="rank3-N4"
+    ),
+]
+
+
+def _document_for(m0, generators, box_size, tol=1e-3):
+    cert = build_certificate(
+        CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size, tol
+    )
+    return certificate_to_json(cert)
+
+
+class TestTemplateWriter:
+    @pytest.mark.parametrize("m0, generators, box_size, tol", _WRITER_CASES)
+    def test_json_fixed_point(self, m0, generators, box_size, tol):
+        _assert_json_fixed_point(_document_for(m0, generators, box_size, tol))
+
+    def test_empty_arrays(self, cert6):
+        # build never writes one, but a parsed document may hold no lattice
+        empty = replace(
+            cert6, lattice_points=[], divisor_checks=[], representations=[]
+        )
+        text = certificate_to_json(empty)
+        assert '"lattice_points": [],' in text
+        assert '"representations": [],' in text
+        _assert_json_fixed_point(text)
+
+    def test_escaped_strings_do_not_grow_with_the_box(self, monkeypatch):
+        # json escapes only the header's strings; the N^r entries of the
+        # large arrays never pass through its string encoder
+        escaped = []
+        for name in (
+            "encode_basestring_ascii",
+            "py_encode_basestring_ascii",
+            "encode_basestring",
+        ):
+            original = getattr(json.encoder, name)
+
+            def counted(s, _original=original):
+                escaped.append(s)
+                return _original(s)
+
+            monkeypatch.setattr(json.encoder, name, counted)
+        counts = []
+        for box_size in (2, 6):
+            escaped.clear()
+            _document_for(91, _POOL[91], box_size)
+            counts.append(len(escaped))
+        assert counts[0] == counts[1] > 0
 
 
 class TestVerification:

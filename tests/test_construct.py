@@ -1,5 +1,6 @@
 """Divisor control, chain constants, lattice generation, certificates."""
 
+import math
 from collections import Counter
 from dataclasses import fields
 
@@ -26,6 +27,7 @@ from cubeforge.construct import (
     CHECK_NAMES,
     height_factor,
     m_factor,
+    product_tree,
     representations_from_lattice,
     z_factor,
 )
@@ -180,6 +182,24 @@ class TestLatticeGeneration:
         assert reps == [(16329180, 35539980), (46992183, -37920183)]
         for x, y in reps:
             assert x**3 + y**3 == m
+
+
+class TestProductTree:
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 16, 17])
+    def test_equals_sequential_product(self, length):
+        factors = [(-1) ** k * (3**k + 2 * k + 1) for k in range(length)]
+        assert product_tree(factors) == math.prod(factors)
+
+    @pytest.mark.parametrize("box_size", [1, 2, 5, 12])
+    def test_lattice_z_product(self, box_size):
+        # N^r factors of growing size, one negated to cover the sign
+        lattice = generate_lattice_points(
+            CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], box_size
+        )
+        zs = [q.z for _, q in lattice]
+        zs[len(zs) // 2] *= -1
+        assert len(zs) == box_size**2
+        assert product_tree(zs) == math.prod(zs)
 
 
 class TestBuildCertificate:
