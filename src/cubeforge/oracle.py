@@ -13,9 +13,14 @@ x y = (s^2 - m / s) / 3 and (x - y)^2 = s^2 - 4 x y, so one divisibility
 test and one integer square root decide whether s yields a solution.
 
 The census factors m itself (factorize: trial division, Brent's rho and a
-proof of primality for every prime it returns) and tries only the divisors
-|s| <= icbrt(4 |m|) of m, so its work is the factoring plus one test per
-such divisor, not the O(|m|^(1/3)) steps of a scan over every |s|.
+proof of primality for every prime it returns).  A solution with
+gcd(x, y) = g is g times a coprime solution for m / g^3, and for coprime
+x, y the sum s and q share no prime but 3, so each prime power of m other
+than 3's goes wholly into s or wholly into q (_coprime_pairs has the
+proof).  So one kernel tests at most 2^omega(m / g^3) sums for each g with
+g^3 | m, not every divisor of m up to icbrt(4 |m|).  search_points runs the
+same kernel on (m0 / g^3) z^3, with its factorization assembled from those
+of m0 and z, so m0 is factored once however many z it scans.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import gcd, isqrt
 
 from .curves import CubicPoint, CurveConfig, cubic_add, to_weierstrass
 from .heights import canonical_height
-from .numeric import gcd3, icbrt
+from .numeric import icbrt
 
 # torsion on these curves has order dividing a bound this small
 _TORSION_ORDER_LIMIT = 12
@@ -48,14 +53,16 @@ class RepCensus:
 
     scan_bound is the proven bound on |x + y|, icbrt(4 |m|): every solution
     has x + y dividing m with |x + y|^3 <= 4 |m| (see the module docstring).
-    It bounds the divisors tried, not the work: only divisors of m up to it
-    are tested.
+    It bounds the sums, not the work.  sums_tried is the work: the number of
+    candidate sums x + y the kernel put through the root test, over every g
+    with g^3 | m.
     """
 
     m: int
     ordered_count: int
     pairs: tuple[tuple[int, int], ...]
     scan_bound: int
+    sums_tried: int
 
     def unordered_pairs(self) -> tuple[tuple[int, int], ...]:
         """One representative (x, y) with x <= y per unordered solution."""
@@ -179,34 +186,57 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def count_reps(m: int) -> RepCensus:
-    """Every ordered integer solution of x^3 + y^3 = m, m nonzero, ascending x.
+def _coprime_pairs(
+    m: int, factors: dict[int, int], bound: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The coprime solutions of x^3 + y^3 = m, and the number of sums tried.
 
-    Tries the sums s = x + y: s divides m, has the sign of m and satisfies
-    |s|^3 <= 4 |m|.  The candidates |s| are the divisors of m up to that
-    bound, built from factorize(m) with each prime-power chain cut at the
-    bound.  For each s, x and y are the roots of
-    t^2 - s t + (s^2 - m / s) / 3, which are integers exactly when the
-    division by 3 is exact and the discriminant is a perfect square.
+    factors is the factorization of |m|, m nonzero, and bound is
+    icbrt(4 |m|), the bound on |x + y| (module docstring).  For coprime
+    x, y let s = x + y and q = x^2 - x y + y^2 = s^2 - 3 x y, so m = s q.
+    Then gcd(s, x) = gcd(y, x) = 1 and likewise gcd(s, y) = 1, so
+    gcd(s, x y) = 1 and gcd(s, q) = gcd(s, 3 x y) = gcd(s, 3) divides 3.
+    Hence:
+
+    - each prime p != 3 of m divides only one of s and q, so v_p(s) is 0
+      or v_p(m);
+    - if 3 does not divide s, then q = s^2 (mod 3) is prime to 3 as well
+      and v_3(m) = 0;
+    - if 3 divides s, then 3 does not divide x y, so v_3(3 x y) = 1 while
+      v_3(s^2) >= 2, which gives v_3(q) = 1 and v_3(s) = v_3(m) - 1 >= 1.
+
+    So m with v_3(m) = 1 has no coprime solution, and otherwise |s| is
+    3^(v_3(m) - 1) (or 1 when 3 does not divide m) times the full prime
+    powers of a subset of the other primes: at most 2^omega(m) sums, cut at
+    |s| <= bound.  s has the sign of m, and x, y are the roots of
+    t^2 - s t + (s^2 - m / s) / 3, integers exactly when the division by 3
+    is exact and the discriminant is a perfect square.
+    Every pair found is coprime: a prime p dividing x and y divides s and
+    p^2 divides q, so 0 < v_p(s) < v_p(m) for p != 3 and v_3(q) >= 2, which
+    no sum above allows.
+
+    The callers reach every solution through this kernel.  A solution of
+    x^3 + y^3 = m with gcd(x, y) = g is g times a coprime solution for
+    m / g^3.  A primitive point (x, y, z) on x^3 + y^3 = m0 z^3 with
+    gcd(x, y) = g has gcd(g, z) = 1, so g^3 divides m0 and (x / g, y / g) is
+    a coprime solution for (m0 / g^3) z^3; conversely g times such a
+    solution is primitive whenever gcd(g, z) = 1.
     """
-    if m == 0:
-        raise ValueError(
-            "m = 0 has the infinite family (t, -t); census is undefined"
-        )
-    bound = icbrt(4 * abs(m))[0]
-    divisors = [1]
-    for p, e in factorize(m).items():
-        longer = []
-        for d in divisors:
-            for _ in range(e):
-                d *= p
-                if d > bound:
-                    break
-                longer.append(d)
-        divisors += longer
+    e3 = factors.get(3, 0)
+    if e3 == 1:
+        return [], 0
+    sums = [3 ** (e3 - 1) if e3 else 1]
+    if sums[0] > bound:
+        return [], 0
+    for p, e in factors.items():
+        if p != 3:
+            pe = p**e
+            for a in sums[:]:
+                if a * pe <= bound:
+                    sums.append(a * pe)
     sign = 1 if m > 0 else -1
     pairs = []
-    for a in divisors:
+    for a in sums:
         s = sign * a
         xy, rem = divmod(s * s - m // s, 3)
         disc = s * s - 4 * xy  # (x - y)^2
@@ -220,28 +250,87 @@ def count_reps(m: int) -> RepCensus:
         pairs.append((x, y))
         if d:
             pairs.append((y, x))
+    return pairs, len(sums)
+
+
+def _cube_divisors(
+    factors: dict[int, int]
+) -> list[tuple[int, dict[int, int]]]:
+    """Each g >= 1 with g^3 | n, with the factorization of n / g^3.
+
+    factors is the factorization of n; the first entry is (1, factors), the
+    dict itself, so callers must not mutate what they get.
+    """
+    found = [(1, factors)]
+    for p, e in factors.items():
+        if e < 3:
+            continue
+        for g, rest in found[:]:
+            for k in range(1, e // 3 + 1):
+                left = dict(rest)
+                left[p] -= 3 * k
+                if not left[p]:
+                    del left[p]
+                found.append((g * p**k, left))
+    return found
+
+
+def count_reps(m: int) -> RepCensus:
+    """Every ordered integer solution of x^3 + y^3 = m, m nonzero, ascending x.
+
+    A solution with gcd(x, y) = g is g times a coprime solution for m / g^3,
+    so the census factors m once and runs the coprime kernel _coprime_pairs
+    on m / g^3 for every g with g^3 | m.
+    """
+    if m == 0:
+        raise ValueError(
+            "m = 0 has the infinite family (t, -t); census is undefined"
+        )
+    bound = icbrt(4 * abs(m))[0]
+    pairs = []
+    tried = 0
+    for g, rest in _cube_divisors(factorize(m)):
+        # icbrt(4 |m| / g^3) = floor(cbrt(4 |m|) / g) = bound // g
+        found, n = _coprime_pairs(m // g**3, rest, bound // g)
+        for x, y in found:
+            pairs.append((g * x, g * y))
+        tried += n
     pairs.sort()
     return RepCensus(
         m=m,
         ordered_count=len(pairs),
         pairs=tuple(pairs),
         scan_bound=bound,
+        sums_tried=tried,
     )
 
 
 def search_points(cfg: CurveConfig, zmax: int) -> list[CubicPoint]:
     """All primitive points on x^3 + y^3 = m0 z^3 with 1 <= z <= zmax.
 
-    Found by running the census on m0 * z^3 for each z, keeping coprime
-    triples.  Sorted by (z, x) for determinism.
+    Found by running the census kernel _coprime_pairs on (m0 / g^3) z^3 for
+    each g with g^3 | m0 and gcd(g, z) = 1, and scaling its pairs by g.  m0
+    is factored once and each z on its own, and the kernel's factorization
+    of (m0 / g^3) z^3 is put together from the two.  Sorted by (z, x) for
+    determinism.
     """
     if zmax < 1:
         raise ValueError("zmax must be at least 1")
+    m0 = cfg.m0
+    cube_divisors = _cube_divisors(factorize(m0))
     found = []
     for z in range(1, zmax + 1):
-        for x, y in count_reps(cfg.m0 * z**3).pairs:
-            if gcd3(x, y, z) == 1:
-                found.append(CubicPoint(x, y, z))
+        z_factors = factorize(z)
+        cube = z**3
+        for g, rest in cube_divisors:
+            if gcd(g, z) != 1:
+                continue
+            factors = dict(rest)
+            for p, e in z_factors.items():
+                factors[p] = factors.get(p, 0) + 3 * e
+            m = m0 // g**3 * cube
+            pairs, _ = _coprime_pairs(m, factors, icbrt(4 * abs(m))[0])
+            found += [CubicPoint(g * x, g * y, z) for x, y in pairs]
     found.sort(key=lambda p: (p.z, p.x))
     return found
 

@@ -2,16 +2,18 @@
 
 This is the census cubeforge ran before it factored m: it tries every
 |s| <= icbrt(4 |m|) as the sum s = x + y, keeps those that divide m, and
-applies the same root test as cubeforge.oracle.count_reps.  It shares that
-test but none of the factoring, so the two check each other on every m the
-scan can reach.
+applies the same root test as cubeforge.oracle's coprime kernel.  It shares
+that test but none of the factoring, the coprime-sum selection or the
+g^3 | m split, so the two check each other on every m the scan can reach.
+search_reference is the point search cubeforge ran before it factored m0
+once: the scan on m0 z^3 for every z, keeping the primitive triples.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from cubeforge import icbrt
+from cubeforge import CubicPoint, gcd3, icbrt
 
 
 def divisor_scan(m: int) -> tuple[tuple[int, int], ...]:
@@ -47,3 +49,19 @@ def divisor_scan(m: int) -> tuple[tuple[int, int], ...]:
             pairs.append((y, x))
     pairs.sort()
     return tuple(pairs)
+
+
+def points_at(m0: int, z: int) -> list[CubicPoint]:
+    """The primitive points (x, y, z) on x^3 + y^3 = m0 z^3 at this z."""
+    return [
+        CubicPoint(x, y, z)
+        for x, y in divisor_scan(m0 * z**3)
+        if gcd3(x, y, z) == 1
+    ]
+
+
+def search_reference(m0: int, zmax: int) -> list[CubicPoint]:
+    """All primitive points with 1 <= z <= zmax, sorted by (z, x)."""
+    found = [p for z in range(1, zmax + 1) for p in points_at(m0, z)]
+    found.sort(key=lambda p: (p.z, p.x))
+    return found

@@ -47,6 +47,14 @@ class TestSearch:
         assert ["17", "37", "21"] in payload["points"]
         assert payload["count"] == len(payload["points"])
 
+    def test_finds_rank_3_generators(self, capsys):
+        rc, out, _ = run(capsys, ["search", "--m0", "657", "--zmax", "150"])
+        assert rc == EXIT_OK
+        points = json.loads(out)["points"]
+        for triple in (["-7", "10", "1"], ["7", "17", "2"],
+                       ["-2890", "2971", "147"]):
+            assert triple in points
+
     def test_bad_zmax(self, capsys):
         rc, _, err = run(capsys, ["search", "--m0", "6", "--zmax", "0"])
         assert rc == EXIT_INVALID_INPUT

@@ -1,9 +1,11 @@
-"""Exhaustive census: the factoring kernel against two reference censuses.
+"""Exhaustive census: the coprime-sum kernel against two reference censuses.
 
-count_reps factors m and tries only its divisors up to icbrt(4 |m|).  It is
-checked against the sqrt(|m|) cube-root scan below on small m, and against
-the O(|m|^(1/3)) divisor scan it replaced (tests/census_reference.py) up to
-|m| near 5e16.  TestFactor covers the factoring and primality proofs on the
+count_reps factors m and, for each g with g^3 | m, tries only the sums
+x + y that a coprime solution for m / g^3 allows.  It is checked against
+the sqrt(|m|) cube-root scan below on small m, and against the
+O(|m|^(1/3)) divisor scan it replaced (tests/census_reference.py) up to
+|m| near 5e16; search_points is checked against the per-z scan it
+replaced.  TestFactor covers the factoring and primality proofs on the
 classical hard cases: Carmichael numbers, strong pseudoprimes to many
 bases, and numbers past the range where Miller-Rabin alone decides.
 """
@@ -24,7 +26,7 @@ from cubeforge import (
     torsion_probe,
 )
 from cubeforge.oracle import _strong_probable_prime, factorize
-from tests.census_reference import divisor_scan
+from tests.census_reference import divisor_scan, points_at, search_reference
 
 TA4 = 6963472309248
 TA5 = 48988659276962496
@@ -99,6 +101,22 @@ class TestCountReps:
         assert census.pairs == ((1, 12), (9, 10), (10, 9), (12, 1))
         assert census.scan_bound == icbrt(4 * 1729)[0]
         assert census.unordered_pairs() == ((1, 12), (9, 10))
+
+    def test_sums_tried(self):
+        # 27 * 1729 = 3^3 * 7 * 13 * 19, scan_bound 57.  g = 1: v_3 = 3 puts
+        # 3^2 in every coprime sum, and 9 * 7 > 57, so only s = 9 is tried
+        # (it gives (46, -37)).  g = 3: m / 27 = 1729, bound 19, sums 1, 7,
+        # 13 and 19 (13 and 19 give 3 * (1, 12) and 3 * (9, 10)).
+        census = count_reps(27 * 1729)
+        assert census.scan_bound == 57
+        assert census.sums_tried == 5
+        assert census.unordered_pairs() == ((-37, 46), (3, 36), (27, 30))
+        # 5187 = 3 * 1729: v_3 = 1 leaves no coprime sum to try
+        assert count_reps(5187).sums_tried == 0
+        # 1000 * 1729, scan_bound 190: g = 1, 2, 5, 10 leave m / g^3 with
+        # bounds 190, 95, 38, 19 and 11, 5, 5, 4 products of the full prime
+        # powers below them (at g = 10: 1, 7, 13, 19 of 1729, not 91 or 133)
+        assert count_reps(1000 * 1729).sums_tried == 25
 
     def test_mixed_sign_pairs(self):
         assert count_reps(91).pairs == ((-5, 6), (3, 4), (4, 3), (6, -5))
@@ -206,6 +224,29 @@ class TestKernelAgreement:
         for m in (TA4, TA5, -TA5):
             assert count_reps(m).pairs == divisor_scan(m)
 
+    @pytest.mark.parametrize(
+        "m", [8 * 1729, 27 * 1729, 1000 * 1729, 3**7, -2 * 3**9, 2**9 * 7]
+    )
+    def test_matches_divisor_scan_on_cubes_and_powers_of_3(self, m):
+        assert count_reps(m).pairs == divisor_scan(m)
+
+    @given(
+        st.integers(1, 60),
+        st.integers(-200, 200),
+        st.integers(-200, 200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_divisor_scan_on_scaled_cube_sums(self, g, x, y):
+        # (g x, g y) solves m = g^3 (x^3 + y^3) with a gcd that g divides, so
+        # only the g^3 | m split reaches it; g and x + y cover v_3(m) = 0, 1
+        # and above
+        m = g**3 * (x**3 + y**3)
+        if m == 0:
+            return
+        pairs = count_reps(m).pairs
+        assert (g * x, g * y) in pairs
+        assert pairs == divisor_scan(m)
+
     @pytest.mark.parametrize("m0", [6, 7, 91, 1729])
     def test_matches_divisor_scan_on_curve_values(self, m0):
         # m0 z^3 is smooth: many divisors fall below the bound
@@ -264,6 +305,19 @@ class TestFactor:
         assert all(e >= 1 and is_prime_by_trial(p) for p, e in factors.items())
 
 
+# cube factors (216, 728 = 8 * 91, 189 = 27 * 7), 3-adic cases (-9, 189,
+# 657, 5187) and the rank-3 curve 657
+REFERENCE_CURVES = [1, 2, 6, 7, -9, 91, 189, 216, 657, -657, 728, 1729, 5187]
+# curves with a primitive point at z = 1009 or 2018; on 69544 = 2^3 * 8693
+# the point has gcd(x, y) = 2, and 25515 = 3^6 * 35
+WIDE_Z_CURVES = {
+    8693: [CubicPoint(22680, -13987, 1009)],
+    69544: [CubicPoint(45360, -27974, 1009)],
+    25515: [CubicPoint(59347, 8693, 2018)],
+    -8084: [CubicPoint(-122093, 120589, 2018)],
+}
+
+
 class TestSearchPoints:
     def test_finds_known_generator(self, cfg6):
         points = search_points(cfg6, 25)
@@ -296,6 +350,19 @@ class TestSearchPoints:
     def test_zmax_validation(self, cfg6):
         with pytest.raises(ValueError):
             search_points(cfg6, 0)
+
+    @pytest.mark.parametrize("m0", REFERENCE_CURVES)
+    def test_matches_reference(self, m0):
+        assert search_points(CurveConfig(m0), 100) == search_reference(m0, 100)
+
+    @pytest.mark.parametrize("m0", [*REFERENCE_CURVES, *WIDE_Z_CURVES])
+    def test_matches_reference_above_wheel(self, m0):
+        # 1009 and 1013 are primes past the trial-division wheel
+        zs = (1009, 1013, 2018)
+        points = [p for p in search_points(CurveConfig(m0), 2018) if p.z in zs]
+        assert points == [p for z in zs for p in points_at(m0, z)]
+        for p in WIDE_Z_CURVES.get(m0, ()):
+            assert p in points
 
 
 class TestTorsionProbe:
