@@ -1,10 +1,11 @@
 """Exact arithmetic and certified constructions for sums of two cubes.
 
 The package ties together five layers: exact point arithmetic on the cubic
-x^3 + y^3 = m0 z^3 and its Weierstrass twin, canonical heights with rigorous
-interval radii, a construction that manufactures integers with prescribed
-numbers of coprime cube-sum representations, machine-checkable JSON
-certificates for those runs, and an independent exhaustive census oracle.
+x^3 + y^3 = m0 z^3 (one group law, cubic_add) and the map to its Weierstrass
+twin, canonical heights with rigorous interval radii, a construction that
+manufactures integers with prescribed numbers of coprime cube-sum
+representations, machine-checkable JSON certificates for those runs, and an
+independent exhaustive census oracle.
 """
 
 from .certificate import (
@@ -34,30 +35,18 @@ from .curves import (
     CurveConfig,
     INFINITY,
     WeierstrassPoint,
-    add,
     cubic_add,
-    cubic_smul,
     from_weierstrass,
     on_cubic,
     on_weierstrass,
-    smul,
     to_weierstrass,
 )
 from .heights import (
     PrecisionBudgetError,
     canonical_height,
     independence,
-    naive_height,
-    offset_window,
-    offset_window_holds,
-    pairing,
 )
 from .numeric import ApproxReal, gcd3, icbrt, log_abs, to_primitive
-from .oracle import (
-    RepCensus,
-    count_reps,
-    search_points,
-    torsion_probe,
-)
+from .oracle import RepCensus, count_reps, search_points
 
 __version__ = "0.1.0"

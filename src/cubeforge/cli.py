@@ -135,11 +135,9 @@ def _cmd_height(args) -> int:
 def _cmd_independence(args) -> int:
     cfg = CurveConfig(args.m0)
     points = _load_triples(args.points)
-    images = []
     for p in points:
         _require_on_cubic(cfg, p)
-        images.append(to_weierstrass(cfg, p))
-    gram, independent = independence(cfg, images, args.tol)
+    gram, independent = independence(cfg, points, args.tol)
     _emit(
         {
             "independent": independent,

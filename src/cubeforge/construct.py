@@ -28,7 +28,6 @@ from .curves import (
     cubic_add,
     is_primitive,
     on_cubic,
-    to_weierstrass,
 )
 from .heights import independence
 from .numeric import ApproxReal, interval_max, log_abs
@@ -323,9 +322,7 @@ def derive(
     which holds 2 hhat(P_i): halving is exact, so no height is computed twice.
     """
     rank = len(generators)
-    gram, independent = independence(
-        cfg, [to_weierstrass(cfg, p) for p in generators], tol
-    )
+    gram, independent = independence(cfg, generators, tol)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
     try:
         lattice = generate_lattice_points(cfg, generators, box_size)

@@ -7,11 +7,11 @@ The forward map sends a cubic point [x, y, z] with x + y != 0 to
     X = 12 m0 z / (x + y),    Y = 36 m0 (y - x) / (x + y),
 
 the identity [1, -1, 0] to the point at infinity, and the inverse recovers a
-projective triple proportional to (36 m0 - Y, 36 m0 + Y, 6 X).  Each model
-has its own exact group law: on C the integer projective formulas of twisted
-Hessian curves (cubic_add), on W chord and tangent in Fraction coordinates
-(add), which the heights use.  Points on C are kept primitive:
-gcd(x, y, z) = 1 and z > 0 off the identity.
+projective triple proportional to (36 m0 - Y, 36 m0 + Y, 6 X).  The one
+group law is on C: the integer projective formulas of twisted Hessian curves
+(cubic_add).  The map is a group isomorphism, so the heights, which read
+Weierstrass coordinates, add on C and map each sum across.  Points on C are
+kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
 """
 
 from __future__ import annotations
@@ -132,44 +132,6 @@ def from_weierstrass(cfg: CurveConfig, p: WeierstrassPoint) -> CubicPoint:
     )
 
 
-def neg(p: WeierstrassPoint) -> WeierstrassPoint:
-    if p.is_infinity:
-        return p
-    return WeierstrassPoint(p.x, -p.y)
-
-
-def add(cfg: CurveConfig, p: WeierstrassPoint, q: WeierstrassPoint) -> WeierstrassPoint:
-    """Chord-and-tangent addition, exact in Fraction arithmetic."""
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    if p.x == q.x:
-        if p.y == -q.y:
-            return INFINITY
-        lam = (3 * p.x * p.x) / (2 * p.y)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - p.x - q.x
-    y3 = lam * (p.x - x3) - p.y
-    return WeierstrassPoint(x3, y3)
-
-
-def smul(cfg: CurveConfig, k: int, p: WeierstrassPoint) -> WeierstrassPoint:
-    """Scalar multiple k*P by binary double-and-add."""
-    if k < 0:
-        return smul(cfg, -k, neg(p))
-    acc = INFINITY
-    base = p
-    while k:
-        if k & 1:
-            acc = add(cfg, acc, base)
-        k >>= 1
-        if k:
-            base = add(cfg, base, base)
-    return acc
-
-
 def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
     """Group law on the cubic model, in integer projective coordinates.
 
@@ -196,20 +158,6 @@ def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
                 f"{q.triple()}: the points are not on the curve"
             )
     return CubicPoint.from_triple(x3, y3, z3)
-
-
-def cubic_smul(cfg: CurveConfig, k: int, p: CubicPoint) -> CubicPoint:
-    """Scalar multiple k*P by binary double-and-add over cubic_add."""
-    if k < 0:
-        k, p = -k, p.neg()
-    acc = CUBIC_IDENTITY
-    while k:
-        if k & 1:
-            acc = cubic_add(cfg, acc, p)
-        k >>= 1
-        if k:
-            p = cubic_add(cfg, p, p)
-    return acc
 
 
 def is_primitive(p: CubicPoint) -> bool:

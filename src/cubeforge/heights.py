@@ -1,4 +1,4 @@
-"""Naive and canonical heights on Y^2 = X^3 + b with rigorous error radii.
+"""Canonical heights on Y^2 = X^3 + b with rigorous error radii.
 
 On the curves of this package b = -432 m0^2 < 0, and the canonical height
 (normalised as hhat(P) = lim 4**-k h_x(2**k P) / 2) is the sum of local
@@ -11,9 +11,11 @@ is (0, 0), and only the primes of 6 m0 are bad.  So when gcd(a, c, 6 m0) = 1
 the point Q reduces to a nonsingular point everywhere, each local height is
 max(0, log|X|_p)/2, and together they give log(e^2)/2.  The points of
 nonsingular reduction form a subgroup of finite index, so some multiple nP
-is of this kind; the least such n is found by adding P to itself, and
-hhat(P) = hhat(nP) / n^2.  Points needing more than GOOD_MULTIPLE_CAP
-multiples are refused.  Torsion here has order 2 or 3 only and gets exactly 0.
+is of this kind, and hhat(P) = hhat(nP) / n^2.  The least such n is found
+by adding P to itself with the package's one group law, cubic_add on
+x^3 + y^3 = m0 z^3, and mapping each multiple to W to read its coordinates.
+Points needing more than GOOD_MULTIPLE_CAP multiples are refused.  Torsion
+here has order 2 or 3 only and gets exactly 0.
 
 The archimedean place.  Tate's series, with t = 1/X and t_k = 1/X(2^k Q), is
 
@@ -32,6 +34,10 @@ locus; the bound on the rounding error is proved at _fixed_point_error.
 K and F grow linearly in log(1/tol), and no coordinate is ever doubled.
 A tolerance below what a float enclosure of the result can carry raises
 PrecisionBudgetError.
+
+independence takes points on the cubic model, as the construction holds
+them, and certifies them independent from the Gram matrix of the height
+pairing <P, Q> = hhat(P + Q) - hhat(P) - hhat(Q).
 """
 
 from __future__ import annotations
@@ -39,13 +45,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .curves import CurveConfig, WeierstrassPoint, add, on_weierstrass
+from .curves import (
+    CubicPoint,
+    CurveConfig,
+    WeierstrassPoint,
+    cubic_add,
+    from_weierstrass,
+    on_weierstrass,
+    to_weierstrass,
+)
 from .numeric import ApproxReal, icbrt, log_abs
 
-OFFSET_BELOW = ApproxReal.from_decimal("1.48")
+# hhat(P) - h_x(P)/2 <= h(b)/6 + OFFSET_ABOVE, with h_x the naive height of X
 OFFSET_ABOVE = ApproxReal.from_decimal("1.576")
-
-_SIXTH = ApproxReal.from_fraction(Fraction(1, 6))
 
 # largest n tried for a multiple nP of nonsingular reduction everywhere;
 # cube-free m0 with small points need n <= 6, m0 = 7^4 needs 42
@@ -63,20 +75,6 @@ class PrecisionBudgetError(Exception):
         self.achievable_tol = achievable_tol
 
 
-def naive_height(p: WeierstrassPoint) -> ApproxReal:
-    """h_x(P) = log max(|numerator|, denominator) of X in lowest terms."""
-    if p.is_infinity:
-        return ApproxReal(0.0, 0.0)
-    m = max(abs(p.x.numerator), p.x.denominator)
-    return log_abs(m)
-
-
-def offset_window(cfg: CurveConfig) -> tuple[ApproxReal, ApproxReal]:
-    """Enclosures of the two window edges for hhat - h_x/2."""
-    w = cfg.hb * _SIXTH
-    return (-(w + OFFSET_BELOW), w + OFFSET_ABOVE)
-
-
 def is_torsion(cfg: CurveConfig, p: WeierstrassPoint) -> bool:
     """True for an affine point of finite order on Y^2 = X^3 + b.
 
@@ -92,15 +90,19 @@ def good_multiple(cfg: CurveConfig, p: WeierstrassPoint) -> tuple[int, Weierstra
     """Least n >= 1 with nP of nonsingular reduction at every prime, and nP.
 
     P must be affine and of infinite order.  nP = (a/e^2, c/e^3) qualifies
-    when gcd(a, c, 6 m0) = 1: no bad prime sends it to (0, 0).  Takes n - 1
-    additions; a point needing n > GOOD_MULTIPLE_CAP is a ValueError.
+    when gcd(a, c, 6 m0) = 1: no bad prime sends it to (0, 0).  The
+    multiples are formed on the cubic model, n - 1 calls of cubic_add, and
+    each is mapped back to read a and c; a point needing
+    n > GOOD_MULTIPLE_CAP is a ValueError.
     """
     bad = 6 * cfg.m0
-    q = p
+    base = from_weierstrass(cfg, p)
+    multiple, q = base, p
     for n in range(1, GOOD_MULTIPLE_CAP + 1):
         if math.gcd(q.x.numerator, q.y.numerator, bad) == 1:
             return n, q
-        q = add(cfg, q, p)
+        multiple = cubic_add(cfg, multiple, base)
+        q = to_weierstrass(cfg, multiple)
     raise ValueError(
         f"({p.x}, {p.y}) has no multiple nP of nonsingular reduction at "
         f"every prime with n <= {GOOD_MULTIPLE_CAP}"
@@ -200,17 +202,6 @@ def canonical_height(
     return h
 
 
-def pairing(
-    cfg: CurveConfig,
-    p: WeierstrassPoint,
-    q: WeierstrassPoint,
-    tol: float = 1e-3,
-) -> ApproxReal:
-    """Height pairing <P, Q> = hhat(P+Q) - hhat(P) - hhat(Q), radius <= 3 tol."""
-    hs = canonical_height(cfg, add(cfg, p, q), tol)
-    return hs - canonical_height(cfg, p, tol) - canonical_height(cfg, q, tol)
-
-
 def _interval_det(a: list[list[ApproxReal]]) -> ApproxReal | None:
     """Interval determinant, eliminating in place; None when a pivot cannot
     be signed."""
@@ -240,12 +231,15 @@ def _interval_det(a: list[list[ApproxReal]]) -> ApproxReal | None:
 
 def independence(
     cfg: CurveConfig,
-    points: list[WeierstrassPoint],
+    points: list[CubicPoint],
     tol: float = 1e-3,
 ) -> tuple[list[list[ApproxReal]], bool]:
     """Gram matrix entries of the points plus a certified independence verdict.
 
-    The verdict is True only when the interval determinant is strictly
+    Entry (i, j) is the height pairing hhat(P_i + P_j) - hhat(P_i) - hhat(P_j),
+    and the diagonal is 2 hhat(P_i).  Each sum is formed with cubic_add, and
+    each point and each sum is mapped to the Weierstrass model once.  The
+    verdict is True only when the interval determinant is strictly
     positive after all error propagation.  False means "not certified at
     this tolerance", which covers both genuine dependence and intervals too
     wide to decide.
@@ -253,25 +247,15 @@ def independence(
     if not points:
         raise ValueError("independence requires at least one point")
     n = len(points)
-    heights = [canonical_height(cfg, p, tol) for p in points]
+    heights = [canonical_height(cfg, to_weierstrass(cfg, p), tol) for p in points]
     entries: list[list[ApproxReal]] = [[None] * n for _ in range(n)]
     for i in range(n):
         entries[i][i] = heights[i].ldexp(1)
         for j in range(i + 1, n):
-            hs = canonical_height(cfg, add(cfg, points[i], points[j]), tol)
+            s = to_weierstrass(cfg, cubic_add(cfg, points[i], points[j]))
+            hs = canonical_height(cfg, s, tol)
             e = hs - heights[i] - heights[j]
             entries[i][j] = e
             entries[j][i] = e
     det = _interval_det([list(row) for row in entries])
     return entries, det is not None and det.lower() > 0.0
-
-
-def offset_window_holds(
-    cfg: CurveConfig, p: WeierstrassPoint, tol: float = 1e-3
-) -> bool:
-    """Check hhat(P) - h_x(P)/2 against the window inflated by tol."""
-    if p.is_infinity:
-        raise ValueError("the offset window applies to affine points")
-    diff = canonical_height(cfg, p, tol) - naive_height(p).ldexp(-1)
-    lo, hi = offset_window(cfg)
-    return lo.lower() - tol <= diff.value <= hi.upper() + tol

@@ -1,8 +1,10 @@
 """Independent exhaustive oracle for sum-of-two-cubes counts.
 
-count_reps shares no code with the construction machinery, so its answers
-can arbitrate any claim a certificate makes about representation counts.
-It runs over the divisors s = x + y of m instead of over x:
+The module shares no code with the construction machinery: it imports the
+point and curve types from curves, icbrt from numeric, and nothing from
+heights, construct or certificate.  So its answers can arbitrate any claim a
+certificate makes about representation counts.  count_reps runs over the
+divisors s = x + y of m instead of over x:
 
     x^3 + y^3 = s * q,   s = x + y,   q = x^2 - x y + y^2,
 
@@ -12,15 +14,16 @@ So for m != 0 the sum s is a divisor of m with the sign of m, and
 x y = (s^2 - m / s) / 3 and (x - y)^2 = s^2 - 4 x y, so one divisibility
 test and one integer square root decide whether s yields a solution.
 
-The census factors m itself (factorize: trial division, Brent's rho and a
-proof of primality for every prime it returns).  A solution with
-gcd(x, y) = g is g times a coprime solution for m / g^3, and for coprime
-x, y the sum s and q share no prime but 3, so each prime power of m other
-than 3's goes wholly into s or wholly into q (_coprime_pairs has the
-proof).  So one kernel tests at most 2^omega(m / g^3) sums for each g with
-g^3 | m, not every divisor of m up to icbrt(4 |m|).  search_points runs the
-same kernel on (m0 / g^3) z^3, with its factorization assembled from those
-of m0 and z, so m0 is factored once however many z it scans.
+The census factors m itself (factorize: trial division by the 168 primes
+below 1000, Brent's rho and a proof of primality for every prime it
+returns).  A solution with gcd(x, y) = g is g times a coprime solution for
+m / g^3, and for coprime x, y the sum s and q share no prime but 3, so each
+prime power of m other than 3's goes wholly into s or wholly into q
+(_coprime_pairs has the proof).  So one kernel tests at most
+2^omega(m / g^3) sums for each g with g^3 | m, not every divisor of m up to
+icbrt(4 |m|).  search_points runs the same kernel on (m0 / g^3) z^3, with
+its factorization assembled from those of m0 and z, so m0 is factored once
+however many z it scans.
 """
 
 from __future__ import annotations
@@ -29,15 +32,12 @@ from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
 
-from .curves import CubicPoint, CurveConfig, cubic_add, to_weierstrass
-from .heights import canonical_height
+from .curves import CubicPoint, CurveConfig
 from .numeric import icbrt
 
-# torsion on these curves has order dividing a bound this small
-_TORSION_ORDER_LIMIT = 12
 # trial division takes every prime below this, so a cofactor left below its
 # square has no proper factor
-_WHEEL_LIMIT = 1000
+_TRIAL_LIMIT = 1000
 # Miller-Rabin on the primes 2..41 is deterministic below psi_13, the least
 # strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
 # 2017)
@@ -69,14 +69,17 @@ class RepCensus:
         return tuple(sorted({(min(x, y), max(x, y)) for x, y in self.pairs}))
 
 
-def _wheel():
-    """2, 3 and the numbers 6k +- 1 below _WHEEL_LIMIT."""
-    yield 2
-    yield 3
-    p, step = 5, 2
-    while p < _WHEEL_LIMIT:
-        yield p
-        p, step = p + step, 6 - step
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    return tuple(p for p, is_prime in enumerate(sieve) if is_prime)
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -130,7 +133,7 @@ def _rho(n: int) -> int:
 def _prime_or_factor(n: int) -> int | None:
     """None when n is proved prime, else a proper factor of n.
 
-    n is at least _WHEEL_LIMIT^2 and has no prime factor below _WHEEL_LIMIT.
+    n is at least _TRIAL_LIMIT^2 and has no prime factor below _TRIAL_LIMIT.
     Below psi_13 Miller-Rabin decides.  Above it a probable prime gets the
     Lucas n - 1 test: if for each prime q | n - 1 some a has a^(n-1) = 1 mod n
     and gcd(a^((n-1)/q) - 1, n) = 1, then n - 1 divides p - 1 for every prime
@@ -161,15 +164,15 @@ def _prime_or_factor(n: int) -> int | None:
 def factorize(n: int) -> dict[int, int]:
     """The prime factorization {p: e} of |n|, n nonzero; every p is proved.
 
-    Trial division takes the primes below _WHEEL_LIMIT.  What is left has no
-    prime factor below it, so a cofactor under _WHEEL_LIMIT^2 is prime and a
+    Trial division takes the primes below _TRIAL_LIMIT.  What is left has no
+    prime factor below it, so a cofactor under _TRIAL_LIMIT^2 is prime and a
     larger one is split by Brent's rho until each part is proved prime.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in _wheel():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -178,7 +181,7 @@ def factorize(n: int) -> dict[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         c = pending.pop()
-        d = None if c < _WHEEL_LIMIT**2 else _prime_or_factor(c)
+        d = None if c < _TRIAL_LIMIT**2 else _prime_or_factor(c)
         if d is None:
             factors[c] = factors.get(c, 0) + 1
         else:
@@ -333,20 +336,3 @@ def search_points(cfg: CurveConfig, zmax: int) -> list[CubicPoint]:
             found += [CubicPoint(g * x, g * y, z) for x, y in pairs]
     found.sort(key=lambda p: (p.z, p.x))
     return found
-
-
-def torsion_probe(cfg: CurveConfig, p: CubicPoint, tol: float = 1e-3) -> bool:
-    """Double confirmation that a point is torsion.
-
-    True only when the canonical height is at most tol and some multiple
-    k * P with k <= 12 is the identity.
-    """
-    if p.is_identity:
-        return True
-    height_small = canonical_height(cfg, to_weierstrass(cfg, p), tol).value <= tol
-    multiple = p
-    for _ in range(_TORSION_ORDER_LIMIT):
-        if multiple.is_identity:
-            return height_small
-        multiple = cubic_add(cfg, multiple, p)
-    return False

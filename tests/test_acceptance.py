@@ -18,21 +18,23 @@ from cubeforge import (
     CubicPoint,
     CurveConfig,
     WeierstrassPoint,
-    add,
     build_certificate,
     canonical_height,
     count_reps,
     cubic_add,
-    cubic_smul,
     divisor_check,
     from_weierstrass,
     generate_lattice_points,
-    naive_height,
-    offset_window,
-    offset_window_holds,
     to_weierstrass,
 )
 from cubeforge.cli import main as cli_main
+from tests.group_reference import (
+    add,
+    cubic_smul,
+    naive_height,
+    offset_window,
+    offset_window_holds,
+)
 
 GENERATORS = {
     6: CubicPoint(17, 37, 21),

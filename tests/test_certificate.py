@@ -264,8 +264,8 @@ class TestVerification:
     def test_dependent_generators_detected(self, cfg6, gen6, cert6_doc):
         # claim a rank-2 certificate built from P and 2P: the box of size 2
         # has no collision, but independence certification must fail
-        from cubeforge import cubic_smul
         from cubeforge.curves import CurveConfig
+        from tests.group_reference import cubic_smul
 
         doc = copy.deepcopy(cert6_doc)
         double = cubic_smul(CurveConfig(6), 2, gen6)

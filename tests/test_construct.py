@@ -167,7 +167,7 @@ class TestLatticeGeneration:
             generate_lattice_points(cfg6, [gen6, neg_double], 2)
 
     def test_rank_two_box_shape(self, cfg6, gen6):
-        from cubeforge import cubic_smul
+        from tests.group_reference import cubic_smul
 
         # P and 3P collide in no box of size 2, so the mechanics of a
         # rank-2 box (lex order, arity) can be exercised on a rank-1 curve

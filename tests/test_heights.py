@@ -1,9 +1,10 @@
 """Canonical heights: local heights against the doubling reference, laws,
-windows, and the float floor."""
+windows, the float floor, and the cubic_add engine against the Fraction law."""
 
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,24 +12,29 @@ from hypothesis import strategies as st
 
 from cubeforge import curves, heights
 from cubeforge import (
+    CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
     INFINITY,
     PrecisionBudgetError,
     WeierstrassPoint,
-    add,
     canonical_height,
     independence,
-    naive_height,
-    offset_window,
-    offset_window_holds,
-    pairing,
+    on_cubic,
     search_points,
-    smul,
     to_weierstrass,
 )
 from cubeforge.numeric import icbrt
 from tests import doubling_reference as ref
+from tests import group_reference
+from tests.group_reference import (
+    add,
+    cubic_smul,
+    naive_height,
+    offset_window,
+    offset_window_holds,
+    smul,
+)
 from tests.conftest import KNOWN_GENERATORS
 from tests.doubling_reference import (
     digit_budget,
@@ -303,16 +309,21 @@ class TestBitIdentical:
 
 class TestNoGroupLaw:
     def test_canonical_height_never_adds(self, monkeypatch):
+        # the doubling reference doubles X alone: neither group law runs
         points = list(pool_points())
         calls = []
-        for module in (curves, heights):
-            original = module.add
+        for module, name in (
+            (curves, "cubic_add"),
+            (heights, "cubic_add"),
+            (group_reference, "add"),
+        ):
+            original = getattr(module, name)
 
             def counting(*args, _original=original):
                 calls.append(args)
                 return _original(*args)
 
-            monkeypatch.setattr(module, "add", counting)
+            monkeypatch.setattr(module, name, counting)
         for cfg, _, w in points:
             ref.canonical_height(cfg, w, 1e-4)
         assert calls == []
@@ -377,29 +388,29 @@ class TestPrecisionBudget:
 
 
 class TestPairing:
-    def test_self_pairing_doubles_height(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
-        pp = pairing(cfg6, w, w, TOL)
-        h = canonical_height(cfg6, w, TOL)
+    """The height pairing <P, Q>, read off the Gram matrix of independence."""
+
+    def test_self_pairing_doubles_height(self, cfg6, gen6):
+        # P + P takes the rotated (doubling) formulas of cubic_add
+        pp = independence(cfg6, [gen6, gen6], TOL)[0][0][1]
+        h = canonical_height(cfg6, WeierstrassPoint.affine(28, 80), TOL)
         assert abs(pp.value - 2 * h.value) <= 5 * TOL
         assert pp.radius <= 3 * TOL
 
-    def test_pairing_with_infinity(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
-        p0 = pairing(cfg6, w, INFINITY, TOL)
+    def test_pairing_with_infinity(self, cfg6, gen6):
+        p0 = independence(cfg6, [gen6, CUBIC_IDENTITY], TOL)[0][0][1]
         assert abs(p0.value) <= 2 * TOL
 
-    def test_symmetry(self, cfg7):
-        base = to_weierstrass(cfg7, KNOWN_GENERATORS[7])
-        p, q = base, smul(cfg7, 2, base)
-        a = pairing(cfg7, p, q, TOL)
-        b = pairing(cfg7, q, p, TOL)
+    def test_symmetry(self, cfg7, gen7):
+        p, q = gen7, cubic_smul(cfg7, 2, gen7)
+        a = independence(cfg7, [p, q], TOL)[0][0][1]
+        b = independence(cfg7, [q, p], TOL)[0][0][1]
         assert abs(a.value - b.value) <= a.radius + b.radius
 
 
 class TestIndependence:
-    def test_single_generator_independent(self, cfg6):
-        gram, ok = independence(cfg6, [WeierstrassPoint.affine(28, 80)], TOL)
+    def test_single_generator_independent(self, cfg6, gen6):
+        gram, ok = independence(cfg6, [gen6], TOL)
         assert ok
         h = canonical_height(cfg6, WeierstrassPoint.affine(28, 80), TOL)
         assert abs(gram[0][0].value - 2 * h.value) <= (
@@ -407,17 +418,16 @@ class TestIndependence:
         )
 
     def test_torsion_not_certified(self, cfg1):
-        _, ok = independence(cfg1, [WeierstrassPoint.affine(12, 36)], TOL)
+        # (0, 1, 1) maps to the 3-torsion point (12, 36)
+        _, ok = independence(cfg1, [CubicPoint(0, 1, 1)], TOL)
         assert not ok
 
-    def test_dependent_pair_not_certified(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
-        _, ok = independence(cfg6, [w, smul(cfg6, 2, w)], TOL)
+    def test_dependent_pair_not_certified(self, cfg6, gen6):
+        _, ok = independence(cfg6, [gen6, cubic_smul(cfg6, 2, gen6)], TOL)
         assert not ok
 
-    def test_gram_symmetric(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
-        gram, _ = independence(cfg6, [w, smul(cfg6, 2, w)], TOL)
+    def test_gram_symmetric(self, cfg6, gen6):
+        gram, _ = independence(cfg6, [gen6, cubic_smul(cfg6, 2, gen6)], TOL)
         assert gram[0][1] == gram[1][0]
 
     def test_empty_rejected(self, cfg6):
@@ -498,6 +508,64 @@ class TestCrossEngine:
         assert new.intersects(old), (new, old)
 
 
+RANK_FOUR = {
+    152551: (
+        CubicPoint(54, -17, 1),
+        CubicPoint(55, -24, 1),
+        CubicPoint(226, -225, 1),
+        CubicPoint(705, -668, 7),
+    ),
+    526535: (
+        CubicPoint(207, -167, 2),
+        CubicPoint(323, -3, 4),
+        CubicPoint(363, 262, 5),
+        CubicPoint(633, -418, 7),
+    ),
+}
+
+# both pool pairs, the rank-3 set on m0=657 and two rank-4 sets
+ENGINE_SETS = {
+    **{f"{m0}": gens for m0, gens in POOL.items()},
+    "657": RANK_THREE_657,
+    **{f"{m0}": gens for m0, gens in RANK_FOUR.items()},
+}
+
+
+def bits(e):
+    return (e.value.hex(), e.radius.hex())
+
+
+class TestFractionLawReference:
+    """Good multiples and Gram matrices formed with cubic_add against the
+    Fraction chord-and-tangent law they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    @pytest.mark.parametrize("m0", sorted(ENGINE_SETS, key=int))
+    def test_bit_identical(self, m0, tol, monkeypatch):
+        cfg = CurveConfig(int(m0))
+        gens = list(ENGINE_SETS[m0])
+        ws = [to_weierstrass(cfg, g) for g in gens]
+        sums = [add(cfg, p, q) for p, q in combinations(ws, 2)]
+        for w in ws + sums:
+            assert heights.good_multiple(cfg, w) == group_reference.good_multiple(
+                cfg, w
+            )
+        gram, _ = independence(cfg, gens, tol)
+        monkeypatch.setattr(heights, "good_multiple", group_reference.good_multiple)
+        expected = group_reference.gram(cfg, ws, tol)
+        assert [list(map(bits, row)) for row in gram] == [
+            list(map(bits, row)) for row in expected
+        ]
+
+    @pytest.mark.parametrize("m0", sorted(RANK_FOUR))
+    def test_rank_four_independent(self, m0):
+        cfg = CurveConfig(m0)
+        assert all(on_cubic(cfg, *g.triple()) for g in RANK_FOUR[m0])
+        gram, ok = independence(cfg, list(RANK_FOUR[m0]), 1e-3)
+        assert ok
+        assert len(gram) == 4
+
+
 def tate_step(b, t):
     """One exact step t -> 4t(1 + b t^3) / (1 - 8 b t^3) of Tate's series."""
     return 4 * t * (1 + b * t**3) / (1 - 8 * b * t**3)
@@ -544,6 +612,22 @@ class TestLocalHeights:
             assert 1 <= n <= 6, p
             assert q == smul(cfg, n, w)
             assert math.gcd(q.x.numerator, q.y.numerator, 6 * m0) == 1
+
+    def test_good_multiple_takes_n_minus_one_additions(self, monkeypatch):
+        calls = []
+        original = heights.cubic_add
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(heights, "cubic_add", counting)
+        for cfg, name, w in pool_points():
+            n, _ = group_reference.good_multiple(cfg, w)
+            calls.clear()
+            canonical_height(cfg, w, TOL)
+            assert n == 3, name
+            assert len(calls) == n - 1, name
 
     def test_far_good_multiple_refused(self):
         # least good multiple 102, past the cap of 60

@@ -10,8 +10,10 @@ classical hard cases: Carmichael numbers, strong pseudoprimes to many
 bases, and numbers past the range where Miller-Rabin alone decides.
 """
 
+import ast
 import random
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,11 @@ from cubeforge import (
     count_reps,
     icbrt,
     search_points,
-    torsion_probe,
 )
+from cubeforge import oracle
 from cubeforge.oracle import _strong_probable_prime, factorize
 from tests.census_reference import divisor_scan, points_at, search_reference
+from tests.group_reference import torsion_probe
 
 TA4 = 6963472309248
 TA5 = 48988659276962496
@@ -256,6 +259,13 @@ class TestKernelAgreement:
 
 
 class TestFactor:
+    def test_trial_primes(self):
+        primes = [
+            p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))
+        ]
+        assert oracle._TRIAL_PRIMES == tuple(primes)
+        assert len(primes) == 168
+
     @pytest.mark.parametrize(
         "n, factors",
         [
@@ -271,7 +281,7 @@ class TestFactor:
             (PSI_12, {399165290221: 1, 798330580441: 1}),
             (PSI_13, {1287836182261: 1, 2575672364521: 1}),
             (10**25 + 13, {10**25 + 13: 1}),
-            # prime powers past the trial-division wheel
+            # prime powers past trial division
             (1009**3, {1009: 3}),
             ((10**6 + 3) ** 2, {10**6 + 3: 2}),
             (1, {}),
@@ -357,7 +367,7 @@ class TestSearchPoints:
 
     @pytest.mark.parametrize("m0", [*REFERENCE_CURVES, *WIDE_Z_CURVES])
     def test_matches_reference_above_wheel(self, m0):
-        # 1009 and 1013 are primes past the trial-division wheel
+        # 1009 and 1013 are primes past trial division
         zs = (1009, 1013, 2018)
         points = [p for p in search_points(CurveConfig(m0), 2018) if p.z in zs]
         assert points == [p for z in zs for p in points_at(m0, z)]
@@ -383,3 +393,33 @@ class TestTorsionProbe:
         # hhat is about 0.13 here: the height test alone would need care,
         # but no multiple up to 12 vanishes
         assert not torsion_probe(cfg7, gen7, tol=0.5)
+
+
+def package_imports(path):
+    """{module: names} for every import of a cubeforge module in a file."""
+    found = {}
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("cubeforge"):
+                    continue
+                module = module.removeprefix("cubeforge").lstrip(".")
+            names = {alias.name for alias in node.names}
+            found.setdefault(module, set()).update(names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cubeforge"):
+                    found.setdefault(alias.name, set()).add("*")
+    return found
+
+
+class TestIndependentOracle:
+    """The census arbitrates the construction, so it must not share its code."""
+
+    def test_imports(self):
+        imports = package_imports(oracle.__file__)
+        for module in ("heights", "construct", "certificate", "cli", ""):
+            assert module not in imports, module
+        assert imports["curves"] == {"CubicPoint", "CurveConfig"}
+        assert set(imports) <= {"curves", "numeric"}
