@@ -29,8 +29,8 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .construct import (
     Certificate,
@@ -381,15 +381,15 @@ def parse_certificate(document: str | dict) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of re-deriving a certificate's claims from scratch."""
+class VerifyReport(
+    namedtuple("VerifyReport", "m0 rank box_size m checks")
+):
+    """Outcome of re-deriving a certificate's claims from scratch.
 
-    m0: int
-    rank: int
-    box_size: int
-    m: int
-    checks: dict[str, bool]
+    checks maps each check name to its freshly derived verdict.
+    """
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

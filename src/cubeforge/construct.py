@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 
@@ -41,8 +41,9 @@ class GeneratorDependenceError(Exception):
     """The supplied generators fail a certified independence requirement."""
 
 
-@dataclass(frozen=True)
-class DivisorCheck:
+class DivisorCheck(
+    namedtuple("DivisorCheck", "d a b divisibility_pass bound_pass")
+):
     """Result of the gcd control for one lattice point.
 
     d = gcd(12 m0 z, x + y) with cofactors a, b satisfying d a = 12 m0 z and
@@ -52,11 +53,7 @@ class DivisorCheck:
     and booleans, so it is exact at every size of z.
     """
 
-    d: int
-    a: int
-    b: int
-    divisibility_pass: bool
-    bound_pass: bool
+    __slots__ = ()
 
 
 def divisor_check(cfg: CurveConfig, p: CubicPoint) -> DivisorCheck:
@@ -100,16 +97,18 @@ def m_factor(rank: int) -> int:
     return 9 * 2 ** (rank + 1) - 20
 
 
-@dataclass(frozen=True)
-class ChainConstants:
-    """Rank-dependent constants of the construction, plus the minimal box."""
+class ChainConstants(
+    namedtuple(
+        "ChainConstants",
+        "rank height_factor z_factor m_factor z_constant n_min",
+    )
+):
+    """Rank-dependent constants of the construction, plus the minimal box.
 
-    rank: int
-    height_factor: int
-    z_factor: int
-    m_factor: int
-    z_constant: ApproxReal
-    n_min: int
+    z_constant is an ApproxReal; the other fields are ints.
+    """
+
+    __slots__ = ()
 
 
 def minimal_box_size(cfg: CurveConfig, rank: int, hhat_bar: ApproxReal) -> int:
@@ -265,23 +264,28 @@ CHECK_NAMES = (
 )
 
 
-@dataclass
-class Certificate:
-    """Everything needed to recheck one run of the construction."""
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "m0 rank box_size tol generators hhat_bar lattice_points "
+        "divisor_checks m representations constants bound_rhs checks",
+        defaults=(None,),
+    )
+):
+    """Everything needed to recheck one run of the construction.
 
-    m0: int
-    rank: int
-    box_size: int
-    tol: float
-    generators: list[CubicPoint]
-    hhat_bar: ApproxReal
-    lattice_points: list[tuple[tuple[int, ...], CubicPoint]]
-    divisor_checks: list[DivisorCheck]
-    m: int
-    representations: list[tuple[int, int]]
-    constants: ChainConstants
-    bound_rhs: ApproxReal
-    checks: dict[str, bool] = field(default_factory=dict)
+    generators is a list of CubicPoint, lattice_points a list of
+    (index tuple, CubicPoint) pairs, divisor_checks a list of DivisorCheck,
+    representations a list of (x, y) pairs, hhat_bar and bound_rhs are
+    ApproxReal, and checks maps each name in CHECK_NAMES to its verdict.
+    Omitted, checks is a fresh empty dict, never one shared by instances.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.checks is not None else self._replace(checks={})
 
     @property
     def all_checks_pass(self) -> bool:
@@ -294,8 +298,14 @@ def _failed_checks(done: dict[str, bool]) -> dict[str, bool]:
     return {name: out[name] for name in CHECK_NAMES}
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(
+    namedtuple(
+        "Derivation",
+        "independent hhat_bar lattice divisors m representations constants "
+        "bound_rhs",
+        defaults=(None,) * 6,
+    )
+):
     """Everything (m0, generators, N, tol) determine, derived once per process.
 
     The fields after ``hhat_bar`` are None when two box combinations collide
@@ -303,14 +313,7 @@ class Derivation:
     when the height interval is not bounded away from zero.
     """
 
-    independent: bool
-    hhat_bar: ApproxReal
-    lattice: list[tuple[tuple[int, ...], CubicPoint]] | None = None
-    divisors: list[DivisorCheck] | None = None
-    m: int | None = None
-    representations: list[tuple[int, int]] | None = None
-    constants: ChainConstants | None = None
-    bound_rhs: ApproxReal | None = None
+    __slots__ = ()
 
 
 def derive(
@@ -408,7 +411,7 @@ def evaluate_checks(
     z_stored = cert.constants.z_constant
     checks["constants_match"] = constants.z_constant.intersects(
         z_stored
-    ) and replace(constants, z_constant=z_stored) == cert.constants
+    ) and constants._replace(z_constant=z_stored) == cert.constants
 
     log_m = log_abs(cert.m)
     log_m_from_parts = log_abs(cfg.m0) + sum(
@@ -485,6 +488,5 @@ def build_certificate(
         constants=derived.constants,
         bound_rhs=derived.bound_rhs,
     )
-    cert.checks = evaluate_checks(cfg, cert, derived)
-    return cert
+    return cert._replace(checks=evaluate_checks(cfg, cert, derived))
 

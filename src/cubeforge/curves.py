@@ -17,44 +17,67 @@ kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .numeric import ApproxReal, gcd3, log_abs, to_primitive
 
 
-@dataclass(frozen=True)
 class CurveConfig:
-    """One curve pair, determined by the nonzero integer m0."""
+    """One curve pair, determined by the nonzero integer m0.
 
-    m0: int
+    Immutable, compared and hashed by m0; hb is computed on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if self.m0 == 0:
+    __slots__ = ("m0", "_hb")
+
+    def __init__(self, m0: int) -> None:
+        if m0 == 0:
             raise ValueError("m0 must be a nonzero integer")
+        object.__setattr__(self, "m0", m0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m0 == other.m0
+
+    def __hash__(self) -> int:
+        return hash((self.m0,))
+
+    def __reduce__(self):
+        return CurveConfig, (self.m0,)
+
+    def __repr__(self) -> str:
+        return f"CurveConfig(m0={self.m0!r})"
 
     @property
     def b(self) -> int:
         return -432 * self.m0 * self.m0
 
-    @cached_property
+    @property
     def hb(self) -> ApproxReal:
         """Naive height log|b| of the Weierstrass coefficient."""
-        return log_abs(self.b)
+        try:
+            return self._hb
+        except AttributeError:
+            object.__setattr__(self, "_hb", log_abs(self.b))
+            return self._hb
 
 
-@dataclass(frozen=True)
-class CubicPoint:
+class CubicPoint(namedtuple("CubicPoint", "x y z")):
     """Primitive integer point [x : y : z] on the cubic model.
 
     Instances built through from_triple satisfy gcd(x, y, z) = 1 with z > 0,
     except the identity (1, -1, 0).
     """
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
     @classmethod
     def from_triple(cls, x: int, y: int, z: int) -> "CubicPoint":
@@ -75,12 +98,15 @@ class CubicPoint:
 CUBIC_IDENTITY = CubicPoint(1, -1, 0)
 
 
-@dataclass(frozen=True)
-class WeierstrassPoint:
-    """Affine rational point on Y^2 = X^3 + b, or the point at infinity."""
+class WeierstrassPoint(
+    namedtuple("WeierstrassPoint", "x y", defaults=(None, None))
+):
+    """Affine rational point on Y^2 = X^3 + b, or the point at infinity.
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    x and y are Fractions, both None at infinity.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def affine(cls, x, y) -> "WeierstrassPoint":

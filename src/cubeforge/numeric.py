@@ -11,7 +11,6 @@ Interval operations round outward, so a certified comparison such as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 _LN2 = math.log(2.0)
@@ -87,23 +86,42 @@ def _nudge_up(x: float, steps: int = 1) -> float:
     return x
 
 
-@dataclass(frozen=True)
 class ApproxReal:
     """A real number known to lie within ``radius`` of ``value``.
 
     The enclosure is maintained under every operation by adding the exact
     propagated radius plus a few ulps of outward slack to absorb the float
-    rounding of the operation itself.
+    rounding of the operation itself.  Instances are immutable and compare
+    and hash by (value, radius); they are not tuples, so no ordering, len or
+    concatenation applies to an interval by accident.
     """
 
-    value: float
-    radius: float = 0.0
+    __slots__ = ("value", "radius")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and math.isfinite(self.radius)):
+    def __init__(self, value: float, radius: float = 0.0) -> None:
+        if not (math.isfinite(value) and math.isfinite(radius)):
             raise ValueError("ApproxReal requires finite value and radius")
-        if self.radius < 0.0:
+        if radius < 0.0:
             raise ValueError("ApproxReal radius must be nonnegative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "radius", radius)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.radius == other.radius
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.radius))
+
+    def __reduce__(self):
+        return ApproxReal, (self.value, self.radius)
 
     # -- construction ------------------------------------------------------
 

@@ -28,7 +28,7 @@ however many z it scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from math import gcd, isqrt
 
@@ -47,22 +47,19 @@ _PSI_13 = 3317044064679887385961981
 _RHO_BATCH = 128
 
 
-@dataclass(frozen=True)
-class RepCensus:
+class RepCensus(
+    namedtuple("RepCensus", "m ordered_count pairs scan_bound sums_tried")
+):
     """Exhaustive ordered census of x^3 + y^3 = m.
 
     scan_bound is the proven bound on |x + y|, icbrt(4 |m|): every solution
     has x + y dividing m with |x + y|^3 <= 4 |m| (see the module docstring).
     It bounds the sums, not the work.  sums_tried is the work: the number of
     candidate sums x + y the kernel put through the root test, over every g
-    with g^3 | m.
+    with g^3 | m.  pairs is a tuple of ordered (x, y) pairs.
     """
 
-    m: int
-    ordered_count: int
-    pairs: tuple[tuple[int, int], ...]
-    scan_bound: int
-    sums_tried: int
+    __slots__ = ()
 
     def unordered_pairs(self) -> tuple[tuple[int, int], ...]:
         """One representative (x, y) with x <= y per unordered solution."""

@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -160,8 +159,8 @@ class TestTemplateWriter:
 
     def test_empty_arrays(self, cert6):
         # build never writes one, but a parsed document may hold no lattice
-        empty = replace(
-            cert6, lattice_points=[], divisor_checks=[], representations=[]
+        empty = cert6._replace(
+            lattice_points=[], divisor_checks=[], representations=[]
         )
         text = certificate_to_json(empty)
         assert '"lattice_points": [],' in text
@@ -312,8 +311,7 @@ class TestIdentityProof:
     ):
         # the identity follows from the lattice, m = m0 Z^3 and the formula
         cert = build_certificate(cfg6, [gen6], 4)
-        counted = replace(
-            cert,
+        counted = cert._replace(
             representations=[
                 (CountingInt(x), CountingInt(y)) for x, y in cert.representations
             ],

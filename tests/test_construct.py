@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from dataclasses import fields
 
 import mpmath
 import pytest
@@ -58,11 +57,11 @@ class TestDivisorCheck:
         assert 54**6 < 9 * 12**6 * 6**15 * 21**3
 
     def test_record_is_exact(self, cfg6, gen6):
-        assert [f.name for f in fields(DivisorCheck)] == [
+        assert list(DivisorCheck._fields) == [
             "d", "a", "b", "divisibility_pass", "bound_pass"
         ]
         r = divisor_check(cfg6, gen6)
-        assert all(type(v) in (int, bool) for v in vars(r).values())
+        assert all(type(v) in (int, bool) for v in r._asdict().values())
 
     def test_trivial_gcd(self, cfg7):
         r = divisor_check(cfg7, CubicPoint(2, -1, 1))
