@@ -10,7 +10,6 @@ independent exhaustive census oracle.
 
 from .certificate import (
     CertificateFormatError,
-    VerifyReport,
     certificate_to_json,
     parse_certificate,
     verify_certificate,

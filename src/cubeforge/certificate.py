@@ -1,17 +1,20 @@
 """Machine-checkable certificate files.
 
 A certificate is a JSON document that pins every input and every claimed
-output of one construction run.  Serialization is deterministic: fixed key
-order, approximate reals as value/radius pairs, and a timestamp that honors
-SOURCE_DATE_EPOCH for reproducible runs.  Schema "4" writes every stored
+output of one construction run, and nothing else: the same Certificate
+always serializes to the same bytes, with a fixed key order and approximate
+reals as value/radius pairs.  Schema "4" writes every stored
 integer string as ``hex(n)`` writes it ("0x1f", "-0x1f"), and the parser
 accepts exactly that form or a JSON number of at most 4,300 digits.  Hex
 converts in linear time both ways, where decimal costs quadratic time; the
 codec goes through bytes.hex() and bytes.fromhex(), which are faster still.
 Divisor records are exact integers and verdicts.  There is no stored check
-map: verification re-derives everything from the generators alone and
-compares, and proves the identity x^3 + y^3 = m from the lattice without
-cubing a representation (see construct.evaluate_checks).
+map: verify_certificate parses the document into a Certificate, re-derives
+everything from the generators alone and compares, proves the identity
+x^3 + y^3 = m from the lattice without cubing a representation (see
+construct.evaluate_checks), and returns the parsed Certificate with those
+fresh checks.  Keys the schema does not name, such as the ``generated_at``
+of older writers, are ignored.
 
 The writer produces exactly the bytes of ``json.dumps(doc, indent=2)`` plus
 a newline, without building ``doc`` whole.  The header, every key but
@@ -26,10 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-import time
-from collections import namedtuple
 from collections.abc import Iterator
 
 from .construct import (
@@ -60,12 +60,6 @@ class CertificateFormatError(Exception):
 
 def _interval_to_json(a: ApproxReal) -> dict:
     return {"value": a.value, "radius": a.radius}
-
-
-def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    moment = int(epoch) if epoch is not None else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(moment))
 
 
 def _hex(n: int) -> str:
@@ -131,7 +125,6 @@ def _document(cert: Certificate) -> Iterator[str]:
     header = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
-            "generated_at": _timestamp(),
             "m0": _hex(cert.m0),
             "r": cert.rank,
             "N": cert.box_size,
@@ -324,7 +317,6 @@ def parse_certificate(document: str | dict) -> Certificate:
         ("height_factor", "z_factor", "m_factor", "z_constant", "n_min"),
     )
     constants = ChainConstants(
-        rank=rank,
         height_factor=_as_int(constants_raw["height_factor"], "height_factor"),
         z_factor=_as_int(constants_raw["z_factor"], "z_factor"),
         m_factor=_as_int(constants_raw["m_factor"], "m_factor"),
@@ -378,49 +370,17 @@ def parse_certificate(document: str | dict) -> Certificate:
         representations=representations,
         constants=constants,
         bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),
+        checks={},
     )
 
 
-class VerifyReport(
-    namedtuple("VerifyReport", "m0 rank box_size m checks")
-):
-    """Outcome of re-deriving a certificate's claims from scratch.
-
-    checks maps each check name to its freshly derived verdict.
-    """
-
-    __slots__ = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "m0": str(self.m0),
-            "r": self.rank,
-            "N": self.box_size,
-            "m": _hex(self.m),
-            "checks": dict(self.checks),
-            "all_passed": self.all_passed,
-        }
-
-
-def verify_certificate(document: str | dict) -> VerifyReport:
+def verify_certificate(document: str | dict) -> Certificate:
     """Recompute every check of a stored certificate.
 
-    The report carries freshly derived verdicts; a stored check map, like
-    any key the schema does not name, is never read.  Structural problems
-    raise CertificateFormatError, semantic failures surface as False entries
-    in the report.
+    Returns the parsed Certificate with freshly derived verdicts as its
+    checks; a stored check map, like any key the schema does not name, is
+    never read.  Structural problems raise CertificateFormatError, semantic
+    failures surface as False entries in the checks.
     """
     cert = parse_certificate(document)
-    cfg = CurveConfig(cert.m0)
-    checks = verify_checks(cfg, cert)
-    return VerifyReport(
-        m0=cert.m0,
-        rank=cert.rank,
-        box_size=cert.box_size,
-        m=cert.m,
-        checks=checks,
-    )
+    return cert._replace(checks=verify_checks(CurveConfig(cert.m0), cert))

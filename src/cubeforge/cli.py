@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .certificate import (
     CertificateFormatError,
+    _hex,
     _interval_to_json,
     certificate_to_json,
     verify_certificate,
@@ -171,9 +173,18 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.cert, encoding="utf-8") as handle:
         document = handle.read()
-    report = verify_certificate(document)
-    _emit(report.to_dict())
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    cert = verify_certificate(document)
+    _emit(
+        {
+            "m0": str(cert.m0),
+            "r": cert.rank,
+            "N": cert.box_size,
+            "m": _hex(cert.m),
+            "checks": cert.checks,
+            "all_passed": cert.all_checks_pass,
+        }
+    )
+    return EXIT_OK if cert.all_checks_pass else EXIT_CHECK_FAILED
 
 
 def _cmd_count(args) -> int:
@@ -195,6 +206,8 @@ def _cmd_count(args) -> int:
 def _cmd_certify_corollary(args) -> int:
     if args.r < 1:
         raise ValueError("r must be at least 1")
+    if args.target is not None and not math.isfinite(args.target):
+        raise ValueError("target must be a finite number")
     h_b = ApproxReal.from_decimal(args.hB)
     h_x_max = ApproxReal.from_decimal(args.hxmax)
     hhat_upper = (

@@ -11,6 +11,11 @@ the product of all the other z's.  The certificate records the lattice, the
 representations, a divisor check controlling gcd(12 m0 z, x + y) for every
 lattice point, and the height bookkeeping that bounds log m and yields the
 final density inequality N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).
+
+One record, Certificate, carries a run.  derive computes everything the
+inputs (m0, generators, N, tol) determine and returns it as a Certificate
+with no checks; build_certificate fills in the checks, and the verifier
+derives again from a parsed document's inputs and compares field by field.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ def m_factor(rank: int) -> int:
 class ChainConstants(
     namedtuple(
         "ChainConstants",
-        "rank height_factor z_factor m_factor z_constant n_min",
+        "height_factor z_factor m_factor z_constant n_min",
     )
 ):
     """Rank-dependent constants of the construction, plus the minimal box.
@@ -138,7 +143,6 @@ def chain_constants(
     cfg: CurveConfig, rank: int, hhat_bar: ApproxReal
 ) -> ChainConstants:
     return ChainConstants(
-        rank=rank,
         height_factor=height_factor(rank),
         z_factor=z_factor(rank),
         m_factor=m_factor(rank),
@@ -269,76 +273,55 @@ class Certificate(
         "Certificate",
         "m0 rank box_size tol generators hhat_bar lattice_points "
         "divisor_checks m representations constants bound_rhs checks",
-        defaults=(None,),
     )
 ):
-    """Everything needed to recheck one run of the construction.
+    """One run of the construction: what build returns and verify rechecks.
 
     generators is a list of CubicPoint, lattice_points a list of
     (index tuple, CubicPoint) pairs, divisor_checks a list of DivisorCheck,
     representations a list of (x, y) pairs, hhat_bar and bound_rhs are
     ApproxReal, and checks maps each name in CHECK_NAMES to its verdict.
-    Omitted, checks is a fresh empty dict, never one shared by instances.
+    derive and parse_certificate leave checks an empty dict of its own;
+    build_certificate and verify_certificate fill it in.
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.checks is not None else self._replace(checks={})
 
     @property
     def all_checks_pass(self) -> bool:
         return bool(self.checks) and all(self.checks.values())
 
 
-def _failed_checks(done: dict[str, bool]) -> dict[str, bool]:
-    out = {name: False for name in CHECK_NAMES}
-    out.update(done)
-    return {name: out[name] for name in CHECK_NAMES}
-
-
-class Derivation(
-    namedtuple(
-        "Derivation",
-        "independent hhat_bar lattice divisors m representations constants "
-        "bound_rhs",
-        defaults=(None,) * 6,
-    )
-):
-    """Everything (m0, generators, N, tol) determine, derived once per process.
-
-    The fields after ``hhat_bar`` are None when two box combinations collide
-    or one is the identity; ``constants`` and ``bound_rhs`` are None also
-    when the height interval is not bounded away from zero.
-    """
-
-    __slots__ = ()
-
-
 def derive(
     cfg: CurveConfig, generators: list[CubicPoint], box_size: int, tol: float
-) -> Derivation:
+) -> tuple[bool, Certificate]:
     """Run the construction once; build and verify both start here.
 
-    hhat_bar is read off the Gram diagonal of the independence certificate,
-    which holds 2 hhat(P_i): halving is exact, so no height is computed twice.
+    Returns the certified independence verdict and the certificate that
+    (m0, generators, N, tol) determine, with no checks.  hhat_bar is read off
+    the Gram diagonal of the independence certificate, which holds
+    2 hhat(P_i): halving is exact, so no height is computed twice.  The
+    fields after ``hhat_bar`` are None when two box combinations collide or
+    one is the identity; ``constants`` and ``bound_rhs`` are None also when
+    the height interval is not bounded away from zero.
     """
     rank = len(generators)
     gram, independent = independence(cfg, generators, tol)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
+    divisors = m = reps = constants = bound_rhs = None
     try:
         lattice = generate_lattice_points(cfg, generators, box_size)
     except GeneratorDependenceError:
-        return Derivation(independent, hhat_bar)
-    divisors = [divisor_check(cfg, q) for _, q in lattice]
-    m, reps = representations_from_lattice(cfg, lattice)
-    constants = bound_rhs = None
-    if hhat_bar.lower() > 0.0:
-        constants = chain_constants(cfg, rank, hhat_bar)
-        bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
-    return Derivation(
-        independent, hhat_bar, lattice, divisors, m, reps, constants, bound_rhs
+        lattice = None
+    else:
+        divisors = [divisor_check(cfg, q) for _, q in lattice]
+        m, reps = representations_from_lattice(cfg, lattice)
+        if hhat_bar.lower() > 0.0:
+            constants = chain_constants(cfg, rank, hhat_bar)
+            bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
+    return independent, Certificate(
+        cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
+        divisors, m, reps, constants, bound_rhs, {},
     )
 
 
@@ -352,36 +335,38 @@ def _generator_checks(cfg: CurveConfig, gens: list[CubicPoint]) -> dict[str, boo
 
 
 def evaluate_checks(
-    cfg: CurveConfig, cert: Certificate, derived: Derivation
+    cfg: CurveConfig, cert: Certificate, independent: bool, derived: Certificate
 ) -> dict[str, bool]:
-    """Compare a certificate against the derivation from its own inputs.
+    """Compare a certificate against the one derived from its own inputs.
 
-    ``derived`` is derive(cfg, cert.generators, cert.box_size, cert.tol).
-    Each stored value is compared with its derived counterpart; nothing is
-    derived again.  The cube-sum identity of the stored representations is
-    proved from the lattice alone: when they equal (Z/z_n)(x_n, y_n), m
-    equals m0 Z^3 and every lattice point is on the curve, x^3 + y^3 = m
-    holds for each.  A document that fails one of those three checks fails
-    the identity too, so no representation is ever cubed and the work stays
-    linear in the document.  Returns the full ordered check map.  A lattice
-    collision or a height interval touching zero ends it early with the
-    remaining checks false.
+    ``independent, derived`` is derive(cfg, cert.generators, cert.box_size,
+    cert.tol).  Each stored value is compared with its derived counterpart;
+    nothing is derived again.  The cube-sum identity of the stored
+    representations is proved from the lattice alone: when they equal
+    (Z/z_n)(x_n, y_n), m equals m0 Z^3 and every lattice point is on the
+    curve, x^3 + y^3 = m holds for each.  A document that fails one of those
+    three checks fails the identity too, so no representation is ever cubed
+    and the work stays linear in the document.  Returns the full check map
+    in CHECK_NAMES order.  A lattice collision or a height interval touching
+    zero ends it early with the remaining checks false.
     """
-    checks = _generator_checks(cfg, cert.generators)
+    checks = dict.fromkeys(CHECK_NAMES, False) | _generator_checks(
+        cfg, cert.generators
+    )
     rank = len(cert.generators)
-    checks["generators_independent"] = derived.independent
+    checks["generators_independent"] = independent
     checks["heights_match"] = derived.hhat_bar.intersects(cert.hhat_bar)
 
-    lattice = derived.lattice
+    lattice = derived.lattice_points
     if lattice is None:
-        return _failed_checks(checks)
+        return checks
     checks["lattice_points_match"] = lattice == cert.lattice_points
     checks["lattice_on_curve"] = all(
         on_cubic(cfg, *q.triple()) for _, q in lattice
     )
     checks["lattice_primitive"] = all(is_primitive(q) for _, q in lattice)
 
-    divisors = derived.divisors
+    divisors = derived.divisor_checks
     checks["divisor_divisibility"] = all(d.divisibility_pass for d in divisors)
     checks["divisor_bound"] = all(d.bound_pass for d in divisors)
     checks["divisor_records_match"] = divisors == cert.divisor_checks
@@ -406,7 +391,7 @@ def evaluate_checks(
 
     constants = derived.constants
     if constants is None:
-        return _failed_checks(checks)
+        return checks
     # every field equal, except that the z_constant intervals need only meet
     z_stored = cert.constants.z_constant
     checks["constants_match"] = constants.z_constant.intersects(
@@ -429,7 +414,7 @@ def evaluate_checks(
 
     checks["bound_rhs_match"] = derived.bound_rhs.intersects(cert.bound_rhs)
     checks["final_inequality"] = cert.box_size**rank > derived.bound_rhs.upper()
-    return {name: checks[name] for name in CHECK_NAMES}
+    return checks
 
 
 def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
@@ -438,18 +423,18 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     Nothing is derived unless the generators are nontrivial primitive curve
     points and the document holds exactly N^r representations, so the work
     is bounded by the size of the document (N is compared with the count
-    before N^r is formed).  A failed screen returns the partial map.
+    before N^r is formed).  A failed screen leaves every later check false.
     """
-    checks = _generator_checks(cfg, cert.generators)
-    if all(checks.values()):
-        count = len(cert.representations)
-        checks["representation_count"] = (
-            cert.box_size <= count and cert.box_size**cert.rank == count
-        )
-    if not all(checks.values()):
-        return _failed_checks(checks)
-    derived = derive(cfg, cert.generators, cert.box_size, cert.tol)
-    return evaluate_checks(cfg, cert, derived)
+    screen = _generator_checks(cfg, cert.generators)
+    checks = dict.fromkeys(CHECK_NAMES, False) | screen
+    if not all(screen.values()):
+        return checks
+    count = len(cert.representations)
+    if not (cert.box_size <= count and cert.box_size**cert.rank == count):
+        return checks
+    return evaluate_checks(
+        cfg, cert, *derive(cfg, cert.generators, cert.box_size, cert.tol)
+    )
 
 
 def build_certificate(
@@ -460,33 +445,21 @@ def build_certificate(
 ) -> Certificate:
     """Run the construction and return a fully checked certificate.
 
-    Raises ValueError for unusable inputs, GeneratorDependenceError when the
+    Raises ValueError for unusable inputs, among them a tol that the
+    certificate parser would refuse, GeneratorDependenceError when the
     generators cannot be certified independent at this tolerance, and lets
     PrecisionBudgetError from the height engine propagate.
     """
     if box_size < 1:
         raise ValueError("box size must be at least 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     failed = [k for k, ok in _generator_checks(cfg, generators).items() if not ok]
     if failed:
         raise ValueError(f"unusable generators: {', '.join(failed)} failed")
-    derived = derive(cfg, generators, box_size, tol)
-    if not derived.independent:
+    independent, cert = derive(cfg, generators, box_size, tol)
+    if not independent:
         raise GeneratorDependenceError(
             "generators not certified independent at this tolerance"
         )
-    cert = Certificate(
-        m0=cfg.m0,
-        rank=len(generators),
-        box_size=box_size,
-        tol=tol,
-        generators=list(generators),
-        hhat_bar=derived.hhat_bar,
-        lattice_points=derived.lattice,
-        divisor_checks=derived.divisors,
-        m=derived.m,
-        representations=derived.representations,
-        constants=derived.constants,
-        bound_rhs=derived.bound_rhs,
-    )
-    return cert._replace(checks=evaluate_checks(cfg, cert, derived))
-
+    return cert._replace(checks=evaluate_checks(cfg, cert, independent, cert))

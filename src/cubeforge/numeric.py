@@ -143,7 +143,10 @@ class ApproxReal:
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "ApproxReal":
-        v = float(q)
+        try:
+            v = float(q)
+        except OverflowError:
+            raise ValueError("a rational beyond float range") from None
         if Fraction(v) == q:
             return cls(v, 0.0)
         return cls(v, 2.0 * math.ulp(abs(v)))

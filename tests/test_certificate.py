@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
+    Certificate,
     CertificateFormatError,
     CubicPoint,
     CurveConfig,
     PrecisionBudgetError,
-    VerifyReport,
     build_certificate,
     certificate_to_json,
     parse_certificate,
@@ -25,12 +25,13 @@ from cubeforge import (
 from cubeforge.certificate import _as_int, _hex
 from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
-# sha256 of the m0=6, (17, 37, 21), N=4 certificate at SOURCE_DATE_EPOCH=0:
-# a change to how the certificate is derived must not change a byte of it.
-# Schema "4" is the schema "3" document without its "checks" key and with
-# schema_version "4", re-dumped with json.dumps(indent=2) plus a newline.
-# The local-height engine changed the hhat_bar and bound_rhs floats only.
-GOLDEN_SHA256 = "d848138525fd3747527362a14179dde5c38ba3f19627a59262b37b16bcb0e266"
+# sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
+# certificate is derived must not change a byte of it.  Schema "4" is the
+# schema "3" document without its "checks" key and with schema_version "4",
+# re-dumped with json.dumps(indent=2) plus a newline.  The local-height
+# engine changed the hhat_bar and bound_rhs floats only.  The document has
+# no "generated_at" line: it holds nothing the run did not determine.
+GOLDEN_SHA256 = "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 
 
 def certificate_to_dict(cert):
@@ -62,7 +63,6 @@ class TestSerialization:
     def test_schema_fields_present(self, cert6_doc):
         expected = {
             "schema_version",
-            "generated_at",
             "m0",
             "r",
             "N",
@@ -86,14 +86,15 @@ class TestSerialization:
             assert not any(isinstance(v, float) for v in record.values())
 
     def test_deterministic_bytes(self, cert6, monkeypatch):
+        # no timestamp: the environment cannot change a byte of the document
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755129600")
         first = certificate_to_json(cert6)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         second = certificate_to_json(cert6)
         assert first == second
-        assert '"generated_at": "2025-08-14T00:00:00Z"' in first
+        assert "generated_at" not in json.loads(first)
 
-    def test_golden_bytes(self, cfg6, gen6, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    def test_golden_bytes(self, cfg6, gen6):
         text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
         _assert_json_fixed_point(text)
@@ -111,8 +112,7 @@ class TestSerialization:
         assert list(cert6.checks) == list(CHECK_NAMES)
         assert parsed.checks == {}
 
-    def test_write_certificate(self, cert6, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    def test_write_certificate(self, cert6, tmp_path):
         path = tmp_path / "cert.json"
         write_certificate(cert6, str(path))
         assert path.read_bytes() == certificate_to_json(cert6).encode("utf-8")
@@ -195,14 +195,14 @@ class TestVerification:
     def test_verify_built_certificate(self, cert6):
         report = verify_certificate(certificate_to_json(cert6))
         assert report.checks == cert6.checks
-        assert not report.all_passed  # box below threshold by design
+        assert not report.all_checks_pass  # box below threshold by design
         assert report.checks["representation_identity"]
         assert not report.checks["theorem_preconditions"]
 
     def test_verify_full_pass(self, cfg6, gen6):
         cert = build_certificate(cfg6, [gen6], 4)
         report = verify_certificate(certificate_to_json(cert))
-        assert report.all_passed
+        assert report.all_checks_pass
 
     def test_stored_booleans_ignored(self, cert6_doc):
         # a forged all-true check map is a key the schema does not name
@@ -218,7 +218,7 @@ class TestVerification:
         report = verify_certificate(doc)
         assert not report.checks["m_matches_product"]
         assert not report.checks["representation_identity"]
-        assert not report.all_passed
+        assert not report.all_checks_pass
 
     def test_tampered_representation(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
@@ -258,7 +258,8 @@ class TestVerification:
         doc["generators"] = [[hex(17), hex(37), hex(22)]]
         report = verify_certificate(doc)
         assert not report.checks["generators_on_curve"]
-        assert not report.all_passed
+        assert not report.all_checks_pass
+        assert list(report.checks) == list(CHECK_NAMES)
 
     def test_dependent_generators_detected(self, cfg6, gen6, cert6_doc):
         # claim a rank-2 certificate built from P and 2P: the box of size 2
@@ -279,7 +280,41 @@ class TestVerification:
         report = verify_certificate(doc)
         assert report.checks["representation_count"]
         assert not report.checks["generators_independent"]
-        assert not report.all_passed
+        assert not report.all_checks_pass
+        assert list(report.checks) == list(CHECK_NAMES)
+
+    def test_colliding_generators_end_early(self, gen6, cert6_doc):
+        # P and 2P at N=3: (3,1) and (1,2) both land on 5P, so the lattice
+        # is never compared and every check after heights_match is false
+        doc = copy.deepcopy(cert6_doc)
+        doc["r"], doc["N"] = 2, 3
+        doc["generators"] = [
+            [hex(17), hex(37), hex(21)],
+            [hex(2237723), hex(-1805723), hex(960540)],
+        ]
+        doc["lattice_points"] = []
+        doc["representations"] = [doc["representations"][0]] * 9
+        report = verify_certificate(doc)
+        assert list(report.checks) == list(CHECK_NAMES)
+        assert [name for name, ok in report.checks.items() if ok] == [
+            "generators_on_curve",
+            "generators_primitive",
+            "generators_nontrivial",
+        ]
+
+    def test_torsion_generator_ends_early(self, cert6_doc):
+        # (1, 0, 1) has height 0 on x^3 + y^3 = z^3: the lattice is checked,
+        # but no chain constant exists, so the checks from constants_match
+        # on are false
+        doc = copy.deepcopy(cert6_doc)
+        doc["m0"] = "0x1"
+        doc["generators"] = [["0x1", "0x0", "0x1"]]
+        report = verify_certificate(doc)
+        assert list(report.checks) == list(CHECK_NAMES)
+        assert report.checks["lattice_on_curve"]
+        assert not report.checks["generators_independent"]
+        tail = CHECK_NAMES[CHECK_NAMES.index("constants_match"):]
+        assert not any(report.checks[name] for name in tail)
 
     @pytest.mark.parametrize("box_size", [1, 3, 10**7])
     def test_box_size_is_screened_against_the_document(self, cert6_doc, box_size):
@@ -292,7 +327,42 @@ class TestVerification:
         assert time.perf_counter() - start < 2.0
         assert not report.checks["representation_count"]
         assert report.checks["generators_on_curve"]
-        assert not report.all_passed
+        assert not report.all_checks_pass
+        assert list(report.checks) == list(CHECK_NAMES)
+
+
+# both benchmark curves at both cert workloads' (N, tol), a failing rank-1
+# box below its minimal N, and the rank-3 set at its minimal N
+_ONE_RECORD_CASES = [
+    pytest.param(m0, pair, box_size, tol, True, id=f"{m0}-N{box_size}")
+    for m0, pair in _POOL.items()
+    for box_size, tol in ((12, 1e-3), (8, 1e-4))
+] + [
+    pytest.param(6, ((17, 37, 21),), 2, 1e-3, False, id="rank1-N2"),
+    pytest.param(
+        657,
+        ((-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)),
+        4,
+        1e-3,
+        True,
+        id="rank3-N4",
+    ),
+]
+
+
+class TestOneRecord:
+    @pytest.mark.parametrize(
+        "m0, generators, box_size, tol, passes", _ONE_RECORD_CASES
+    )
+    def test_verify_returns_the_built_certificate(
+        self, m0, generators, box_size, tol, passes
+    ):
+        # every field, the checks included, survives write, parse and verify
+        cert = build_certificate(
+            CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size, tol
+        )
+        assert cert.all_checks_pass is passes
+        assert verify_certificate(certificate_to_json(cert)) == cert
 
 
 class CountingInt(int):
@@ -317,7 +387,7 @@ class TestIdentityProof:
             ],
         )
         monkeypatch.setattr(CountingInt, "powers", 0)
-        checks = evaluate_checks(cfg6, counted, derive(cfg6, [gen6], 4, cert.tol))
+        checks = evaluate_checks(cfg6, counted, *derive(cfg6, [gen6], 4, cert.tol))
         assert all(checks.values())
         assert CountingInt.powers == 0
 
@@ -451,7 +521,7 @@ class TestScale:
         assert len(cert.representations) == box_size ** len(generators)
         if len(generators) == 3:
             assert cert.constants.n_min == box_size
-        assert verify_certificate(certificate_to_json(cert)).all_passed
+        assert verify_certificate(certificate_to_json(cert)).all_checks_pass
 
 
 class TestFormatErrors:
@@ -616,4 +686,4 @@ class TestMutationFuzz:
             report = verify_certificate(json.dumps(doc))
         except (CertificateFormatError, PrecisionBudgetError):
             return
-        assert isinstance(report, VerifyReport)
+        assert isinstance(report, Certificate)

@@ -33,6 +33,42 @@ def cert4_path(tmp_path_factory, gen_file):
     return str(path)
 
 
+# `cubeforge verify` on the m0=6, (17, 37, 21), N=4 certificate
+VERIFY_CERT4_STDOUT = """\
+{
+  "m0": "6",
+  "r": 1,
+  "N": 4,
+  "m": "0x6835303c1568c666fd163654817a3ce620aa2fc3e7af0d697c4e65883cc69d12d2f2c914b076c98710a73d06da2a3daef7d0da42edf2314610000",
+  "checks": {
+    "generators_on_curve": true,
+    "generators_primitive": true,
+    "generators_nontrivial": true,
+    "generators_independent": true,
+    "heights_match": true,
+    "lattice_points_match": true,
+    "lattice_on_curve": true,
+    "lattice_primitive": true,
+    "divisor_divisibility": true,
+    "divisor_bound": true,
+    "divisor_records_match": true,
+    "m_matches_product": true,
+    "representations_match_formula": true,
+    "representation_identity": true,
+    "representations_distinct": true,
+    "representation_count": true,
+    "constants_match": true,
+    "log_m_consistency": true,
+    "theorem_preconditions": true,
+    "chain_bound": true,
+    "bound_rhs_match": true,
+    "final_inequality": true
+  },
+  "all_passed": true
+}
+"""
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -269,6 +305,19 @@ class TestConstruct:
         assert rc == EXIT_CHECK_FAILED
         assert "independent" in err
 
+    def test_non_finite_tol_writes_nothing(self, capsys, gen_file, tmp_path):
+        # "tol": Infinity is not JSON, and the verifier refuses it
+        out_path = tmp_path / "cert.json"
+        rc, out, err = run(
+            capsys,
+            ["construct", "--m0", "6", "--generators", gen_file, "--N", "4",
+             "--tol", "inf", "--out", str(out_path)],
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "tol must be positive and finite" in err
+        assert not out_path.exists()
+
     def test_missing_generator_file(self, capsys, tmp_path):
         rc, _, _ = run(
             capsys,
@@ -302,6 +351,12 @@ class TestVerify:
         assert payload["m0"] == "6"
         # m is echoed in the certificate's hex encoding, linear to write
         assert payload["m"] == json.loads(open(cert4_path).read())["m"]
+
+    def test_stdout_is_pinned(self, capsys, cert4_path):
+        # key order, every check in CHECK_NAMES order, m in hex, all_passed
+        rc, out, _ = run(capsys, ["verify", "--cert", cert4_path])
+        assert rc == EXIT_OK
+        assert out == VERIFY_CERT4_STDOUT
 
     def test_tampered_certificate(self, capsys, cert4_path, tmp_path):
         doc = json.loads(open(cert4_path).read())
@@ -388,6 +443,23 @@ class TestCertifyCorollary:
             ["certify-corollary", "--r", "0", "--hB", "1", "--hxmax", "1"],
         )
         assert rc == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--hB", "1e400", "--hxmax", "1"], "beyond float range"),
+            (["--hB", "1", "--hxmax", "1e400"], "beyond float range"),
+            (["--hB", "1", "--hxmax", "1", "--target", "nan"], "finite"),
+            (["--hB", "1", "--hxmax", "1", "--target", "inf"], "finite"),
+        ],
+        ids=["hB", "hxmax", "target-nan", "target-inf"],
+    )
+    def test_out_of_range_input(self, capsys, extra, message):
+        # exit 2 before any output: JSON has no NaN or Infinity
+        rc, out, err = run(capsys, ["certify-corollary", "--r", "2", *extra])
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert message in err
 
     def test_rank_beyond_float_range(self, capsys):
         # m_factor(1100) = 9 * 2^1101 - 20 has no float

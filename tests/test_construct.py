@@ -124,7 +124,7 @@ class TestMinimalBoxSize:
     def test_chain_constants_bundle(self, cfg6, gen6):
         h = canonical_height(cfg6, to_weierstrass(cfg6, gen6), 1e-3)
         c = chain_constants(cfg6, 1, h)
-        assert (c.rank, c.height_factor, c.z_factor, c.m_factor) == (1, 1, 5, 16)
+        assert (c.height_factor, c.z_factor, c.m_factor) == (1, 5, 16)
         assert c.n_min == 4
         assert c.z_constant.contains(18.462316284596385)
 
@@ -221,8 +221,15 @@ class TestBuildCertificate:
         assert list(cert.checks) == list(CHECK_NAMES)
         assert cert.all_checks_pass
         report = verify_certificate(certificate_to_json(cert))
-        assert report.all_passed
+        assert report.all_checks_pass
         assert report.checks == cert.checks
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
+    def test_rejects_a_tol_the_parser_refuses(self, cfg6, gen6, tol):
+        # JSON has no Infinity, so a certificate built at tol=inf could
+        # never be verified
+        with pytest.raises(ValueError, match="tol must be positive"):
+            build_certificate(cfg6, [gen6], 4, tol)
 
     def test_box_at_threshold_all_pass(self, cfg6, gen6):
         cert = build_certificate(cfg6, [gen6], 4)
