@@ -36,6 +36,7 @@ from .construct import (
     Certificate,
     ChainConstants,
     DivisorCheck,
+    checked_tol,
     verify_checks,
 )
 from .curves import CubicPoint, CurveConfig
@@ -298,9 +299,10 @@ def parse_certificate(document: str | dict) -> Certificate:
     box_size = _as_int(data["N"], "N")
     if box_size < 1:
         raise _fail("N must be at least 1")
-    tol = _as_float(data["tol"], "tol")
-    if not tol > 0.0:
-        raise _fail("tol must be a positive number")
+    try:
+        tol = checked_tol(data["tol"])
+    except ValueError as exc:
+        raise _fail(str(exc)) from None
 
     generators = [
         _as_triple(g, "generator")

@@ -163,10 +163,12 @@ def _cmd_construct(args) -> int:
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    print(
-        f"certificate ok: {len(cert.representations)} representations",
-        file=sys.stderr,
-    )
+    line = f"certificate ok: {len(cert.representations)} representations"
+    if cert.generators != generators:
+        # build_certificate negated some generators to shrink m
+        recorded = json.dumps([list(p) for p in cert.generators])
+        line += f"; generators recorded as {recorded}"
+    print(line, file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,10 +12,18 @@ representations, a divisor check controlling gcd(12 m0 z, x + y) for every
 lattice point, and the height bookkeeping that bounds log m and yields the
 final density inequality N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).
 
+The signs of the generators are a free choice: the cross terms
+G_ij n_i n_j of the height Gram matrix G enter every box height, so
+build_certificate orients them, replacing P_i by -P_i where that lowers
+sum_{i<j} s_i s_j G_ij, and records the oriented generators.  The box has
+the same N^r points but a smaller m.
+
 One record, Certificate, carries a run.  derive computes everything the
 inputs (m0, generators, N, tol) determine and returns it as a Certificate
-with no checks; build_certificate fills in the checks, and the verifier
-derives again from a parsed document's inputs and compares field by field.
+with no checks: independence, then derive_box from the Gram matrix.
+build_certificate runs independence once, orients, runs derive_box and
+fills in the checks; the verifier derives again from a parsed document's
+inputs, never re-orienting, and compares field by field.
 """
 
 from __future__ import annotations
@@ -295,18 +303,33 @@ class Certificate(
 def derive(
     cfg: CurveConfig, generators: list[CubicPoint], box_size: int, tol: float
 ) -> tuple[bool, Certificate]:
-    """Run the construction once; build and verify both start here.
+    """Run the construction once; verify starts here.
 
     Returns the certified independence verdict and the certificate that
-    (m0, generators, N, tol) determine, with no checks.  hhat_bar is read off
-    the Gram diagonal of the independence certificate, which holds
-    2 hhat(P_i): halving is exact, so no height is computed twice.  The
-    fields after ``hhat_bar`` are None when two box combinations collide or
-    one is the identity; ``constants`` and ``bound_rhs`` are None also when
-    the height interval is not bounded away from zero.
+    (m0, generators, N, tol) determine, with no checks: independence, then
+    derive_box on its Gram matrix.  The generators are taken as given.
+    """
+    gram, independent = independence(cfg, generators, tol)
+    return independent, derive_box(cfg, generators, gram, box_size, tol)
+
+
+def derive_box(
+    cfg: CurveConfig,
+    generators: list[CubicPoint],
+    gram: list[list[ApproxReal]],
+    box_size: int,
+    tol: float,
+) -> Certificate:
+    """The certificate the generators and their Gram matrix determine.
+
+    hhat_bar is read off the Gram diagonal, which holds 2 hhat(P_i):
+    halving is exact, so no height is computed twice, and negating a
+    generator leaves the diagonal as it is.  The fields after ``hhat_bar``
+    are None when two box combinations collide or one is the identity;
+    ``constants`` and ``bound_rhs`` are None also when the height interval
+    is not bounded away from zero.
     """
     rank = len(generators)
-    gram, independent = independence(cfg, generators, tol)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
     divisors = m = reps = constants = bound_rhs = None
     try:
@@ -319,10 +342,33 @@ def derive(
         if hhat_bar.lower() > 0.0:
             constants = chain_constants(cfg, rank, hhat_bar)
             bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
-    return independent, Certificate(
+    return Certificate(
         cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
         divisors, m, reps, constants, bound_rhs, {},
     )
+
+
+def orientation(gram: list[list[ApproxReal]]) -> tuple[int, ...]:
+    """Signs s with s_1 = +1 minimising sum_{i<j} s_i s_j G_ij, at midpoints.
+
+    Over the box [1..N]^r the summed heights carry the cross terms
+    G_ij n_i n_j, so replacing P_i by s_i P_i with this s makes the box
+    heights, and with them log m, smaller.  A heuristic: ties keep the
+    earlier vector, starting from all plus, so given signs are kept unless
+    a flip strictly helps.
+    """
+    rank = len(gram)
+    best, best_sum = None, math.inf
+    for tail in itertools.product((1, -1), repeat=rank - 1):
+        s = (1, *tail)
+        total = sum(
+            s[i] * s[j] * gram[i][j].value
+            for i in range(rank)
+            for j in range(i + 1, rank)
+        )
+        if total < best_sum:
+            best, best_sum = s, total
+    return best
 
 
 def _generator_checks(cfg: CurveConfig, gens: list[CubicPoint]) -> dict[str, bool]:
@@ -437,6 +483,23 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     )
 
 
+def checked_tol(tol) -> float:
+    """The tolerance as a float, under the one rule build and parse share.
+
+    tol must be a non-bool int or float whose float is finite and positive;
+    anything else is a ValueError.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ValueError(f"tol must be a number, not {type(tol).__name__}")
+    try:
+        x = float(tol)
+    except OverflowError:
+        raise ValueError("tol is out of float range") from None
+    if not 0.0 < x < math.inf:
+        raise ValueError("tol must be positive and finite")
+    return x
+
+
 def build_certificate(
     cfg: CurveConfig,
     generators: list[CubicPoint],
@@ -445,21 +508,34 @@ def build_certificate(
 ) -> Certificate:
     """Run the construction and return a fully checked certificate.
 
-    Raises ValueError for unusable inputs, among them a tol that the
-    certificate parser would refuse, GeneratorDependenceError when the
-    generators cannot be certified independent at this tolerance, and lets
+    The generators are oriented first: each P_i with s_i = -1 in
+    orientation(G) is replaced by -P_i, and the certificate records the
+    oriented set, from which verify derives as from any other.  The heights
+    are computed once: hhat(-P) = hhat(P) and the pairing is bilinear, so
+    the oriented Gram matrix is G with rows and columns negated, and the
+    independence verdict, decided on |entries|, is unchanged.
+
+    Raises ValueError for unusable inputs, among them a tol that
+    checked_tol refuses, GeneratorDependenceError when the generators
+    cannot be certified independent at this tolerance, and lets
     PrecisionBudgetError from the height engine propagate.
     """
     if box_size < 1:
         raise ValueError("box size must be at least 1")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    tol = checked_tol(tol)
     failed = [k for k, ok in _generator_checks(cfg, generators).items() if not ok]
     if failed:
         raise ValueError(f"unusable generators: {', '.join(failed)} failed")
-    independent, cert = derive(cfg, generators, box_size, tol)
+    gram, independent = independence(cfg, generators, tol)
     if not independent:
         raise GeneratorDependenceError(
             "generators not certified independent at this tolerance"
         )
+    s = orientation(gram)
+    oriented = [p if si > 0 else p.neg() for p, si in zip(generators, s)]
+    gram = [
+        [e if si == sj else -e for e, sj in zip(row, s)]
+        for row, si in zip(gram, s)
+    ]
+    cert = derive_box(cfg, oriented, gram, box_size, tol)
     return cert._replace(checks=evaluate_checks(cfg, cert, independent, cert))

@@ -10,6 +10,14 @@ KNOWN_GENERATORS = {
 }
 
 
+def pool_draws(pair):
+    """The four draws perfbench/run.py's blocks() makes of a generator pair:
+    both orders, each as given and with every (x, y, z) negated to (y, x, z)."""
+    for ordered in (list(pair), list(pair)[::-1]):
+        yield ordered
+        yield [(y, x, z) for x, y, z in ordered]
+
+
 @pytest.fixture(scope="session")
 def cfg6():
     return CurveConfig(6)

@@ -27,6 +27,7 @@ from cubeforge import (
     verify_certificate,
 )
 from cubeforge.construct import CHECK_NAMES
+from tests.conftest import pool_draws
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,16 +73,30 @@ def test_check_count_matches_check_names():
     assert len(set(CHECK_NAMES)) == len(CHECK_NAMES)
 
 
+# the document length of each pool class at each cert workload, the same
+# for all four draws; build_certificate orients the m0=91 pair (P2 -> -P2)
+# and leaves the m0=1729 pair as given
+POOL_BYTES = {
+    (91, "cert_large"): 2_062_174,
+    (1729, "cert_large"): 3_432_543,
+    (91, "cert_tight"): 210_060,
+    (1729, "cert_tight"): 340_130,
+}
+
+
 @pytest.mark.parametrize("workload", sorted(CERT_WORKLOADS))
 @pytest.mark.parametrize("m0", sorted(POOL))
 def test_pool_certificate_passes(m0, workload):
     # cert_tight runs at N = n_min, so a wider or shifted hhat_bar that
-    # raises n_min fails here first
+    # raises n_min fails here first; a larger document fails the length
     box_size, tol = CERT_WORKLOADS[workload]
-    gens = [CubicPoint(*g) for g in POOL[m0]]
-    cert = build_certificate(CurveConfig(m0), gens, box_size, tol)
-    assert cert.constants.n_min <= box_size
-    assert len(cert.checks) == CHECK_COUNT
-    assert all(cert.checks.values()), cert.checks
-    report = verify_certificate(certificate_to_json(cert))
-    assert report.checks == cert.checks
+    for draw in pool_draws(POOL[m0]):
+        gens = [CubicPoint(*g) for g in draw]
+        cert = build_certificate(CurveConfig(m0), gens, box_size, tol)
+        assert cert.constants.n_min <= box_size
+        assert len(cert.checks) == CHECK_COUNT
+        assert all(cert.checks.values()), (draw, cert.checks)
+        text = certificate_to_json(cert)
+        assert len(text) == POOL_BYTES[m0, workload], draw
+        report = verify_certificate(text)
+        assert report.checks == cert.checks

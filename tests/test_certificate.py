@@ -524,6 +524,29 @@ class TestScale:
         assert verify_certificate(certificate_to_json(cert)).all_checks_pass
 
 
+# a bool, an int past float range, zero, a negative and NaN: the one tol
+# rule (construct.checked_tol) refuses each, in build and in parse alike
+_REFUSED_TOLS = [
+    pytest.param(True, "must be a number", id="True"),
+    pytest.param(10**400, "out of float range", id="10**400"),
+    pytest.param(0, "positive and finite", id="0"),
+    pytest.param(-1.0, "positive and finite", id="-1.0"),
+    pytest.param(math.nan, "positive and finite", id="nan"),
+]
+
+
+class TestTolRule:
+    @pytest.mark.parametrize("tol, message", _REFUSED_TOLS)
+    def test_build_and_parse_refuse_alike(self, cfg6, gen6, cert6_doc, tol,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            build_certificate(cfg6, [gen6], 4, tol)
+        doc = copy.deepcopy(cert6_doc)
+        doc["tol"] = tol
+        with pytest.raises(CertificateFormatError, match=message):
+            verify_certificate(json.dumps(doc))
+
+
 class TestFormatErrors:
     def test_not_json(self):
         with pytest.raises(CertificateFormatError):

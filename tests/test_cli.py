@@ -279,6 +279,31 @@ class TestConstruct:
         assert rc == EXIT_OK
         assert json.loads(out)["all_passed"] is True
 
+    @pytest.mark.parametrize(
+        "generators, note",
+        [
+            ([[-5, 6, 1], [3, 4, 1]],
+             "; generators recorded as [[-5, 6, 1], [4, 3, 1]]"),
+            ([[-5, 6, 1], [4, 3, 1]], ""),
+        ],
+        ids=["flipped", "as-given"],
+    )
+    def test_names_negated_generators(self, capsys, tmp_path, generators, note):
+        # build_certificate replaces (3, 4, 1) by its negative on m0=91
+        gens = tmp_path / "pool91.json"
+        gens.write_text(json.dumps(generators))
+        out_path = tmp_path / "cert.json"
+        rc, out, err = run(
+            capsys,
+            ["construct", "--m0", "91", "--generators", str(gens), "--N", "8",
+             "--out", str(out_path)],
+        )
+        assert rc == EXIT_OK, err
+        assert out == ""
+        assert err == f"certificate ok: 64 representations{note}\n"
+        stored = json.loads(out_path.read_text())["generators"]
+        assert stored == [["-0x5", "0x6", "0x1"], ["0x4", "0x3", "0x1"]]
+
     def test_rank_three_construct_and_verify(self, capsys, tmp_path):
         gens = tmp_path / "rank3.json"
         gens.write_text(json.dumps([[-7, 10, 1], [7, 17, 2], [-2890, 2971, 147]]))

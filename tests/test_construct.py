@@ -1,10 +1,14 @@
 """Divisor control, chain constants, lattice generation, certificates."""
 
+import hashlib
+import itertools
 import math
 from collections import Counter
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforge import construct, heights
 from cubeforge import (
@@ -24,14 +28,18 @@ from cubeforge import (
 )
 from cubeforge.construct import (
     CHECK_NAMES,
+    derive,
     height_factor,
     m_factor,
+    orientation,
     product_tree,
     representations_from_lattice,
     z_factor,
 )
 from cubeforge.heights import canonical_height
 from cubeforge.curves import to_weierstrass
+from cubeforge.numeric import ApproxReal
+from tests.conftest import pool_draws
 from tests.doubling_reference import lattice_height_bound_check
 
 ELKIES_M0 = 13293998056584952174157235
@@ -313,3 +321,134 @@ class TestDerivedOnce:
         report = verify_certificate(certificate_to_json(cert))
         assert report.checks == cert.checks
         assert calls == {"canonical_height": 3, "generate_lattice_points": 1}
+
+
+def gram_of(off_diagonal: dict[tuple[int, int], float], rank: int):
+    """A symmetric Gram matrix with diagonal 2 and the given G_ij, i < j."""
+    gram = [[ApproxReal(2.0, 1e-3)] * rank for _ in range(rank)]
+    for (i, j), value in off_diagonal.items():
+        gram[i][j] = gram[j][i] = ApproxReal(value, 1e-3)
+    return gram
+
+
+def cross_sum(gram, signs) -> float:
+    rank = len(gram)
+    return sum(
+        signs[i] * signs[j] * gram[i][j].value
+        for i in range(rank)
+        for j in range(i + 1, rank)
+    )
+
+
+_FINITE = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+class TestOrientation:
+    """The sign chooser on hand-made Gram matrices."""
+
+    def test_rank_one_is_unchanged(self):
+        assert orientation(gram_of({}, 1)) == (1,)
+
+    @pytest.mark.parametrize(
+        "off_diagonal",
+        [
+            {(0, 1): 0.0},
+            {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0},
+            # all plus and ++- both reach the minimum -1
+            {(0, 1): -1.0, (0, 2): 1.0, (1, 2): -1.0},
+        ],
+    )
+    def test_exact_tie_keeps_the_given_signs(self, off_diagonal):
+        rank = 1 + max(j for _, j in off_diagonal)
+        assert orientation(gram_of(off_diagonal, rank)) == (1,) * rank
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_FINITE, min_size=6, max_size=6))
+    def test_first_sign_is_always_plus(self, values):
+        pairs = list(itertools.combinations(range(4), 2))
+        assert orientation(gram_of(dict(zip(pairs, values)), 4))[0] == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(_FINITE, _FINITE, _FINITE)
+    def test_rank_three_is_the_argmin(self, g01, g02, g12):
+        gram = gram_of({(0, 1): g01, (0, 2): g02, (1, 2): g12}, 3)
+        candidates = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+        sums = [cross_sum(gram, s) for s in candidates]
+        # the first minimiser in the order that starts from all plus
+        assert orientation(gram) == candidates[sums.index(min(sums))]
+
+
+_POOL_91 = (CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1))
+_POOL_1729 = (CubicPoint(1, 12, 1), CubicPoint(9, 10, 1))
+
+# sha256 of the m0=1729 documents at both benchmark (N, tol): that pair is
+# already oriented, so orienting changes no byte of them
+_UNFLIPPED_SHA256 = {
+    (12, 1e-3): "6c38ee8d5184b8a4b1c4ee718a6d7024988f6a4b3898d4e792ec91e913e503fc",
+    (8, 1e-4): "d71fc337c63d803a35be267c7ac747b69f095bd19df32c0a1650f6087c8e7755",
+}
+
+
+def signs_of(cert, generators) -> str:
+    return "".join(
+        "+" if q == p else "-" for q, p in zip(cert.generators, generators)
+    )
+
+
+class TestOrientedBuild:
+    """build_certificate records oriented generators on real curves."""
+
+    def test_pool_draws_share_a_smaller_m(self):
+        cfg = CurveConfig(91)
+        certs = [
+            build_certificate(cfg, [CubicPoint(*g) for g in draw], 12)
+            for draw in pool_draws(_POOL_91)
+        ]
+        assert all(cert.all_checks_pass for cert in certs)
+        assert len({cert.m for cert in certs}) == 1
+        _, unoriented = derive(cfg, list(_POOL_91), 12, 1e-3)
+        assert certs[0].m.bit_length() < unoriented.m.bit_length()
+        assert signs_of(certs[0], _POOL_91) == "+-"
+        for cert in certs:
+            assert verify_certificate(certificate_to_json(cert)) == cert
+
+    @pytest.mark.parametrize("box_size, tol", sorted(_UNFLIPPED_SHA256))
+    def test_oriented_pair_is_byte_identical(self, box_size, tol):
+        cert = build_certificate(CurveConfig(1729), list(_POOL_1729), box_size, tol)
+        assert cert.generators == list(_POOL_1729)
+        text = certificate_to_json(cert)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == _UNFLIPPED_SHA256[box_size, tol]
+        assert verify_certificate(text) == cert
+
+    @pytest.mark.parametrize(
+        "m0, generators, signs, failing",
+        [
+            (
+                657,
+                (CubicPoint(-7, 10, 1), CubicPoint(7, 17, 2),
+                 CubicPoint(-2890, 2971, 147)),
+                "++-",
+                set(),
+            ),
+            # N = 4 is below n_min = 6
+            (
+                152551,
+                (CubicPoint(54, -17, 1), CubicPoint(55, -24, 1),
+                 CubicPoint(226, -225, 1), CubicPoint(705, -668, 7)),
+                "++-+",
+                {"theorem_preconditions"},
+            ),
+        ],
+    )
+    def test_recorded_signs(self, m0, generators, signs, failing):
+        cert = build_certificate(CurveConfig(m0), list(generators), 4)
+        assert signs_of(cert, generators) == signs
+        assert {k for k, ok in cert.checks.items() if not ok} == failing
+        assert verify_certificate(certificate_to_json(cert)) == cert
+
+    @pytest.mark.parametrize("tol", [1, 2.5e-3], ids=["int", "float"])
+    def test_tol_is_recorded_as_its_float(self, cfg6, gen6, tol):
+        cert = build_certificate(cfg6, [gen6], 2, tol)
+        assert type(cert.tol) is float and cert.tol == tol
+        assert verify_certificate(certificate_to_json(cert)) == cert

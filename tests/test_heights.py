@@ -566,6 +566,25 @@ class TestFractionLawReference:
         assert len(gram) == 4
 
 
+class TestNegationIsExact:
+    """hhat(-P) == hhat(P) bit for bit, where -(x, y, z) = (y, x, z).
+
+    build_certificate negates generators and their Gram rows without
+    recomputing a height, and verify recomputes from the negated points.
+    Negation maps (X, Y) to (X, -Y) on every multiple, and the engine reads
+    Y only through a gcd, so the two runs do the same arithmetic.
+    """
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    @pytest.mark.parametrize("m0", sorted(ENGINE_SETS, key=int))
+    def test_generators(self, m0, tol):
+        cfg = CurveConfig(int(m0))
+        for g in ENGINE_SETS[m0]:
+            plus = canonical_height(cfg, to_weierstrass(cfg, g), tol)
+            minus = canonical_height(cfg, to_weierstrass(cfg, g.neg()), tol)
+            assert minus == plus, g
+
+
 def tate_step(b, t):
     """One exact step t -> 4t(1 + b t^3) / (1 - 8 b t^3) of Tate's series."""
     return 4 * t * (1 + b * t**3) / (1 - 8 * b * t**3)
