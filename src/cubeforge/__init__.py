@@ -1,11 +1,11 @@
 """Exact arithmetic and certified constructions for sums of two cubes.
 
 The package ties together five layers: exact point arithmetic on the cubic
-x^3 + y^3 = m0 z^3 (one group law, cubic_add) and the map to its Weierstrass
-twin, canonical heights with rigorous interval radii, a construction that
-manufactures integers with prescribed numbers of coprime cube-sum
-representations, machine-checkable JSON certificates for those runs, and an
-independent exhaustive census oracle.
+x^3 + y^3 = m0 z^3 (one group law, cubic_add), canonical heights of its
+points with rigorous interval radii, a construction that manufactures
+integers with prescribed numbers of coprime cube-sum representations,
+machine-checkable JSON certificates for those runs, and an independent
+exhaustive census oracle.
 """
 
 from .certificate import (
@@ -32,13 +32,9 @@ from .curves import (
     CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
-    INFINITY,
-    WeierstrassPoint,
     cubic_add,
-    from_weierstrass,
     on_cubic,
-    on_weierstrass,
-    to_weierstrass,
+    weierstrass_image,
 )
 from .heights import (
     PrecisionBudgetError,

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .certificate import (
     CertificateFormatError,
@@ -30,14 +29,7 @@ from .construct import (
     density_constant,
     m_factor,
 )
-from .curves import (
-    CubicPoint,
-    CurveConfig,
-    INFINITY,
-    WeierstrassPoint,
-    on_cubic,
-    to_weierstrass,
-)
+from .curves import CubicPoint, CurveConfig, require_on_cubic, weierstrass_image
 from .heights import (
     OFFSET_ABOVE,
     PrecisionBudgetError,
@@ -66,21 +58,8 @@ def _parse_cubic(text: str) -> CubicPoint:
     return CubicPoint(x, y, z)
 
 
-def _parse_weierstrass(text: str) -> WeierstrassPoint:
-    if text.strip().lower() == "infinity":
-        return INFINITY
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected X,Y rationals or 'infinity', got {text!r}")
-    return WeierstrassPoint(
-        Fraction(parts[0].strip()), Fraction(parts[1].strip())
-    )
-
-
-def _weierstrass_json(p: WeierstrassPoint):
-    if p.is_infinity:
-        return "infinity"
-    return {"X": str(p.x), "Y": str(p.y)}
+def _ratio(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _load_triples(path: str) -> list[CubicPoint]:
@@ -96,13 +75,6 @@ def _load_triples(path: str) -> list[CubicPoint]:
             raise ValueError(f"{path}: each entry must be an integer triple [x, y, z]")
         points.append(CubicPoint(*(int(c) for c in entry)))
     return points
-
-
-def _require_on_cubic(cfg: CurveConfig, p: CubicPoint) -> None:
-    if not on_cubic(cfg, p.x, p.y, p.z):
-        raise ValueError(
-            f"({p.x}, {p.y}, {p.z}) is not on x^3 + y^3 = {cfg.m0} z^3"
-        )
 
 
 def _cmd_search(args) -> int:
@@ -122,14 +94,18 @@ def _cmd_search(args) -> int:
 def _cmd_phi(args) -> int:
     cfg = CurveConfig(args.m0)
     p = _parse_cubic(args.point)
-    _require_on_cubic(cfg, p)
-    _emit(_weierstrass_json(to_weierstrass(cfg, p)))
+    require_on_cubic(cfg, p)
+    if p.is_identity:
+        _emit("infinity")
+    else:
+        a, d, c, e = weierstrass_image(cfg, p)
+        _emit({"X": _ratio(a, d), "Y": _ratio(c, e)})
     return EXIT_OK
 
 
 def _cmd_height(args) -> int:
     cfg = CurveConfig(args.m0)
-    p = _parse_weierstrass(args.point)
+    p = _parse_cubic(args.point)
     _emit(_interval_to_json(canonical_height(cfg, p, args.tol)))
     return EXIT_OK
 
@@ -137,8 +113,6 @@ def _cmd_height(args) -> int:
 def _cmd_independence(args) -> int:
     cfg = CurveConfig(args.m0)
     points = _load_triples(args.points)
-    for p in points:
-        _require_on_cubic(cfg, p)
     gram, independent = independence(cfg, points, args.tol)
     _emit(
         {
@@ -213,7 +187,7 @@ def _cmd_certify_corollary(args) -> int:
     h_b = ApproxReal.from_decimal(args.hB)
     h_x_max = ApproxReal.from_decimal(args.hxmax)
     hhat_upper = (
-        h_b * ApproxReal.from_fraction(Fraction(1, 6))
+        h_b * ApproxReal.from_ratio(1, 6)
         + h_x_max.ldexp(-1)
         + OFFSET_ABOVE
     )
@@ -256,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("height", _cmd_height, "canonical height with certified radius")
     p.add_argument("--m0", type=int, required=True)
-    p.add_argument("--point", required=True, help="X,Y or 'infinity'")
+    p.add_argument("--point", required=True, help="x,y,z")
     p.add_argument("--tol", type=float, default=1e-3)
 
     p = add("independence", _cmd_independence, "certify points independent")
@@ -288,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
         "density constant from curve-level height bounds",
     )
     p.add_argument("--r", type=int, required=True, help="generator count")
-    p.add_argument("--hB", required=True, help="naive height of the coefficient")
+    p.add_argument(
+        "--hB", required=True, help="naive height of the coefficient, decimal"
+    )
     p.add_argument(
         "--hxmax", required=True, help="max naive generator height, decimal"
     )

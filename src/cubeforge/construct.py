@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import reduce
 
 from .curves import (
@@ -45,7 +44,7 @@ from .curves import (
 from .heights import independence
 from .numeric import ApproxReal, interval_max, log_abs
 
-_TWO_THIRDS = ApproxReal.from_fraction(Fraction(2, 3))
+_TWO_THIRDS = ApproxReal.from_ratio(2, 3)
 
 _BOX_SIZE_CAP = 1_000_000
 

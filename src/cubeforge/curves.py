@@ -1,24 +1,22 @@
-"""The cubic curve x^3 + y^3 = m0 z^3 and its Weierstrass twin Y^2 = X^3 + b.
+"""The cubic curve x^3 + y^3 = m0 z^3, its group law and its Weierstrass map.
 
 For a nonzero integer m0 the projective cubic C: x^3 + y^3 = m0 z^3 is
-birationally equivalent to the short Weierstrass curve W: Y^2 = X^3 - 432 m0^2.
-The forward map sends a cubic point [x, y, z] with x + y != 0 to
+birationally equivalent to the short Weierstrass curve W: Y^2 = X^3 - 432 m0^2,
+by the map that sends a point [x, y, z] of C with x + y != 0 to
 
-    X = 12 m0 z / (x + y),    Y = 36 m0 (y - x) / (x + y),
+    X = 12 m0 z / (x + y),    Y = 36 m0 (y - x) / (x + y)
 
-the identity [1, -1, 0] to the point at infinity, and the inverse recovers a
-projective triple proportional to (36 m0 - Y, 36 m0 + Y, 6 X).  The one
-group law is on C: the integer projective formulas of twisted Hessian curves
-(cubic_add).  The map is a group isomorphism, so the heights, which read
-Weierstrass coordinates, add on C and map each sum across.  Points on C are
-kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
+and the identity [1, -1, 0] to the point at infinity.  The map is a group
+isomorphism.  The one group law is on C: the integer projective formulas of
+twisted Hessian curves (cubic_add).  Everything else reads W through
+weierstrass_image, which gives X and Y as integer ratios in lowest terms.
+Points on C are kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .numeric import ApproxReal, gcd3, log_abs, to_primitive
 
@@ -98,64 +96,36 @@ class CubicPoint(namedtuple("CubicPoint", "x y z")):
 CUBIC_IDENTITY = CubicPoint(1, -1, 0)
 
 
-class WeierstrassPoint(
-    namedtuple("WeierstrassPoint", "x y", defaults=(None, None))
-):
-    """Affine rational point on Y^2 = X^3 + b, or the point at infinity.
-
-    x and y are Fractions, both None at infinity.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def affine(cls, x, y) -> "WeierstrassPoint":
-        return cls(Fraction(x), Fraction(y))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-
-INFINITY = WeierstrassPoint()
-
-
 def on_cubic(cfg: CurveConfig, x: int, y: int, z: int) -> bool:
-    """Exact membership test for the cubic model, including (1, -1, 0)."""
-    return x**3 + y**3 == cfg.m0 * z**3
+    """Exact membership test for the cubic model, including (1, -1, 0).
+
+    (0, 0, 0) solves the equation but is no projective point.
+    """
+    return x**3 + y**3 == cfg.m0 * z**3 and (x, y, z) != (0, 0, 0)
 
 
-def on_weierstrass(cfg: CurveConfig, p: WeierstrassPoint) -> bool:
-    if p.is_infinity:
-        return True
-    return p.y * p.y == p.x**3 + cfg.b
+def require_on_cubic(cfg: CurveConfig, p: CubicPoint) -> None:
+    if not on_cubic(cfg, *p):
+        raise ValueError(f"{p.triple()} is not on x^3 + y^3 = {cfg.m0} z^3")
 
 
-def to_weierstrass(cfg: CurveConfig, p: CubicPoint) -> WeierstrassPoint:
-    """Forward birational map.  Requires x + y != 0 off the identity."""
-    if p.z == 0:
-        return INFINITY
-    s = p.x + p.y
+def weierstrass_image(cfg: CurveConfig, p: CubicPoint) -> tuple[int, int, int, int]:
+    """(a, d, c, e) with X = a/d and Y = c/e the image of P on W.
+
+    Both ratios are in lowest terms with d, e > 0.  P must have x + y != 0,
+    which on the curve excludes only the identity.
+    """
+    x, y, z = p
+    s = x + y
     if s == 0:
-        raise ValueError(
-            f"({p.x}, {p.y}, {p.z}) has x + y = 0 and no affine image"
-        )
-    return WeierstrassPoint(
-        Fraction(12 * cfg.m0 * p.z, s), Fraction(36 * cfg.m0 * (p.y - p.x), s)
-    )
-
-
-def from_weierstrass(cfg: CurveConfig, p: WeierstrassPoint) -> CubicPoint:
-    """Inverse birational map, returning the primitive integer triple."""
-    if p.is_infinity:
-        return CUBIC_IDENTITY
-    u = 36 * cfg.m0 - p.y
-    v = 36 * cfg.m0 + p.y
-    w = 6 * p.x
-    scale = math.lcm(u.denominator, v.denominator, w.denominator)
-    return CubicPoint.from_triple(
-        int(u * scale), int(v * scale), int(w * scale)
-    )
+        raise ValueError(f"({x}, {y}, {z}) has x + y = 0 and no affine image")
+    if s < 0:
+        x, y, z, s = -x, -y, -z, -s
+    xn = 12 * cfg.m0 * z
+    yn = 36 * cfg.m0 * (y - x)
+    g = math.gcd(xn, s)
+    h = math.gcd(yn, s)
+    return xn // g, s // g, yn // h, s // h
 
 
 def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:

@@ -1,6 +1,7 @@
-"""Canonical heights on Y^2 = X^3 + b with rigorous error radii.
+"""Canonical heights of points on x^3 + y^3 = m0 z^3, with rigorous radii.
 
-On the curves of this package b = -432 m0^2 < 0, and the canonical height
+A point P of the cubic is read through its image on Y^2 = X^3 + b,
+b = -432 m0^2 < 0 (see curves.weierstrass_image), and the canonical height
 (normalised as hhat(P) = lim 4**-k h_x(2**k P) / 2) is the sum of local
 heights, one per place (Silverman, "Computing heights on elliptic curves",
 Math. Comp. 51, 1988), taken here without their (1/12) log|Delta|_v terms,
@@ -12,10 +13,10 @@ the point Q reduces to a nonsingular point everywhere, each local height is
 max(0, log|X|_p)/2, and together they give log(e^2)/2.  The points of
 nonsingular reduction form a subgroup of finite index, so some multiple nP
 is of this kind, and hhat(P) = hhat(nP) / n^2.  The least such n is found
-by adding P to itself with the package's one group law, cubic_add on
-x^3 + y^3 = m0 z^3, and mapping each multiple to W to read its coordinates.
-Points needing more than GOOD_MULTIPLE_CAP multiples are refused.  Torsion
-here has order 2 or 3 only and gets exactly 0.
+by adding P to itself with cubic_add and reading the integers a and c of
+each multiple through weierstrass_image.  Points needing more than
+GOOD_MULTIPLE_CAP multiples are refused.  Torsion here has order 2 or 3
+only and gets exactly 0.
 
 The archimedean place.  Tate's series, with t = 1/X and t_k = 1/X(2^k Q), is
 
@@ -35,24 +36,20 @@ K and F grow linearly in log(1/tol), and no coordinate is ever doubled.
 A tolerance below what a float enclosure of the result can carry raises
 PrecisionBudgetError.
 
-independence takes points on the cubic model, as the construction holds
-them, and certifies them independent from the Gram matrix of the height
-pairing <P, Q> = hhat(P + Q) - hhat(P) - hhat(Q).
+independence certifies points independent from the Gram matrix of the
+height pairing <P, Q> = hhat(P + Q) - hhat(P) - hhat(Q).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .curves import (
     CubicPoint,
     CurveConfig,
-    WeierstrassPoint,
     cubic_add,
-    from_weierstrass,
-    on_weierstrass,
-    to_weierstrass,
+    require_on_cubic,
+    weierstrass_image,
 )
 from .numeric import ApproxReal, icbrt, log_abs
 
@@ -75,37 +72,24 @@ class PrecisionBudgetError(Exception):
         self.achievable_tol = achievable_tol
 
 
-def is_torsion(cfg: CurveConfig, p: WeierstrassPoint) -> bool:
-    """True for an affine point of finite order on Y^2 = X^3 + b.
-
-    With b = -432 m0^2 < 0 the torsion subgroup is trivial, Z/2 or Z/3
-    (Z/6 needs b a sixth power), so P is torsion exactly when 2P = O, that
-    is Y = 0, or 3P = O, that is X a root of the 3-division polynomial
-    3X(X^3 + 4b).
-    """
-    return p.y == 0 or p.x * (p.x**3 + 4 * cfg.b) == 0
-
-
-def good_multiple(cfg: CurveConfig, p: WeierstrassPoint) -> tuple[int, WeierstrassPoint]:
+def good_multiple(cfg: CurveConfig, p: CubicPoint) -> tuple[int, CubicPoint]:
     """Least n >= 1 with nP of nonsingular reduction at every prime, and nP.
 
-    P must be affine and of infinite order.  nP = (a/e^2, c/e^3) qualifies
-    when gcd(a, c, 6 m0) = 1: no bad prime sends it to (0, 0).  The
-    multiples are formed on the cubic model, n - 1 calls of cubic_add, and
-    each is mapped back to read a and c; a point needing
+    P must be a point of infinite order.  nP qualifies when X = a/e^2 and
+    Y = c/e^3 have gcd(a, c, 6 m0) = 1: no bad prime sends it to (0, 0).
+    The multiples take n - 1 calls of cubic_add; a point needing
     n > GOOD_MULTIPLE_CAP is a ValueError.
     """
     bad = 6 * cfg.m0
-    base = from_weierstrass(cfg, p)
-    multiple, q = base, p
+    q = p
     for n in range(1, GOOD_MULTIPLE_CAP + 1):
-        if math.gcd(q.x.numerator, q.y.numerator, bad) == 1:
+        a, _, c, _ = weierstrass_image(cfg, q)
+        if math.gcd(a, c, bad) == 1:
             return n, q
-        multiple = cubic_add(cfg, multiple, base)
-        q = to_weierstrass(cfg, multiple)
+        q = cubic_add(cfg, q, p)
     raise ValueError(
-        f"({p.x}, {p.y}) has no multiple nP of nonsingular reduction at "
-        f"every prime with n <= {GOOD_MULTIPLE_CAP}"
+        f"({p.x}, {p.y}, {p.z}) has no multiple nP of nonsingular reduction "
+        f"at every prime with n <= {GOOD_MULTIPLE_CAP}"
     )
 
 
@@ -154,7 +138,7 @@ def _good_height(c: int, a: int, d: int, tol: float) -> ApproxReal:
     for k in range(terms):
         u = (c * t * t * t) >> (2 * bits)
         z = one + 8 * u
-        series += ApproxReal.from_fraction(Fraction(z, one)).log().ldexp(-2 * k)
+        series += ApproxReal.from_ratio(z, one).log().ldexp(-2 * k)
         t = min((4 * t * (one - u)) // z, t_max)
     e_fp = ApproxReal.from_int(err).ldexp(-bits).upper()
     tail = math.ldexp(_TAIL, -2 * terms)
@@ -167,27 +151,27 @@ def _good_height(c: int, a: int, d: int, tol: float) -> ApproxReal:
 
 def canonical_height(
     cfg: CurveConfig,
-    p: WeierstrassPoint,
+    p: CubicPoint,
     tol: float = 1e-3,
 ) -> ApproxReal:
     """Canonical height of P with error radius at most tol.
 
-    Torsion and the point at infinity get the exact answer 0 with radius 0.
-    An affine P off the curve is a ValueError, as is a point whose least
-    good multiple exceeds GOOD_MULTIPLE_CAP.  A tol below the float
-    enclosure of the result raises PrecisionBudgetError.
+    The identity and torsion get the exact answer 0 with radius 0.  With
+    b = -432 m0^2 the torsion subgroup is trivial, Z/2 or Z/3 (Z/6 needs b
+    a sixth power): 2P = O is Y = 0, that is x = y, and 3P = O is
+    X^3 = -4b, that is xy = 0.  A triple off the curve is a ValueError, as
+    is a point whose least good multiple exceeds GOOD_MULTIPLE_CAP.  A tol
+    below the float enclosure of the result raises PrecisionBudgetError.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if p.is_infinity:
-        return ApproxReal(0.0, 0.0)
-    if not on_weierstrass(cfg, p):
-        raise ValueError(f"({p.x}, {p.y}) is not on Y^2 = X^3 + ({cfg.b})")
-    if is_torsion(cfg, p):
+    require_on_cubic(cfg, p)
+    if p.z == 0 or p.x == p.y or p.x == 0 or p.y == 0:
         return ApproxReal(0.0, 0.0)
     n, q = good_multiple(cfg, p)
+    a, d, _, _ = weierstrass_image(cfg, q)
     scale = n * n
-    h = _good_height(-cfg.b, q.x.numerator, q.x.denominator, min(tol * scale, 1.0))
+    h = _good_height(-cfg.b, a, d, min(tol * scale, 1.0))
     if scale > 1:
         h = h / ApproxReal.from_int(scale)
     if h.radius > tol:
@@ -237,8 +221,7 @@ def independence(
     """Gram matrix entries of the points plus a certified independence verdict.
 
     Entry (i, j) is the height pairing hhat(P_i + P_j) - hhat(P_i) - hhat(P_j),
-    and the diagonal is 2 hhat(P_i).  Each sum is formed with cubic_add, and
-    each point and each sum is mapped to the Weierstrass model once.  The
+    and the diagonal is 2 hhat(P_i).  Each sum is formed with cubic_add.  The
     verdict is True only when the interval determinant is strictly
     positive after all error propagation.  False means "not certified at
     this tolerance", which covers both genuine dependence and intervals too
@@ -247,13 +230,12 @@ def independence(
     if not points:
         raise ValueError("independence requires at least one point")
     n = len(points)
-    heights = [canonical_height(cfg, to_weierstrass(cfg, p), tol) for p in points]
+    heights = [canonical_height(cfg, p, tol) for p in points]
     entries: list[list[ApproxReal]] = [[None] * n for _ in range(n)]
     for i in range(n):
         entries[i][i] = heights[i].ldexp(1)
         for j in range(i + 1, n):
-            s = to_weierstrass(cfg, cubic_add(cfg, points[i], points[j]))
-            hs = canonical_height(cfg, s, tol)
+            hs = canonical_height(cfg, cubic_add(cfg, points[i], points[j]), tol)
             e = hs - heights[i] - heights[j]
             entries[i][j] = e
             entries[j][i] = e

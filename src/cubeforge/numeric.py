@@ -1,9 +1,10 @@
 """Exact integer kernels and a small outward-rounded interval type.
 
 Everything downstream follows two rules.  Algebra on curve points is exact:
-arbitrary-precision integers and fractions, never floats.  Every approximate
-real (a height, a logarithm, a bound) is an ApproxReal, a float value paired
-with an error radius that is guaranteed to contain the true real number.
+arbitrary-precision integers, never floats; a rational enters an interval
+only as an integer ratio (from_ratio, from_decimal).  Every approximate real
+(a height, a logarithm, a bound) is an ApproxReal, a float value paired with
+an error radius that is guaranteed to contain the true real number.
 Interval operations round outward, so a certified comparison such as
 ``a.upper() < b.lower()`` is a proof, not a heuristic.
 """
@@ -11,7 +12,6 @@ Interval operations round outward, so a certified comparison such as
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 _LN2 = math.log(2.0)
 
@@ -72,6 +72,10 @@ def icbrt(n: int) -> tuple[int, bool]:
     while (r + 1) ** 3 <= n:
         r += 1
     return r, r * r * r == n
+
+
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
 
 
 def _nudge_down(x: float, steps: int = 1) -> float:
@@ -142,18 +146,49 @@ class ApproxReal:
         return cls(v, 2.0 * math.ulp(abs(v)))
 
     @classmethod
-    def from_fraction(cls, q: Fraction) -> "ApproxReal":
+    def from_ratio(cls, num: int, den: int) -> "ApproxReal":
+        """num/den, correctly rounded, with radius 0 when the float is exact."""
         try:
-            v = float(q)
+            v = num / den
         except OverflowError:
             raise ValueError("a rational beyond float range") from None
-        if Fraction(v) == q:
+        p, q = v.as_integer_ratio()
+        if p * den == num * q:
             return cls(v, 0.0)
         return cls(v, 2.0 * math.ulp(abs(v)))
 
     @classmethod
     def from_decimal(cls, text: str) -> "ApproxReal":
-        return cls.from_fraction(Fraction(text))
+        """The literal [+-]digits[.digits][e[+-]digits], read exactly.
+
+        Its size is read off the digit count before any power of ten is
+        formed, so a huge exponent costs nothing: above float range it is a
+        ValueError, and below 1e-324 the float is 0, as from_ratio gives.
+        """
+        mantissa, e, exp = text.lower().partition("e")
+        sign = mantissa[:1] if mantissa[:1] in ("+", "-") else ""
+        whole, dot, frac = mantissa[len(sign):].partition(".")
+        power = exp[1:] if exp[:1] in ("+", "-") else exp
+        if not (
+            _is_digits(whole)
+            and (_is_digits(frac) or not dot)
+            and (_is_digits(power) or not e)
+        ):
+            raise ValueError(f"{text!r} is not a decimal literal")
+        digits = whole + frac
+        shift = (int(exp) if e else 0) - len(frac)
+        num = int(sign + digits)
+        if num == 0:
+            return cls(0.0, 0.0)
+        # 10**(top - 1) <= |value| < 10**top
+        top = len(digits.lstrip("0")) + shift
+        if top > 309:
+            raise ValueError(f"the decimal {text!r} is beyond float range")
+        if top <= -324:
+            return cls(math.copysign(0.0, num), 2.0 * math.ulp(0.0))
+        if shift >= 0:
+            return cls.from_ratio(num * 10**shift, 1)
+        return cls.from_ratio(num, 10**-shift)
 
     @classmethod
     def from_endpoints(cls, lo: float, hi: float) -> "ApproxReal":
@@ -243,7 +278,7 @@ class ApproxReal:
 
     def pow_ratio(self, num: int, den: int) -> "ApproxReal":
         """self ** (num/den) for an interval with positive lower end."""
-        return (self.log() * ApproxReal.from_fraction(Fraction(num, den))).exp()
+        return (self.log() * ApproxReal.from_ratio(num, den)).exp()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ApproxReal({self.value!r} +- {self.radius:.3g})"

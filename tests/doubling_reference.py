@@ -31,21 +31,15 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from functools import reduce
 
 from cubeforge import construct, heights
-from cubeforge.curves import (
-    CubicPoint,
-    CurveConfig,
-    WeierstrassPoint,
-    on_weierstrass,
-    to_weierstrass,
-)
+from cubeforge.curves import CubicPoint, CurveConfig
 from cubeforge.heights import OFFSET_ABOVE, PrecisionBudgetError
 from cubeforge.numeric import ApproxReal, interval_max, log_abs
+from tests.group_reference import WeierstrassPoint, on_weierstrass
 
-_SIXTH = ApproxReal.from_fraction(Fraction(1, 6))
+_SIXTH = ApproxReal.from_ratio(1, 6)
 
 DEFAULT_DIGIT_BUDGET = 2_000_000
 DIGIT_BUDGET_ENV = "CUBEFORGE_DIGIT_BUDGET"
@@ -166,15 +160,14 @@ def lattice_height_bound_check(
     come from cubeforge.heights, not from the doubling engine above.
     """
     rank = len(generators)
-    gens_w = [to_weierstrass(cfg, p) for p in generators]
-    hs = [heights.canonical_height(cfg, w, tol) for w in gens_w]
+    hs = [heights.canonical_height(cfg, p, tol) for p in generators]
     hhat_bar = reduce(interval_max, hs)
     bound = (
         ApproxReal.from_int(construct.height_factor(rank) * box_size * box_size)
         * hhat_bar
     )
     for _, q in construct.generate_lattice_points(cfg, generators, box_size):
-        hq = heights.canonical_height(cfg, to_weierstrass(cfg, q), tol)
+        hq = heights.canonical_height(cfg, q, tol)
         if hq.lower() > bound.upper():
             return False
     return True

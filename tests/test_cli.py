@@ -1,6 +1,7 @@
 """End-to-end command-line tests: output shapes and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -116,32 +117,58 @@ class TestPhi:
         rc, _, _ = run(capsys, ["phi", "--m0", "6", "--point", "17,37"])
         assert rc == EXIT_INVALID_INPUT
 
+    def test_fractional_image(self, capsys):
+        rc, out, _ = run(
+            capsys, ["phi", "--m0", "6", "--point", "2237723,-1805723,960540"]
+        )
+        assert rc == EXIT_OK
+        assert json.loads(out) == {"X": "16009/100", "Y": "-2021723/1000"}
+
+    def test_zero_triple(self, capsys):
+        rc, out, err = run(capsys, ["phi", "--m0", "6", "--point", "0,0,0"])
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "(0, 0, 0) is not on" in err
+
 
 class TestHeight:
     def test_generator_height(self, capsys):
-        rc, out, _ = run(capsys, ["height", "--m0", "6", "--point", "28,80"])
+        rc, out, _ = run(capsys, ["height", "--m0", "6", "--point", "17,37,21"])
         assert rc == EXIT_OK
         payload = json.loads(out)
         assert 1.2215 < payload["value"] < 1.2225
         assert 0 < payload["radius"] <= 1e-3
 
     def test_infinity_is_exact_zero(self, capsys):
-        rc, out, _ = run(capsys, ["height", "--m0", "6", "--point", "infinity"])
+        rc, out, _ = run(capsys, ["height", "--m0", "6", "--point", "1,-1,0"])
         assert rc == EXIT_OK
         assert json.loads(out) == {"value": 0.0, "radius": 0.0}
 
-    def test_off_curve(self, capsys):
-        # canonical_height rejects the point before any other work
-        rc, out, err = run(capsys, ["height", "--m0", "6", "--point", "28,81"])
+    @pytest.mark.parametrize("point", ["infinity", "28,80"])
+    def test_weierstrass_input_rejected(self, capsys, point):
+        rc, out, err = run(capsys, ["height", "--m0", "6", "--point", point])
         assert rc == EXIT_INVALID_INPUT
         assert out == ""
-        assert "(28, 81) is not on Y^2 = X^3 + (-15552)" in err
+        assert "expected x,y,z integers" in err
+
+    def test_off_curve(self, capsys):
+        # canonical_height rejects the point before any other work
+        rc, out, err = run(capsys, ["height", "--m0", "6", "--point", "17,37,22"])
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "(17, 37, 22) is not on x^3 + y^3 = 6 z^3" in err
+
+    def test_zero_triple(self, capsys):
+        rc, out, err = run(capsys, ["height", "--m0", "6", "--point", "0,0,0"])
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "(0, 0, 0) is not on" in err
 
     def test_budget_exhaustion(self, capsys):
         # no float enclosure of a height carries a radius of 1e-300
         rc, _, err = run(
             capsys,
-            ["height", "--m0", "6", "--point", "28,80", "--tol", "1e-300"],
+            ["height", "--m0", "6", "--point", "17,37,21", "--tol", "1e-300"],
         )
         assert rc == EXIT_PRECISION
         assert "achievable tolerance" in err
@@ -189,6 +216,26 @@ class TestIndependence:
         )
         assert rc == EXIT_CHECK_FAILED
         assert json.loads(out)["independent"] is False
+
+    def test_zero_triple(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps([[0, 0, 0]]))
+        rc, out, err = run(
+            capsys, ["independence", "--m0", "6", "--points", str(path)]
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "(0, 0, 0) is not on" in err
+
+    def test_off_curve(self, capsys, tmp_path):
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps([[17, 37, 21], [17, 37, 22]]))
+        rc, out, err = run(
+            capsys, ["independence", "--m0", "6", "--points", str(path)]
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "(17, 37, 22) is not on x^3 + y^3 = 6 z^3" in err
 
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -485,6 +532,27 @@ class TestCertifyCorollary:
         assert rc == EXIT_INVALID_INPUT
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("value", ["1e999999999", "1e16000000"])
+    def test_huge_exponent_refused_at_once(self, capsys, value):
+        # the range is read off the literal before any power of ten is formed
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, ["certify-corollary", "--r", "2", "--hB", value, "--hxmax", "1"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "beyond float range" in err
+
+    @pytest.mark.parametrize("value", ["121767/1000", "inf"])
+    def test_not_a_decimal(self, capsys, value):
+        rc, out, err = run(
+            capsys, ["certify-corollary", "--r", "2", "--hB", value, "--hxmax", "1"]
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "is not a decimal literal" in err
 
     def test_rank_beyond_float_range(self, capsys):
         # m_factor(1100) = 9 * 2^1101 - 20 has no float

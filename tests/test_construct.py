@@ -37,7 +37,6 @@ from cubeforge.construct import (
     z_factor,
 )
 from cubeforge.heights import canonical_height
-from cubeforge.curves import to_weierstrass
 from cubeforge.numeric import ApproxReal
 from tests.conftest import pool_draws
 from tests.doubling_reference import lattice_height_bound_check
@@ -120,7 +119,7 @@ class TestChainFactors:
 
 class TestMinimalBoxSize:
     def test_m0_six(self, cfg6, gen6):
-        h = canonical_height(cfg6, to_weierstrass(cfg6, gen6), 1e-3)
+        h = canonical_height(cfg6, gen6, 1e-3)
         assert minimal_box_size(cfg6, 1, h) == 4
 
     def test_requires_positive_height(self, cfg6):
@@ -130,7 +129,7 @@ class TestMinimalBoxSize:
             minimal_box_size(cfg6, 1, ApproxReal(0.001, 0.01))
 
     def test_chain_constants_bundle(self, cfg6, gen6):
-        h = canonical_height(cfg6, to_weierstrass(cfg6, gen6), 1e-3)
+        h = canonical_height(cfg6, gen6, 1e-3)
         c = chain_constants(cfg6, 1, h)
         assert (c.height_factor, c.z_factor, c.m_factor) == (1, 5, 16)
         assert c.n_min == 4

@@ -1,7 +1,8 @@
 """Exact group law and the birational correspondence between the models.
 
 cubic_add is checked against the chord-and-tangent law on the Weierstrass
-twin, kept in tests/group_reference.py.
+twin, and weierstrass_image against the Fraction maps; both references are
+kept in tests/group_reference.py.
 """
 
 import itertools
@@ -15,20 +16,25 @@ from cubeforge import (
     CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
-    INFINITY,
-    WeierstrassPoint,
     cubic_add,
-    from_weierstrass,
     generate_lattice_points,
     on_cubic,
-    on_weierstrass,
     search_points,
-    to_weierstrass,
+    weierstrass_image,
 )
 from cubeforge import construct, curves
 from tests import group_reference
 from tests.conftest import KNOWN_GENERATORS
-from tests.group_reference import add, cubic_smul, smul
+from tests.group_reference import (
+    INFINITY,
+    WeierstrassPoint,
+    add,
+    cubic_smul,
+    from_weierstrass,
+    on_weierstrass,
+    smul,
+    to_weierstrass,
+)
 
 
 class TestCurveConfig:
@@ -51,6 +57,11 @@ class TestOnCurve:
         assert on_cubic(cfg6, 37, 17, 21)
         assert on_cubic(cfg6, 1, -1, 0)
         assert not on_cubic(cfg6, 1, 1, 1)
+
+    def test_zero_triple_is_no_point(self, cfg6):
+        # 0 = m0 * 0, but (0, 0, 0) is no projective point
+        assert not on_cubic(cfg6, 0, 0, 0)
+        assert on_cubic(cfg6, 2, -2, 0)
 
     def test_weierstrass_members(self, cfg6):
         assert on_weierstrass(cfg6, WeierstrassPoint.affine(28, 80))
@@ -79,6 +90,28 @@ class TestBirationalMap:
     def test_x_plus_y_zero_rejected(self, cfg6):
         with pytest.raises(ValueError):
             to_weierstrass(cfg6, CubicPoint(5, -5, 1))
+
+    @pytest.mark.parametrize("m0", [1, 2, -2, 6, -6, 7, 9, 91, 657, 1729])
+    def test_image_matches_reference(self, m0):
+        # doubles give fractional X; scaled and sign-flipped triples too: the
+        # image is in lowest terms with positive denominators whatever
+        # triple names the point
+        cfg = CurveConfig(m0)
+        found = search_points(cfg, 40)
+        assert found
+        for p in found + [cubic_add(cfg, p, p) for p in found if p.x != p.y]:
+            w = to_weierstrass(cfg, p)
+            expected = (
+                w.x.numerator, w.x.denominator, w.y.numerator, w.y.denominator
+            )
+            for k in (1, -1, 6):
+                q = CubicPoint(k * p.x, k * p.y, k * p.z)
+                assert weierstrass_image(cfg, q) == expected, (p, k)
+
+    def test_image_needs_x_plus_y_nonzero(self, cfg6):
+        for p in (CubicPoint(5, -5, 1), CUBIC_IDENTITY):
+            with pytest.raises(ValueError, match="no affine image"):
+                weierstrass_image(cfg6, p)
 
     def test_inverse_examples(self, cfg6):
         assert from_weierstrass(cfg6, INFINITY) == CUBIC_IDENTITY
@@ -245,8 +278,7 @@ class TestIntegerGroupLaw:
             raise AssertionError("the Weierstrass model was used")
 
         for module in (curves, construct):
-            for name in ("to_weierstrass", "from_weierstrass"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+            monkeypatch.setattr(module, "weierstrass_image", refuse, raising=False)
         monkeypatch.setattr(group_reference, "add", refuse)
         assert generate_lattice_points(cfg, list(_P91), 8) == expected
 

@@ -1,5 +1,6 @@
 """Canonical heights: local heights against the doubling reference, laws,
-windows, the float floor, and the cubic_add engine against the Fraction law."""
+windows, the float floor, and the cubic engine against the Weierstrass
+engine it replaced."""
 
 import math
 import time
@@ -15,25 +16,28 @@ from cubeforge import (
     CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
-    INFINITY,
     PrecisionBudgetError,
-    WeierstrassPoint,
     canonical_height,
+    cubic_add,
     independence,
     on_cubic,
     search_points,
-    to_weierstrass,
+    weierstrass_image,
 )
 from cubeforge.numeric import icbrt
 from tests import doubling_reference as ref
 from tests import group_reference
 from tests.group_reference import (
+    INFINITY,
+    WeierstrassPoint,
     add,
     cubic_smul,
+    is_torsion,
     naive_height,
     offset_window,
     offset_window_holds,
     smul,
+    to_weierstrass,
 )
 from tests.conftest import KNOWN_GENERATORS
 from tests.doubling_reference import (
@@ -54,12 +58,11 @@ POOL = {
 
 def pool_points():
     """(cfg, name, point) for both generators of each pool curve and their sum."""
-    for m0, gens in POOL.items():
+    for m0, (p, q) in POOL.items():
         cfg = CurveConfig(m0)
-        p, q = (to_weierstrass(cfg, g) for g in gens)
         yield cfg, f"{m0}:P1", p
         yield cfg, f"{m0}:P2", q
-        yield cfg, f"{m0}:P1+P2", add(cfg, p, q)
+        yield cfg, f"{m0}:P1+P2", cubic_add(cfg, p, q)
 
 
 class TestNaiveHeight:
@@ -93,57 +96,60 @@ class TestTailConstant:
 
 class TestCanonicalHeight:
     def test_infinity_exact_zero(self, cfg6):
-        h = canonical_height(cfg6, INFINITY, TOL)
-        assert (h.value, h.radius) == (0.0, 0.0)
+        for p in (CUBIC_IDENTITY, CubicPoint(3, -3, 0)):
+            h = canonical_height(cfg6, p, TOL)
+            assert (h.value, h.radius) == (0.0, 0.0)
+
+    def test_zero_triple_rejected(self, cfg6):
+        # 0 = m0 * 0, but (0, 0, 0) is no point, not even the identity
+        with pytest.raises(ValueError, match="is not on"):
+            canonical_height(cfg6, CubicPoint(0, 0, 0), TOL)
 
     def test_two_torsion_exact_zero(self):
         cfg = CurveConfig(2)
-        w = to_weierstrass(cfg, CubicPoint(1, 1, 1))
-        assert w == WeierstrassPoint.affine(12, 0)
+        p = CubicPoint(1, 1, 1)
+        assert to_weierstrass(cfg, p) == WeierstrassPoint.affine(12, 0)
         for tol in (TOL, 1e-12):
-            h = canonical_height(cfg, w, tol)
+            h = canonical_height(cfg, p, tol)
             assert (h.value, h.radius) == (0.0, 0.0)
 
     def test_three_torsion_small(self, cfg1):
         # 3P = O is recognised, so the answer is exact, not just small
-        h = canonical_height(cfg1, WeierstrassPoint.affine(12, 36), TOL)
-        assert (h.value, h.radius) == (0.0, 0.0)
+        for p in (CubicPoint(0, 1, 1), CubicPoint(1, 0, 1)):
+            h = canonical_height(cfg1, p, TOL)
+            assert (h.value, h.radius) == (0.0, 0.0)
 
-    def test_radius_meets_tolerance(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
+    def test_radius_meets_tolerance(self, cfg6, gen6):
         for tol in (1e-1, 1e-2, 1e-3):
-            h = canonical_height(cfg6, w, tol)
+            h = canonical_height(cfg6, gen6, tol)
             assert h.radius <= tol
 
-    def test_window_bound_coarse_tol(self, cfg6):
+    def test_window_bound_coarse_tol(self, cfg6, gen6):
         # value must sit inside [0, h_x/2 + C] already at tol = 1e-2
-        w = WeierstrassPoint.affine(28, 80)
-        h = canonical_height(cfg6, w, 1e-2)
+        h = canonical_height(cfg6, gen6, 1e-2)
         assert 0.0 <= h.value <= 3.3322045101752039 / 2 + 3.1846574212 + 1e-2
 
     def test_refinement_honesty(self, cfg6, cfg7):
         for cfg, gen in ((cfg6, KNOWN_GENERATORS[6]), (cfg7, KNOWN_GENERATORS[7])):
-            w = to_weierstrass(cfg, gen)
             for coarse_tol, fine_tol in ((1e-2, 1e-4), (1e-4, 1e-12)):
-                coarse = canonical_height(cfg, w, coarse_tol)
-                fine = canonical_height(cfg, w, fine_tol)
+                coarse = canonical_height(cfg, gen, coarse_tol)
+                fine = canonical_height(cfg, gen, fine_tol)
                 assert coarse.lower() <= fine.value <= coarse.upper()
                 assert fine.radius <= coarse.radius
 
-    def test_invalid_tol(self, cfg6):
+    def test_invalid_tol(self, cfg6, gen6):
         for tol in (0.0, math.nan):
             with pytest.raises(ValueError):
-                canonical_height(cfg6, WeierstrassPoint.affine(28, 80), tol)
+                canonical_height(cfg6, gen6, tol)
 
     def test_off_curve_rejected(self, cfg6):
         # Tate's series and the reduction test hold only on the curve
         with pytest.raises(ValueError, match="is not on"):
-            canonical_height(cfg6, WeierstrassPoint.affine(28, 81), TOL)
+            canonical_height(cfg6, CubicPoint(17, 37, 22), TOL)
 
-    def test_negative_multiple_same_height(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
-        h1 = canonical_height(cfg6, w, TOL)
-        h2 = canonical_height(cfg6, WeierstrassPoint.affine(28, -80), TOL)
+    def test_negative_multiple_same_height(self, cfg6, gen6):
+        h1 = canonical_height(cfg6, gen6, TOL)
+        h2 = canonical_height(cfg6, gen6.neg(), TOL)
         assert abs(h1.value - h2.value) <= h1.radius + h2.radius
 
 
@@ -214,7 +220,8 @@ class TestIntegerDoubling:
             )
 
     def test_pool_points(self):
-        for cfg, name, w in pool_points():
+        for cfg, name, p in pool_points():
+            w = to_weierstrass(cfg, p)
             chain = integer_chain(cfg, w, self.STEPS)
             assert len(chain) == self.STEPS, name
             assert chain == fraction_chain(cfg, w, self.STEPS), name
@@ -291,8 +298,8 @@ class TestBitIdentical:
     }
 
     def test_pool_heights(self):
-        for cfg, name, w in pool_points():
-            h = ref.canonical_height(cfg, w, 1e-4)
+        for cfg, name, p in pool_points():
+            h = ref.canonical_height(cfg, to_weierstrass(cfg, p), 1e-4)
             assert (h.value.hex(), h.radius.hex()) == self.FROZEN[name], name
 
     def test_budget_error(self, cfg6, monkeypatch):
@@ -310,7 +317,7 @@ class TestBitIdentical:
 class TestNoGroupLaw:
     def test_canonical_height_never_adds(self, monkeypatch):
         # the doubling reference doubles X alone: neither group law runs
-        points = list(pool_points())
+        points = [(cfg, to_weierstrass(cfg, p)) for cfg, _, p in pool_points()]
         calls = []
         for module, name in (
             (curves, "cubic_add"),
@@ -324,7 +331,7 @@ class TestNoGroupLaw:
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counting)
-        for cfg, _, w in points:
+        for cfg, w in points:
             ref.canonical_height(cfg, w, 1e-4)
         assert calls == []
 
@@ -333,21 +340,21 @@ class TestHeightLaws:
     def _pairs(self):
         for m0 in (6, 7):
             cfg = CurveConfig(m0)
-            base = to_weierstrass(cfg, KNOWN_GENERATORS[m0])
+            base = KNOWN_GENERATORS[m0]
             for a, b in ((1, 2), (1, 3), (2, 3), (1, -2), (2, -3)):
-                yield cfg, smul(cfg, a, base), smul(cfg, b, base)
+                yield cfg, cubic_smul(cfg, a, base), cubic_smul(cfg, b, base)
 
     def test_quadraticity(self):
         for cfg, p, _ in self._pairs():
             hp = canonical_height(cfg, p, TOL)
-            h2p = canonical_height(cfg, add(cfg, p, p), TOL)
+            h2p = canonical_height(cfg, cubic_add(cfg, p, p), TOL)
             assert abs(h2p.value - 4 * hp.value) <= 5 * TOL
 
     def test_parallelogram(self):
         for cfg, p, q in self._pairs():
             residual = (
-                canonical_height(cfg, add(cfg, p, q), TOL).value
-                + canonical_height(cfg, add(cfg, p, WeierstrassPoint(q.x, -q.y)), TOL).value
+                canonical_height(cfg, cubic_add(cfg, p, q), TOL).value
+                + canonical_height(cfg, cubic_add(cfg, p, q.neg()), TOL).value
                 - 2 * canonical_height(cfg, p, TOL).value
                 - 2 * canonical_height(cfg, q, TOL).value
             )
@@ -393,7 +400,7 @@ class TestPairing:
     def test_self_pairing_doubles_height(self, cfg6, gen6):
         # P + P takes the rotated (doubling) formulas of cubic_add
         pp = independence(cfg6, [gen6, gen6], TOL)[0][0][1]
-        h = canonical_height(cfg6, WeierstrassPoint.affine(28, 80), TOL)
+        h = canonical_height(cfg6, gen6, TOL)
         assert abs(pp.value - 2 * h.value) <= 5 * TOL
         assert pp.radius <= 3 * TOL
 
@@ -412,7 +419,7 @@ class TestIndependence:
     def test_single_generator_independent(self, cfg6, gen6):
         gram, ok = independence(cfg6, [gen6], TOL)
         assert ok
-        h = canonical_height(cfg6, WeierstrassPoint.affine(28, 80), TOL)
+        h = canonical_height(cfg6, gen6, TOL)
         assert abs(gram[0][0].value - 2 * h.value) <= (
             gram[0][0].radius + 2 * h.radius
         )
@@ -468,17 +475,16 @@ def cross_engine_samples():
     """(label, cfg, point) for the known generators, both pool curves and
     the rank-3 set on m0=657, with the pairwise sums of the last two."""
     for m0 in (6, 7, 9, -7):
-        cfg = CurveConfig(m0)
         gen = KNOWN_GENERATORS.get(m0, CubicPoint(-2, 1, 1))
-        yield f"{m0}:G", cfg, to_weierstrass(cfg, gen)
-    for cfg, name, w in pool_points():
-        yield name, cfg, w
+        yield f"{m0}:G", CurveConfig(m0), gen
+    for cfg, name, p in pool_points():
+        yield name, cfg, p
     cfg = CurveConfig(657)
-    gens = [to_weierstrass(cfg, g) for g in RANK_THREE_657]
-    for i, w in enumerate(gens):
-        yield f"657:P{i + 1}", cfg, w
+    gens = RANK_THREE_657
+    for i, p in enumerate(gens):
+        yield f"657:P{i + 1}", cfg, p
         for j in range(i + 1, len(gens)):
-            yield f"657:P{i + 1}+P{j + 1}", cfg, add(cfg, w, gens[j])
+            yield f"657:P{i + 1}+P{j + 1}", cfg, cubic_add(cfg, p, gens[j])
 
 
 class TestCrossEngine:
@@ -486,9 +492,9 @@ class TestCrossEngine:
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-4])
     def test_samples(self, tol):
-        for label, cfg, w in cross_engine_samples():
-            new = canonical_height(cfg, w, tol)
-            old = ref.canonical_height(cfg, w, tol)
+        for label, cfg, p in cross_engine_samples():
+            new = canonical_height(cfg, p, tol)
+            old = ref.canonical_height(cfg, to_weierstrass(cfg, p), tol)
             assert new.radius <= tol, label
             assert new.intersects(old), (label, new, old)
 
@@ -500,10 +506,10 @@ class TestCrossEngine:
     )
     def test_pool_lattice(self, i, j, tol):
         cfg = CurveConfig(91)
-        p, q = (to_weierstrass(cfg, g) for g in POOL[91])
-        w = add(cfg, smul(cfg, i, p), smul(cfg, j, q))
-        new = canonical_height(cfg, w, tol)
-        old = ref.canonical_height(cfg, w, tol)
+        p, q = POOL[91]
+        s = cubic_add(cfg, cubic_smul(cfg, i, p), cubic_smul(cfg, j, q))
+        new = canonical_height(cfg, s, tol)
+        old = ref.canonical_height(cfg, to_weierstrass(cfg, s), tol)
         assert new.radius <= tol
         assert new.intersects(old), (new, old)
 
@@ -535,27 +541,54 @@ def bits(e):
     return (e.value.hex(), e.radius.hex())
 
 
+def signed_sums(cfg, gens):
+    """The generators and every P_i + P_j and P_i - P_j with i < j."""
+    points = list(gens)
+    for p, q in combinations(gens, 2):
+        points += [cubic_add(cfg, p, q), cubic_add(cfg, p, q.neg())]
+    return points
+
+
 class TestFractionLawReference:
-    """Good multiples and Gram matrices formed with cubic_add against the
-    Fraction chord-and-tangent law they replaced, bit for bit."""
+    """Heights, good multiples and Gram matrices read on the cubic against
+    the Weierstrass engine and Fraction law they replaced, bit for bit."""
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
     @pytest.mark.parametrize("m0", sorted(ENGINE_SETS, key=int))
-    def test_bit_identical(self, m0, tol, monkeypatch):
+    def test_bit_identical(self, m0, tol):
         cfg = CurveConfig(int(m0))
         gens = list(ENGINE_SETS[m0])
-        ws = [to_weierstrass(cfg, g) for g in gens]
-        sums = [add(cfg, p, q) for p, q in combinations(ws, 2)]
-        for w in ws + sums:
-            assert heights.good_multiple(cfg, w) == group_reference.good_multiple(
+        for p in signed_sums(cfg, gens):
+            n, q = heights.good_multiple(cfg, p)
+            w = to_weierstrass(cfg, p)
+            assert (n, to_weierstrass(cfg, q)) == group_reference.good_multiple(
                 cfg, w
             )
         gram, _ = independence(cfg, gens, tol)
-        monkeypatch.setattr(heights, "good_multiple", group_reference.good_multiple)
+        ws = [to_weierstrass(cfg, g) for g in gens]
         expected = group_reference.gram(cfg, ws, tol)
         assert [list(map(bits, row)) for row in gram] == [
             list(map(bits, row)) for row in expected
         ]
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    @pytest.mark.parametrize("m0", [6, 7, 9, *sorted(ENGINE_SETS, key=int)])
+    def test_heights_match_weierstrass_engine(self, m0, tol):
+        cfg = CurveConfig(int(m0))
+        gens = [KNOWN_GENERATORS[m0]] if m0 in KNOWN_GENERATORS else ENGINE_SETS[m0]
+        for p in signed_sums(cfg, gens):
+            w = to_weierstrass(cfg, p)
+            assert canonical_height(cfg, p, tol) == (
+                group_reference.canonical_height(cfg, w, tol)
+            ), p
+
+    @pytest.mark.parametrize("m0", [1, 2, 9])
+    def test_torsion_verdicts_match(self, m0):
+        cfg = CurveConfig(m0)
+        for p in [CUBIC_IDENTITY, *search_points(cfg, 40)]:
+            w = to_weierstrass(cfg, p)
+            torsion = w.is_infinity or is_torsion(cfg, w)
+            assert (canonical_height(cfg, p, TOL).value == 0.0) == torsion, p
 
     @pytest.mark.parametrize("m0", sorted(RANK_FOUR))
     def test_rank_four_independent(self, m0):
@@ -580,8 +613,8 @@ class TestNegationIsExact:
     def test_generators(self, m0, tol):
         cfg = CurveConfig(int(m0))
         for g in ENGINE_SETS[m0]:
-            plus = canonical_height(cfg, to_weierstrass(cfg, g), tol)
-            minus = canonical_height(cfg, to_weierstrass(cfg, g.neg()), tol)
+            plus = canonical_height(cfg, g, tol)
+            minus = canonical_height(cfg, g.neg(), tol)
             assert minus == plus, g
 
 
@@ -593,7 +626,9 @@ def tate_step(b, t):
 class TestLocalHeights:
     def test_tight_tolerance_is_fast(self):
         start = time.perf_counter()
-        found = [(name, canonical_height(cfg, w, 1e-12)) for cfg, name, w in pool_points()]
+        found = [
+            (name, canonical_height(cfg, p, 1e-12)) for cfg, name, p in pool_points()
+        ]
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         for name, h in found:
@@ -626,11 +661,12 @@ class TestLocalHeights:
         found = [p for p in search_points(cfg, 60) if p.x + p.y != 0]
         assert found
         for p in found:
-            w = to_weierstrass(cfg, p)
-            n, q = heights.good_multiple(cfg, w)
+            n, q = heights.good_multiple(cfg, p)
             assert 1 <= n <= 6, p
-            assert q == smul(cfg, n, w)
-            assert math.gcd(q.x.numerator, q.y.numerator, 6 * m0) == 1
+            assert q == cubic_smul(cfg, n, p)
+            assert to_weierstrass(cfg, q) == smul(cfg, n, to_weierstrass(cfg, p))
+            a, _, c, _ = weierstrass_image(cfg, q)
+            assert math.gcd(a, c, 6 * m0) == 1
 
     def test_good_multiple_takes_n_minus_one_additions(self, monkeypatch):
         calls = []
@@ -641,51 +677,48 @@ class TestLocalHeights:
             return original(*args)
 
         monkeypatch.setattr(heights, "cubic_add", counting)
-        for cfg, name, w in pool_points():
-            n, _ = group_reference.good_multiple(cfg, w)
+        for cfg, name, p in pool_points():
+            n, _ = group_reference.good_multiple(cfg, to_weierstrass(cfg, p))
             calls.clear()
-            canonical_height(cfg, w, TOL)
+            canonical_height(cfg, p, TOL)
             assert n == 3, name
             assert len(calls) == n - 1, name
 
     def test_far_good_multiple_refused(self):
         # least good multiple 102, past the cap of 60
         cfg = CurveConfig(7 * 101**3)
-        w = to_weierstrass(cfg, CubicPoint(202, -101, 1))
         with pytest.raises(ValueError, match="nonsingular reduction"):
-            canonical_height(cfg, w, TOL)
+            canonical_height(cfg, CubicPoint(202, -101, 1), TOL)
 
     def test_non_minimal_model_multiple(self):
         # m0 = 7^4 is not cube-free: its model is not minimal at 7
         cfg = CurveConfig(7**4)
-        w = to_weierstrass(cfg, CubicPoint(-7, 14, 1))
-        assert heights.good_multiple(cfg, w)[0] == 42
-        h = canonical_height(cfg, w, 1e-6)
+        p = CubicPoint(-7, 14, 1)
+        assert heights.good_multiple(cfg, p)[0] == 42
+        h = canonical_height(cfg, p, 1e-6)
         assert h.radius <= 1e-6
-        assert h.intersects(ref.canonical_height(cfg, w, 1e-2))
+        assert h.intersects(ref.canonical_height(cfg, to_weierstrass(cfg, p), 1e-2))
 
 
 class TestFloatFloor:
     """PrecisionBudgetError now means a tol the float result cannot carry."""
 
-    def test_below_float_floor(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
+    def test_below_float_floor(self, cfg6, gen6):
         with pytest.raises(PrecisionBudgetError) as info:
-            canonical_height(cfg6, w, 1e-300)
+            canonical_height(cfg6, gen6, 1e-300)
         assert "below the float enclosure" in str(info.value)
         assert 1e-16 < info.value.achievable_tol < 1e-12
 
     def test_achievable_tol_honest(self):
-        for cfg, name, w in pool_points():
+        for cfg, name, p in pool_points():
             with pytest.raises(PrecisionBudgetError) as info:
-                canonical_height(cfg, w, 1e-17)
+                canonical_height(cfg, p, 1e-17)
             tol = info.value.achievable_tol
-            assert canonical_height(cfg, w, tol).radius <= tol, name
+            assert canonical_height(cfg, p, tol).radius <= tol, name
 
-    def test_huge_tolerance(self, cfg6):
-        w = WeierstrassPoint.affine(28, 80)
-        fine = canonical_height(cfg6, w, 1e-6)
+    def test_huge_tolerance(self, cfg6, gen6):
+        fine = canonical_height(cfg6, gen6, 1e-6)
         for tol in (1.0, 1e300, math.inf):
-            h = canonical_height(cfg6, w, tol)
+            h = canonical_height(cfg6, gen6, tol)
             assert h.radius <= 1.0
             assert h.lower() <= fine.value <= h.upper()

@@ -23,6 +23,26 @@ def contains_fraction(a: ApproxReal, q: Fraction) -> bool:
     return Fraction(a.lower()) <= q <= Fraction(a.upper())
 
 
+def from_fraction(q: Fraction) -> ApproxReal:
+    return ApproxReal.from_ratio(q.numerator, q.denominator)
+
+
+def fraction_path(q: Fraction) -> ApproxReal:
+    """The interval the package formed from a Fraction before from_ratio."""
+    try:
+        v = float(q)
+    except OverflowError:
+        raise ValueError("a rational beyond float range") from None
+    if Fraction(v) == q:
+        return ApproxReal(v, 0.0)
+    return ApproxReal(v, 2.0 * math.ulp(abs(v)))
+
+
+def bits(a: ApproxReal) -> tuple:
+    """Value and radius bit for bit, the sign of a zero value included."""
+    return (a.value.hex(), math.copysign(1.0, a.value), a.radius.hex())
+
+
 class TestGcd3:
     def test_basic(self):
         assert gcd3(6, 10, 15) == 1
@@ -138,7 +158,7 @@ class TestApproxReal:
 
     def test_exact_constructors(self):
         assert ApproxReal.from_int(7) == ApproxReal(7.0, 0.0)
-        assert ApproxReal.from_fraction(Fraction(1, 4)) == ApproxReal(0.25, 0.0)
+        assert ApproxReal.from_ratio(1, 4) == ApproxReal(0.25, 0.0)
         big = ApproxReal.from_int(10**30)
         assert big.radius > 0
         assert contains_fraction(big, Fraction(10**30))
@@ -158,8 +178,8 @@ class TestApproxReal:
 
     @given(fractions_st, fractions_st)
     def test_add_sub_mul_enclose(self, p, q):
-        a = ApproxReal.from_fraction(p)
-        b = ApproxReal.from_fraction(q)
+        a = from_fraction(p)
+        b = from_fraction(q)
         assert contains_fraction(a + b, p + q)
         assert contains_fraction(a - b, p - q)
         assert contains_fraction(a * b, p * q)
@@ -168,8 +188,8 @@ class TestApproxReal:
     def test_div_enclose(self, p, q):
         if q == 0:
             return
-        a = ApproxReal.from_fraction(p)
-        b = ApproxReal.from_fraction(q)
+        a = from_fraction(p)
+        b = from_fraction(q)
         try:
             c = a / b
         except ZeroDivisionError:
@@ -191,8 +211,8 @@ class TestApproxReal:
 
     @given(fractions_st, fractions_st)
     def test_interval_max_encloses(self, p, q):
-        a = ApproxReal.from_fraction(p)
-        b = ApproxReal.from_fraction(q)
+        a = from_fraction(p)
+        b = from_fraction(q)
         assert contains_fraction(interval_max(a, b), max(p, q))
 
     def test_pow_ratio(self):
@@ -208,3 +228,82 @@ class TestApproxReal:
         assert a.radius >= 0.3
         b = ApproxReal(3.0, 0.1) * ApproxReal(5.0, 0.2)
         assert b.radius >= 3.0 * 0.2 + 5.0 * 0.1
+
+
+# the decimals the package and its tests read, and one below float range
+DECIMALS = ["1.576", "5.92", "1.48", "121.767", "76.61", "60.1755", "1e-400"]
+
+
+class TestIntegerRatios:
+    """from_ratio and from_decimal against the Fraction path, bit for bit."""
+
+    @pytest.mark.parametrize("frac_bits", [8, 53, 60, 97, 150])
+    def test_series_terms(self, frac_bits):
+        # z / 2^F with 2^F <= z <= 9 * 2^F, the terms of Tate's series
+        one = 1 << frac_bits
+        for z in (one, one + 1, 3 * one - 7, 9 * one, 5 * one + (one >> 3) + 11):
+            assert bits(ApproxReal.from_ratio(z, one)) == bits(
+                fraction_path(Fraction(z, one))
+            )
+
+    @given(st.integers(1, 9 << 120), st.integers(8, 120))
+    def test_series_terms_random(self, z, frac_bits):
+        one = 1 << frac_bits
+        assert bits(ApproxReal.from_ratio(z, one)) == bits(
+            fraction_path(Fraction(z, one))
+        )
+
+    @pytest.mark.parametrize(
+        "num, den", [(2, 3), (1, 6), (-2, 3), (1, -6), (-7, -3)]
+    )
+    def test_small_ratios(self, num, den):
+        assert bits(ApproxReal.from_ratio(num, den)) == bits(
+            fraction_path(Fraction(num, den))
+        )
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("text", DECIMALS)
+    def test_decimals(self, text, sign):
+        assert bits(ApproxReal.from_decimal(sign + text)) == bits(
+            fraction_path(Fraction(sign + text))
+        )
+
+    @given(
+        st.integers(-(10**40), 10**40),
+        st.integers(0, 30),
+        st.integers(-360, 330),
+    )
+    def test_decimals_random(self, digits, frac_len, exp):
+        text = str(abs(digits)).rjust(frac_len + 1, "0")
+        if frac_len:
+            text = text[:-frac_len] + "." + text[-frac_len:]
+        text = ("-" if digits < 0 else "") + f"{text}e{exp}"
+        try:
+            expected = bits(fraction_path(Fraction(text)))
+        except ValueError:
+            with pytest.raises(ValueError, match="beyond float range"):
+                ApproxReal.from_decimal(text)
+        else:
+            assert bits(ApproxReal.from_decimal(text)) == expected
+
+    def test_underflow_keeps_the_zero_interval(self):
+        for text in ("1e-400", "1e-999999999"):
+            a = ApproxReal.from_decimal(text)
+            assert (a.value, a.radius) == (0.0, 2.0 * math.ulp(0.0))
+        assert ApproxReal.from_decimal("0e999999999") == ApproxReal(0.0, 0.0)
+
+    def test_overflow_raises(self):
+        for num, den in ((10**400, 1), (-(10**400), 3), (10**400, 10**91)):
+            with pytest.raises(ValueError, match="beyond float range"):
+                ApproxReal.from_ratio(num, den)
+        for text in ("1e400", "-1e400", "1.8e308", "1e999999999"):
+            with pytest.raises(ValueError, match="beyond float range"):
+                ApproxReal.from_decimal(text)
+        assert ApproxReal.from_decimal("1.7e308").value == 1.7e308
+
+    @pytest.mark.parametrize(
+        "text", ["1/2", "inf", "nan", "1.", ".5", " 1", "1e", "--1", ""]
+    )
+    def test_not_a_decimal(self, text):
+        with pytest.raises(ValueError, match="not a decimal literal"):
+            ApproxReal.from_decimal(text)

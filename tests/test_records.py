@@ -22,8 +22,11 @@ from cubeforge import (
 )
 
 # heavy standard modules the package must not pull in at import: dataclasses
-# brings inspect, ast, dis and tokenize with it, and typing costs as much
-_COLD_START_EXCLUDED = ("dataclasses", "inspect", "typing")
+# brings inspect, ast, dis and tokenize with it, typing costs as much, and
+# fractions brings decimal and numbers
+_COLD_START_EXCLUDED = (
+    "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
+)
 
 
 def test_import_loads_no_heavy_modules():
