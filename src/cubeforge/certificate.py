@@ -6,8 +6,15 @@ always serializes to the same bytes, with a fixed key order and approximate
 reals as value/radius pairs.  Schema "4" writes every stored
 integer string as ``hex(n)`` writes it ("0x1f", "-0x1f"), and the parser
 accepts exactly that form or a JSON number of at most 4,300 digits.  Hex
-converts in linear time both ways, where decimal costs quadratic time; the
-codec goes through bytes.hex() and bytes.fromhex(), which are faster still.
+converts in linear time both ways, where decimal costs quadratic time.  The
+writer goes through bytes.hex(), 3-4x faster than hex() on big n.  The
+reader decides "exactly what hex() writes" on one of two paths, by length.
+A string of at most 256 characters, such as a lattice coordinate, is read
+with int(s, 16) and accepted iff hex() writes the value back unchanged: the
+definition itself, and at that size the cheapest check.  A longer one, m or
+a representation, is read through bytes.fromhex() and accepted iff it is
+"0x" or "-0x" and then exactly as many lowercase ASCII digits as the value
+needs; at 17,000 digits int(s, 16) and hex() take five times as long.
 Divisor records are exact integers and verdicts.  There is no stored check
 map: verify_certificate parses the document into a Certificate, re-derives
 everything from the generators alone and compares, proves the identity
@@ -31,6 +38,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from itertools import repeat
 
 from .construct import (
     Certificate,
@@ -182,30 +190,54 @@ def _fail(message: str) -> CertificateFormatError:
     return CertificateFormatError(f"invalid certificate: {message}")
 
 
+# the switch between _as_int's two paths, in characters: int(s, 16) with a
+# hex() round trip takes half the time of the bytes path at 200 characters
+# and breaks even near 400, while at 17,000 it takes five times as long
+# (CPython 3.11, x86-64).  Lattice coordinates fall below it; m and the
+# representations, about as long as m, above it
+_SHORT_HEX = 256
+
+
 def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise _fail(f"{what} must be an integer or hex string")
-    if isinstance(value, int):
-        return value
-    # exactly what hex() writes: "0x" or "-0x", then as many lowercase ASCII
-    # digits as n has, which leaves no room for the whitespace between byte
-    # pairs that bytes.fromhex() skips, nor for a sign or leading zero
-    negative = value[:1] == "-"
-    body = value[negative + 2:]
-    try:
-        n = int.from_bytes(bytes.fromhex("0" * (len(body) & 1) + body), "big")
-    except ValueError:
-        n = None
-    if (
-        n is None
-        or not value.startswith("0x", negative)
-        or len(body) != max(1, (n.bit_length() + 3) // 4)
-        or (negative and not n)
-        or not value.isascii()
-        or any(c in body for c in "ABCDEF")
-    ):
+    if isinstance(value, str):
+        if len(value) <= _SHORT_HEX:
+            # exactly what hex() writes, by its definition: int(s, 16) also
+            # reads a sign, "0x", "_", whitespace and non-ASCII digits, but
+            # hex() writes back only the one form
+            try:
+                n = int(value, 16)
+            except ValueError:
+                pass
+            else:
+                if hex(n) == value:
+                    return n
+        else:
+            # the same set, read through bytes: "0x" or "-0x", then as many
+            # lowercase ASCII digits as n has, which leaves no room for the
+            # whitespace between byte pairs that bytes.fromhex() skips, nor
+            # for a sign or leading zero
+            negative = value[0] == "-"
+            body = value[negative + 2:]
+            try:
+                n = int.from_bytes(
+                    bytes.fromhex("0" * (len(body) & 1) + body), "big"
+                )
+            except ValueError:
+                pass
+            else:
+                if (
+                    value.startswith("0x", negative)
+                    and len(body) == max(1, (n.bit_length() + 3) // 4)
+                    and (n or not negative)
+                    and value.isascii()
+                    and not any(c in body for c in "ABCDEF")
+                ):
+                    return -n if negative else n
         raise _fail(f"{what} is not a hex() string: {value[:40]!r}")
-    return -n if negative else n
+    # JSON numbers, and int subclasses in dict documents, pass unchanged
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _fail(f"{what} must be an integer or hex string")
 
 
 def _as_float(value, what: str) -> float:
@@ -241,13 +273,13 @@ def _as_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def _as_record(value, what: str, keys) -> dict:
+def _as_record(value, what: str, keys: frozenset) -> dict:
+    if isinstance(value, dict) and value.keys() >= keys:
+        return value
     if not isinstance(value, dict):
         raise _fail(f"{what} must be an object")
-    missing = set(keys) - set(value)
-    if missing:
-        raise _fail(f"{what} is missing {', '.join(sorted(missing))}")
-    return value
+    missing = ", ".join(sorted(keys.difference(value)))
+    raise _fail(f"{what} is missing {missing}")
 
 
 def _as_bool(value, what: str) -> bool:
@@ -257,7 +289,13 @@ def _as_bool(value, what: str) -> bool:
 
 
 def _as_triple(value, what: str) -> CubicPoint:
-    return CubicPoint(*(_as_int(c, what) for c in _as_list(value, what, 3)))
+    x, y, z = _as_list(value, what, 3)
+    return CubicPoint(_as_int(x, what), _as_int(y, what), _as_int(z, what))
+
+
+def _as_pair(value, what: str) -> tuple[int, int]:
+    x, y = _as_list(value, what, 2)
+    return _as_int(x, what), _as_int(y, what)
 
 
 def _json_int(literal: str) -> int:
@@ -268,10 +306,15 @@ def _json_int(literal: str) -> int:
     return int(literal)
 
 
-_REQUIRED_KEYS = (
+_REQUIRED_KEYS = frozenset((
     "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
     "constants", "lattice_points", "m", "representations", "bound_rhs",
+))
+_CONSTANTS_KEYS = frozenset(
+    ("height_factor", "z_factor", "m_factor", "z_constant", "n_min")
 )
+_ENTRY_KEYS = frozenset(("index", "point", "divisor"))
+_DIVISOR_KEYS = frozenset(("d", "a", "b", "divisibility_pass", "bound_pass"))
 
 
 def parse_certificate(document: str | dict) -> Certificate:
@@ -313,11 +356,7 @@ def parse_certificate(document: str | dict) -> Certificate:
     if rank != len(generators):
         raise _fail("r must equal the number of generators")
 
-    constants_raw = _as_record(
-        data["constants"],
-        "constants",
-        ("height_factor", "z_factor", "m_factor", "z_constant", "n_min"),
-    )
+    constants_raw = _as_record(data["constants"], "constants", _CONSTANTS_KEYS)
     constants = ChainConstants(
         height_factor=_as_int(constants_raw["height_factor"], "height_factor"),
         z_factor=_as_int(constants_raw["z_factor"], "z_factor"),
@@ -328,30 +367,30 @@ def parse_certificate(document: str | dict) -> Certificate:
 
     lattice_points = []
     divisor_checks = []
+    # N^r records: fixed labels and direct constructors, so a record that
+    # parses formats no message and builds no set or generator
     for entry in _as_list(data["lattice_points"], "lattice_points"):
-        entry = _as_record(entry, "lattice point", ("index", "point", "divisor"))
+        entry = _as_record(entry, "lattice point", _ENTRY_KEYS)
         index = _as_list(entry["index"], "lattice index", rank)
-        div = _as_record(
-            entry["divisor"],
-            "divisor record",
-            ("d", "a", "b", "divisibility_pass", "bound_pass"),
-        )
+        div = _as_record(entry["divisor"], "divisor record", _DIVISOR_KEYS)
         lattice_points.append(
             (
-                tuple(_as_int(i, "lattice index") for i in index),
+                tuple(map(_as_int, index, repeat("lattice index"))),
                 _as_triple(entry["point"], "lattice point"),
             )
         )
         divisor_checks.append(
             DivisorCheck(
-                *(_as_int(div[key], f"divisor {key}") for key in "dab"),
+                _as_int(div["d"], "divisor d"),
+                _as_int(div["a"], "divisor a"),
+                _as_int(div["b"], "divisor b"),
                 _as_bool(div["divisibility_pass"], "divisibility_pass"),
                 _as_bool(div["bound_pass"], "bound_pass"),
             )
         )
 
     representations = [
-        tuple(_as_int(c, "representation") for c in _as_list(p, "representation", 2))
+        _as_pair(p, "representation")
         for p in _as_list(data["representations"], "representations")
     ]
 

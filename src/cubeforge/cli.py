@@ -16,6 +16,7 @@ import math
 import sys
 
 from .certificate import (
+    _JSON_INT_DIGITS,
     CertificateFormatError,
     _hex,
     _interval_to_json,
@@ -62,9 +63,20 @@ def _ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _decimal(text: str) -> int:
+    """int(text), refused past the digit bound of a certificate's JSON numbers.
+
+    certificate.py raises the global int<->str limit, and decimal conversion
+    takes quadratic time, so an unbounded file could stall the command.
+    """
+    if len(text.strip().lstrip("+-")) > _JSON_INT_DIGITS:
+        raise ValueError(f"an integer has more than {_JSON_INT_DIGITS} digits")
+    return int(text)
+
+
 def _load_triples(path: str) -> list[CubicPoint]:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_int=_decimal)
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON array of [x, y, z]")
     points = []
@@ -73,7 +85,9 @@ def _load_triples(path: str) -> list[CubicPoint]:
             isinstance(c, (int, str)) and not isinstance(c, bool) for c in entry
         ):
             raise ValueError(f"{path}: each entry must be an integer triple [x, y, z]")
-        points.append(CubicPoint(*(int(c) for c in entry)))
+        points.append(
+            CubicPoint(*(c if isinstance(c, int) else _decimal(c) for c in entry))
+        )
     return points
 
 

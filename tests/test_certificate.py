@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from cubeforge import (
     verify_certificate,
     write_certificate,
 )
-from cubeforge.certificate import _as_int, _hex
+from cubeforge.certificate import _SHORT_HEX, _as_int, _hex
 from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
@@ -501,6 +502,47 @@ class TestHexCodec:
         with pytest.raises(CertificateFormatError):
             _as_int(True, "n")
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_switch_between_paths(self, data):
+        # hex() strings within 2 characters of the length where _as_int
+        # changes path, and mutations that int(s, 16) or bytes.fromhex()
+        # would still read; each mutation inserts at most one character, so
+        # it can carry a string across the switch
+        length = data.draw(st.integers(_SHORT_HEX - 2, _SHORT_HEX + 2))
+        prefix = data.draw(st.sampled_from(["0x", "-0x"]))
+        size = length - len(prefix)
+        n = data.draw(st.integers(16 ** (size - 1), 16**size - 1))
+        text = hex(-n if prefix == "-0x" else n)
+        digits = text[len(prefix):]
+        assert len(text) == length
+        at = len(prefix) + data.draw(st.integers(1, len(digits) - 1))
+        letters = [i for i, c in enumerate(text) if c in "abcdef"]
+        upper = data.draw(st.sampled_from(letters)) if letters else 0
+        text = data.draw(
+            st.sampled_from(
+                [
+                    text,
+                    text[:upper] + text[upper].upper() + text[upper + 1:],
+                    text[:at] + " " + text[at:],
+                    text[:at] + "_" + text[at:],
+                    prefix + "0" + digits,
+                    "+" + text,
+                    "-0x0" + digits,
+                    text[:at] + "\u0661" + text[at:],
+                ]
+            )
+        )
+        try:
+            written_by_hex = hex(int(text, 16)) == text
+        except ValueError:
+            written_by_hex = False
+        if written_by_hex:
+            assert _as_int(text, "n") == int(text, 16)
+        else:
+            with pytest.raises(CertificateFormatError):
+                _as_int(text, "n")
+
 
 class TestScale:
     # whole certificates at sizes the decimal schema made slow: rank 2 at
@@ -639,6 +681,73 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
+    @pytest.mark.parametrize("key", ["d", "a", "b"])
+    @pytest.mark.parametrize("bad", ["0x01", "-0x0" + "1" * 300, None])
+    def test_divisor_field_is_named(self, cert6_doc, key, bad):
+        doc = copy.deepcopy(cert6_doc)
+        doc["lattice_points"][1]["divisor"][key] = bad
+        with pytest.raises(CertificateFormatError, match=f"divisor {key} "):
+            verify_certificate(doc)
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("point", ["0x1", "0x2", "0x01"], "lattice point is not a hex()"),
+            ("point", ["0x1", "0x2", "0x" + "F" * 300],
+             "lattice point is not a hex()"),
+            ("point", ["0x1", "0x2", 1.5],
+             "lattice point must be an integer or hex string"),
+            ("point", ["0x1", "0x2"], "lattice point must have 3 elements"),
+            ("index", ["0x01"], "lattice index is not a hex()"),
+            ("index", [True], "lattice index must be an integer"),
+            ("index", [1, 2], "lattice index must have 1 elements"),
+        ],
+    )
+    def test_lattice_field_is_named(self, cert6_doc, field, bad, message):
+        doc = copy.deepcopy(cert6_doc)
+        doc["lattice_points"][0][field] = bad
+        with pytest.raises(CertificateFormatError, match=re.escape(message)):
+            verify_certificate(doc)
+
+    @pytest.mark.parametrize(
+        "path, missing, message",
+        [
+            ((), ("m", "bound_rhs"), "certificate is missing bound_rhs, m"),
+            (("constants",), ("n_min",), "constants is missing n_min"),
+            (("lattice_points", 1), ("divisor",),
+             "lattice point is missing divisor"),
+            (("lattice_points", 1), ("point", "index"),
+             "lattice point is missing index, point"),
+            (("lattice_points", 1, "divisor"), ("bound_pass", "a"),
+             "divisor record is missing a, bound_pass"),
+        ],
+    )
+    def test_missing_keys_are_named(self, cert6_doc, path, missing, message):
+        doc = copy.deepcopy(cert6_doc)
+        record = doc
+        for key in path:
+            record = record[key]
+        for key in missing:
+            del record[key]
+        with pytest.raises(
+            CertificateFormatError, match=re.escape(f"invalid certificate: {message}")
+        ):
+            verify_certificate(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("lattice_points", 0), "lattice point must be an object"),
+            (("lattice_points", 0, "divisor"), "divisor record must be an object"),
+            (("constants",), "constants must be an object"),
+        ],
+    )
+    def test_record_that_is_no_object_is_named(self, cert6_doc, path, message):
+        doc = copy.deepcopy(cert6_doc)
+        _leaf_parent(doc, path)[path[-1]] = ["index", "point", "divisor"]
+        with pytest.raises(CertificateFormatError, match=re.escape(message)):
+            verify_certificate(doc)
+
     @pytest.mark.parametrize(
         "sign, digits, refused",
         [("", 4300, False), ("-", 4300, False), ("", 4301, True),
@@ -681,6 +790,27 @@ _FUZZ_DOC = certificate_to_dict(
     build_certificate(CurveConfig(6), [CubicPoint(17, 37, 21)], 2)
 )
 
+def _node_paths(node, path=()):
+    """Paths to every leaf, and to every array and record above one."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    below = [p for k, v in items for p in _node_paths(v, path + (k,))]
+    return [path, *below] if path else below
+
+
+_FUZZ_DOC_RANK_2 = certificate_to_dict(
+    build_certificate(
+        CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 2
+    )
+)
+_DELETE = object()
+_RECORD_KEYS = ["index", "point", "divisor", "d", "a", "b", "divisibility_pass",
+                "bound_pass", "value", "radius"]
+
 _HOSTILE_LEAVES = st.one_of(
     st.integers(min_value=2**1024, max_value=2**1400),
     st.integers(max_value=0),
@@ -705,6 +835,38 @@ class TestMutationFuzz:
     def test_verifier_is_total(self, path, leaf):
         doc = copy.deepcopy(_FUZZ_DOC)
         _leaf_parent(doc, path)[path[-1]] = leaf
+        try:
+            report = verify_certificate(json.dumps(doc))
+        except (CertificateFormatError, PrecisionBudgetError):
+            return
+        assert isinstance(report, Certificate)
+
+    # the m0=91 pool generators at N=2: hostile values also replace whole
+    # records and arrays, or delete them, so every record's key check and
+    # the length-r lattice indices are reached
+    @settings(max_examples=400, deadline=2000)
+    @given(
+        path=st.sampled_from(_node_paths(_FUZZ_DOC_RANK_2)),
+        leaf=st.one_of(
+            _HOSTILE_LEAVES,
+            st.just(_DELETE),
+            st.dictionaries(st.sampled_from(_RECORD_KEYS), _HOSTILE_LEAVES,
+                            max_size=3),
+        ),
+    )
+    @example(path=("lattice_points", 3, "index"), leaf=[1])
+    @example(path=("lattice_points", 3, "index", 1), leaf="0x1")
+    @example(path=("lattice_points", 3, "index", 1), leaf=2**1024)
+    @example(path=("lattice_points", 2, "divisor", "a"), leaf=_DELETE)
+    @example(path=("lattice_points", 2, "point"), leaf=_DELETE)
+    @example(path=("representations", 1), leaf=["0x1"])
+    def test_verifier_is_total_at_rank_2(self, path, leaf):
+        doc = copy.deepcopy(_FUZZ_DOC_RANK_2)
+        parent = _leaf_parent(doc, path)
+        if leaf is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = leaf
         try:
             report = verify_certificate(json.dumps(doc))
         except (CertificateFormatError, PrecisionBudgetError):

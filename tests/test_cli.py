@@ -273,6 +273,36 @@ class TestTripleFiles:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["number", "string"])
+    @pytest.mark.parametrize(
+        "sign, digits, refused",
+        [("", 4300, False), ("-", 4300, False), ("", 4301, True),
+         ("", 400_000, True)],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "--N", "4", "--generators"], ["independence", "--points"]],
+        ids=["construct", "independence"],
+    )
+    def test_decimal_digit_limit(self, capsys, tmp_path, argv, sign, digits,
+                                 refused, quoted):
+        # the bound a certificate puts on its JSON numbers, since decimal
+        # conversion is quadratic; 0.5 s is far above a refusal's cost
+        literal = sign + "9" * digits
+        path = tmp_path / "big.json"
+        path.write_text(f'[[{json.dumps(literal) if quoted else literal}, 37, 21]]')
+        start = time.perf_counter()
+        rc, out, err = run(capsys, [*argv, str(path), "--m0", "6"])
+        elapsed = time.perf_counter() - start
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        if refused:
+            assert err == "error: an integer has more than 4300 digits\n"
+            assert elapsed < 0.5
+        else:
+            # read, and refused only for being off the curve
+            assert "4300 digits" not in err
+
     def test_decimal_strings_accepted(self, capsys, tmp_path):
         path = tmp_path / "strings.json"
         path.write_text(json.dumps([["17", "37", "21"]]))
