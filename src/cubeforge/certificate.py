@@ -5,13 +5,16 @@ output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
 reals as value/radius pairs.  Schema "4" writes every stored
 integer string as ``hex(n)`` writes it ("0x1f", "-0x1f"), and the parser
-accepts exactly that form or a JSON number of at most 4,300 digits.  Hex
-converts in linear time both ways, where decimal costs quadratic time.  The
-writer goes through bytes.hex(), 3-4x faster than hex() on big n.  The
-reader decides "exactly what hex() writes" on one of two paths, by length.
-A string of at most 256 characters, such as a lattice coordinate, is read
-with int(s, 16) and accepted iff hex() writes the value back unchanged: the
-definition itself, and at that size the cheapest check.  A longer one, m or
+accepts exactly that form or a JSON number.  Hex converts in linear time
+both ways, where decimal costs quadratic time.  One loader, load_json,
+reads all JSON text from outside the program, certificates and the CLI's
+generator and point files: its numbers go through numeric.read_decimal,
+which keeps the 4,300-digit bound that numeric.py lifts for the package's
+own str().  The writer goes through bytes.hex(), 3-4x faster than hex() on
+big n.  The reader decides "exactly what hex() writes" on one of two paths,
+by length.  A string of at most 256 characters, such as a lattice
+coordinate, is read with int(s, 16) and accepted iff hex() writes the value
+back unchanged: the definition itself, and at that size the cheapest check.  A longer one, m or
 a representation, is read through bytes.fromhex() and accepted iff it is
 "0x" or "-0x" and then exactly as many lowercase ASCII digits as the value
 needs; at 17,000 digits int(s, 16) and hex() take five times as long.
@@ -35,8 +38,6 @@ still json.loads, so any whitespace and key order parse the same.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from collections.abc import Iterator
 from itertools import repeat
 
@@ -45,22 +46,13 @@ from .construct import (
     ChainConstants,
     DivisorCheck,
     checked_tol,
+    finite_float,
     verify_checks,
 )
 from .curves import CubicPoint, CurveConfig
-from .numeric import ApproxReal
+from .numeric import ApproxReal, read_decimal
 
 SCHEMA_VERSION = "4"
-
-# hex() and int(s, 16) are exempt from the int<->str digit limit, but callers
-# still print certificate integers such as m in decimal with str(), and those
-# routinely exceed the default limit of 4,300 digits; the parser keeps that
-# default for JSON number literals itself
-_JSON_INT_DIGITS = 4300
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(
-        max(sys.get_int_max_str_digits(), 20_000_000)
-    )
 
 
 class CertificateFormatError(Exception):
@@ -186,6 +178,17 @@ def write_certificate(cert: Certificate, path: str) -> None:
         handle.writelines(_document(cert))
 
 
+def load_json(text: str):
+    """json.loads with numbers read by read_decimal; anything malformed,
+    nesting deeper than json.loads can recurse included, is a ValueError."""
+    try:
+        return json.loads(text, parse_int=read_decimal)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
 def _fail(message: str) -> CertificateFormatError:
     return CertificateFormatError(f"invalid certificate: {message}")
 
@@ -240,26 +243,13 @@ def _as_int(value, what: str) -> int:
     raise _fail(f"{what} must be an integer or hex string")
 
 
-def _as_float(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{what} must be a number")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise _fail(f"{what} is out of float range") from None
-    # json.loads reads Infinity, NaN and 1e400 as non-finite floats
-    if not math.isfinite(x):
-        raise _fail(f"{what} must be a finite number")
-    return x
-
-
 def _as_interval(value, what: str) -> ApproxReal:
     if not isinstance(value, dict) or set(value) != {"value", "radius"}:
         raise _fail(f"{what} must be an object with value and radius")
     try:
         return ApproxReal(
-            _as_float(value["value"], f"{what} value"),
-            _as_float(value["radius"], f"{what} radius"),
+            finite_float(value["value"], "value"),
+            finite_float(value["radius"], "radius"),
         )
     except ValueError as exc:
         raise _fail(f"{what}: {exc}") from None
@@ -298,14 +288,6 @@ def _as_pair(value, what: str) -> tuple[int, int]:
     return _as_int(x, what), _as_int(y, what)
 
 
-def _json_int(literal: str) -> int:
-    # decimal literals convert in quadratic time: bounding their digits keeps
-    # the parse linear in the document despite the raised global limit
-    if len(literal.lstrip("-")) > _JSON_INT_DIGITS:
-        raise _fail(f"a JSON integer has more than {_JSON_INT_DIGITS} digits")
-    return int(literal)
-
-
 _REQUIRED_KEYS = frozenset((
     "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
     "constants", "lattice_points", "m", "representations", "bound_rhs",
@@ -326,9 +308,9 @@ def parse_certificate(document: str | dict) -> Certificate:
     """
     if isinstance(document, str):
         try:
-            data = json.loads(document, parse_int=_json_int)
-        except json.JSONDecodeError as exc:
-            raise _fail(f"not valid JSON ({exc})") from None
+            data = load_json(document)
+        except ValueError as exc:
+            raise _fail(str(exc)) from None
     else:
         data = document
     data = _as_record(data, "certificate", _REQUIRED_KEYS)

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .certificate import (
-    _JSON_INT_DIGITS,
     CertificateFormatError,
     _hex,
     _interval_to_json,
     certificate_to_json,
+    load_json,
     verify_certificate,
     write_certificate,
 )
@@ -28,6 +27,7 @@ from .construct import (
     GeneratorDependenceError,
     build_certificate,
     density_constant,
+    finite_float,
     m_factor,
 )
 from .curves import CubicPoint, CurveConfig, require_on_cubic, weierstrass_image
@@ -37,7 +37,7 @@ from .heights import (
     canonical_height,
     independence,
 )
-from .numeric import ApproxReal
+from .numeric import ApproxReal, read_decimal
 from .oracle import count_reps, search_points
 
 EXIT_OK = 0
@@ -55,28 +55,25 @@ def _parse_cubic(text: str) -> CubicPoint:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected x,y,z integers, got {text!r}")
-    x, y, z = (int(p.strip()) for p in parts)
-    return CubicPoint(x, y, z)
+    return CubicPoint(*map(read_decimal, parts))
 
 
 def _ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _decimal(text: str) -> int:
-    """int(text), refused past the digit bound of a certificate's JSON numbers.
-
-    certificate.py raises the global int<->str limit, and decimal conversion
-    takes quadratic time, so an unbounded file could stall the command.
-    """
-    if len(text.strip().lstrip("+-")) > _JSON_INT_DIGITS:
-        raise ValueError(f"an integer has more than {_JSON_INT_DIGITS} digits")
-    return int(text)
+def _int_option(text: str) -> int:
+    # argparse prints an ArgumentTypeError's reason, where for a ValueError
+    # it would echo the value, of any length
+    try:
+        return read_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_triples(path: str) -> list[CubicPoint]:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle, parse_int=_decimal)
+        data = load_json(handle.read())
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON array of [x, y, z]")
     points = []
@@ -86,7 +83,7 @@ def _load_triples(path: str) -> list[CubicPoint]:
         ):
             raise ValueError(f"{path}: each entry must be an integer triple [x, y, z]")
         points.append(
-            CubicPoint(*(c if isinstance(c, int) else _decimal(c) for c in entry))
+            CubicPoint(*(c if isinstance(c, int) else read_decimal(c) for c in entry))
         )
     return points
 
@@ -194,10 +191,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_certify_corollary(args) -> int:
-    if args.r < 1:
-        raise ValueError("r must be at least 1")
-    if args.target is not None and not math.isfinite(args.target):
-        raise ValueError("target must be a finite number")
+    if args.target is not None:
+        finite_float(args.target, "target")
     h_b = ApproxReal.from_decimal(args.hB)
     h_x_max = ApproxReal.from_decimal(args.hxmax)
     hhat_upper = (
@@ -235,29 +230,29 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("search", _cmd_search, "enumerate primitive curve points up to zmax")
-    p.add_argument("--m0", type=int, required=True)
-    p.add_argument("--zmax", type=int, required=True)
+    p.add_argument("--m0", type=_int_option, required=True)
+    p.add_argument("--zmax", type=_int_option, required=True)
 
     p = add("phi", _cmd_phi, "map a cubic point to the Weierstrass model")
-    p.add_argument("--m0", type=int, required=True)
+    p.add_argument("--m0", type=_int_option, required=True)
     p.add_argument("--point", required=True, help="x,y,z")
 
     p = add("height", _cmd_height, "canonical height with certified radius")
-    p.add_argument("--m0", type=int, required=True)
+    p.add_argument("--m0", type=_int_option, required=True)
     p.add_argument("--point", required=True, help="x,y,z")
     p.add_argument("--tol", type=float, default=1e-3)
 
     p = add("independence", _cmd_independence, "certify points independent")
-    p.add_argument("--m0", type=int, required=True)
+    p.add_argument("--m0", type=_int_option, required=True)
     p.add_argument("--points", required=True, help="JSON file of [x,y,z] triples")
     p.add_argument("--tol", type=float, default=1e-3)
 
     p = add("construct", _cmd_construct, "build a representation certificate")
-    p.add_argument("--m0", type=int, required=True)
+    p.add_argument("--m0", type=_int_option, required=True)
     p.add_argument(
         "--generators", required=True, help="JSON file of [x,y,z] triples"
     )
-    p.add_argument("--N", type=int, required=True, help="box size")
+    p.add_argument("--N", type=_int_option, required=True, help="box size")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--out", help="write the certificate here instead of stdout")
 
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True, help="certificate JSON file")
 
     p = add("count", _cmd_count, "exhaustive census of x^3 + y^3 = m")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p.add_argument(
         "--unordered", action="store_true", help="also report unordered pairs"
     )
@@ -275,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_certify_corollary,
         "density constant from curve-level height bounds",
     )
-    p.add_argument("--r", type=int, required=True, help="generator count")
+    p.add_argument("--r", type=_int_option, required=True, help="generator count")
     p.add_argument(
         "--hB", required=True, help="naive height of the coefficient, decimal"
     )

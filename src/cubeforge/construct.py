@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import namedtuple
 from functools import reduce
 
@@ -162,6 +163,10 @@ def density_constant(rank: int, hhat_bar: ApproxReal) -> ApproxReal:
     """(K2 * hhat)^(-r/(r+2)), the constant of the representation bound."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
+    # m_factor(rank) has rank + 5 bits from rank 4 on: refuse one past float
+    # range before 2^(rank + 1), which costs time and memory linear in rank
+    if rank + 5 > sys.float_info.max_exp:
+        raise ValueError(f"a {rank + 5}-bit integer is beyond float range")
     return (ApproxReal.from_int(m_factor(rank)) * hhat_bar).pow_ratio(
         -rank, rank + 2
     )
@@ -482,18 +487,28 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     )
 
 
+def finite_float(value, what: str) -> float:
+    """value as a float if it is a non-bool int or float whose float is
+    finite; anything else is a ValueError that names what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {type(value).__name__}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number")
+    return x
+
+
 def checked_tol(tol) -> float:
     """The tolerance as a float, under the one rule build and parse share.
 
-    tol must be a non-bool int or float whose float is finite and positive;
-    anything else is a ValueError.
+    tol must pass finite_float and be positive; anything else is a
+    ValueError.  A float needs only the range test, which NaN and inf fail
+    with the message zero gets.
     """
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ValueError(f"tol must be a number, not {type(tol).__name__}")
-    try:
-        x = float(tol)
-    except OverflowError:
-        raise ValueError("tol is out of float range") from None
+    x = float(tol) if isinstance(tol, float) else finite_float(tol, "tol")
     if not 0.0 < x < math.inf:
         raise ValueError("tol must be positive and finite")
     return x

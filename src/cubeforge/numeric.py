@@ -7,13 +7,27 @@ only as an integer ratio (from_ratio, from_decimal).  Every approximate real
 an error radius that is guaranteed to contain the true real number.
 Interval operations round outward, so a certified comparison such as
 ``a.upper() < b.lower()`` is a proof, not a heuristic.
+
+Decimal text from outside the program (a JSON number, a point coordinate,
+an integer option, a decimal literal's mantissa or exponent) becomes an int
+in one place, read_decimal.  Callers print integers such as a certificate's
+m in decimal, far past CPython's default int<->str limit of 4,300 digits, so
+the package lifts that limit at import, beside read_decimal; decimal
+conversion takes quadratic time, so read_decimal keeps the default bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 _LN2 = math.log(2.0)
+
+_DECIMAL_DIGITS = 4300
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(
+        max(sys.get_int_max_str_digits(), 20_000_000)
+    )
 
 # float(n) is exact for |n| below this
 _EXACT_FLOAT_BOUND = 1 << 53
@@ -72,6 +86,13 @@ def icbrt(n: int) -> tuple[int, bool]:
     while (r + 1) ** 3 <= n:
         r += 1
     return r, r * r * r == n
+
+
+def read_decimal(text: str) -> int:
+    """int(text), refused unconverted past 4,300 digits, sign and spaces aside."""
+    if len(text.strip().lstrip("+-")) > _DECIMAL_DIGITS:
+        raise ValueError(f"an integer has more than {_DECIMAL_DIGITS} digits")
+    return int(text)
 
 
 def _is_digits(s: str) -> bool:
@@ -176,8 +197,8 @@ class ApproxReal:
         ):
             raise ValueError(f"{text!r} is not a decimal literal")
         digits = whole + frac
-        shift = (int(exp) if e else 0) - len(frac)
-        num = int(sign + digits)
+        shift = (read_decimal(exp) if e else 0) - len(frac)
+        num = read_decimal(sign + digits)
         if num == 0:
             return cls(0.0, 0.0)
         # 10**(top - 1) <= |value| < 10**top

@@ -100,3 +100,15 @@ def test_pool_certificate_passes(m0, workload):
         assert len(text) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)
         assert report.checks == cert.checks
+
+
+@pytest.mark.parametrize("m0", sorted(POOL))
+def test_decimal_m_prints_after_import(m0):
+    # perfbench/worker.py's digits() runs str() on each certificate's m,
+    # tens of thousands of digits at cert_large, past CPython's default
+    # int<->str limit of 4,300: only the raise at `import cubeforge` lets
+    # it print
+    box_size, tol = CERT_WORKLOADS["cert_large"]
+    gens = [CubicPoint(*g) for g in POOL[m0]]
+    cert = build_certificate(CurveConfig(m0), gens, box_size, tol)
+    assert len(str(abs(cert.m))) > 4300

@@ -594,6 +594,12 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError):
             verify_certificate("this is not json")
 
+    def test_nesting_too_deep_for_json_loads(self):
+        # json.loads raises RecursionError here; the reader turns it into
+        # a format error like any other malformed text
+        with pytest.raises(CertificateFormatError, match="nested too deeply"):
+            parse_certificate("[" * 100_000)
+
     def test_missing_key(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
         del doc["m"]

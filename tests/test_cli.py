@@ -246,6 +246,40 @@ class TestIndependence:
         assert rc == EXIT_INVALID_INPUT
 
 
+# where decimal text enters the CLI, "{}" standing for it: the entries of a
+# generator or point file, as JSON numbers or as decimal strings (the file's
+# path then stands in), a --point coordinate, and the mantissa and exponent
+# of a --hB decimal
+_FILE_PLACES = {
+    "construct": ["construct", "--N", "4", "--generators", "{}", "--m0", "6"],
+    "independence": ["independence", "--points", "{}", "--m0", "6"],
+}
+_ARGUMENT_PLACES = {
+    "phi": ["phi", "--m0", "6", "--point={},37,21"],
+    "height": ["height", "--m0", "6", "--point={},37,21"],
+    "hB-mantissa": ["certify-corollary", "--r", "2", "--hB", "{}",
+                    "--hxmax", "1e400"],
+    "hB-exponent": ["certify-corollary", "--r", "2", "--hB", "1e{}",
+                    "--hxmax", "1e400"],
+}
+_DIGIT_LIMIT_CASES = [
+    pytest.param(
+        argv, quoted, sign, digits, refused,
+        id=f"{name}-{sign}-{digits}-{refused}{form}",
+    )
+    for places, forms in (
+        (_FILE_PLACES, {False: "-number", True: "-string"}),
+        (_ARGUMENT_PLACES, {None: ""}),
+    )
+    for name, argv in places.items()
+    for sign, digits, refused in [
+        ("", 4300, False), ("-", 4300, False), ("", 4301, True),
+        ("", 400_000, True),
+    ]
+    for quoted, form in forms.items()
+]
+
+
 class TestTripleFiles:
     @pytest.mark.parametrize(
         "entries",
@@ -273,26 +307,22 @@ class TestTripleFiles:
         assert out == ""
         assert "error:" in err
 
-    @pytest.mark.parametrize("quoted", [False, True], ids=["number", "string"])
     @pytest.mark.parametrize(
-        "sign, digits, refused",
-        [("", 4300, False), ("-", 4300, False), ("", 4301, True),
-         ("", 400_000, True)],
-    )
-    @pytest.mark.parametrize(
-        "argv",
-        [["construct", "--N", "4", "--generators"], ["independence", "--points"]],
-        ids=["construct", "independence"],
+        "argv, quoted, sign, digits, refused", _DIGIT_LIMIT_CASES
     )
     def test_decimal_digit_limit(self, capsys, tmp_path, argv, sign, digits,
                                  refused, quoted):
-        # the bound a certificate puts on its JSON numbers, since decimal
-        # conversion is quadratic; 0.5 s is far above a refusal's cost
+        # the bound read_decimal puts on decimal text from outside, since
+        # decimal conversion is quadratic; 0.5 s is far above a refusal's cost
         literal = sign + "9" * digits
-        path = tmp_path / "big.json"
-        path.write_text(f'[[{json.dumps(literal) if quoted else literal}, 37, 21]]')
+        if quoted is not None:
+            path = tmp_path / "big.json"
+            path.write_text(
+                f'[[{json.dumps(literal) if quoted else literal}, 37, 21]]'
+            )
+            literal = str(path)
         start = time.perf_counter()
-        rc, out, err = run(capsys, [*argv, str(path), "--m0", "6"])
+        rc, out, err = run(capsys, [a.format(literal) for a in argv])
         elapsed = time.perf_counter() - start
         assert rc == EXIT_INVALID_INPUT
         assert out == ""
@@ -300,7 +330,8 @@ class TestTripleFiles:
             assert err == "error: an integer has more than 4300 digits\n"
             assert elapsed < 0.5
         else:
-            # read, and refused only for being off the curve
+            # read, and refused only for being off the curve, or for the
+            # --hxmax beyond float range that follows a --hB
             assert "4300 digits" not in err
 
     def test_decimal_strings_accepted(self, capsys, tmp_path):
@@ -584,6 +615,19 @@ class TestCertifyCorollary:
         assert out == ""
         assert "is not a decimal literal" in err
 
+    def test_huge_rank_refused_at_once(self, capsys):
+        # refused from the bit count, before 2^(r+1) is formed
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys,
+            ["certify-corollary", "--r", "1000000000", "--hB", "1",
+             "--hxmax", "1"],
+        )
+        assert time.perf_counter() - start < 0.5
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "1000000005-bit integer is beyond float range" in err
+
     def test_rank_beyond_float_range(self, capsys):
         # m_factor(1100) = 9 * 2^1101 - 20 has no float
         rc, out, err = run(
@@ -593,6 +637,61 @@ class TestCertifyCorollary:
         assert rc == EXIT_INVALID_INPUT
         assert out == ""
         assert "1105-bit integer is beyond float range" in err
+
+
+_LONG = "9" * 4301
+
+
+class TestHostileInput:
+    """Input built to break a reader: exit 2 at once, with one short reason."""
+
+    @staticmethod
+    def assert_refused(capsys, argv, cause):
+        start = time.perf_counter()
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == EXIT_INVALID_INPUT
+        assert captured.out == ""
+        assert cause in captured.err
+        assert len(captured.err) < 300
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--cert"],
+            ["construct", "--m0", "6", "--N", "4", "--generators"],
+            ["independence", "--m0", "6", "--points"],
+        ],
+        ids=["verify", "construct", "independence"],
+    )
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        self.assert_refused(capsys, [*argv, str(path)], "nested too deeply")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi", "--m0", "6", "--point", f"{_LONG},37,21"],
+            ["height", "--m0", "6", "--point", f"{_LONG},37,21"],
+            # integer options: a usage error that names the bound and does
+            # not echo the value
+            ["search", "--m0", _LONG, "--zmax", "10"],
+            ["search", "--m0", "6", "--zmax", _LONG],
+            ["construct", "--m0", "6", "--generators", "g.json", "--N", _LONG],
+            ["count", "--m", _LONG],
+            ["certify-corollary", "--r", _LONG, "--hB", "1", "--hxmax", "1"],
+        ],
+        ids=["phi-point", "height-point", "search-m0", "search-zmax",
+             "construct-N", "count-m", "certify-corollary-r"],
+    )
+    def test_long_integer(self, capsys, argv):
+        self.assert_refused(capsys, argv, "more than 4300 digits")
 
 
 class TestParser:
