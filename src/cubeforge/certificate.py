@@ -3,8 +3,11 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "4" writes every stored
-integer string as ``hex(n)`` writes it ("0x1f", "-0x1f"), and the parser
+reals as value/radius pairs.  Schema "5" is schema "4" with the lattice
+taken over construct.index_ranges, [1..N] x C^(r-1) with C centred, in place
+of the box [1..N]^r; the layout is unchanged, and a "4" document, whose
+lattice is the box, is refused as an unsupported schema.  It writes every
+stored integer string as ``hex(n)`` writes it ("0x1f", "-0x1f"), and the parser
 accepts exactly that form or a JSON number.  Hex converts in linear time
 both ways, where decimal costs quadratic time.  One loader, load_json,
 reads all JSON text from outside the program, certificates and the CLI's
@@ -45,6 +48,7 @@ from .construct import (
     Certificate,
     ChainConstants,
     DivisorCheck,
+    checked_box_size,
     checked_tol,
     finite_float,
     verify_checks,
@@ -52,7 +56,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 
 class CertificateFormatError(Exception):
@@ -116,7 +120,7 @@ def _array(entries: Iterator[str]) -> Iterator[str]:
     yield "[]" if separator == "[\n    " else "\n  ]"
 
 
-def _document(cert: Certificate) -> Iterator[str]:
+def document_pieces(cert: Certificate) -> Iterator[str]:
     """The certificate document in pieces, json.dumps(indent=2) byte for byte.
 
     The header, everything but the lattice and the representations, goes
@@ -169,13 +173,13 @@ def _document(cert: Certificate) -> Iterator[str]:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return "".join(_document(cert))
+    return "".join(document_pieces(cert))
 
 
 def write_certificate(cert: Certificate, path: str) -> None:
     # piece by piece, so the whole document is never one string in memory
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_document(cert))
+        handle.writelines(document_pieces(cert))
 
 
 def load_json(text: str):
@@ -321,10 +325,8 @@ def parse_certificate(document: str | dict) -> Certificate:
     if m0 == 0:
         raise _fail("m0 must be nonzero")
     rank = _as_int(data["r"], "r")
-    box_size = _as_int(data["N"], "N")
-    if box_size < 1:
-        raise _fail("N must be at least 1")
     try:
+        box_size = checked_box_size(_as_int(data["N"], "N"))
         tol = checked_tol(data["tol"])
     except ValueError as exc:
         raise _fail(str(exc)) from None

@@ -18,7 +18,7 @@ from .certificate import (
     CertificateFormatError,
     _hex,
     _interval_to_json,
-    certificate_to_json,
+    document_pieces,
     load_json,
     verify_certificate,
     write_certificate,
@@ -54,7 +54,7 @@ def _emit(payload) -> None:
 def _parse_cubic(text: str) -> CubicPoint:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected x,y,z integers, got {text!r}")
+        raise ValueError(f"expected x,y,z integers, got {text[:40]!r}")
     return CubicPoint(*map(read_decimal, parts))
 
 
@@ -143,14 +143,15 @@ def _cmd_construct(args) -> int:
     if args.out:
         write_certificate(cert, args.out)
     else:
-        sys.stdout.write(certificate_to_json(cert))
+        # piece by piece, as write_certificate writes a file
+        sys.stdout.writelines(document_pieces(cert))
     failed = [name for name, ok in cert.checks.items() if not ok]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     line = f"certificate ok: {len(cert.representations)} representations"
     if cert.generators != generators:
-        # build_certificate negated some generators to shrink m
+        # build_certificate reordered or negated generators to shrink m
         recorded = json.dumps([list(p) for p in cert.generators])
         line += f"; generators recorded as {recorded}"
     print(line, file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Starting from r independent points P_1 ... P_r on x^3 + y^3 = m0 z^3 and a
 box size N, form every lattice combination Q_n = n_1 P_1 + ... + n_r P_r for
-n in [1..N]^r.  Each Q_n is a primitive triple (x_n, y_n, z_n), and
+n in the index set I = [1..N] x C^(r-1), C = [-floor(N/2) .. ceil(N/2) - 1]
+(index_ranges; rank 1 is the paper's [1..N]).  I has N^r indices with
+|n_i| <= N, none zero and no two negatives of each other.  Each Q_n is a
+primitive triple (x_n, y_n, z_n), and
 
     m = m0 * (z_1 * ... * z_{N^r})^3
 
@@ -11,19 +14,22 @@ the product of all the other z's.  The certificate records the lattice, the
 representations, a divisor check controlling gcd(12 m0 z, x + y) for every
 lattice point, and the height bookkeeping that bounds log m and yields the
 final density inequality N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).
+That bookkeeping uses only |n_i| <= N and the count N^r, so it holds for I
+as for the paper's box [1..N]^r.
 
-The signs of the generators are a free choice: the cross terms
-G_ij n_i n_j of the height Gram matrix G enter every box height, so
-build_certificate orients them, replacing P_i by -P_i where that lowers
-sum_{i<j} s_i s_j G_ij, and records the oriented generators.  The box has
-the same N^r points but a smaller m.
+log m follows sum_n hhat(Q_n) = 1/2 sum_ij G_ij S_ij (height_sum), with G
+the height Gram matrix.  Centring every coordinate but the first shrinks the
+S_ij, and the order and signs of the generators are a free choice:
+build_certificate picks the generator for the uncentred first slot and the
+signs that minimise that sum (arrangement), and records the generators so
+arranged.
 
 One record, Certificate, carries a run.  derive computes everything the
 inputs (m0, generators, N, tol) determine and returns it as a Certificate
-with no checks: independence, then derive_box from the Gram matrix.
-build_certificate runs independence once, orients, runs derive_box and
+with no checks: independence, then derive_lattice from the Gram matrix.
+build_certificate runs independence once, arranges, runs derive_lattice and
 fills in the checks; the verifier derives again from a parsed document's
-inputs, never re-orienting, and compares field by field.
+inputs, never rearranging, and compares field by field.
 """
 
 from __future__ import annotations
@@ -96,17 +102,32 @@ def z_size_constant(cfg: CurveConfig) -> ApproxReal:
 
 
 def height_factor(rank: int) -> int:
-    """Every box combination has hhat(Q_n) <= (3 * 2^(r-1) - 2) N^2 hhat."""
+    """hhat(Q_n) <= (3 * 2^(r-1) - 2) N^2 hhat for every n with |n_i| <= N.
+
+    hhat(n_i P_i) = n_i^2 hhat(P_i) <= N^2 hhat, and hhat(A + B) <=
+    2 hhat(A) + 2 hhat(B) adds one term at a time: f(1) = 1 and
+    f(r) = 2 f(r-1) + 2.  A zero n_i only drops a term.
+    """
     return 3 * 2 ** (rank - 1) - 2
 
 
 def z_factor(rank: int) -> int:
-    """Summed z sizes obey sum log z <= (3 * 2^(r+1) - 7) N^(r+2) hhat."""
+    """sum log z <= (3 * 2^(r+1) - 7) N^(r+2) hhat over N^r such points.
+
+    Each log z <= 4 hhat(Q_n) + c <= 4 height_factor N^2 hhat + c, and
+    c <= N^2 hhat once N >= n_min; summing N^r of them gives the factor
+    4 height_factor + 1.
+    """
     return 3 * 2 ** (rank + 1) - 7
 
 
 def m_factor(rank: int) -> int:
-    """log m <= (9 * 2^(r+1) - 20) N^(r+2) hhat once N is large enough."""
+    """log m <= (9 * 2^(r+1) - 20) N^(r+2) hhat once N >= n_min.
+
+    log m = log |m0| + 3 sum log z, and log |m0| <= N^(r+2) hhat once
+    N >= n_min, so the factor is 3 z_factor + 1.  Like z_factor it needs
+    only |n_i| <= N and N^r points.
+    """
     return 9 * 2 ** (rank + 1) - 20
 
 
@@ -125,7 +146,7 @@ class ChainConstants(
 
 
 def minimal_box_size(cfg: CurveConfig, rank: int, hhat_bar: ApproxReal) -> int:
-    """Smallest N whose box absorbs the curve constants.
+    """Smallest N whose index set absorbs the curve constants.
 
     N must satisfy c <= N^2 hhat and log |m0| <= N^(r+2) hhat, both checked
     against the certified lower end of the height interval.
@@ -180,10 +201,23 @@ def representation_bound(rank: int, hhat_upper: float, m: int) -> ApproxReal:
     return scale * log_abs(m).pow_ratio(rank, rank + 2)
 
 
+def index_ranges(rank: int, box_size: int) -> list[range]:
+    """The lattice index set I = R_1 x ... x R_r, as its r ranges.
+
+    R_1 = [1..N] and every other R_i is the centred C = [-floor(N/2) ..
+    ceil(N/2) - 1], so I has N^r indices with |n_i| <= N.  Since n_1 >= 1,
+    I holds neither 0 nor both n and -n, so independent generators give N^r
+    distinct points none of which is the identity or the negative of
+    another.  Rank 1 is the paper's [1..N].
+    """
+    centred = range(-(box_size // 2), (box_size + 1) // 2)
+    return [range(1, box_size + 1)] + [centred] * (rank - 1)
+
+
 def generate_lattice_points(
     cfg: CurveConfig, generators: list[CubicPoint], box_size: int
 ) -> list[tuple[tuple[int, ...], CubicPoint]]:
-    """All combinations n_1 P_1 + ... + n_r P_r, n in [1..N]^r, lex order.
+    """All combinations n_1 P_1 + ... + n_r P_r, n in index_ranges, lex order.
 
     Callers are expected to have certified the generators independent; any
     collision or identity hit found here proves they were not and raises.
@@ -191,21 +225,22 @@ def generate_lattice_points(
     rank = len(generators)
     if rank < 1:
         raise ValueError("at least one generator is required")
-    if box_size < 1:
-        raise ValueError("box size must be at least 1")
+    ranges = index_ranges(rank, checked_box_size(box_size))
     multiples = []
-    for p in generators:
+    for p, span in zip(generators, ranges):
         p = CubicPoint.from_triple(*p.triple())
         row = [CUBIC_IDENTITY, p]
-        for _ in range(2, box_size + 1):
+        while len(row) <= max(-span.start, span[-1]):
             row.append(cubic_add(cfg, row[-1], p))
-        multiples.append(row)
+        # -cP is cP with x and y swapped
+        multiples.append({c: row[c] if c >= 0 else row[-c].neg() for c in span})
     out: list[tuple[tuple[int, ...], CubicPoint]] = []
     seen: dict[CubicPoint, tuple[int, ...]] = {}
-    for idx in itertools.product(range(1, box_size + 1), repeat=rank):
+    for idx in itertools.product(*ranges):
         q = multiples[0][idx[0]]
         for i in range(1, rank):
-            q = cubic_add(cfg, q, multiples[i][idx[i]])
+            if idx[i]:
+                q = cubic_add(cfg, q, multiples[i][idx[i]])
         if q.is_identity:
             raise GeneratorDependenceError(
                 f"generators not independent: combination {idx} is the identity"
@@ -218,6 +253,69 @@ def generate_lattice_points(
         seen[q] = idx
         out.append((idx, q))
     return out
+
+
+def height_sum(gram: list[list[ApproxReal]], box_size: int) -> ApproxReal:
+    """The summed heights of the lattice points, 1/2 sum_ij G_ij S_ij exactly.
+
+    hhat(sum_i n_i P_i) = 1/2 sum_ij n_i n_j G_ij, since G_ij is the height
+    pairing and G_ii = 2 hhat(P_i).  Summed over I = R_1 x ... x R_r, n_i^2
+    gives S_ii = N^(r-1) sum_{a in R_i} a^2 and n_i n_j, i != j, gives
+    S_ij = N^(r-2) (sum R_i)(sum R_j).
+    """
+    rank = len(gram)
+    ranges = index_ranges(rank, box_size)
+    sums = [sum(span) for span in ranges]
+    total = ApproxReal(0.0, 0.0)
+    for i, span in enumerate(ranges):
+        for j in range(rank):
+            if i == j:
+                s = box_size ** (rank - 1) * sum(a * a for a in span)
+            else:
+                s = box_size ** (rank - 2) * sums[i] * sums[j]
+            total = total + gram[i][j] * ApproxReal.from_int(s)
+    return total.ldexp(-1)
+
+
+def arranged_gram(
+    gram: list[list[ApproxReal]], order: tuple[int, ...], signs: tuple[int, ...]
+) -> list[list[ApproxReal]]:
+    """The Gram matrix of s_1 P_order[0], ..., s_r P_order[r-1].
+
+    The pairing is bilinear, so reordering permutes rows and columns, and
+    negating a generator negates its row and column; no height is computed.
+    """
+    return [
+        [gram[a][b] if sa == sb else -gram[a][b] for b, sb in zip(order, signs)]
+        for a, sa in zip(order, signs)
+    ]
+
+
+def arrangement(
+    gram: list[list[ApproxReal]], box_size: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The generator order and signs that minimise height_sum, at midpoints.
+
+    The first index set R_1 = [1..N] is not centred, so which generator
+    takes it matters, and for even N the centred sets sum to -N/2, so the
+    signs matter too.  The candidates are the r choices of the first
+    generator, the rest kept in their given order, times the 2^(r-1) signs
+    with s_1 = +1 (negating all r signs negates every point, which changes
+    no z).  Returns (order, signs) for arranged_gram.  A heuristic for the
+    smallest m, exact for the summed heights: a strict < keeps the earlier
+    candidate on a tie, starting from the given order and signs.
+    """
+    rank = len(gram)
+    best, best_sum = None, math.inf
+    for first in range(rank):
+        order = (first, *(k for k in range(rank) if k != first))
+        for tail in itertools.product((1, -1), repeat=rank - 1):
+            signs = (1, *tail)
+            candidate = arranged_gram(gram, order, signs)
+            total = height_sum(candidate, box_size).value
+            if total < best_sum:
+                best, best_sum = (order, signs), total
+    return best
 
 
 def product_tree(factors: list[int]) -> int:
@@ -311,13 +409,13 @@ def derive(
 
     Returns the certified independence verdict and the certificate that
     (m0, generators, N, tol) determine, with no checks: independence, then
-    derive_box on its Gram matrix.  The generators are taken as given.
+    derive_lattice on its Gram matrix.  The generators are taken as given.
     """
     gram, independent = independence(cfg, generators, tol)
-    return independent, derive_box(cfg, generators, gram, box_size, tol)
+    return independent, derive_lattice(cfg, generators, gram, box_size, tol)
 
 
-def derive_box(
+def derive_lattice(
     cfg: CurveConfig,
     generators: list[CubicPoint],
     gram: list[list[ApproxReal]],
@@ -329,7 +427,7 @@ def derive_box(
     hhat_bar is read off the Gram diagonal, which holds 2 hhat(P_i):
     halving is exact, so no height is computed twice, and negating a
     generator leaves the diagonal as it is.  The fields after ``hhat_bar``
-    are None when two box combinations collide or one is the identity;
+    are None when two lattice combinations collide or one is the identity;
     ``constants`` and ``bound_rhs`` are None also when the height interval
     is not bounded away from zero.
     """
@@ -350,29 +448,6 @@ def derive_box(
         cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
         divisors, m, reps, constants, bound_rhs, {},
     )
-
-
-def orientation(gram: list[list[ApproxReal]]) -> tuple[int, ...]:
-    """Signs s with s_1 = +1 minimising sum_{i<j} s_i s_j G_ij, at midpoints.
-
-    Over the box [1..N]^r the summed heights carry the cross terms
-    G_ij n_i n_j, so replacing P_i by s_i P_i with this s makes the box
-    heights, and with them log m, smaller.  A heuristic: ties keep the
-    earlier vector, starting from all plus, so given signs are kept unless
-    a flip strictly helps.
-    """
-    rank = len(gram)
-    best, best_sum = None, math.inf
-    for tail in itertools.product((1, -1), repeat=rank - 1):
-        s = (1, *tail)
-        total = sum(
-            s[i] * s[j] * gram[i][j].value
-            for i in range(rank)
-            for j in range(i + 1, rank)
-        )
-        if total < best_sum:
-            best, best_sum = s, total
-    return best
 
 
 def _generator_checks(cfg: CurveConfig, gens: list[CubicPoint]) -> dict[str, bool]:
@@ -514,6 +589,19 @@ def checked_tol(tol) -> float:
     return x
 
 
+def checked_box_size(box_size) -> int:
+    """The box size N under the one rule build and parse share.
+
+    N must be an int, not a bool, and at least 1; anything else is a
+    ValueError.  The parser reads a hex string to its int first.
+    """
+    if isinstance(box_size, bool) or not isinstance(box_size, int):
+        raise ValueError(f"N must be an integer, not {type(box_size).__name__}")
+    if box_size < 1:
+        raise ValueError("N must be at least 1")
+    return box_size
+
+
 def build_certificate(
     cfg: CurveConfig,
     generators: list[CubicPoint],
@@ -522,20 +610,21 @@ def build_certificate(
 ) -> Certificate:
     """Run the construction and return a fully checked certificate.
 
-    The generators are oriented first: each P_i with s_i = -1 in
-    orientation(G) is replaced by -P_i, and the certificate records the
-    oriented set, from which verify derives as from any other.  The heights
-    are computed once: hhat(-P) = hhat(P) and the pairing is bilinear, so
-    the oriented Gram matrix is G with rows and columns negated, and the
-    independence verdict, decided on |entries|, is unchanged.
+    The generators are arranged first: with (order, signs) from
+    arrangement(G, N), the certificate records s_1 P_order[0], ...,
+    s_r P_order[r-1], from which verify derives as from any other.  The
+    heights are computed once: hhat(-P) = hhat(P) and the pairing is
+    bilinear, so the arranged Gram matrix is G with rows and columns
+    permuted and negated, and the independence verdict, a determinant's
+    sign, is unchanged.
 
-    Raises ValueError for unusable inputs, among them a tol that
-    checked_tol refuses, GeneratorDependenceError when the generators
-    cannot be certified independent at this tolerance, and lets
+    Raises ValueError for unusable inputs, among them a box size that
+    checked_box_size refuses and a tol that checked_tol refuses, both
+    before any height is computed; GeneratorDependenceError when the
+    generators cannot be certified independent at this tolerance; and lets
     PrecisionBudgetError from the height engine propagate.
     """
-    if box_size < 1:
-        raise ValueError("box size must be at least 1")
+    box_size = checked_box_size(box_size)
     tol = checked_tol(tol)
     failed = [k for k, ok in _generator_checks(cfg, generators).items() if not ok]
     if failed:
@@ -545,11 +634,11 @@ def build_certificate(
         raise GeneratorDependenceError(
             "generators not certified independent at this tolerance"
         )
-    s = orientation(gram)
-    oriented = [p if si > 0 else p.neg() for p, si in zip(generators, s)]
-    gram = [
-        [e if si == sj else -e for e, sj in zip(row, s)]
-        for row, si in zip(gram, s)
+    order, signs = arrangement(gram, box_size)
+    arranged_generators = [
+        generators[k] if sk > 0 else generators[k].neg()
+        for k, sk in zip(order, signs)
     ]
-    cert = derive_box(cfg, oriented, gram, box_size, tol)
+    gram = arranged_gram(gram, order, signs)
+    cert = derive_lattice(cfg, arranged_generators, gram, box_size, tol)
     return cert._replace(checks=evaluate_checks(cfg, cert, independent, cert))

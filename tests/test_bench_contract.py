@@ -74,13 +74,13 @@ def test_check_count_matches_check_names():
 
 
 # the document length of each pool class at each cert workload, the same
-# for all four draws; build_certificate orients the m0=91 pair (P2 -> -P2)
-# and leaves the m0=1729 pair as given
+# for all four draws; build_certificate puts (3, 4, 1) first on m0=91 and
+# negates (9, 10, 1) on m0=1729, whichever draw it is given
 POOL_BYTES = {
-    (91, "cert_large"): 2_062_174,
-    (1729, "cert_large"): 3_432_543,
-    (91, "cert_tight"): 210_060,
-    (1729, "cert_tight"): 340_130,
+    (91, "cert_large"): 1_584_957,
+    (1729, "cert_large"): 2_486_155,
+    (91, "cert_tight"): 161_750,
+    (1729, "cert_tight"): 246_289,
 }
 
 
@@ -90,6 +90,7 @@ def test_pool_certificate_passes(m0, workload):
     # cert_tight runs at N = n_min, so a wider or shifted hhat_bar that
     # raises n_min fails here first; a larger document fails the length
     box_size, tol = CERT_WORKLOADS[workload]
+    manufactured = set()
     for draw in pool_draws(POOL[m0]):
         gens = [CubicPoint(*g) for g in draw]
         cert = build_certificate(CurveConfig(m0), gens, box_size, tol)
@@ -100,6 +101,9 @@ def test_pool_certificate_passes(m0, workload):
         assert len(text) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)
         assert report.checks == cert.checks
+        manufactured.add(cert.m)
+    # the chooser sees every draw's candidates, so all four share one m
+    assert len(manufactured) == 1
 
 
 @pytest.mark.parametrize("m0", sorted(POOL))

@@ -23,6 +23,7 @@ from cubeforge import (
     verify_certificate,
     write_certificate,
 )
+from cubeforge import construct
 from cubeforge.certificate import _SHORT_HEX, _as_int, _hex
 from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 
@@ -32,7 +33,13 @@ from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 # re-dumped with json.dumps(indent=2) plus a newline.  The local-height
 # engine changed the hhat_bar and bound_rhs floats only.  The document has
 # no "generated_at" line: it holds nothing the run did not determine.
-GOLDEN_SHA256 = "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
+# Schema "5" centres every index but the first, which rank 1 does not
+# have, so its rank-1 document is the schema "4" one with schema_version
+# "5": GOLDEN_SHA256_SCHEMA_4 pins that.
+GOLDEN_SHA256_SCHEMA_4 = (
+    "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
+)
+GOLDEN_SHA256 = "a5efd6e8034218070eaff6fc674ed68539031ea0254262586d8936d2b4e5d1fe"
 
 
 def certificate_to_dict(cert):
@@ -78,7 +85,7 @@ class TestSerialization:
         }
         # no stored check map: verify derives every verdict afresh
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "4"
+        assert cert6_doc["schema_version"] == "5"
 
     def test_divisor_record_is_exact(self, cert6_doc):
         for entry in cert6_doc["lattice_points"]:
@@ -99,6 +106,10 @@ class TestSerialization:
         text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
         _assert_json_fixed_point(text)
+        as_schema_4 = text.replace(
+            '"schema_version": "5"', '"schema_version": "4"', 1
+        ).encode("utf-8")
+        assert hashlib.sha256(as_schema_4).hexdigest() == GOLDEN_SHA256_SCHEMA_4
 
     def test_round_trip(self, cert6):
         parsed = parse_certificate(certificate_to_json(cert6))
@@ -263,13 +274,14 @@ class TestVerification:
         assert list(report.checks) == list(CHECK_NAMES)
 
     def test_dependent_generators_detected(self, cfg6, gen6, cert6_doc):
-        # claim a rank-2 certificate built from P and 2P: the box of size 2
-        # has no collision, but independence certification must fail
+        # claim a rank-2 certificate built from P and 3P: its N=2 lattice,
+        # P - 3P, P, 2P - 3P, 2P, has no collision and no identity, but
+        # independence certification must fail
         from cubeforge.curves import CurveConfig
         from tests.group_reference import cubic_smul
 
         doc = copy.deepcopy(cert6_doc)
-        double = cubic_smul(CurveConfig(6), 2, gen6)
+        double = cubic_smul(CurveConfig(6), 3, gen6)
         doc["r"] = 2
         doc["generators"] = [
             [hex(17), hex(37), hex(21)],
@@ -589,6 +601,33 @@ class TestTolRule:
             verify_certificate(json.dumps(doc))
 
 
+# box sizes the one box-size rule (construct.checked_box_size) refuses, in
+# build before any work and in parse alike
+_REFUSED_BOX_SIZES = [
+    pytest.param(True, "must be an integer", id="True"),
+    pytest.param(4.0, "must be an integer", id="4.0"),
+    pytest.param(0, "at least 1", id="0"),
+    pytest.param(-4, "at least 1", id="-4"),
+]
+
+
+class TestBoxSizeRule:
+    @pytest.mark.parametrize("box_size, message", _REFUSED_BOX_SIZES)
+    def test_build_and_parse_refuse_alike(self, cfg6, gen6, cert6_doc,
+                                          box_size, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a height was computed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(construct, "independence", refuse)
+            with pytest.raises(ValueError, match=message):
+                build_certificate(cfg6, [gen6], box_size)
+        doc = copy.deepcopy(cert6_doc)
+        doc["N"] = box_size
+        with pytest.raises(CertificateFormatError, match=message):
+            verify_certificate(json.dumps(doc))
+
+
 class TestFormatErrors:
     def test_not_json(self):
         with pytest.raises(CertificateFormatError):
@@ -610,6 +649,13 @@ class TestFormatErrors:
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "1"
         with pytest.raises(CertificateFormatError):
+            verify_certificate(doc)
+
+    def test_schema_4_is_refused(self, cert6_doc):
+        # a "4" document's lattice is the box [1..N]^r, not the centred set
+        doc = copy.deepcopy(cert6_doc)
+        doc["schema_version"] = "4"
+        with pytest.raises(CertificateFormatError, match="unsupported schema"):
             verify_certificate(doc)
 
     def test_empty_generators(self, cert6_doc):

@@ -1,11 +1,18 @@
 """End-to-end command-line tests: output shapes and exit codes."""
 
+import io
 import json
 import time
 
 import pytest
 
-from cubeforge import cli
+from cubeforge import (
+    CubicPoint,
+    CurveConfig,
+    build_certificate,
+    certificate_to_json,
+    cli,
+)
 from cubeforge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -369,7 +376,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "4"
+        assert payload["schema_version"] == "5"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
@@ -391,13 +398,14 @@ class TestConstruct:
         "generators, note",
         [
             ([[-5, 6, 1], [3, 4, 1]],
-             "; generators recorded as [[-5, 6, 1], [4, 3, 1]]"),
-            ([[-5, 6, 1], [4, 3, 1]], ""),
+             "; generators recorded as [[3, 4, 1], [-5, 6, 1]]"),
+            ([[3, 4, 1], [-5, 6, 1]], ""),
         ],
         ids=["flipped", "as-given"],
     )
     def test_names_negated_generators(self, capsys, tmp_path, generators, note):
-        # build_certificate replaces (3, 4, 1) by its negative on m0=91
+        # on m0=91 at N=8 build_certificate puts (3, 4, 1) first: the line
+        # names reordered generators as it names negated ones
         gens = tmp_path / "pool91.json"
         gens.write_text(json.dumps(generators))
         out_path = tmp_path / "cert.json"
@@ -410,7 +418,31 @@ class TestConstruct:
         assert out == ""
         assert err == f"certificate ok: 64 representations{note}\n"
         stored = json.loads(out_path.read_text())["generators"]
-        assert stored == [["-0x5", "0x6", "0x1"], ["0x4", "0x3", "0x1"]]
+        assert stored == [["0x3", "0x4", "0x1"], ["-0x5", "0x6", "0x1"]]
+
+    def test_stdout_is_the_document_in_pieces(self, monkeypatch, tmp_path):
+        # without --out the document streams to stdout as write_certificate
+        # streams it to a file, never joined into one string
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                CountingStdout.writes += 1
+                return super().write(text)
+
+        stdout = CountingStdout()
+        monkeypatch.setattr("sys.stdout", stdout)
+        gens = tmp_path / "pool91.json"
+        gens.write_text(json.dumps([[-5, 6, 1], [3, 4, 1]]))
+        rc = main(["construct", "--m0", "91", "--generators", str(gens),
+                   "--N", "8"])
+        assert rc == EXIT_OK
+        cert = build_certificate(
+            CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 8
+        )
+        assert stdout.getvalue() == certificate_to_json(cert)
+        # one piece per lattice point and per representation
+        assert CountingStdout.writes > 2 * 8**2
 
     def test_rank_three_construct_and_verify(self, capsys, tmp_path):
         gens = tmp_path / "rank3.json"
@@ -692,6 +724,16 @@ class TestHostileInput:
     )
     def test_long_integer(self, capsys, argv):
         self.assert_refused(capsys, argv, "more than 4300 digits")
+
+    @pytest.mark.parametrize("command", ["phi", "height"])
+    def test_long_two_field_point(self, capsys, command):
+        # not three fields, so read_decimal never sees it: the message
+        # echoes only its first 40 characters
+        point = "9" * 100_000 + ",1"
+        self.assert_refused(
+            capsys, [command, "--m0", "6", "--point", point],
+            "expected x,y,z integers",
+        )
 
 
 class TestParser:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -31,13 +32,16 @@ from cubeforge.construct import (
     derive,
     height_factor,
     m_factor,
-    orientation,
+    arrangement,
+    arranged_gram,
+    height_sum,
+    index_ranges,
     product_tree,
     representations_from_lattice,
     z_factor,
 )
 from cubeforge.heights import canonical_height
-from cubeforge.numeric import ApproxReal
+from cubeforge.numeric import ApproxReal, log_abs
 from tests.conftest import pool_draws
 from tests.doubling_reference import lattice_height_bound_check
 
@@ -123,7 +127,7 @@ class TestMinimalBoxSize:
         assert minimal_box_size(cfg6, 1, h) == 4
 
     def test_requires_positive_height(self, cfg6):
-        from cubeforge.numeric import ApproxReal
+        from cubeforge.numeric import ApproxReal, log_abs
 
         with pytest.raises(ValueError):
             minimal_box_size(cfg6, 1, ApproxReal(0.001, 0.01))
@@ -138,7 +142,7 @@ class TestMinimalBoxSize:
 
 class TestDensityConstant:
     def test_corollary_value(self):
-        from cubeforge.numeric import ApproxReal
+        from cubeforge.numeric import ApproxReal, log_abs
 
         c = density_constant(11, ApproxReal.from_decimal("60.1755"))
         assert c.contains(4.2705947526153380e-06)
@@ -160,26 +164,46 @@ class TestLatticeGeneration:
             generate_lattice_points(cfg1, [CubicPoint(1, 0, 1)], 3)
 
     def test_dependent_pair_collides(self, cfg6, gen6):
-        # with generators P and 2P the combinations (3,1) and (1,2) both
-        # land on 5P, which a box of size 3 must detect
+        # with generators 2P and P the combinations (1, 1) and (2, -1) both
+        # land on 3P, which the index set of size 3 must detect; no index
+        # in [1..3] x [-1..1] reaches the identity
         double = CubicPoint(2237723, -1805723, 960540)
-        with pytest.raises(GeneratorDependenceError):
-            generate_lattice_points(cfg6, [gen6, double], 3)
+        with pytest.raises(GeneratorDependenceError, match="collide"):
+            generate_lattice_points(cfg6, [double, gen6], 3)
 
     def test_dependent_pair_hits_identity(self, cfg6, gen6):
-        # combination (2,1) of P and -2P is the identity
-        neg_double = CubicPoint(-1805723, 2237723, 960540)
-        with pytest.raises(GeneratorDependenceError):
-            generate_lattice_points(cfg6, [gen6, neg_double], 2)
+        # combination (2, -1) of P and 2P is the identity
+        double = CubicPoint(2237723, -1805723, 960540)
+        with pytest.raises(GeneratorDependenceError, match="identity"):
+            generate_lattice_points(cfg6, [gen6, double], 2)
 
     def test_rank_two_box_shape(self, cfg6, gen6):
         from tests.group_reference import cubic_smul
 
-        # P and 3P collide in no box of size 2, so the mechanics of a
-        # rank-2 box (lex order, arity) can be exercised on a rank-1 curve
+        # P and 3P collide nowhere in [1..2] x [-1..0], so the mechanics of
+        # a rank-2 index set (lex order, arity, centring) can be exercised
+        # on a rank-1 curve
         other = cubic_smul(cfg6, 3, gen6)
         lattice = generate_lattice_points(cfg6, [gen6, other], 2)
-        assert [idx for idx, _ in lattice] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert [idx for idx, _ in lattice] == [(1, -1), (1, 0), (2, -1), (2, 0)]
+        assert [q for _, q in lattice] == [
+            cubic_smul(cfg6, k, gen6) for k in (-2, 1, -1, 2)
+        ]
+
+    @pytest.mark.parametrize("box_size", [1, 2, 3, 4, 7, 8])
+    def test_index_set(self, box_size):
+        # [1..N] x C^(r-1): N^r indices, |n_i| <= N, C centred, and no
+        # index is zero or the negative of another
+        for rank in (1, 2, 3):
+            ranges = index_ranges(rank, box_size)
+            assert ranges[0] == range(1, box_size + 1)
+            for span in ranges[1:]:
+                assert len(span) == box_size
+                assert sum(span) == (0 if box_size % 2 else -box_size // 2)
+            indices = set(itertools.product(*ranges))
+            assert len(indices) == box_size**rank
+            assert all(max(map(abs, n)) <= box_size for n in indices)
+            assert not any(tuple(-a for a in n) in indices for n in indices)
 
     def test_representations_identity(self, cfg6, gen6):
         lattice = generate_lattice_points(cfg6, [gen6], 2)
@@ -270,6 +294,17 @@ class TestBuildCertificate:
             build_certificate(cfg1, [CubicPoint(1, 0, 1)], 2)
 
 
+# generator sets by curve: the benchmark pool, the rank-3 set and the two
+# rank-4 sets of the cube-free-part sieve
+_SETS = {
+    91: ((-5, 6, 1), (3, 4, 1)),
+    1729: ((1, 12, 1), (9, 10, 1)),
+    657: ((-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)),
+    152551: ((54, -17, 1), (55, -24, 1), (226, -225, 1), (705, -668, 7)),
+    526535: ((207, -167, 2), (323, -3, 4), (363, 262, 5), (633, -418, 7)),
+}
+
+
 class TestLatticeHeightBound:
     def test_holds_for_small_boxes(self, cfg6, gen6):
         assert lattice_height_bound_check(cfg6, [gen6], 3)
@@ -281,10 +316,48 @@ class TestLatticeHeightBound:
         gens = [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)]
         assert lattice_height_bound_check(CurveConfig(91), gens, 2)
 
+    # the centred index set, whose negative indices the box never had
+    @pytest.mark.parametrize(
+        "m0, box_size",
+        [(91, 4), (657, 4), (152551, 2)],
+        ids=["rank2", "rank3", "rank4"],
+    )
+    def test_holds_on_the_centred_set(self, m0, box_size):
+        gens = [CubicPoint(*g) for g in _SETS[m0]]
+        lattice = generate_lattice_points(CurveConfig(m0), gens, box_size)
+        assert any(min(idx) < 0 for idx, _ in lattice)
+        assert lattice_height_bound_check(CurveConfig(m0), gens, box_size)
+
     def test_refuted_by_a_zero_bound(self, cfg6, gen6, monkeypatch):
         # with height factor 0 every nonzero lattice point exceeds the bound
         monkeypatch.setattr(construct, "height_factor", lambda rank: 0)
         assert not lattice_height_bound_check(cfg6, [gen6], 3)
+
+
+class TestChainOnTheIndexSet:
+    """z_factor's bound on real lattices over the centred index set."""
+
+    @pytest.mark.parametrize(
+        "m0, box_size, tol",
+        [(91, 12, 1e-3), (91, 8, 1e-4), (1729, 12, 1e-3), (1729, 8, 1e-4),
+         (657, 6, 1e-3), (152551, 6, 1e-3), (526535, 6, 1e-3)],
+    )
+    def test_z_sum_bound(self, m0, box_size, tol):
+        # sum log z_n <= z_factor N^(r+2) hhat, against the lower end of
+        # hhat, at N >= n_min on the generators build records
+        cfg = CurveConfig(m0)
+        gens = arranged_generators(m0, box_size)
+        rank = len(gens)
+        gram, _ = heights.independence(cfg, gens, tol)
+        hhat_bar = max((gram[i][i].ldexp(-1) for i in range(rank)),
+                       key=lambda h: h.upper())
+        assert box_size >= minimal_box_size(cfg, rank, hhat_bar)
+        lattice = generate_lattice_points(cfg, gens, box_size)
+        z_sum = sum(
+            (log_abs(q.z) for _, q in lattice), start=ApproxReal(0.0, 0.0)
+        )
+        bound = ApproxReal.from_int(z_factor(rank) * box_size ** (rank + 2))
+        assert z_sum.upper() <= (bound * hhat_bar).lower()
 
 
 class TestDerivedOnce:
@@ -322,80 +395,157 @@ class TestDerivedOnce:
         assert calls == {"canonical_height": 3, "generate_lattice_points": 1}
 
 
-def gram_of(off_diagonal: dict[tuple[int, int], float], rank: int):
-    """A symmetric Gram matrix with diagonal 2 and the given G_ij, i < j."""
-    gram = [[ApproxReal(2.0, 1e-3)] * rank for _ in range(rank)]
+def gram_of(off_diagonal: dict[tuple[int, int], float], rank: int,
+            diagonal=None):
+    """A symmetric Gram matrix with the given G_ij, i < j, zero elsewhere
+    off the diagonal, and the given diagonal, 2 by default."""
+    gram = [[ApproxReal(0.0, 1e-3)] * rank for _ in range(rank)]
+    for i, value in enumerate(diagonal or [2.0] * rank):
+        gram[i][i] = ApproxReal(value, 1e-3)
     for (i, j), value in off_diagonal.items():
         gram[i][j] = gram[j][i] = ApproxReal(value, 1e-3)
     return gram
 
 
-def cross_sum(gram, signs) -> float:
+def brute_height_sum(gram, box_size) -> Fraction:
+    """1/2 sum of n^T G n over [1..N] x C^(r-1), at midpoints, exactly.
+
+    The index set is spelled out here, not read from index_ranges.
+    """
     rank = len(gram)
-    return sum(
-        signs[i] * signs[j] * gram[i][j].value
+    centred = range(-(box_size // 2), (box_size + 1) // 2)
+    spans = [range(1, box_size + 1)] + [centred] * (rank - 1)
+    g = [[Fraction(e.value) for e in row] for row in gram]
+    total = sum(
+        g[i][j] * n[i] * n[j]
+        for n in itertools.product(*spans)
         for i in range(rank)
-        for j in range(i + 1, rank)
+        for j in range(rank)
     )
+    return total / 2
+
+
+def candidates(rank):
+    """The chooser's candidates in its order: first slot, then signs."""
+    for first in range(rank):
+        order = (first, *(k for k in range(rank) if k != first))
+        for tail in itertools.product((1, -1), repeat=rank - 1):
+            yield order, (1, *tail)
 
 
 _FINITE = st.floats(-10.0, 10.0, allow_nan=False)
 
 
+class TestHeightSum:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("box_size", [1, 2, 3, 4, 5])
+    def test_closed_form_is_the_brute_sum(self, rank, box_size):
+        pairs = itertools.combinations(range(rank), 2)
+        gram = gram_of(
+            dict(zip(pairs, (-1.25, 0.5, 0.75))), rank, [3.0, 2.5, 1.75][:rank]
+        )
+        assert height_sum(gram, box_size).contains(
+            float(brute_height_sum(gram, box_size))
+        )
+
+    def test_meets_the_certified_heights(self):
+        # the chooser's identity on a real pair: 1/2 sum G_ij S_ij against
+        # the interval sum of hhat(Q_n) over the 16 lattice points
+        cfg, tol = CurveConfig(91), 1e-6
+        gram, _ = heights.independence(cfg, list(_POOL_91), tol)
+        lattice = generate_lattice_points(cfg, list(_POOL_91), 4)
+        total = sum(
+            (canonical_height(cfg, q, tol) for _, q in lattice),
+            start=ApproxReal(0.0, 0.0),
+        )
+        claimed = height_sum(gram, 4)
+        assert claimed.intersects(total)
+        assert total.radius < 1e-4 * total.value
+        assert claimed.radius < 1e-4 * claimed.value
+
+
 class TestOrientation:
-    """The sign chooser on hand-made Gram matrices."""
+    """The chooser, arrangement, on hand-made Gram matrices."""
 
     def test_rank_one_is_unchanged(self):
-        assert orientation(gram_of({}, 1)) == (1,)
+        for box_size in (1, 2, 5):
+            assert arrangement(gram_of({}, 1), box_size) == ((0,), (1,))
 
     @pytest.mark.parametrize(
         "off_diagonal",
         [
             {(0, 1): 0.0},
             {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0},
-            # all plus and ++- both reach the minimum -1
+            # at odd N the centred C sums to 0, so no cross term enters
             {(0, 1): -1.0, (0, 2): 1.0, (1, 2): -1.0},
         ],
     )
     def test_exact_tie_keeps_the_given_signs(self, off_diagonal):
+        # equal diagonals, so every candidate has the same height sum
         rank = 1 + max(j for _, j in off_diagonal)
-        assert orientation(gram_of(off_diagonal, rank)) == (1,) * rank
+        gram = gram_of(off_diagonal, rank)
+        sizes = (3, 5) if any(off_diagonal.values()) else (3, 4, 5)
+        for box_size in sizes:
+            assert arrangement(gram, box_size) == (
+                tuple(range(rank)), (1,) * rank
+            )
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_FINITE, min_size=6, max_size=6))
     def test_first_sign_is_always_plus(self, values):
         pairs = list(itertools.combinations(range(4), 2))
-        assert orientation(gram_of(dict(zip(pairs, values)), 4))[0] == 1
+        order, signs = arrangement(gram_of(dict(zip(pairs, values)), 4), 4)
+        assert signs[0] == 1
+        # one generator moves to the front, the rest keep their order
+        assert sorted(order) == [0, 1, 2, 3]
+        assert list(order[1:]) == sorted(order[1:])
 
     @settings(max_examples=50, deadline=None)
-    @given(_FINITE, _FINITE, _FINITE)
-    def test_rank_three_is_the_argmin(self, g01, g02, g12):
-        gram = gram_of({(0, 1): g01, (0, 2): g02, (1, 2): g12}, 3)
-        candidates = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
-        sums = [cross_sum(gram, s) for s in candidates]
-        # the first minimiser in the order that starts from all plus
-        assert orientation(gram) == candidates[sums.index(min(sums))]
+    @given(
+        st.lists(st.floats(0.125, 10.0), min_size=3, max_size=3),
+        _FINITE, _FINITE, _FINITE, st.integers(1, 6),
+    )
+    def test_rank_three_is_the_argmin(self, diagonal, g01, g02, g12, box_size):
+        gram = gram_of({(0, 1): g01, (0, 2): g02, (1, 2): g12}, 3, diagonal)
+        sums = {
+            c: brute_height_sum(arranged_gram(gram, *c), box_size)
+            for c in candidates(3)
+        }
+        # the exact minimum, up to the float rounding of the closed form
+        slack = 1e-9 * (1 + max(abs(v) for v in sums.values()))
+        assert sums[arrangement(gram, box_size)] <= min(sums.values()) + slack
 
 
-_POOL_91 = (CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1))
-_POOL_1729 = (CubicPoint(1, 12, 1), CubicPoint(9, 10, 1))
+_POOL_91 = tuple(CubicPoint(*g) for g in _SETS[91])
+_POOL_1729 = tuple(CubicPoint(*g) for g in _SETS[1729])
+# the m0=1729 pair as build arranges it at both benchmark sizes: (9, 10, 1)
+# negated
+_ARRANGED_1729 = (CubicPoint(1, 12, 1), CubicPoint(10, 9, 1))
 
-# sha256 of the m0=1729 documents at both benchmark (N, tol): that pair is
-# already oriented, so orienting changes no byte of them
+# sha256 of the m0=1729 documents at both benchmark (N, tol), built from
+# the arranged pair and, identically, from the pair as given
 _UNFLIPPED_SHA256 = {
-    (12, 1e-3): "6c38ee8d5184b8a4b1c4ee718a6d7024988f6a4b3898d4e792ec91e913e503fc",
-    (8, 1e-4): "d71fc337c63d803a35be267c7ac747b69f095bd19df32c0a1650f6087c8e7755",
+    (12, 1e-3): "b67112e692ea50fbd3d4e446f972b69c6af800508842bada5db6c3c19626000d",
+    (8, 1e-4): "83dcc162ea056c876095bd3817c1e75a6fd15853efaaf7281c5883ea7259f68c",
 }
 
 
-def signs_of(cert, generators) -> str:
-    return "".join(
-        "+" if q == p else "-" for q, p in zip(cert.generators, generators)
-    )
+def arranged_generators(m0, box_size):
+    """The generators of _SETS[m0] as build_certificate records them."""
+    cfg = CurveConfig(m0)
+    gens = [CubicPoint(*g) for g in _SETS[m0]]
+    gram, _ = heights.independence(cfg, gens, 1e-3)
+    order, signs = arrangement(gram, box_size)
+    return [gens[k] if s > 0 else gens[k].neg() for k, s in zip(order, signs)]
+
+
+def lattice_z_product(m0, generators, box_size):
+    lattice = generate_lattice_points(CurveConfig(m0), generators, box_size)
+    return product_tree([q.z for _, q in lattice])
 
 
 class TestOrientedBuild:
-    """build_certificate records oriented generators on real curves."""
+    """build_certificate records arranged generators on real curves."""
 
     def test_pool_draws_share_a_smaller_m(self):
         cfg = CurveConfig(91)
@@ -405,46 +555,63 @@ class TestOrientedBuild:
         ]
         assert all(cert.all_checks_pass for cert in certs)
         assert len({cert.m for cert in certs}) == 1
-        _, unoriented = derive(cfg, list(_POOL_91), 12, 1e-3)
-        assert certs[0].m.bit_length() < unoriented.m.bit_length()
-        assert signs_of(certs[0], _POOL_91) == "+-"
+        _, unarranged = derive(cfg, list(_POOL_91), 12, 1e-3)
+        assert certs[0].m.bit_length() < unarranged.m.bit_length()
+        assert certs[0].generators == [_POOL_91[1], _POOL_91[0]]
         for cert in certs:
             assert verify_certificate(certificate_to_json(cert)) == cert
 
     @pytest.mark.parametrize("box_size, tol", sorted(_UNFLIPPED_SHA256))
     def test_oriented_pair_is_byte_identical(self, box_size, tol):
-        cert = build_certificate(CurveConfig(1729), list(_POOL_1729), box_size, tol)
-        assert cert.generators == list(_POOL_1729)
+        cfg = CurveConfig(1729)
+        cert = build_certificate(cfg, list(_ARRANGED_1729), box_size, tol)
+        assert cert.generators == list(_ARRANGED_1729)
         text = certificate_to_json(cert)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == _UNFLIPPED_SHA256[box_size, tol]
         assert verify_certificate(text) == cert
+        given = build_certificate(cfg, list(_POOL_1729), box_size, tol)
+        assert certificate_to_json(given) == text
 
     @pytest.mark.parametrize(
-        "m0, generators, signs, failing",
+        "m0, recorded, failing",
         [
-            (
-                657,
-                (CubicPoint(-7, 10, 1), CubicPoint(7, 17, 2),
-                 CubicPoint(-2890, 2971, 147)),
-                "++-",
-                set(),
-            ),
-            # N = 4 is below n_min = 6
+            # P2 negated
+            (657, [(-7, 10, 1), (17, 7, 2), (-2890, 2971, 147)], set()),
+            # P2 first, then -P1, P3, -P4; N = 4 is below n_min = 6
             (
                 152551,
-                (CubicPoint(54, -17, 1), CubicPoint(55, -24, 1),
-                 CubicPoint(226, -225, 1), CubicPoint(705, -668, 7)),
-                "++-+",
+                [(55, -24, 1), (-17, 54, 1), (226, -225, 1), (-668, 705, 7)],
                 {"theorem_preconditions"},
             ),
         ],
+        ids=["657", "152551"],
     )
-    def test_recorded_signs(self, m0, generators, signs, failing):
-        cert = build_certificate(CurveConfig(m0), list(generators), 4)
-        assert signs_of(cert, generators) == signs
+    def test_recorded_arrangement(self, m0, recorded, failing):
+        gens = [CubicPoint(*g) for g in _SETS[m0]]
+        cert = build_certificate(CurveConfig(m0), gens, 4)
+        assert cert.generators == [CubicPoint(*g) for g in recorded]
         assert {k for k, ok in cert.checks.items() if not ok} == failing
         assert verify_certificate(certificate_to_json(cert)) == cert
+
+    @pytest.mark.parametrize(
+        "m0, box_size",
+        [(91, 8), (91, 12), (1729, 8), (1729, 12), (657, 5), (657, 6),
+         (152551, 4), (526535, 4)],
+    )
+    def test_smallest_m_of_all_candidates(self, m0, box_size):
+        # m = m0 Z^3, so the smallest Z is the smallest m
+        gens = [CubicPoint(*g) for g in _SETS[m0]]
+        products = [
+            lattice_z_product(
+                m0,
+                [gens[k] if s > 0 else gens[k].neg() for k, s in zip(*c)],
+                box_size,
+            )
+            for c in candidates(len(gens))
+        ]
+        chosen = lattice_z_product(m0, arranged_generators(m0, box_size), box_size)
+        assert chosen == min(products)
 
     @pytest.mark.parametrize("tol", [1, 2.5e-3], ids=["int", "float"])
     def test_tol_is_recorded_as_its_float(self, cfg6, gen6, tol):

@@ -222,16 +222,19 @@ def _transported_add(cfg, p, q):
 
 
 def _transported_lattice(cfg, generators, box_size):
-    """The lattice of generate_lattice_points, built on the Weierstrass twin."""
-    rows = [
-        [smul(cfg, n, to_weierstrass(cfg, p)) for n in range(box_size + 1)]
-        for p in generators
-    ]
+    """The lattice of generate_lattice_points, built on the Weierstrass twin.
+
+    The index set is [1..N] for the first generator and the centred
+    [-floor(N/2) .. ceil(N/2) - 1] for every other, in lex order.
+    """
+    w = [to_weierstrass(cfg, p) for p in generators]
+    centred = range(-(box_size // 2), (box_size + 1) // 2)
+    spans = [range(1, box_size + 1)] + [centred] * (len(w) - 1)
     out = []
-    for idx in itertools.product(range(1, box_size + 1), repeat=len(rows)):
+    for idx in itertools.product(*spans):
         acc = INFINITY
-        for row, n in zip(rows, idx):
-            acc = add(cfg, acc, row[n])
+        for p, n in zip(w, idx):
+            acc = add(cfg, acc, smul(cfg, n, p))
         out.append((idx, from_weierstrass(cfg, acc)))
     return out
 
