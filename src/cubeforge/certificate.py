@@ -3,13 +3,15 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "5" is schema "4" with the lattice
-taken over construct.index_ranges, [1..N] x C^(r-1) with C centred, in place
-of the box [1..N]^r; the layout is unchanged, and a "4" document, whose
-lattice is the box, is refused as an unsupported schema.  It writes every
-stored integer string as ``hex(n)`` writes it ("0x1f", "-0x1f"), and the parser
-accepts exactly that form or a JSON number.  Hex converts in linear time
-both ways, where decimal costs quadratic time.  One loader, load_json,
+reals as value/radius pairs.  Schema "6" runs the lattice over the N^r
+indices of least height that build chose (construct.index_set), with the
+generators as given; verify screens the stored indices
+(construct.index_set_screen) and never chooses them again.  A "5"
+document, whose lattice was [1..N] x C^(r-1) over rearranged generators,
+is refused.  Every stored integer is written as ``hex(n)`` writes it
+("0x1f", "-0x1f"), and the parser accepts exactly that form or a JSON
+number.  Hex converts in linear time both ways, where decimal costs
+quadratic time.  One loader, load_json,
 reads all JSON text from outside the program, certificates and the CLI's
 generator and point files: its numbers go through numeric.read_decimal,
 which keeps the 4,300-digit bound that numeric.py lifts for the package's
@@ -56,7 +58,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 
 class CertificateFormatError(Exception):

@@ -1,11 +1,10 @@
 """Manufacture integers with many sum-of-two-cubes representations.
 
 Starting from r independent points P_1 ... P_r on x^3 + y^3 = m0 z^3 and a
-box size N, form every lattice combination Q_n = n_1 P_1 + ... + n_r P_r for
-n in the index set I = [1..N] x C^(r-1), C = [-floor(N/2) .. ceil(N/2) - 1]
-(index_ranges; rank 1 is the paper's [1..N]).  I has N^r indices with
-|n_i| <= N, none zero and no two negatives of each other.  Each Q_n is a
-primitive triple (x_n, y_n, z_n), and
+box size N, form the lattice combination Q_n = n_1 P_1 + ... + n_r P_r for
+each n in an index set I of N^r indices with every |n_i| <= N, none zero
+and no two negatives of each other.  Each Q_n is a primitive triple
+(x_n, y_n, z_n), and
 
     m = m0 * (z_1 * ... * z_{N^r})^3
 
@@ -14,22 +13,22 @@ the product of all the other z's.  The certificate records the lattice, the
 representations, a divisor check controlling gcd(12 m0 z, x + y) for every
 lattice point, and the height bookkeeping that bounds log m and yields the
 final density inequality N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).
-That bookkeeping uses only |n_i| <= N and the count N^r, so it holds for I
-as for the paper's box [1..N]^r.
+That bookkeeping uses only |n_i| <= N and the count N^r, so it holds for
+any such I as for the paper's box [1..N]^r.
 
-log m follows sum_n hhat(Q_n) = 1/2 sum_ij G_ij S_ij (height_sum), with G
-the height Gram matrix.  Centring every coordinate but the first shrinks the
-S_ij, and the order and signs of the generators are a free choice:
-build_certificate picks the generator for the uncentred first slot and the
-signs that minimise that sum (arrangement), and records the generators so
-arranged.
+log m follows sum_n hhat(Q_n), and hhat(Q_n) = 1/2 n^T G n with G the
+height Gram matrix.  build_certificate takes for I the N^r indices of least
+height (index_set), which depends on the lattice and not on the order or
+signs of the generators, and records the generators as given.  Rank 1 is
+the paper's [1..N].
 
 One record, Certificate, carries a run.  derive computes everything the
-inputs (m0, generators, N, tol) determine and returns it as a Certificate
-with no checks: independence, then derive_lattice from the Gram matrix.
-build_certificate runs independence once, arranges, runs derive_lattice and
-fills in the checks; the verifier derives again from a parsed document's
-inputs, never rearranging, and compares field by field.
+inputs (m0, generators, indices, N, tol) determine and returns it as a
+Certificate with no checks: independence, then derive_lattice from the Gram
+matrix.  build_certificate runs independence once, chooses I, runs
+derive_lattice and fills in the checks; the verifier screens the stored
+indices (index_set_screen), derives again over them, never choosing again,
+and compares field by field.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 
 from .curves import (
     CUBIC_IDENTITY,
@@ -106,7 +105,9 @@ def height_factor(rank: int) -> int:
 
     hhat(n_i P_i) = n_i^2 hhat(P_i) <= N^2 hhat, and hhat(A + B) <=
     2 hhat(A) + 2 hhat(B) adds one term at a time: f(1) = 1 and
-    f(r) = 2 f(r-1) + 2.  A zero n_i only drops a term.
+    f(r) = 2 f(r-1) + 2.  A zero n_i only drops a term.  |n_i| <= N is the
+    one fact about the index set used, and index_set_screen checks it on
+    every stored index before verify computes a height.
     """
     return 3 * 2 ** (rank - 1) - 2
 
@@ -116,7 +117,9 @@ def z_factor(rank: int) -> int:
 
     Each log z <= 4 hhat(Q_n) + c <= 4 height_factor N^2 hhat + c, and
     c <= N^2 hhat once N >= n_min; summing N^r of them gives the factor
-    4 height_factor + 1.
+    4 height_factor + 1.  It uses |n_i| <= N, the count N^r, and an index
+    set with no zero, no repeat and no pair n, -n, so that the N^r points
+    are distinct affine points; verify screens all of these before deriving.
     """
     return 3 * 2 ** (rank + 1) - 7
 
@@ -126,7 +129,7 @@ def m_factor(rank: int) -> int:
 
     log m = log |m0| + 3 sum log z, and log |m0| <= N^(r+2) hhat once
     N >= n_min, so the factor is 3 z_factor + 1.  Like z_factor it needs
-    only |n_i| <= N and N^r points.
+    only what verify screens: the count N^r and index_set_screen.
     """
     return 9 * 2 ** (rank + 1) - 20
 
@@ -201,46 +204,101 @@ def representation_bound(rank: int, hhat_upper: float, m: int) -> ApproxReal:
     return scale * log_abs(m).pow_ratio(rank, rank + 2)
 
 
-def index_ranges(rank: int, box_size: int) -> list[range]:
-    """The lattice index set I = R_1 x ... x R_r, as its r ranges.
+def index_set(
+    gram: list[list[ApproxReal]], box_size: int
+) -> list[tuple[int, ...]]:
+    """The N^r indices of least height, in lex order.
 
-    R_1 = [1..N] and every other R_i is the centred C = [-floor(N/2) ..
-    ceil(N/2) - 1], so I has N^r indices with |n_i| <= N.  Since n_1 >= 1,
-    I holds neither 0 nor both n and -n, so independent generators give N^r
-    distinct points none of which is the identity or the negative of
-    another.  Rank 1 is the paper's [1..N].
+    The candidates are the n with every |n_i| <= N whose first nonzero
+    coordinate is positive: one of each pair n, -n, and never 0.  They are
+    ranked by 1/2 n^T G n at the Gram midpoints, computed as the math.fsum of
+    the float terms G_ii n_i^2 and 2 G_ij (n_i n_j).  Reordering the basis or
+    negating a generator permutes those terms or flips the sign of both
+    factors, which leaves every term's float as it is, and fsum rounds the
+    exact sum once; so the ranking is the lattice's, not the basis's.  Exact
+    ties are broken by index.  Both members of a pair n, -n have one height,
+    so the N^r least values give the least sum of hhat(Q_n) over any set of
+    N^r indices in the box with no zero and no pair.  Rank 1 is [1..N].
     """
-    centred = range(-(box_size // 2), (box_size + 1) // 2)
-    return [range(1, box_size + 1)] + [centred] * (rank - 1)
+    rank = len(gram)
+    # G_ii on the diagonal and 2 G_hi off it: each term is one float times
+    # one integer, n_i^2 or n_h n_i
+    weight = [
+        [g.value * (1.0 if h == i else 2.0) for i, g in enumerate(row)]
+        for h, row in enumerate(gram)
+    ]
+    span = range(-box_size, box_size + 1)
+    # the leading r - 1 coordinates with their terms, in lex order; while
+    # they are all zero the next one may not be negative
+    heads = [((), ())]
+    for i in range(rank - 1):
+        heads = [
+            (terms + tuple(w[i] * (a * k) for w, a in zip(weight, (*n, k))),
+             (*n, k))
+            for terms, n in heads
+            for k in (span if any(n) else range(box_size + 1))
+        ]
+    # the last coordinate runs in C along each head's row of candidates, and
+    # (value, head, k) orders exact ties by index; the sorted list is cut
+    # back to the N^r least whenever it doubles, so it stays O(N^r) long
+    count = box_size**rank
+    ranked: list[tuple[float, int, int]] = []
+    for head, (terms, n) in enumerate(heads):
+        ks = span if any(n) else range(1, box_size + 1)
+        cross = [map(w[-1].__mul__, map(a.__mul__, ks)) for w, a in zip(weight, n)]
+        square = map(weight[-1][-1].__mul__, map(int.__mul__, ks, ks))
+        values = zip(*map(itertools.repeat, terms), *cross, square)
+        ranked.extend(zip(map(math.fsum, values), itertools.repeat(head), ks))
+        if len(ranked) >= 2 * count:
+            ranked.sort()
+            del ranked[count:]
+    ranked.sort()
+    return sorted(heads[head][1] + (k,) for _, head, k in ranked[:count])
+
+
+def index_set_screen(indices: list[tuple[int, ...]], box_size: int) -> bool:
+    """Whether every |n_i| <= N (tested first, so no huge coordinate is
+    negated), no index repeats and no n appears with -n, which rules out
+    n = 0 too: with N^r indices, all that the chain factors assume."""
+    seen = set(indices)
+    return (
+        all(-box_size <= k <= box_size for n in indices for k in n)
+        and len(seen) == len(indices)
+        and not any(tuple(-k for k in n) in seen for n in indices)
+    )
 
 
 def generate_lattice_points(
-    cfg: CurveConfig, generators: list[CubicPoint], box_size: int
+    cfg: CurveConfig,
+    generators: list[CubicPoint],
+    indices: list[tuple[int, ...]],
 ) -> list[tuple[tuple[int, ...], CubicPoint]]:
-    """All combinations n_1 P_1 + ... + n_r P_r, n in index_ranges, lex order.
+    """The combinations n_1 P_1 + ... + n_r P_r, one per index, in its order.
 
-    Callers are expected to have certified the generators independent; any
-    collision or identity hit found here proves they were not and raises.
+    One table of multiples per generator reaches the largest |n_i| used, and
+    each point adds its nonzero coordinates only: one cubic_add per point at
+    rank 2.  The zero index is a ValueError.  A collision or an identity hit
+    proves the generators dependent and raises.
     """
     rank = len(generators)
     if rank < 1:
         raise ValueError("at least one generator is required")
-    ranges = index_ranges(rank, checked_box_size(box_size))
     multiples = []
-    for p, span in zip(generators, ranges):
-        p = CubicPoint.from_triple(*p.triple())
-        row = [CUBIC_IDENTITY, p]
-        while len(row) <= max(-span.start, span[-1]):
-            row.append(cubic_add(cfg, row[-1], p))
-        # -cP is cP with x and y swapped
-        multiples.append({c: row[c] if c >= 0 else row[-c].neg() for c in span})
+    for i, p in enumerate(generators):
+        top = max((abs(n[i]) for n in indices), default=0)
+        row = [CUBIC_IDENTITY, CubicPoint.from_triple(*p.triple())]
+        while len(row) <= top:
+            row.append(cubic_add(cfg, row[-1], row[1]))
+        # read with negative keys from the end: -cP is cP with x and y swapped
+        multiples.append(row[: top + 1] + [q.neg() for q in row[top:0:-1]])
+    add = partial(cubic_add, cfg)
     out: list[tuple[tuple[int, ...], CubicPoint]] = []
     seen: dict[CubicPoint, tuple[int, ...]] = {}
-    for idx in itertools.product(*ranges):
-        q = multiples[0][idx[0]]
-        for i in range(1, rank):
-            if idx[i]:
-                q = cubic_add(cfg, q, multiples[i][idx[i]])
+    for idx in indices:
+        terms = [row[k] for row, k in zip(multiples, idx) if k]
+        if not terms:
+            raise ValueError("the zero index names no lattice point")
+        q = reduce(add, terms)
         if q.is_identity:
             raise GeneratorDependenceError(
                 f"generators not independent: combination {idx} is the identity"
@@ -253,69 +311,6 @@ def generate_lattice_points(
         seen[q] = idx
         out.append((idx, q))
     return out
-
-
-def height_sum(gram: list[list[ApproxReal]], box_size: int) -> ApproxReal:
-    """The summed heights of the lattice points, 1/2 sum_ij G_ij S_ij exactly.
-
-    hhat(sum_i n_i P_i) = 1/2 sum_ij n_i n_j G_ij, since G_ij is the height
-    pairing and G_ii = 2 hhat(P_i).  Summed over I = R_1 x ... x R_r, n_i^2
-    gives S_ii = N^(r-1) sum_{a in R_i} a^2 and n_i n_j, i != j, gives
-    S_ij = N^(r-2) (sum R_i)(sum R_j).
-    """
-    rank = len(gram)
-    ranges = index_ranges(rank, box_size)
-    sums = [sum(span) for span in ranges]
-    total = ApproxReal(0.0, 0.0)
-    for i, span in enumerate(ranges):
-        for j in range(rank):
-            if i == j:
-                s = box_size ** (rank - 1) * sum(a * a for a in span)
-            else:
-                s = box_size ** (rank - 2) * sums[i] * sums[j]
-            total = total + gram[i][j] * ApproxReal.from_int(s)
-    return total.ldexp(-1)
-
-
-def arranged_gram(
-    gram: list[list[ApproxReal]], order: tuple[int, ...], signs: tuple[int, ...]
-) -> list[list[ApproxReal]]:
-    """The Gram matrix of s_1 P_order[0], ..., s_r P_order[r-1].
-
-    The pairing is bilinear, so reordering permutes rows and columns, and
-    negating a generator negates its row and column; no height is computed.
-    """
-    return [
-        [gram[a][b] if sa == sb else -gram[a][b] for b, sb in zip(order, signs)]
-        for a, sa in zip(order, signs)
-    ]
-
-
-def arrangement(
-    gram: list[list[ApproxReal]], box_size: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The generator order and signs that minimise height_sum, at midpoints.
-
-    The first index set R_1 = [1..N] is not centred, so which generator
-    takes it matters, and for even N the centred sets sum to -N/2, so the
-    signs matter too.  The candidates are the r choices of the first
-    generator, the rest kept in their given order, times the 2^(r-1) signs
-    with s_1 = +1 (negating all r signs negates every point, which changes
-    no z).  Returns (order, signs) for arranged_gram.  A heuristic for the
-    smallest m, exact for the summed heights: a strict < keeps the earlier
-    candidate on a tie, starting from the given order and signs.
-    """
-    rank = len(gram)
-    best, best_sum = None, math.inf
-    for first in range(rank):
-        order = (first, *(k for k in range(rank) if k != first))
-        for tail in itertools.product((1, -1), repeat=rank - 1):
-            signs = (1, *tail)
-            candidate = arranged_gram(gram, order, signs)
-            total = height_sum(candidate, box_size).value
-            if total < best_sum:
-                best, best_sum = (order, signs), total
-    return best
 
 
 def product_tree(factors: list[int]) -> int:
@@ -403,39 +398,46 @@ class Certificate(
 
 
 def derive(
-    cfg: CurveConfig, generators: list[CubicPoint], box_size: int, tol: float
+    cfg: CurveConfig,
+    generators: list[CubicPoint],
+    indices: list[tuple[int, ...]],
+    box_size: int,
+    tol: float,
 ) -> tuple[bool, Certificate]:
     """Run the construction once; verify starts here.
 
     Returns the certified independence verdict and the certificate that
-    (m0, generators, N, tol) determine, with no checks: independence, then
-    derive_lattice on its Gram matrix.  The generators are taken as given.
+    (m0, generators, indices, N, tol) determine, with no checks:
+    independence, then derive_lattice on its Gram matrix.  The generators
+    and the indices are taken as given.
     """
     gram, independent = independence(cfg, generators, tol)
-    return independent, derive_lattice(cfg, generators, gram, box_size, tol)
+    return independent, derive_lattice(
+        cfg, generators, gram, indices, box_size, tol
+    )
 
 
 def derive_lattice(
     cfg: CurveConfig,
     generators: list[CubicPoint],
     gram: list[list[ApproxReal]],
+    indices: list[tuple[int, ...]],
     box_size: int,
     tol: float,
 ) -> Certificate:
     """The certificate the generators and their Gram matrix determine.
 
     hhat_bar is read off the Gram diagonal, which holds 2 hhat(P_i):
-    halving is exact, so no height is computed twice, and negating a
-    generator leaves the diagonal as it is.  The fields after ``hhat_bar``
-    are None when two lattice combinations collide or one is the identity;
-    ``constants`` and ``bound_rhs`` are None also when the height interval
-    is not bounded away from zero.
+    halving is exact, so no height is computed twice.  The fields after
+    ``hhat_bar`` are None when two lattice combinations collide or one is
+    the identity; ``constants`` and ``bound_rhs`` are None also when the
+    height interval is not bounded away from zero.
     """
     rank = len(generators)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
     divisors = m = reps = constants = bound_rhs = None
     try:
-        lattice = generate_lattice_points(cfg, generators, box_size)
+        lattice = generate_lattice_points(cfg, generators, indices)
     except GeneratorDependenceError:
         lattice = None
     else:
@@ -464,16 +466,17 @@ def evaluate_checks(
 ) -> dict[str, bool]:
     """Compare a certificate against the one derived from its own inputs.
 
-    ``independent, derived`` is derive(cfg, cert.generators, cert.box_size,
-    cert.tol).  Each stored value is compared with its derived counterpart;
-    nothing is derived again.  The cube-sum identity of the stored
-    representations is proved from the lattice alone: when they equal
-    (Z/z_n)(x_n, y_n), m equals m0 Z^3 and every lattice point is on the
-    curve, x^3 + y^3 = m holds for each.  A document that fails one of those
-    three checks fails the identity too, so no representation is ever cubed
-    and the work stays linear in the document.  Returns the full check map
-    in CHECK_NAMES order.  A lattice collision or a height interval touching
-    zero ends it early with the remaining checks false.
+    ``independent, derived`` is derive(cfg, cert.generators, indices,
+    cert.box_size, cert.tol) on the stored indices.  Each stored value is
+    compared with its derived counterpart; nothing is derived again.  The
+    cube-sum identity of the stored representations is proved from the
+    lattice alone: when they equal (Z/z_n)(x_n, y_n), m equals m0 Z^3 and
+    every lattice point is on the curve, x^3 + y^3 = m holds for each.  A
+    document that fails one of those three checks fails the identity too,
+    so no representation is ever cubed and the work stays linear in the
+    document.  Returns the full check map in CHECK_NAMES order.  A lattice
+    collision or a height interval touching zero ends it early with the
+    remaining checks false.
     """
     checks = dict.fromkeys(CHECK_NAMES, False) | _generator_checks(
         cfg, cert.generators
@@ -546,19 +549,25 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     """The verifier's check map: screen the document, then derive once.
 
     Nothing is derived unless the generators are nontrivial primitive curve
-    points and the document holds exactly N^r representations, so the work
-    is bounded by the size of the document (N is compared with the count
-    before N^r is formed).  A failed screen leaves every later check false.
+    points, the document holds exactly N^r representations and N^r lattice
+    entries, and the stored indices pass index_set_screen, so the work is
+    bounded by the size of the document (N is compared with each count
+    before N^r is formed).  The indices are read, never chosen again.  A
+    failed screen leaves every later check false.
     """
     screen = _generator_checks(cfg, cert.generators)
     checks = dict.fromkeys(CHECK_NAMES, False) | screen
     if not all(screen.values()):
         return checks
-    count = len(cert.representations)
-    if not (cert.box_size <= count and cert.box_size**cert.rank == count):
+    box_size = cert.box_size
+    indices = [idx for idx, _ in cert.lattice_points]
+    for count in (len(cert.representations), len(indices)):
+        if not (box_size <= count and box_size**cert.rank == count):
+            return checks
+    if not index_set_screen(indices, box_size):
         return checks
     return evaluate_checks(
-        cfg, cert, *derive(cfg, cert.generators, cert.box_size, cert.tol)
+        cfg, cert, *derive(cfg, cert.generators, indices, box_size, cert.tol)
     )
 
 
@@ -610,13 +619,9 @@ def build_certificate(
 ) -> Certificate:
     """Run the construction and return a fully checked certificate.
 
-    The generators are arranged first: with (order, signs) from
-    arrangement(G, N), the certificate records s_1 P_order[0], ...,
-    s_r P_order[r-1], from which verify derives as from any other.  The
-    heights are computed once: hhat(-P) = hhat(P) and the pairing is
-    bilinear, so the arranged Gram matrix is G with rows and columns
-    permuted and negated, and the independence verdict, a determinant's
-    sign, is unchanged.
+    The generators are recorded as given, and the lattice runs over
+    index_set(G, N), chosen from the Gram matrix that independence already
+    computed, so every height is computed once.
 
     Raises ValueError for unusable inputs, among them a box size that
     checked_box_size refuses and a tol that checked_tol refuses, both
@@ -634,11 +639,7 @@ def build_certificate(
         raise GeneratorDependenceError(
             "generators not certified independent at this tolerance"
         )
-    order, signs = arrangement(gram, box_size)
-    arranged_generators = [
-        generators[k] if sk > 0 else generators[k].neg()
-        for k, sk in zip(order, signs)
-    ]
-    gram = arranged_gram(gram, order, signs)
-    cert = derive_lattice(cfg, arranged_generators, gram, box_size, tol)
+    cert = derive_lattice(
+        cfg, generators, gram, index_set(gram, box_size), box_size, tol
+    )
     return cert._replace(checks=evaluate_checks(cfg, cert, independent, cert))

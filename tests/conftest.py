@@ -1,6 +1,11 @@
+import json
+from functools import lru_cache
+
 import pytest
 
-from cubeforge import CubicPoint, CurveConfig
+from cubeforge import CubicPoint, CurveConfig, build_certificate, certificate_to_json
+from cubeforge.construct import index_set
+from cubeforge.heights import independence
 
 # rank-1 curves with a known small generator, one per m0
 KNOWN_GENERATORS = {
@@ -16,6 +21,50 @@ def pool_draws(pair):
     for ordered in (list(pair), list(pair)[::-1]):
         yield ordered
         yield [(y, x, z) for x, y, z in ordered]
+
+
+def line(box_size):
+    """The rank-1 index set [1..N], as the index tuples the lattice takes."""
+    return [(n,) for n in range(1, box_size + 1)]
+
+
+def chosen_indices(cfg, generators, box_size, tol=1e-3):
+    """The index set build_certificate chooses for these generators."""
+    gram, _ = independence(cfg, list(generators), tol)
+    return index_set(gram, box_size)
+
+
+# the stored index that replaces the last of [0, 1], [1, -1], [1, 0], [1, 1]
+# in the m0=91 pool document at N=2, for each way to fail the verifier's
+# index screen; None drops the entry, leaving N^r - 1
+SCREEN_TAMPERS = {
+    "zero": [0, 0],
+    "pair": [-1, 1],
+    "beyond-N": [3, 1],
+    "repeated": [1, 0],
+    "short": None,
+    "256-hex-digits": [hex(16**255), 1],
+}
+
+
+@lru_cache(maxsize=1)
+def _pool_document_n2() -> str:
+    cert = build_certificate(
+        CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 2
+    )
+    return certificate_to_json(cert)
+
+
+def screen_tampered(name) -> dict:
+    """The m0=91, N=2 document with SCREEN_TAMPERS[name] applied."""
+    doc = json.loads(_pool_document_n2())
+    lattice = doc["lattice_points"]
+    assert [e["index"] for e in lattice] == [[0, 1], [1, -1], [1, 0], [1, 1]]
+    if SCREEN_TAMPERS[name] is None:
+        del lattice[-1]
+    else:
+        lattice[-1]["index"] = SCREEN_TAMPERS[name]
+    return doc
 
 
 @pytest.fixture(scope="session")

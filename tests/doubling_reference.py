@@ -151,22 +151,27 @@ def lattice_height_bound_check(
     cfg: CurveConfig,
     generators: list[CubicPoint],
     box_size: int,
+    indices: list[tuple[int, ...]] | None = None,
     tol: float = 1e-3,
 ) -> bool:
-    """Certify hhat(Q_n) <= A N^2 hhat for every box combination.
+    """Certify hhat(Q_n) <= A N^2 hhat over an index set in the box.
 
-    A is the height factor 3 * 2^(r-1) - 2.  The check passes when no
-    lattice point refutes the inequality after error propagation.  Heights
-    come from cubeforge.heights, not from the doubling engine above.
+    A is the height factor 3 * 2^(r-1) - 2, and the index set is the one
+    build chooses unless one is given.  The check passes when no lattice
+    point refutes the inequality after error propagation.  Heights come
+    from cubeforge.heights, not from the doubling engine above.
     """
     rank = len(generators)
+    if indices is None:
+        gram, _ = heights.independence(cfg, generators, tol)
+        indices = construct.index_set(gram, box_size)
     hs = [heights.canonical_height(cfg, p, tol) for p in generators]
     hhat_bar = reduce(interval_max, hs)
     bound = (
         ApproxReal.from_int(construct.height_factor(rank) * box_size * box_size)
         * hhat_bar
     )
-    for _, q in construct.generate_lattice_points(cfg, generators, box_size):
+    for _, q in construct.generate_lattice_points(cfg, generators, indices):
         hq = heights.canonical_height(cfg, q, tol)
         if hq.lower() > bound.upper():
             return False

@@ -19,13 +19,18 @@ from cubeforge import (
     CurveConfig,
     build_certificate,
     canonical_height,
+    certificate_to_json,
     count_reps,
     cubic_add,
     divisor_check,
     generate_lattice_points,
+    log_abs,
+    verify_certificate,
     weierstrass_image,
 )
 from cubeforge.cli import main as cli_main
+from cubeforge.construct import verify_checks
+from tests.conftest import line
 from tests.group_reference import (
     WeierstrassPoint,
     add,
@@ -175,7 +180,7 @@ def test_criterion_4_offset_window():
 
 def test_criterion_5_divisor_checks():
     cfg = CurveConfig(6)
-    lattice = generate_lattice_points(cfg, [GENERATORS[6]], 5)
+    lattice = generate_lattice_points(cfg, [GENERATORS[6]], line(5))
     assert len(lattice) == 5
     for _, q in lattice:
         record = divisor_check(cfg, q)
@@ -307,4 +312,42 @@ def test_criterion_9_certified_inequality():
     print(
         "criterion 9 PASS: N^r = 4 beats the certified bound"
         f" {cert.bound_rhs.upper():.4f}"
+    )
+
+
+# ROADMAP table 1's half-ellipsoid rows: the chosen set of N^r points at
+# each curve's box size, with m's bit length (the pool) or natural log m
+# (within 0.01%) as measured when the set was proposed
+_TABLE_1 = [
+    (91, ((-5, 6, 1), (3, 4, 1)), 12, "bits", 44_161),
+    (1729, ((1, 12, 1), (9, 10, 1)), 12, "bits", 68_394),
+    (657, ((-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)), 8, "log", 125_951),
+    (152551, ((54, -17, 1), (55, -24, 1), (226, -225, 1), (705, -668, 7)),
+     6, "log", 241_312),
+    (526535, ((207, -167, 2), (323, -3, 4), (363, 262, 5), (633, -418, 7)),
+     6, "log", 304_220),
+]
+
+
+def test_criterion_10_half_ellipsoid_table():
+    start = time.monotonic()
+    for m0, generators, box_size, unit, expected in _TABLE_1:
+        cfg = CurveConfig(m0)
+        cert = build_certificate(
+            cfg, [CubicPoint(*g) for g in generators], box_size
+        )
+        assert cert.all_checks_pass, m0
+        if unit == "bits":
+            assert cert.m.bit_length() == expected
+            # the whole document, through the reader
+            assert verify_certificate(certificate_to_json(cert)) == cert
+        else:
+            assert abs(log_abs(cert.m).value - expected) <= 1e-4 * expected
+            # a rank-3 or rank-4 document runs to tens of megabytes, so the
+            # verifier's checks run on the built record, unparsed
+            assert verify_checks(cfg, cert) == cert.checks
+    elapsed = time.monotonic() - start
+    print(
+        f"criterion 10 PASS: {len(_TABLE_1)} table rows reproduced, every"
+        f" check true in build and verify, {elapsed:.2f}s"
     )

@@ -74,13 +74,15 @@ def test_check_count_matches_check_names():
 
 
 # the document length of each pool class at each cert workload, the same
-# for all four draws; build_certificate puts (3, 4, 1) first on m0=91 and
-# negates (9, 10, 1) on m0=1729, whichever draw it is given
+# for all four draws: the generators are recorded as given, and the chosen
+# index set is the lattice's, so a reorder or a sign flip of every
+# generator changes which (x, y) comes first and which coordinate of an
+# index carries its minus sign, but no length
 POOL_BYTES = {
-    (91, "cert_large"): 1_584_957,
-    (1729, "cert_large"): 2_486_155,
-    (91, "cert_tight"): 161_750,
-    (1729, "cert_tight"): 246_289,
+    (91, "cert_large"): 1_134_546,
+    (1729, "cert_large"): 1_731_796,
+    (91, "cert_tight"): 117_166,
+    (1729, "cert_tight"): 170_394,
 }
 
 
@@ -102,7 +104,8 @@ def test_pool_certificate_passes(m0, workload):
         report = verify_certificate(text)
         assert report.checks == cert.checks
         manufactured.add(cert.m)
-    # the chooser sees every draw's candidates, so all four share one m
+    # the index set follows the lattice, not the basis, so all four share
+    # one m
     assert len(manufactured) == 1
 
 

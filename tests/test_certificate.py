@@ -26,6 +26,7 @@ from cubeforge import (
 from cubeforge import construct
 from cubeforge.certificate import _SHORT_HEX, _as_int, _hex
 from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
+from tests.conftest import SCREEN_TAMPERS, line, screen_tampered
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
 # certificate is derived must not change a byte of it.  Schema "4" is the
@@ -33,13 +34,13 @@ from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
 # re-dumped with json.dumps(indent=2) plus a newline.  The local-height
 # engine changed the hhat_bar and bound_rhs floats only.  The document has
 # no "generated_at" line: it holds nothing the run did not determine.
-# Schema "5" centres every index but the first, which rank 1 does not
-# have, so its rank-1 document is the schema "4" one with schema_version
-# "5": GOLDEN_SHA256_SCHEMA_4 pins that.
+# Schemas "5" and "6" change only the index set at rank 2 and up (rank 1
+# is [1..N] in all three), so the rank-1 document is the schema "4" one
+# with schema_version "6": GOLDEN_SHA256_SCHEMA_4 pins that.
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
-GOLDEN_SHA256 = "a5efd6e8034218070eaff6fc674ed68539031ea0254262586d8936d2b4e5d1fe"
+GOLDEN_SHA256 = "bc0385be769b761d7e034d45fddcb7569acd7cf6d321dca82d554ae0aa362133"
 
 
 def certificate_to_dict(cert):
@@ -85,7 +86,7 @@ class TestSerialization:
         }
         # no stored check map: verify derives every verdict afresh
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "5"
+        assert cert6_doc["schema_version"] == "6"
 
     def test_divisor_record_is_exact(self, cert6_doc):
         for entry in cert6_doc["lattice_points"]:
@@ -107,7 +108,7 @@ class TestSerialization:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
         _assert_json_fixed_point(text)
         as_schema_4 = text.replace(
-            '"schema_version": "5"', '"schema_version": "4"', 1
+            '"schema_version": "6"', '"schema_version": "4"', 1
         ).encode("utf-8")
         assert hashlib.sha256(as_schema_4).hexdigest() == GOLDEN_SHA256_SCHEMA_4
 
@@ -287,8 +288,13 @@ class TestVerification:
             [hex(17), hex(37), hex(21)],
             [hex(double.x), hex(double.y), hex(double.z)],
         ]
-        doc["lattice_points"] = []
-        # N^r = 4 stored representations, so the count screen lets it through
+        # N^r = 4 stored indices that pass the index screen, and 4 stored
+        # representations, so both count screens let it through
+        entry = doc["lattice_points"][0]
+        doc["lattice_points"] = [
+            {**entry, "index": index}
+            for index in ([1, 0], [0, 1], [1, 1], [1, -1])
+        ]
         doc["representations"] = doc["representations"] * 2
         report = verify_certificate(doc)
         assert report.checks["representation_count"]
@@ -328,6 +334,24 @@ class TestVerification:
         assert not report.checks["generators_independent"]
         tail = CHECK_NAMES[CHECK_NAMES.index("constants_match"):]
         assert not any(report.checks[name] for name in tail)
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_TAMPERS))
+    def test_index_screen_fails_closed(self, name, monkeypatch):
+        # a stored index set the chain bounds do not cover leaves every
+        # check after the generators' false, and no height is computed
+        doc = screen_tampered(name)
+        calls = []
+        monkeypatch.setattr(
+            construct, "independence", lambda *args: calls.append(args)
+        )
+        report = verify_certificate(doc)
+        assert calls == []
+        assert list(report.checks) == list(CHECK_NAMES)
+        assert [check for check, ok in report.checks.items() if ok] == [
+            "generators_on_curve",
+            "generators_primitive",
+            "generators_nontrivial",
+        ]
 
     @pytest.mark.parametrize("box_size", [1, 3, 10**7])
     def test_box_size_is_screened_against_the_document(self, cert6_doc, box_size):
@@ -400,7 +424,9 @@ class TestIdentityProof:
             ],
         )
         monkeypatch.setattr(CountingInt, "powers", 0)
-        checks = evaluate_checks(cfg6, counted, *derive(cfg6, [gen6], 4, cert.tol))
+        checks = evaluate_checks(
+            cfg6, counted, *derive(cfg6, [gen6], line(4), 4, cert.tol)
+        )
         assert all(checks.values())
         assert CountingInt.powers == 0
 
@@ -652,9 +678,17 @@ class TestFormatErrors:
             verify_certificate(doc)
 
     def test_schema_4_is_refused(self, cert6_doc):
-        # a "4" document's lattice is the box [1..N]^r, not the centred set
+        # a "4" document's lattice is the box [1..N]^r
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "4"
+        with pytest.raises(CertificateFormatError, match="unsupported schema"):
+            verify_certificate(doc)
+
+    def test_schema_5_is_refused(self, cert6_doc):
+        # a "5" document's lattice is the centred set over generators that
+        # build rearranged, not the stored set of least height
+        doc = copy.deepcopy(cert6_doc)
+        doc["schema_version"] = "5"
         with pytest.raises(CertificateFormatError, match="unsupported schema"):
             verify_certificate(doc)
 

@@ -21,6 +21,7 @@ from cubeforge.cli import (
     EXIT_PRECISION,
     main,
 )
+from tests.conftest import SCREEN_TAMPERS, screen_tampered
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +377,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "5"
+        assert payload["schema_version"] == "6"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
@@ -395,30 +396,33 @@ class TestConstruct:
         assert json.loads(out)["all_passed"] is True
 
     @pytest.mark.parametrize(
-        "generators, note",
-        [
-            ([[-5, 6, 1], [3, 4, 1]],
-             "; generators recorded as [[3, 4, 1], [-5, 6, 1]]"),
-            ([[3, 4, 1], [-5, 6, 1]], ""),
-        ],
+        "generators",
+        [[[-5, 6, 1], [3, 4, 1]], [[3, 4, 1], [-5, 6, 1]]],
         ids=["flipped", "as-given"],
     )
-    def test_names_negated_generators(self, capsys, tmp_path, generators, note):
-        # on m0=91 at N=8 build_certificate puts (3, 4, 1) first: the line
-        # names reordered generators as it names negated ones
-        gens = tmp_path / "pool91.json"
-        gens.write_text(json.dumps(generators))
-        out_path = tmp_path / "cert.json"
-        rc, out, err = run(
-            capsys,
-            ["construct", "--m0", "91", "--generators", str(gens), "--N", "8",
-             "--out", str(out_path)],
-        )
-        assert rc == EXIT_OK, err
-        assert out == ""
-        assert err == f"certificate ok: 64 representations{note}\n"
-        stored = json.loads(out_path.read_text())["generators"]
-        assert stored == [["0x3", "0x4", "0x1"], ["-0x5", "0x6", "0x1"]]
+    def test_names_negated_generators(self, capsys, tmp_path, generators):
+        # on m0=91 at N=8 construct neither reorders nor negates the pair:
+        # it is stored as given, the stderr line names only the count, and
+        # the other order manufactures the same m
+        def construct(gens):
+            gen_path = tmp_path / "pool91.json"
+            gen_path.write_text(json.dumps(gens))
+            out_path = tmp_path / "cert.json"
+            rc, out, err = run(
+                capsys,
+                ["construct", "--m0", "91", "--generators", str(gen_path),
+                 "--N", "8", "--out", str(out_path)],
+            )
+            assert rc == EXIT_OK, err
+            assert out == ""
+            assert err == "certificate ok: 64 representations\n"
+            return json.loads(out_path.read_text())
+
+        stored = construct(generators)
+        assert stored["generators"] == [
+            [hex(c) for c in g] for g in generators
+        ]
+        assert construct(generators[::-1])["m"] == stored["m"]
 
     def test_stdout_is_the_document_in_pieces(self, monkeypatch, tmp_path):
         # without --out the document streams to stdout as write_certificate
@@ -724,6 +728,19 @@ class TestHostileInput:
     )
     def test_long_integer(self, capsys, argv):
         self.assert_refused(capsys, argv, "more than 4300 digits")
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_TAMPERS))
+    def test_screened_index_set(self, capsys, tmp_path, name):
+        # not an input error: the document parses, and its index screen
+        # fails every check after the generators' with a short stderr
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(screen_tampered(name)))
+        rc, out, err = run(capsys, ["verify", "--cert", str(path)])
+        assert rc == EXIT_CHECK_FAILED
+        assert len(err) < 300
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        assert not payload["checks"]["generators_independent"]
 
     @pytest.mark.parametrize("command", ["phi", "height"])
     def test_long_two_field_point(self, capsys, command):

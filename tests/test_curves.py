@@ -24,7 +24,7 @@ from cubeforge import (
 )
 from cubeforge import construct, curves
 from tests import group_reference
-from tests.conftest import KNOWN_GENERATORS
+from tests.conftest import KNOWN_GENERATORS, chosen_indices
 from tests.group_reference import (
     INFINITY,
     WeierstrassPoint,
@@ -221,17 +221,12 @@ def _transported_add(cfg, p, q):
     )
 
 
-def _transported_lattice(cfg, generators, box_size):
-    """The lattice of generate_lattice_points, built on the Weierstrass twin.
-
-    The index set is [1..N] for the first generator and the centred
-    [-floor(N/2) .. ceil(N/2) - 1] for every other, in lex order.
-    """
+def _transported_lattice(cfg, generators, indices):
+    """The lattice of generate_lattice_points, built on the Weierstrass twin,
+    one point per index in the order given."""
     w = [to_weierstrass(cfg, p) for p in generators]
-    centred = range(-(box_size // 2), (box_size + 1) // 2)
-    spans = [range(1, box_size + 1)] + [centred] * (len(w) - 1)
     out = []
-    for idx in itertools.product(*spans):
+    for idx in indices:
         acc = INFINITY
         for p, n in zip(w, idx):
             acc = add(cfg, acc, smul(cfg, n, p))
@@ -268,14 +263,16 @@ class TestIntegerGroupLaw:
 
     def test_rank_three_lattice(self):
         cfg = CurveConfig(657)
-        assert generate_lattice_points(cfg, _GENS_657, 4) == (
-            _transported_lattice(cfg, _GENS_657, 4)
+        indices = chosen_indices(cfg, _GENS_657, 4)
+        assert generate_lattice_points(cfg, _GENS_657, indices) == (
+            _transported_lattice(cfg, _GENS_657, indices)
         )
 
     def test_lattice_never_touches_the_weierstrass_model(self, monkeypatch):
         # a structural speed guard: the lattice is integer arithmetic only
         cfg = CurveConfig(91)
-        expected = _transported_lattice(cfg, list(_P91), 8)
+        indices = chosen_indices(cfg, _P91, 8)
+        expected = _transported_lattice(cfg, list(_P91), indices)
 
         def refuse(*args):
             raise AssertionError("the Weierstrass model was used")
@@ -283,7 +280,7 @@ class TestIntegerGroupLaw:
         for module in (curves, construct):
             monkeypatch.setattr(module, "weierstrass_image", refuse, raising=False)
         monkeypatch.setattr(group_reference, "add", refuse)
-        assert generate_lattice_points(cfg, list(_P91), 8) == expected
+        assert generate_lattice_points(cfg, list(_P91), indices) == expected
 
     def test_both_formulas_vanishing_is_refused(self, cfg6):
         # (0, 0, 1) is on no curve with m0 != 0, and both formulas vanish
