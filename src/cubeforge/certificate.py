@@ -31,13 +31,17 @@ construct.evaluate_checks), and returns the parsed Certificate with those
 fresh checks.  Keys the schema does not name, such as the ``generated_at``
 of older writers, are ignored.
 
-The writer produces exactly the bytes of ``json.dumps(doc, indent=2)`` plus
-a newline, without building ``doc`` whole.  The header, every key but
-``lattice_points`` and ``representations``, goes through json.dumps.  The
-two large arrays, N^r entries each, are rendered from fixed templates,
-because a hex() string needs no JSON escaping, and with ``indent`` set json
-would run its pure-Python encoder over every one of them.  The reader is
-still json.loads, so any whitespace and key order parse the same.
+The writer produces exactly the bytes of
+``json.dumps(doc, separators=(",", ":"))`` plus a newline: one line, no
+whitespace, built piece by piece without ``doc`` whole.  The header, every
+key but ``lattice_points`` and ``representations``, goes through
+json.dumps.  The two large arrays, N^r entries each, are rendered from
+one-line templates, because a hex() string needs no JSON escaping, while
+json.dumps scans every string for escapes even in its C encoder: on the
+m0=91, N=12 certificate it took 6.5 ms against 2.45 ms for the templates
+(CPython 3.11).  The reader is json.loads, so any whitespace and key order
+parse the same: an indented document verifies to the same checks, and
+``python -m json.tool`` pretty-prints one.
 """
 
 from __future__ import annotations
@@ -79,51 +83,34 @@ def _hex(n: int) -> str:
     return ("-0x" if n < 0 else "0x") + digits
 
 
-# the two slots the header leaves for the large arrays: an empty array is
-# "[]" in json.dumps(indent=2) output, and the key's quotes cannot occur
-# unescaped inside a JSON string, so each slot occurs exactly once
-_LATTICE_SLOT = '"lattice_points": []'
-_REPRESENTATIONS_SLOT = '"representations": []'
+# the two slots the header leaves for the large arrays: the key's quotes
+# cannot occur unescaped inside a JSON string, so each slot occurs exactly once
+_LATTICE_SLOT = '"lattice_points":[]'
+_REPRESENTATIONS_SLOT = '"representations":[]'
 
-# one element of each large array, laid out as json.dumps(indent=2) lays it
-# out at that depth; every %s is a hex() string or a JSON literal, and
-# neither ever needs escaping
-_LATTICE_ENTRY = """{
-      "index": [
-        %s
-      ],
-      "point": [
-        "%s",
-        "%s",
-        "%s"
-      ],
-      "divisor": {
-        "d": "%s",
-        "a": "%s",
-        "b": "%s",
-        "divisibility_pass": %s,
-        "bound_pass": %s
-      }
-    }"""
-_REPRESENTATION = """[
-      "%s",
-      "%s"
-    ]"""
+# one element of each large array; every %s is a hex() string or a JSON
+# literal, and neither ever needs escaping
+_LATTICE_ENTRY = (
+    '{"index":[%s],"point":["%s","%s","%s"],"divisor":{"d":"%s","a":"%s",'
+    '"b":"%s","divisibility_pass":%s,"bound_pass":%s}}'
+)
+_REPRESENTATION = '["%s","%s"]'
 _JSON_BOOL = {True: "true", False: "false"}
 
 
 def _array(entries: Iterator[str]) -> Iterator[str]:
-    """A top-level key's array of rendered entries, as json.dumps(indent=2)."""
-    separator = "[\n    "
+    """A top-level key's array of rendered entries."""
+    separator = "["
     for entry in entries:
         yield separator
         yield entry
-        separator = ",\n    "
-    yield "[]" if separator == "[\n    " else "\n  ]"
+        separator = ","
+    yield "[]" if separator == "[" else "]"
 
 
 def document_pieces(cert: Certificate) -> Iterator[str]:
-    """The certificate document in pieces, json.dumps(indent=2) byte for byte.
+    """The certificate document in pieces, byte for byte
+    json.dumps(doc, separators=(",", ":")) plus a newline.
 
     The header, everything but the lattice and the representations, goes
     through json.dumps; the two large arrays are rendered from the templates
@@ -152,22 +139,22 @@ def document_pieces(cert: Certificate) -> Iterator[str]:
             "representations": [],
             "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
-        indent=2,
+        separators=(",", ":"),
     )
     head, _, rest = header.partition(_LATTICE_SLOT)
     middle, _, tail = rest.partition(_REPRESENTATIONS_SLOT)
-    yield head + '"lattice_points": '
+    yield head + '"lattice_points":'
     yield from _array(
         _LATTICE_ENTRY
         % (
-            ",\n        ".join(map(str, idx)),
+            ",".join(map(str, idx)),
             _hex(q.x), _hex(q.y), _hex(q.z),
             _hex(dc.d), _hex(dc.a), _hex(dc.b),
             _JSON_BOOL[dc.divisibility_pass], _JSON_BOOL[dc.bound_pass],
         )
         for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
     )
-    yield middle + '"representations": '
+    yield middle + '"representations":'
     yield from _array(
         _REPRESENTATION % (_hex(x), _hex(y)) for x, y in cert.representations
     )

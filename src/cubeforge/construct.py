@@ -22,13 +22,13 @@ height (index_set), which depends on the lattice and not on the order or
 signs of the generators, and records the generators as given.  Rank 1 is
 the paper's [1..N].
 
-One record, Certificate, carries a run.  derive computes everything the
-inputs (m0, generators, indices, N, tol) determine and returns it as a
-Certificate with no checks: independence, then derive_lattice from the Gram
-matrix.  build_certificate runs independence once, chooses I, runs
-derive_lattice and fills in the checks; the verifier screens the stored
-indices (index_set_screen), derives again over them, never choosing again,
-and compares field by field.
+One record, Certificate, carries a run.  derive_lattice computes everything
+the inputs (m0, generators, Gram matrix, indices, N, tol) determine and
+returns it as a Certificate with no checks.  build_certificate runs
+independence once, chooses I from its Gram matrix, runs derive_lattice and
+fills in the checks; the verifier screens the stored indices
+(index_set_screen), runs independence and derive_lattice over them, never
+choosing again, and compares field by field.
 """
 
 from __future__ import annotations
@@ -386,7 +386,7 @@ class Certificate(
     (index tuple, CubicPoint) pairs, divisor_checks a list of DivisorCheck,
     representations a list of (x, y) pairs, hhat_bar and bound_rhs are
     ApproxReal, and checks maps each name in CHECK_NAMES to its verdict.
-    derive and parse_certificate leave checks an empty dict of its own;
+    derive_lattice and parse_certificate leave checks an empty dict of its own;
     build_certificate and verify_certificate fill it in.
     """
 
@@ -395,26 +395,6 @@ class Certificate(
     @property
     def all_checks_pass(self) -> bool:
         return bool(self.checks) and all(self.checks.values())
-
-
-def derive(
-    cfg: CurveConfig,
-    generators: list[CubicPoint],
-    indices: list[tuple[int, ...]],
-    box_size: int,
-    tol: float,
-) -> tuple[bool, Certificate]:
-    """Run the construction once; verify starts here.
-
-    Returns the certified independence verdict and the certificate that
-    (m0, generators, indices, N, tol) determine, with no checks:
-    independence, then derive_lattice on its Gram matrix.  The generators
-    and the indices are taken as given.
-    """
-    gram, independent = independence(cfg, generators, tol)
-    return independent, derive_lattice(
-        cfg, generators, gram, indices, box_size, tol
-    )
 
 
 def derive_lattice(
@@ -462,13 +442,19 @@ def _generator_checks(cfg: CurveConfig, gens: list[CubicPoint]) -> dict[str, boo
 
 
 def evaluate_checks(
-    cfg: CurveConfig, cert: Certificate, independent: bool, derived: Certificate
+    cfg: CurveConfig,
+    cert: Certificate,
+    generator_checks: dict[str, bool],
+    independent: bool,
+    derived: Certificate,
 ) -> dict[str, bool]:
     """Compare a certificate against the one derived from its own inputs.
 
-    ``independent, derived`` is derive(cfg, cert.generators, indices,
-    cert.box_size, cert.tol) on the stored indices.  Each stored value is
-    compared with its derived counterpart; nothing is derived again.  The
+    ``generator_checks`` is _generator_checks of cert.generators, computed
+    once by the caller, which screens on it; ``independent`` is the verdict
+    of independence on them, and ``derived`` is derive_lattice over its Gram
+    matrix and the stored indices.  Each stored value is compared with its
+    derived counterpart; nothing is derived again.  The
     cube-sum identity of the stored representations is proved from the
     lattice alone: when they equal (Z/z_n)(x_n, y_n), m equals m0 Z^3 and
     every lattice point is on the curve, x^3 + y^3 = m holds for each.  A
@@ -478,9 +464,7 @@ def evaluate_checks(
     collision or a height interval touching zero ends it early with the
     remaining checks false.
     """
-    checks = dict.fromkeys(CHECK_NAMES, False) | _generator_checks(
-        cfg, cert.generators
-    )
+    checks = dict.fromkeys(CHECK_NAMES, False) | generator_checks
     rank = len(cert.generators)
     checks["generators_independent"] = independent
     checks["heights_match"] = derived.hhat_bar.intersects(cert.hhat_bar)
@@ -549,26 +533,31 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     """The verifier's check map: screen the document, then derive once.
 
     Nothing is derived unless the generators are nontrivial primitive curve
-    points, the document holds exactly N^r representations and N^r lattice
-    entries, and the stored indices pass index_set_screen, so the work is
-    bounded by the size of the document (N is compared with each count
-    before N^r is formed).  The indices are read, never chosen again.  A
-    failed screen leaves every later check false.
+    points, the document holds exactly N^r lattice entries, and their
+    indices pass index_set_screen, so the work is bounded by the size of
+    the document (N is compared with the entry count before N^r is
+    formed).  The indices are read, never chosen again.  The representation
+    count is decided with the other checks, in evaluate_checks.  A failed
+    screen leaves every later check false without evaluating it: false
+    means not established, so generators_independent is false there
+    whatever the generators are.
     """
     screen = _generator_checks(cfg, cert.generators)
     checks = dict.fromkeys(CHECK_NAMES, False) | screen
-    if not all(screen.values()):
-        return checks
     box_size = cert.box_size
     indices = [idx for idx, _ in cert.lattice_points]
-    for count in (len(cert.representations), len(indices)):
-        if not (box_size <= count and box_size**cert.rank == count):
-            return checks
-    if not index_set_screen(indices, box_size):
+    if not (
+        all(screen.values())
+        and box_size <= len(indices)
+        and box_size**cert.rank == len(indices)
+        and index_set_screen(indices, box_size)
+    ):
         return checks
-    return evaluate_checks(
-        cfg, cert, *derive(cfg, cert.generators, indices, box_size, cert.tol)
+    gram, independent = independence(cfg, cert.generators, cert.tol)
+    derived = derive_lattice(
+        cfg, cert.generators, gram, indices, box_size, cert.tol
     )
+    return evaluate_checks(cfg, cert, screen, independent, derived)
 
 
 def finite_float(value, what: str) -> float:
@@ -631,7 +620,8 @@ def build_certificate(
     """
     box_size = checked_box_size(box_size)
     tol = checked_tol(tol)
-    failed = [k for k, ok in _generator_checks(cfg, generators).items() if not ok]
+    screen = _generator_checks(cfg, generators)
+    failed = [k for k, ok in screen.items() if not ok]
     if failed:
         raise ValueError(f"unusable generators: {', '.join(failed)} failed")
     gram, independent = independence(cfg, generators, tol)
@@ -642,4 +632,6 @@ def build_certificate(
     cert = derive_lattice(
         cfg, generators, gram, index_set(gram, box_size), box_size, tol
     )
-    return cert._replace(checks=evaluate_checks(cfg, cert, independent, cert))
+    return cert._replace(
+        checks=evaluate_checks(cfg, cert, screen, independent, cert)
+    )

@@ -67,6 +67,16 @@ def screen_tampered(name) -> dict:
     return doc
 
 
+def representations_cut(padding: int = 0) -> dict:
+    """The m0=91, N=2 document with its last representation deleted, then
+    padding copies of its first appended."""
+    doc = json.loads(_pool_document_n2())
+    representations = doc["representations"]
+    del representations[-1]
+    representations += representations[:1] * padding
+    return doc
+
+
 @pytest.fixture(scope="session")
 def cfg6():
     return CurveConfig(6)

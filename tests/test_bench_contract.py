@@ -79,10 +79,10 @@ def test_check_count_matches_check_names():
 # generator changes which (x, y) comes first and which coordinate of an
 # index carries its minus sign, but no length
 POOL_BYTES = {
-    (91, "cert_large"): 1_134_546,
-    (1729, "cert_large"): 1_731_796,
-    (91, "cert_tight"): 117_166,
-    (1729, "cert_tight"): 170_394,
+    (91, "cert_large"): 1_109_286,
+    (1729, "cert_large"): 1_706_536,
+    (91, "cert_tight"): 105_826,
+    (1729, "cert_tight"): 159_054,
 }
 
 

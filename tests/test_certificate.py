@@ -25,8 +25,19 @@ from cubeforge import (
 )
 from cubeforge import construct
 from cubeforge.certificate import _SHORT_HEX, _as_int, _hex
-from cubeforge.construct import CHECK_NAMES, derive, evaluate_checks
-from tests.conftest import SCREEN_TAMPERS, line, screen_tampered
+from cubeforge.construct import (
+    CHECK_NAMES,
+    _generator_checks,
+    derive_lattice,
+    evaluate_checks,
+)
+from cubeforge.heights import independence
+from tests.conftest import (
+    SCREEN_TAMPERS,
+    line,
+    representations_cut,
+    screen_tampered,
+)
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
 # certificate is derived must not change a byte of it.  Schema "4" is the
@@ -36,11 +47,13 @@ from tests.conftest import SCREEN_TAMPERS, line, screen_tampered
 # no "generated_at" line: it holds nothing the run did not determine.
 # Schemas "5" and "6" change only the index set at rank 2 and up (rank 1
 # is [1..N] in all three), so the rank-1 document is the schema "4" one
-# with schema_version "6": GOLDEN_SHA256_SCHEMA_4 pins that.
+# with schema_version "6".  Schema "4" documents were written with
+# indent=2 and the writer is compact, so GOLDEN_SHA256_SCHEMA_4 pins the
+# document re-dumped with indent=2 and schema_version set back to "4".
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
-GOLDEN_SHA256 = "bc0385be769b761d7e034d45fddcb7569acd7cf6d321dca82d554ae0aa362133"
+GOLDEN_SHA256 = "54d740dc76fac5fd1a2867b389513a0e0b6b73713a03795bcde7bdbad580c3f2"
 
 
 def certificate_to_dict(cert):
@@ -107,9 +120,11 @@ class TestSerialization:
         text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
         _assert_json_fixed_point(text)
-        as_schema_4 = text.replace(
-            '"schema_version": "6"', '"schema_version": "4"', 1
-        ).encode("utf-8")
+        as_schema_4 = (
+            (json.dumps(json.loads(text), indent=2) + "\n")
+            .replace('"schema_version": "6"', '"schema_version": "4"', 1)
+            .encode("utf-8")
+        )
         assert hashlib.sha256(as_schema_4).hexdigest() == GOLDEN_SHA256_SCHEMA_4
 
     def test_round_trip(self, cert6):
@@ -134,7 +149,7 @@ class TestSerialization:
 
 def _assert_json_fixed_point(text):
     # the writer renders the large arrays itself; json must agree on every byte
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text
 
 
 # the benchmark's certificate inputs (both curves at both workload sizes,
@@ -176,8 +191,8 @@ class TestTemplateWriter:
             lattice_points=[], divisor_checks=[], representations=[]
         )
         text = certificate_to_json(empty)
-        assert '"lattice_points": [],' in text
-        assert '"representations": [],' in text
+        assert '"lattice_points":[],' in text
+        assert '"representations":[],' in text
         _assert_json_fixed_point(text)
 
     def test_escaped_strings_do_not_grow_with_the_box(self, monkeypatch):
@@ -289,7 +304,7 @@ class TestVerification:
             [hex(double.x), hex(double.y), hex(double.z)],
         ]
         # N^r = 4 stored indices that pass the index screen, and 4 stored
-        # representations, so both count screens let it through
+        # representations, so the representation count holds
         entry = doc["lattice_points"][0]
         doc["lattice_points"] = [
             {**entry, "index": index}
@@ -302,18 +317,41 @@ class TestVerification:
         assert not report.all_checks_pass
         assert list(report.checks) == list(CHECK_NAMES)
 
-    def test_colliding_generators_end_early(self, gen6, cert6_doc):
-        # P and 2P at N=3: (3,1) and (1,2) both land on 5P, so the lattice
-        # is never compared and every check after heights_match is false
+    def test_colliding_generators_end_early(self, gen6, cert6_doc, monkeypatch):
+        # P and 2P at N=3: the 9 stored indices pass the screen, but (2,0)
+        # and (0,1) both land on 2P, as (3,1) and (1,2) both land on 5P, so
+        # generating the lattice raises, the lattice is never compared, and
+        # every check from generators_independent on is false
         doc = copy.deepcopy(cert6_doc)
         doc["r"], doc["N"] = 2, 3
         doc["generators"] = [
             [hex(17), hex(37), hex(21)],
             [hex(2237723), hex(-1805723), hex(960540)],
         ]
-        doc["lattice_points"] = []
+        entry = doc["lattice_points"][0]
+        doc["lattice_points"] = [
+            {**entry, "index": index}
+            for index in (
+                [1, 0], [2, 0], [3, 0], [0, 1], [1, 1],
+                [1, 2], [3, 1], [1, -1], [2, 1],
+            )
+        ]
         doc["representations"] = [doc["representations"][0]] * 9
+        raised = []
+        generate = construct.generate_lattice_points
+
+        def spy(*args):
+            try:
+                return generate(*args)
+            except construct.GeneratorDependenceError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(construct, "generate_lattice_points", spy)
         report = verify_certificate(doc)
+        assert raised == [
+            "generators not independent: combinations (2, 0) and (0, 1) collide"
+        ]
         assert list(report.checks) == list(CHECK_NAMES)
         assert [name for name, ok in report.checks.items() if ok] == [
             "generators_on_curve",
@@ -352,6 +390,29 @@ class TestVerification:
             "generators_primitive",
             "generators_nontrivial",
         ]
+
+    def test_missing_representation_fails_only_what_it_touches(self):
+        # the lattice passes its screens, so everything is derived: the
+        # generators stay independent, and besides N=2 < n_min only the
+        # checks that read the representations fail
+        report = verify_certificate(representations_cut())
+        assert list(report.checks) == list(CHECK_NAMES)
+        assert {name for name, ok in report.checks.items() if not ok} == {
+            "representations_match_formula",
+            "representation_identity",
+            "representation_count",
+            "theorem_preconditions",
+        }
+
+    def test_padded_representations_cost_no_more_than_their_bytes(self):
+        # 20,000 extra pairs are compared, not generated: nothing is derived
+        # per stored representation
+        doc = representations_cut(20_000)
+        start = time.perf_counter()
+        report = verify_certificate(doc)
+        assert time.perf_counter() - start < 0.5
+        assert report.checks["generators_independent"]
+        assert not report.checks["representation_count"]
 
     @pytest.mark.parametrize("box_size", [1, 3, 10**7])
     def test_box_size_is_screened_against_the_document(self, cert6_doc, box_size):
@@ -401,6 +462,17 @@ class TestOneRecord:
         assert cert.all_checks_pass is passes
         assert verify_certificate(certificate_to_json(cert)) == cert
 
+    def test_indented_layout_verifies_alike(self):
+        # the reader is json.loads: the same document in the indent=2
+        # layout of earlier writers verifies to the same Certificate
+        cert = build_certificate(
+            CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 8
+        )
+        text = certificate_to_json(cert)
+        indented = json.dumps(json.loads(text), indent=2) + "\n"
+        assert indented != text
+        assert verify_certificate(indented) == cert
+
 
 class CountingInt(int):
     """An int that counts how often it is raised to a power."""
@@ -424,8 +496,10 @@ class TestIdentityProof:
             ],
         )
         monkeypatch.setattr(CountingInt, "powers", 0)
+        gram, independent = independence(cfg6, [gen6], cert.tol)
+        derived = derive_lattice(cfg6, [gen6], gram, line(4), 4, cert.tol)
         checks = evaluate_checks(
-            cfg6, counted, *derive(cfg6, [gen6], line(4), 4, cert.tol)
+            cfg6, counted, _generator_checks(cfg6, [gen6]), independent, derived
         )
         assert all(checks.values())
         assert CountingInt.powers == 0

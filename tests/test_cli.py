@@ -21,7 +21,7 @@ from cubeforge.cli import (
     EXIT_PRECISION,
     main,
 )
-from tests.conftest import SCREEN_TAMPERS, screen_tampered
+from tests.conftest import SCREEN_TAMPERS, representations_cut, screen_tampered
 
 
 @pytest.fixture(scope="module")
@@ -741,6 +741,17 @@ class TestHostileInput:
         payload = json.loads(out)
         assert payload["all_passed"] is False
         assert not payload["checks"]["generators_independent"]
+
+    def test_missing_representation(self, capsys, tmp_path):
+        # derived and compared like any tampered field: exit 1, short stderr
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(representations_cut()))
+        rc, out, err = run(capsys, ["verify", "--cert", str(path)])
+        assert rc == EXIT_CHECK_FAILED
+        assert len(err) < 300
+        checks = json.loads(out)["checks"]
+        assert checks["generators_independent"]
+        assert not checks["representation_count"]
 
     @pytest.mark.parametrize("command", ["phi", "height"])
     def test_long_two_field_point(self, capsys, command):

@@ -30,7 +30,7 @@ from cubeforge import (
 )
 from cubeforge.construct import (
     CHECK_NAMES,
-    derive,
+    derive_lattice,
     height_factor,
     index_set,
     index_set_screen,
@@ -428,6 +428,8 @@ class TestDerivedOnce:
         for module, name in (
             (heights, "canonical_height"),
             (construct, "generate_lattice_points"),
+            (construct, "_generator_checks"),
+            (construct, "independence"),
         ):
             original = getattr(module, name)
 
@@ -439,7 +441,9 @@ class TestDerivedOnce:
         return counts
 
     def test_rank_two_build_and_verify(self, calls):
-        # rank 2 needs hhat(P1), hhat(P2) and hhat(P1 + P2), nothing more
+        # rank 2 needs hhat(P1), hhat(P2) and hhat(P1 + P2), nothing more;
+        # the generator checks screen the run and enter its check map from
+        # one call
         cfg = CurveConfig(91)
         cert = build_certificate(
             cfg, [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 2
@@ -447,11 +451,21 @@ class TestDerivedOnce:
         # N = 2 is below the minimal box size 8, which is all that fails
         failing = {k for k, ok in cert.checks.items() if not ok}
         assert failing == {"theorem_preconditions"}
-        assert calls == {"canonical_height": 3, "generate_lattice_points": 1}
+        assert calls == {
+            "canonical_height": 3,
+            "generate_lattice_points": 1,
+            "_generator_checks": 1,
+            "independence": 1,
+        }
         calls.clear()
         report = verify_certificate(certificate_to_json(cert))
         assert report.checks == cert.checks
-        assert calls == {"canonical_height": 3, "generate_lattice_points": 1}
+        assert calls == {
+            "canonical_height": 3,
+            "generate_lattice_points": 1,
+            "_generator_checks": 1,
+            "independence": 1,
+        }
 
 
 def gram_of(entries: dict[tuple[int, int], float], rank: int):
@@ -642,8 +656,8 @@ class TestOrientation:
 # sha256 of the m0=1729 documents at both benchmark (N, tol), built from
 # the pair as given
 _GIVEN_1729_SHA256 = {
-    (12, 1e-3): "c03b90adc0389798f30c7de7280ef95e6e9ca3b30c37145c4761609a82809c70",
-    (8, 1e-4): "2366c87804d34244773a0f44038ad9a3c107c82a8f2e075e478c4182da124d2f",
+    (12, 1e-3): "a738b2bd4fb53ffe6645f0c0ef88a64475c1f3eca5b1b957c7e5c7d84c12f025",
+    (8, 1e-4): "f0272022ca60bdad923169c1354f741179ce90cbddd4b4fc05637fb3bfb9f867",
 }
 
 
@@ -697,8 +711,9 @@ class TestOrientedBuild:
         for order in itertools.permutations(gens):
             for signs in itertools.product((1, -1), repeat=3):
                 basis = [p if s > 0 else p.neg() for p, s in zip(order, signs)]
-                _, cert = derive(
-                    cfg, basis, chosen_indices(cfg, basis, 4), 4, 1e-3
+                gram, _ = heights.independence(cfg, basis, 1e-3)
+                cert = derive_lattice(
+                    cfg, basis, gram, index_set(gram, 4), 4, 1e-3
                 )
                 manufactured.add(cert.m)
         assert len(manufactured) == 1
