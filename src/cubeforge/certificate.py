@@ -3,45 +3,42 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "6" runs the lattice over the N^r
-indices of least height that build chose (construct.index_set), with the
-generators as given; verify screens the stored indices
-(construct.index_set_screen) and never chooses them again.  A "5"
-document, whose lattice was [1..N] x C^(r-1) over rearranged generators,
-is refused.  Every stored integer is written as ``hex(n)`` writes it
-("0x1f", "-0x1f"), and the parser accepts exactly that form or a JSON
-number.  Hex converts in linear time both ways, where decimal costs
-quadratic time.  One loader, load_json,
-reads all JSON text from outside the program, certificates and the CLI's
-generator and point files: its numbers go through numeric.read_decimal,
-which keeps the 4,300-digit bound that numeric.py lifts for the package's
-own str().  The writer goes through bytes.hex(), 3-4x faster than hex() on
-big n.  The reader decides "exactly what hex() writes" on one of two paths,
-by length.  A string of at most 256 characters, such as a lattice
-coordinate, is read with int(s, 16) and accepted iff hex() writes the value
-back unchanged: the definition itself, and at that size the cheapest check.  A longer one, m or
-a representation, is read through bytes.fromhex() and accepted iff it is
-"0x" or "-0x" and then exactly as many lowercase ASCII digits as the value
-needs; at 17,000 digits int(s, 16) and hex() take five times as long.
-Divisor records are exact integers and verdicts.  There is no stored check
-map: verify_certificate parses the document into a Certificate, re-derives
-everything from the generators alone and compares, proves the identity
-x^3 + y^3 = m from the lattice without cubing a representation (see
-construct.evaluate_checks), and returns the parsed Certificate with those
-fresh checks.  Keys the schema does not name, such as the ``generated_at``
-of older writers, are ignored.
+reals as value/radius pairs.  Schema "7" stores the lattice triples with
+their indices and m, but not the N^r representations: each is
+(Z/z_n)(x_n, y_n), a pure function of the triples, which
+Certificate.representations expands for a consumer.  The lattice runs over
+the N^r indices of least height that build chose (construct.index_set),
+with the generators as given; verify screens the stored indices
+(construct.index_set_screen) and never chooses them again.  A "6"
+document, which also stored the pairs, is refused, as are older ones.
+Keys the schema does not name, such as a stray ``representations`` array
+or the ``generated_at`` of older writers, are ignored.
+
+Every stored integer is written as ``hex(n)`` writes it ("0x1f", "-0x1f"),
+and the parser accepts exactly that form or a JSON number.  Hex converts in
+linear time both ways, where decimal costs quadratic time.  One loader,
+load_json, reads all JSON text from outside the program, certificates and
+the CLI's generator and point files: its numbers go through
+numeric.read_decimal, which keeps the 4,300-digit bound that numeric.py
+lifts for the package's own str().  The writer goes through bytes.hex(),
+3-4x faster than hex() on big n.  The reader decides "exactly what hex()
+writes" by its definition: int(s, 16), accepted iff hex() writes the value
+back unchanged.  Divisor records are exact integers and verdicts.  There
+is no stored check map: verify_certificate parses the document into a
+Certificate, re-derives everything from the generators alone and compares,
+proves the identity x^3 + y^3 = m from the lattice without forming a
+representation (see construct.evaluate_checks), and returns the parsed
+Certificate with those fresh checks.
 
 The writer produces exactly the bytes of
 ``json.dumps(doc, separators=(",", ":"))`` plus a newline: one line, no
 whitespace, built piece by piece without ``doc`` whole.  The header, every
-key but ``lattice_points`` and ``representations``, goes through
-json.dumps.  The two large arrays, N^r entries each, are rendered from
-one-line templates, because a hex() string needs no JSON escaping, while
-json.dumps scans every string for escapes even in its C encoder: on the
-m0=91, N=12 certificate it took 6.5 ms against 2.45 ms for the templates
-(CPython 3.11).  The reader is json.loads, so any whitespace and key order
-parse the same: an indented document verifies to the same checks, and
-``python -m json.tool`` pretty-prints one.
+key but ``lattice_points``, goes through json.dumps.  The lattice, N^r
+entries, is rendered from a one-line template, because a hex() string
+needs no JSON escaping, while json.dumps scans every string for escapes
+even in its C encoder.  The reader is json.loads, so any whitespace and
+key order parse the same: an indented document verifies to the same
+checks, and ``python -m json.tool`` pretty-prints one.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 
 class CertificateFormatError(Exception):
@@ -83,18 +80,16 @@ def _hex(n: int) -> str:
     return ("-0x" if n < 0 else "0x") + digits
 
 
-# the two slots the header leaves for the large arrays: the key's quotes
-# cannot occur unescaped inside a JSON string, so each slot occurs exactly once
+# the slot the header leaves for the lattice: the key's quotes cannot occur
+# unescaped inside a JSON string, so it occurs exactly once
 _LATTICE_SLOT = '"lattice_points":[]'
-_REPRESENTATIONS_SLOT = '"representations":[]'
 
-# one element of each large array; every %s is a hex() string or a JSON
-# literal, and neither ever needs escaping
+# one lattice entry; every %s is a hex() string or a JSON literal, and
+# neither ever needs escaping
 _LATTICE_ENTRY = (
     '{"index":[%s],"point":["%s","%s","%s"],"divisor":{"d":"%s","a":"%s",'
     '"b":"%s","divisibility_pass":%s,"bound_pass":%s}}'
 )
-_REPRESENTATION = '["%s","%s"]'
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -112,9 +107,9 @@ def document_pieces(cert: Certificate) -> Iterator[str]:
     """The certificate document in pieces, byte for byte
     json.dumps(doc, separators=(",", ":")) plus a newline.
 
-    The header, everything but the lattice and the representations, goes
-    through json.dumps; the two large arrays are rendered from the templates
-    above, one piece per element, with no escaping pass over their strings.
+    The header, everything but the lattice, goes through json.dumps; the
+    lattice is rendered from the template above, one piece per entry, with
+    no escaping pass over its strings.
     """
     header = json.dumps(
         {
@@ -136,13 +131,11 @@ def document_pieces(cert: Certificate) -> Iterator[str]:
             },
             "lattice_points": [],
             "m": _hex(cert.m),
-            "representations": [],
             "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
         separators=(",", ":"),
     )
-    head, _, rest = header.partition(_LATTICE_SLOT)
-    middle, _, tail = rest.partition(_REPRESENTATIONS_SLOT)
+    head, _, tail = header.partition(_LATTICE_SLOT)
     yield head + '"lattice_points":'
     yield from _array(
         _LATTICE_ENTRY
@@ -153,10 +146,6 @@ def document_pieces(cert: Certificate) -> Iterator[str]:
             _JSON_BOOL[dc.divisibility_pass], _JSON_BOOL[dc.bound_pass],
         )
         for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
-    )
-    yield middle + '"representations":'
-    yield from _array(
-        _REPRESENTATION % (_hex(x), _hex(y)) for x, y in cert.representations
     )
     yield tail + "\n"
 
@@ -186,49 +175,18 @@ def _fail(message: str) -> CertificateFormatError:
     return CertificateFormatError(f"invalid certificate: {message}")
 
 
-# the switch between _as_int's two paths, in characters: int(s, 16) with a
-# hex() round trip takes half the time of the bytes path at 200 characters
-# and breaks even near 400, while at 17,000 it takes five times as long
-# (CPython 3.11, x86-64).  Lattice coordinates fall below it; m and the
-# representations, about as long as m, above it
-_SHORT_HEX = 256
-
-
 def _as_int(value, what: str) -> int:
     if isinstance(value, str):
-        if len(value) <= _SHORT_HEX:
-            # exactly what hex() writes, by its definition: int(s, 16) also
-            # reads a sign, "0x", "_", whitespace and non-ASCII digits, but
-            # hex() writes back only the one form
-            try:
-                n = int(value, 16)
-            except ValueError:
-                pass
-            else:
-                if hex(n) == value:
-                    return n
+        # exactly what hex() writes, by its definition: int(s, 16) also
+        # reads a sign, "0x", "_", whitespace and non-ASCII digits, but
+        # hex() writes back only the one form
+        try:
+            n = int(value, 16)
+        except ValueError:
+            pass
         else:
-            # the same set, read through bytes: "0x" or "-0x", then as many
-            # lowercase ASCII digits as n has, which leaves no room for the
-            # whitespace between byte pairs that bytes.fromhex() skips, nor
-            # for a sign or leading zero
-            negative = value[0] == "-"
-            body = value[negative + 2:]
-            try:
-                n = int.from_bytes(
-                    bytes.fromhex("0" * (len(body) & 1) + body), "big"
-                )
-            except ValueError:
-                pass
-            else:
-                if (
-                    value.startswith("0x", negative)
-                    and len(body) == max(1, (n.bit_length() + 3) // 4)
-                    and (n or not negative)
-                    and value.isascii()
-                    and not any(c in body for c in "ABCDEF")
-                ):
-                    return -n if negative else n
+            if hex(n) == value:
+                return n
         raise _fail(f"{what} is not a hex() string: {value[:40]!r}")
     # JSON numbers, and int subclasses in dict documents, pass unchanged
     if isinstance(value, int) and not isinstance(value, bool):
@@ -276,14 +234,9 @@ def _as_triple(value, what: str) -> CubicPoint:
     return CubicPoint(_as_int(x, what), _as_int(y, what), _as_int(z, what))
 
 
-def _as_pair(value, what: str) -> tuple[int, int]:
-    x, y = _as_list(value, what, 2)
-    return _as_int(x, what), _as_int(y, what)
-
-
 _REQUIRED_KEYS = frozenset((
     "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
-    "constants", "lattice_points", "m", "representations", "bound_rhs",
+    "constants", "lattice_points", "m", "bound_rhs",
 ))
 _CONSTANTS_KEYS = frozenset(
     ("height_factor", "z_factor", "m_factor", "z_constant", "n_min")
@@ -362,11 +315,6 @@ def parse_certificate(document: str | dict) -> Certificate:
             )
         )
 
-    representations = [
-        _as_pair(p, "representation")
-        for p in _as_list(data["representations"], "representations")
-    ]
-
     m = _as_int(data["m"], "m")
     if m == 0:
         raise _fail("m must be nonzero")
@@ -381,7 +329,6 @@ def parse_certificate(document: str | dict) -> Certificate:
         lattice_points=lattice_points,
         divisor_checks=divisor_checks,
         m=m,
-        representations=representations,
         constants=constants,
         bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),
         checks={},

@@ -149,7 +149,7 @@ def _cmd_construct(args) -> int:
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    count = len(cert.representations)
+    count = len(cert.lattice_points)
     print(f"certificate ok: {count} representations", file=sys.stderr)
     return EXIT_OK
 

@@ -6,15 +6,19 @@ each n in an index set I of N^r indices with every |n_i| <= N, none zero
 and no two negatives of each other.  Each Q_n is a primitive triple
 (x_n, y_n, z_n), and
 
-    m = m0 * (z_1 * ... * z_{N^r})^3
+    m = m0 * Z^3,  Z = z_1 * ... * z_{N^r},
 
-is a sum of two coprime cubes in at least N^r ways: scale the n-th point by
-the product of all the other z's.  The certificate records the lattice, the
-representations, a divisor check controlling gcd(12 m0 z, x + y) for every
-lattice point, and the height bookkeeping that bounds log m and yields the
-final density inequality N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).
-That bookkeeping uses only |n_i| <= N and the count N^r, so it holds for
-any such I as for the paper's box [1..N]^r.
+is a sum of two coprime cubes in at least N^r ways: the n-th is
+(Z/z_n) * (x_n, y_n).  A representation is a pure function of m0 and the
+lattice, so the certificate records the lattice and m, not the pairs;
+Certificate.representations expands them for a consumer on demand
+(representations_from_lattice), and build, write and verify never do.  The
+certificate also records a divisor check controlling gcd(12 m0 z, x + y)
+for every lattice point, and the height bookkeeping that bounds log m and
+yields the final density inequality
+N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).  That bookkeeping uses
+only |n_i| <= N and the count N^r, so it holds for any such I as for the
+paper's box [1..N]^r.
 
 log m follows sum_n hhat(Q_n), and hhat(Q_n) = 1/2 n^T G n with G the
 height Gram matrix.  build_certificate takes for I the N^r indices of least
@@ -331,20 +335,21 @@ def product_tree(factors: list[int]) -> int:
 
 
 def representations_from_lattice(
-    cfg: CurveConfig, lattice: list[tuple[tuple[int, ...], CubicPoint]]
-) -> tuple[int, list[tuple[int, int]]]:
-    """The manufactured integer m and one representation per lattice point.
+    lattice: list[tuple[tuple[int, ...], CubicPoint]],
+) -> list[tuple[int, int]]:
+    """One representation of m = m0 Z^3 per lattice point, in its order.
 
-    The n-th representation scales (x_n, y_n) by the product of the other
-    z's, so its cubes sum to m0 * (prod z)^3 = m exactly.
+    The n-th scales (x_n, y_n) by Z/z_n, the product of the other z's, so
+    its cubes sum to m0 Z^3 = m exactly.  Each coordinate is about as long
+    as Z, so the pairs together are about 2N^r/3 times as long as m; in the
+    package only Certificate.representations calls this.
     """
     z_total = product_tree([q.z for _, q in lattice])
-    m = cfg.m0 * z_total**3
     reps = []
     for _, q in lattice:
         f = z_total // q.z
         reps.append((q.x * f, q.y * f))
-    return m, reps
+    return reps
 
 
 CHECK_NAMES = (
@@ -377,17 +382,17 @@ class Certificate(
     namedtuple(
         "Certificate",
         "m0 rank box_size tol generators hhat_bar lattice_points "
-        "divisor_checks m representations constants bound_rhs checks",
+        "divisor_checks m constants bound_rhs checks",
     )
 ):
     """One run of the construction: what build returns and verify rechecks.
 
     generators is a list of CubicPoint, lattice_points a list of
     (index tuple, CubicPoint) pairs, divisor_checks a list of DivisorCheck,
-    representations a list of (x, y) pairs, hhat_bar and bound_rhs are
-    ApproxReal, and checks maps each name in CHECK_NAMES to its verdict.
-    derive_lattice and parse_certificate leave checks an empty dict of its own;
-    build_certificate and verify_certificate fill it in.
+    hhat_bar and bound_rhs are ApproxReal, and checks maps each name in
+    CHECK_NAMES to its verdict.  derive_lattice and parse_certificate leave
+    checks an empty dict of its own; build_certificate and
+    verify_certificate fill it in.
     """
 
     __slots__ = ()
@@ -395,6 +400,14 @@ class Certificate(
     @property
     def all_checks_pass(self) -> bool:
         return bool(self.checks) and all(self.checks.values())
+
+    @property
+    def representations(self) -> list[tuple[int, int]] | None:
+        """The (x, y) pairs with x^3 + y^3 = m, one per lattice point,
+        expanded afresh on each read; None when there is no lattice."""
+        if self.lattice_points is None:
+            return None
+        return representations_from_lattice(self.lattice_points)
 
 
 def derive_lattice(
@@ -415,20 +428,20 @@ def derive_lattice(
     """
     rank = len(generators)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
-    divisors = m = reps = constants = bound_rhs = None
+    divisors = m = constants = bound_rhs = None
     try:
         lattice = generate_lattice_points(cfg, generators, indices)
     except GeneratorDependenceError:
         lattice = None
     else:
         divisors = [divisor_check(cfg, q) for _, q in lattice]
-        m, reps = representations_from_lattice(cfg, lattice)
+        m = cfg.m0 * product_tree([q.z for _, q in lattice]) ** 3
         if hhat_bar.lower() > 0.0:
             constants = chain_constants(cfg, rank, hhat_bar)
             bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
     return Certificate(
         cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
-        divisors, m, reps, constants, bound_rhs, {},
+        divisors, m, constants, bound_rhs, {},
     )
 
 
@@ -454,15 +467,16 @@ def evaluate_checks(
     once by the caller, which screens on it; ``independent`` is the verdict
     of independence on them, and ``derived`` is derive_lattice over its Gram
     matrix and the stored indices.  Each stored value is compared with its
-    derived counterpart; nothing is derived again.  The
-    cube-sum identity of the stored representations is proved from the
-    lattice alone: when they equal (Z/z_n)(x_n, y_n), m equals m0 Z^3 and
-    every lattice point is on the curve, x^3 + y^3 = m holds for each.  A
-    document that fails one of those three checks fails the identity too,
-    so no representation is ever cubed and the work stays linear in the
-    document.  Returns the full check map in CHECK_NAMES order.  A lattice
-    collision or a height interval touching zero ends it early with the
-    remaining checks false.
+    derived counterpart; nothing is derived again.  The representations
+    (Z/z_n)(x_n, y_n) are never formed: their four checks read the stored
+    triples they expand from.  The cube-sum identity is proved from the
+    lattice alone: when the stored triples are the derived ones, m equals
+    m0 Z^3 and every lattice point is on the curve, x^3 + y^3 = m holds for
+    each pair.  A document that fails one of those three checks fails the
+    identity too, so nothing is cubed beyond the lattice and the work stays
+    linear in the document.  Returns the full check map in CHECK_NAMES
+    order.  A lattice collision or a height interval touching zero ends it
+    early with the remaining checks false.
     """
     checks = dict.fromkeys(CHECK_NAMES, False) | generator_checks
     rank = len(cert.generators)
@@ -484,9 +498,10 @@ def evaluate_checks(
     checks["divisor_records_match"] = divisors == cert.divisor_checks
 
     checks["m_matches_product"] = cert.m == derived.m
-    checks["representations_match_formula"] = (
-        cert.representations == derived.representations
-    )
+    # the representations are (Z/z_n)(x_n, y_n), expanded from the stored
+    # triples, so the four checks on them read the triples
+    stored = [q for _, q in cert.lattice_points]
+    checks["representations_match_formula"] = stored == [q for _, q in lattice]
     # the three checks prove the identity: each z_n is nonzero and divides
     # Z = prod z_n, so ((Z/z_n) x_n)^3 + ((Z/z_n) y_n)^3 = m0 Z^3 = m
     checks["representation_identity"] = (
@@ -494,12 +509,10 @@ def evaluate_checks(
         and checks["m_matches_product"]
         and checks["lattice_on_curve"]
     )
-    checks["representations_distinct"] = len(set(cert.representations)) == len(
-        cert.representations
-    )
-    checks["representation_count"] = (
-        len(cert.representations) == cert.box_size**rank
-    )
+    # derived triples are primitive with z > 0, so distinct triples give
+    # distinct pairs
+    checks["representations_distinct"] = len(set(stored)) == len(stored)
+    checks["representation_count"] = len(stored) == cert.box_size**rank
 
     constants = derived.constants
     if constants is None:
@@ -536,8 +549,7 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     points, the document holds exactly N^r lattice entries, and their
     indices pass index_set_screen, so the work is bounded by the size of
     the document (N is compared with the entry count before N^r is
-    formed).  The indices are read, never chosen again.  The representation
-    count is decided with the other checks, in evaluate_checks.  A failed
+    formed).  The indices are read, never chosen again.  A failed
     screen leaves every later check false without evaluating it: false
     means not established, so generators_independent is false there
     whatever the generators are.

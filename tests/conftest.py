@@ -67,13 +67,13 @@ def screen_tampered(name) -> dict:
     return doc
 
 
-def representations_cut(padding: int = 0) -> dict:
-    """The m0=91, N=2 document with its last representation deleted, then
-    padding copies of its first appended."""
+def representation_repeated() -> dict:
+    """The m0=91, N=2 document with its last lattice triple replaced by its
+    first: N^r entries, which expand to only N^r - 1 distinct
+    representations."""
     doc = json.loads(_pool_document_n2())
-    representations = doc["representations"]
-    del representations[-1]
-    representations += representations[:1] * padding
+    lattice = doc["lattice_points"]
+    lattice[-1]["point"] = lattice[0]["point"]
     return doc
 
 

@@ -25,6 +25,7 @@ from cubeforge import (
     divisor_check,
     generate_lattice_points,
     log_abs,
+    parse_certificate,
     verify_certificate,
     weierstrass_image,
 )
@@ -214,9 +215,10 @@ def test_criterion_6_desk_scale_construction(tmp_path, capsys):
     )
     capsys.readouterr()
     assert rc == 1  # N=3 sits below the threshold box size, reps still exact
-    document = json.loads(cert_path.read_text())
-    m = int(document["m"], 16)
-    reps = [(int(x, 16), int(y, 16)) for x, y in document["representations"]]
+    # the document stores the lattice and m; the pairs expand from them
+    parsed = parse_certificate(cert_path.read_text())
+    m = parsed.m
+    reps = parsed.representations
     assert len(reps) == 3
     assert len(set(reps)) == 3
     for x, y in reps:

@@ -79,10 +79,10 @@ def test_check_count_matches_check_names():
 # generator changes which (x, y) comes first and which coordinate of an
 # index carries its minus sign, but no length
 POOL_BYTES = {
-    (91, "cert_large"): 1_109_286,
-    (1729, "cert_large"): 1_706_536,
-    (91, "cert_tight"): 105_826,
-    (1729, "cert_tight"): 159_054,
+    (91, "cert_large"): 47_420,
+    (1729, "cert_large"): 63_105,
+    (91, "cert_tight"): 14_210,
+    (1729, "cert_tight"): 17_304,
 }
 
 
@@ -103,6 +103,13 @@ def test_pool_certificate_passes(m0, workload):
         assert len(text) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)
         assert report.checks == cert.checks
+        # perfbench/worker.py reads the pairs after its timer, for the
+        # count gate and for the widest coordinate
+        pairs = cert.representations
+        assert len(pairs) == box_size ** len(gens)
+        widest = max((c for rep in pairs for c in rep),
+                     key=lambda c: abs(c).bit_length())
+        assert widest.bit_length() < cert.m.bit_length()
         manufactured.add(cert.m)
     # the index set follows the lattice, not the basis, so all four share
     # one m

@@ -24,7 +24,8 @@ from cubeforge import (
     write_certificate,
 )
 from cubeforge import construct
-from cubeforge.certificate import _SHORT_HEX, _as_int, _hex
+from cubeforge.cli import main
+from cubeforge.certificate import _as_int, _hex
 from cubeforge.construct import (
     CHECK_NAMES,
     _generator_checks,
@@ -35,7 +36,7 @@ from cubeforge.heights import independence
 from tests.conftest import (
     SCREEN_TAMPERS,
     line,
-    representations_cut,
+    representation_repeated,
     screen_tampered,
 )
 
@@ -46,14 +47,15 @@ from tests.conftest import (
 # engine changed the hhat_bar and bound_rhs floats only.  The document has
 # no "generated_at" line: it holds nothing the run did not determine.
 # Schemas "5" and "6" change only the index set at rank 2 and up (rank 1
-# is [1..N] in all three), so the rank-1 document is the schema "4" one
-# with schema_version "6".  Schema "4" documents were written with
-# indent=2 and the writer is compact, so GOLDEN_SHA256_SCHEMA_4 pins the
-# document re-dumped with indent=2 and schema_version set back to "4".
+# is [1..N] in all three), and "7" drops the stored representations, so
+# the rank-1 document with its expanded pairs put back is the schema "4"
+# one.  Schema "4" documents were written with indent=2 and the writer is
+# compact, so GOLDEN_SHA256_SCHEMA_4 pins that document re-dumped with
+# indent=2 and schema_version set back to "4".
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
-GOLDEN_SHA256 = "54d740dc76fac5fd1a2867b389513a0e0b6b73713a03795bcde7bdbad580c3f2"
+GOLDEN_SHA256 = "840e74111a83bd2db28e20216b59d0789de905806fbd371264c282f2a9c8e913"
 
 
 def certificate_to_dict(cert):
@@ -77,10 +79,9 @@ class TestSerialization:
         assert cert6_doc["m"] == "0xa6d89355c80175d7080"
         assert cert6_doc["m0"] == "0x6"
         assert cert6_doc["generators"] == [["0x11", "0x25", "0x15"]]
-        assert cert6_doc["representations"][0] == [
-            hex(16329180), hex(35539980)
+        assert cert6_doc["lattice_points"][1]["point"] == [
+            hex(2237723), "-0x1b8d9b", hex(960540)
         ]
-        assert cert6_doc["representations"][1][1] == "-0x2429db7"
 
     def test_schema_fields_present(self, cert6_doc):
         expected = {
@@ -94,12 +95,12 @@ class TestSerialization:
             "constants",
             "lattice_points",
             "m",
-            "representations",
             "bound_rhs",
         }
-        # no stored check map: verify derives every verdict afresh
+        # no stored check map and no stored representations: verify
+        # derives every verdict afresh, and a consumer expands the pairs
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "6"
+        assert cert6_doc["schema_version"] == "7"
 
     def test_divisor_record_is_exact(self, cert6_doc):
         for entry in cert6_doc["lattice_points"]:
@@ -120,11 +121,17 @@ class TestSerialization:
         text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
         _assert_json_fixed_point(text)
-        as_schema_4 = (
-            (json.dumps(json.loads(text), indent=2) + "\n")
-            .replace('"schema_version": "6"', '"schema_version": "4"', 1)
-            .encode("utf-8")
-        )
+        # the pairs expanded on demand are the ones schema "4" stored,
+        # between m and bound_rhs
+        doc = json.loads(text)
+        pairs = parse_certificate(text).representations
+        doc = {
+            **{k: v for k, v in doc.items() if k != "bound_rhs"},
+            "schema_version": "4",
+            "representations": [[hex(x), hex(y)] for x, y in pairs],
+            "bound_rhs": doc["bound_rhs"],
+        }
+        as_schema_4 = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
         assert hashlib.sha256(as_schema_4).hexdigest() == GOLDEN_SHA256_SCHEMA_4
 
     def test_round_trip(self, cert6):
@@ -187,12 +194,10 @@ class TestTemplateWriter:
 
     def test_empty_arrays(self, cert6):
         # build never writes one, but a parsed document may hold no lattice
-        empty = cert6._replace(
-            lattice_points=[], divisor_checks=[], representations=[]
-        )
+        empty = cert6._replace(lattice_points=[], divisor_checks=[])
         text = certificate_to_json(empty)
         assert '"lattice_points":[],' in text
-        assert '"representations":[],' in text
+        assert empty.representations == []
         _assert_json_fixed_point(text)
 
     def test_escaped_strings_do_not_grow_with_the_box(self, monkeypatch):
@@ -249,9 +254,12 @@ class TestVerification:
         assert not report.all_checks_pass
 
     def test_tampered_representation(self, cert6_doc):
+        # the first representation is (Z/z_1)(x_1, y_1), so a wrong y_1 in
+        # the stored triple it expands from is a wrong representation
         doc = copy.deepcopy(cert6_doc)
-        doc["representations"][0] = [hex(16329180), hex(35539981)]
+        doc["lattice_points"][0]["point"][1] = hex(38)
         report = verify_certificate(doc)
+        assert report.checks["m_matches_product"]
         assert not report.checks["representations_match_formula"]
         assert not report.checks["representation_identity"]
 
@@ -303,14 +311,13 @@ class TestVerification:
             [hex(17), hex(37), hex(21)],
             [hex(double.x), hex(double.y), hex(double.z)],
         ]
-        # N^r = 4 stored indices that pass the index screen, and 4 stored
-        # representations, so the representation count holds
+        # N^r = 4 stored entries whose indices pass the index screen, so
+        # the representation count holds
         entry = doc["lattice_points"][0]
         doc["lattice_points"] = [
             {**entry, "index": index}
             for index in ([1, 0], [0, 1], [1, 1], [1, -1])
         ]
-        doc["representations"] = doc["representations"] * 2
         report = verify_certificate(doc)
         assert report.checks["representation_count"]
         assert not report.checks["generators_independent"]
@@ -336,7 +343,6 @@ class TestVerification:
                 [1, 2], [3, 1], [1, -1], [2, 1],
             )
         ]
-        doc["representations"] = [doc["representations"][0]] * 9
         raised = []
         generate = construct.generate_lattice_points
 
@@ -392,31 +398,36 @@ class TestVerification:
         ]
 
     def test_missing_representation_fails_only_what_it_touches(self):
-        # the lattice passes its screens, so everything is derived: the
+        # a repeated triple leaves N^r - 1 distinct representations; the
+        # lattice passes its screens, so everything is derived: the
         # generators stay independent, and besides N=2 < n_min only the
-        # checks that read the representations fail
-        report = verify_certificate(representations_cut())
+        # checks that read the stored triples fail
+        report = verify_certificate(representation_repeated())
         assert list(report.checks) == list(CHECK_NAMES)
         assert {name for name, ok in report.checks.items() if not ok} == {
+            "lattice_points_match",
             "representations_match_formula",
             "representation_identity",
-            "representation_count",
+            "representations_distinct",
             "theorem_preconditions",
         }
 
     def test_padded_representations_cost_no_more_than_their_bytes(self):
-        # 20,000 extra pairs are compared, not generated: nothing is derived
-        # per stored representation
-        doc = representations_cut(20_000)
+        # a stray "representations" key, even 100,000 entries long, is a
+        # key the schema does not name: it is read as JSON and ignored
+        doc = copy.deepcopy(_FUZZ_DOC_RANK_2)
+        clean = verify_certificate(doc)
+        doc["representations"] = [["0x1", "-0x1"]] * 100_000
+        text = json.dumps(doc)
         start = time.perf_counter()
-        report = verify_certificate(doc)
+        report = verify_certificate(text)
         assert time.perf_counter() - start < 0.5
-        assert report.checks["generators_independent"]
-        assert not report.checks["representation_count"]
+        assert report.checks == clean.checks
+        assert report == clean
 
     @pytest.mark.parametrize("box_size", [1, 3, 10**7])
     def test_box_size_is_screened_against_the_document(self, cert6_doc, box_size):
-        # N^r must equal the stored representation count before anything is
+        # N^r must equal the stored lattice entry count before anything is
         # regenerated, so an inflated N costs nothing
         doc = copy.deepcopy(cert6_doc)
         doc["N"] = box_size
@@ -484,18 +495,28 @@ class CountingInt(int):
         return int.__pow__(self, exponent, modulo)
 
 
+def _refuse_to_expand(*args):
+    raise AssertionError("the representations were expanded")
+
+
 class TestIdentityProof:
     def test_passing_document_cubes_no_representation(
         self, cfg6, gen6, monkeypatch
     ):
-        # the identity follows from the lattice, m = m0 Z^3 and the formula
+        # the identity follows from the lattice, m = m0 Z^3 and the formula:
+        # no pair is formed, and the stored m and triples are only compared
         cert = build_certificate(cfg6, [gen6], 4)
         counted = cert._replace(
-            representations=[
-                (CountingInt(x), CountingInt(y)) for x, y in cert.representations
+            m=CountingInt(cert.m),
+            lattice_points=[
+                (idx, CubicPoint(*map(CountingInt, q.triple())))
+                for idx, q in cert.lattice_points
             ],
         )
         monkeypatch.setattr(CountingInt, "powers", 0)
+        monkeypatch.setattr(
+            construct, "representations_from_lattice", _refuse_to_expand
+        )
         gram, independent = independence(cfg6, [gen6], cert.tol)
         derived = derive_lattice(cfg6, [gen6], gram, line(4), 4, cert.tol)
         checks = evaluate_checks(
@@ -507,21 +528,73 @@ class TestIdentityProof:
     def test_swapped_representations_still_satisfy_the_identity(
         self, cfg6, gen6, monkeypatch
     ):
-        # (y, x) cubes to m as well, but it breaks the formula that proves
-        # the identity, so the identity fails too and nothing is cubed
+        # every stored triple swapped to (y, x, z), the negated point: each
+        # is on the curve, so its pair (y, x) cubes to m as well, but it
+        # breaks the formula that proves the identity, so the identity fails
+        # too and no stored coordinate is cubed
         cert = build_certificate(cfg6, [gen6], 4)
         doc = certificate_to_dict(cert)
-        doc["representations"] = [
-            [CountingInt(y), CountingInt(x)] for x, y in cert.representations
-        ]
+        for entry, (_, q) in zip(doc["lattice_points"], cert.lattice_points):
+            entry["point"] = [CountingInt(c) for c in (q.y, q.x, q.z)]
         monkeypatch.setattr(CountingInt, "powers", 0)
         report = verify_certificate(doc)
         assert CountingInt.powers == 0
         failed = {name for name, ok in report.checks.items() if not ok}
         assert failed == {
+            "lattice_points_match",
             "representations_match_formula",
             "representation_identity",
         }
+
+    def test_short_lattice_fails_the_count(self, cfg6, gen6):
+        # verify's screen refuses a document short of N^r entries before the
+        # checks run; evaluated anyway, the count is what fails
+        cert = build_certificate(cfg6, [gen6], 4)
+        short = cert._replace(lattice_points=cert.lattice_points[:-1])
+        checks = evaluate_checks(
+            cfg6, short, _generator_checks(cfg6, [gen6]), True, cert
+        )
+        failed = {name for name, ok in checks.items() if not ok}
+        assert failed == {
+            "lattice_points_match",
+            "representations_match_formula",
+            "representation_identity",
+            "representation_count",
+        }
+
+
+class TestRepresentationsOnDemand:
+    def test_consumer_path_never_expands(self, tmp_path, monkeypatch, capsys):
+        # build, write, verify and the CLI's construct and verify all run
+        # with the expansion refused
+        monkeypatch.setattr(
+            construct, "representations_from_lattice", _refuse_to_expand
+        )
+        gens = [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)]
+        cert = build_certificate(CurveConfig(91), gens, 8, 1e-4)
+        assert cert.all_checks_pass
+        assert verify_certificate(certificate_to_json(cert)) == cert
+        gen_path = tmp_path / "pool91.json"
+        gen_path.write_text(json.dumps([list(p) for p in gens]))
+        cert_path = tmp_path / "cert.json"
+        assert main(["construct", "--m0", "91", "--generators", str(gen_path),
+                     "--N", "8", "--tol", "1e-4", "--out", str(cert_path)]) == 0
+        assert main(["verify", "--cert", str(cert_path)]) == 0
+        assert capsys.readouterr().err == "certificate ok: 64 representations\n"
+
+    def test_pairs_of_a_pool_certificate(self):
+        # cert_tight's m0=91 certificate: N^r distinct pairs, each a sum of
+        # two cubes equal to m
+        gens = [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)]
+        cert = build_certificate(CurveConfig(91), gens, 8, 1e-4)
+        pairs = cert.representations
+        assert len(pairs) == len(set(pairs)) == 8**2
+        assert all(x**3 + y**3 == cert.m for x, y in pairs)
+        # a parsed certificate expands the same pairs
+        assert parse_certificate(certificate_to_json(cert)).representations == pairs
+
+    def test_no_lattice_no_pairs(self, cert6):
+        assert cert6._replace(lattice_points=None).representations is None
 
 
 # strings bytes.fromhex() accepts but hex() never writes: whitespace between
@@ -538,6 +611,11 @@ _BYTE_EDGES = [2**k + d for k in (8, 16, 64, 1024) for d in (-1, 1)]
 _EDGE_INTS = [0] + [
     sign * n for n in (1, 15, 16, 255, 256, *_BYTE_EDGES) for sign in (1, -1)
 ]
+
+
+# the length at which _as_int read through bytes.fromhex() instead, while
+# schema "6" stored representations as long as m
+_FORMER_SWITCH = 256
 
 
 class TestHexCodec:
@@ -618,10 +696,11 @@ class TestHexCodec:
     @given(data=st.data())
     def test_switch_between_paths(self, data):
         # hex() strings within 2 characters of the length where _as_int
-        # changes path, and mutations that int(s, 16) or bytes.fromhex()
-        # would still read; each mutation inserts at most one character, so
-        # it can carry a string across the switch
-        length = data.draw(st.integers(_SHORT_HEX - 2, _SHORT_HEX + 2))
+        # once switched to a bytes.fromhex() path, and mutations that
+        # int(s, 16) or bytes.fromhex() would still read; each mutation
+        # inserts at most one character, so it can carry a string across
+        # the former switch, which must leave no trace
+        length = data.draw(st.integers(_FORMER_SWITCH - 2, _FORMER_SWITCH + 2))
         prefix = data.draw(st.sampled_from(["0x", "-0x"]))
         size = length - len(prefix)
         n = data.draw(st.integers(16 ** (size - 1), 16**size - 1))
@@ -676,6 +755,29 @@ class TestScale:
         if len(generators) == 3:
             assert cert.constants.n_min == box_size
         assert verify_certificate(certificate_to_json(cert)).all_checks_pass
+
+    # the sizes a stored-pair document could not reach: m0=91 at N=32 and
+    # the rank-4 m0=152551 at N=8 were 389 MB and 1,379 MB in schema "6"
+    @pytest.mark.parametrize(
+        "m0, generators, box_size",
+        [
+            (91, [(-5, 6, 1), (3, 4, 1)], 32),
+            (152551, [(54, -17, 1), (55, -24, 1), (226, -225, 1),
+                      (705, -668, 7)], 8),
+        ],
+        ids=["91-N32", "152551-N8"],
+    )
+    def test_lattice_only_sizes(self, m0, generators, box_size):
+        cert = build_certificate(
+            CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size
+        )
+        assert list(cert.checks) == list(CHECK_NAMES)
+        assert all(cert.checks.values())
+        text = certificate_to_json(cert)
+        assert len(text) < 2_000_000
+        report = verify_certificate(text)
+        assert report.all_checks_pass
+        assert len(report.lattice_points) == box_size ** len(generators)
 
 
 # a bool, an int past float range, zero, a negative and NaN: the one tol
@@ -755,6 +857,13 @@ class TestFormatErrors:
         # a "4" document's lattice is the box [1..N]^r
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "4"
+        with pytest.raises(CertificateFormatError, match="unsupported schema"):
+            verify_certificate(doc)
+
+    def test_schema_6_is_refused(self, cert6_doc):
+        # a "6" document stored the representations beside the lattice
+        doc = copy.deepcopy(cert6_doc)
+        doc["schema_version"] = "6"
         with pytest.raises(CertificateFormatError, match="unsupported schema"):
             verify_certificate(doc)
 
@@ -1019,7 +1128,7 @@ class TestMutationFuzz:
     @example(path=("lattice_points", 3, "index", 1), leaf=2**1024)
     @example(path=("lattice_points", 2, "divisor", "a"), leaf=_DELETE)
     @example(path=("lattice_points", 2, "point"), leaf=_DELETE)
-    @example(path=("representations", 1), leaf=["0x1"])
+    @example(path=("lattice_points", 1, "point", 2), leaf="0x0")
     def test_verifier_is_total_at_rank_2(self, path, leaf):
         doc = copy.deepcopy(_FUZZ_DOC_RANK_2)
         parent = _leaf_parent(doc, path)

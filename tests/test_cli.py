@@ -21,7 +21,11 @@ from cubeforge.cli import (
     EXIT_PRECISION,
     main,
 )
-from tests.conftest import SCREEN_TAMPERS, representations_cut, screen_tampered
+from tests.conftest import (
+    SCREEN_TAMPERS,
+    representation_repeated,
+    screen_tampered,
+)
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +381,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "6"
+        assert payload["schema_version"] == "7"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
@@ -445,8 +449,8 @@ class TestConstruct:
             CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 8
         )
         assert stdout.getvalue() == certificate_to_json(cert)
-        # one piece per lattice point and per representation
-        assert CountingStdout.writes > 2 * 8**2
+        # one piece per lattice point
+        assert CountingStdout.writes > 8**2
 
     def test_rank_three_construct_and_verify(self, capsys, tmp_path):
         gens = tmp_path / "rank3.json"
@@ -745,13 +749,13 @@ class TestHostileInput:
     def test_missing_representation(self, capsys, tmp_path):
         # derived and compared like any tampered field: exit 1, short stderr
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps(representations_cut()))
+        path.write_text(json.dumps(representation_repeated()))
         rc, out, err = run(capsys, ["verify", "--cert", str(path)])
         assert rc == EXIT_CHECK_FAILED
         assert len(err) < 300
         checks = json.loads(out)["checks"]
         assert checks["generators_independent"]
-        assert not checks["representation_count"]
+        assert not checks["representations_distinct"]
 
     @pytest.mark.parametrize("command", ["phi", "height"])
     def test_long_two_field_point(self, capsys, command):

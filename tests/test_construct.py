@@ -251,7 +251,8 @@ class TestLatticeGeneration:
 
     def test_representations_identity(self, cfg6, gen6):
         lattice = generate_lattice_points(cfg6, [gen6], line(2))
-        m, reps = representations_from_lattice(cfg6, lattice)
+        reps = representations_from_lattice(lattice)
+        m = cfg6.m0 * product_tree([q.z for _, q in lattice]) ** 3
         assert m == 6 * 20171340**3 == 49244246842992972624000
         assert reps == [(16329180, 35539980), (46992183, -37920183)]
         for x, y in reps:
@@ -656,8 +657,8 @@ class TestOrientation:
 # sha256 of the m0=1729 documents at both benchmark (N, tol), built from
 # the pair as given
 _GIVEN_1729_SHA256 = {
-    (12, 1e-3): "a738b2bd4fb53ffe6645f0c0ef88a64475c1f3eca5b1b957c7e5c7d84c12f025",
-    (8, 1e-4): "f0272022ca60bdad923169c1354f741179ce90cbddd4b4fc05637fb3bfb9f867",
+    (12, 1e-3): "1b244d749f53f777db9248219c318d5fe6916f6fae07e0ee8e180ab39e375d01",
+    (8, 1e-4): "6ea34d7ec63df1698a1cde7c07ac927b46c2094364a1216ebb17ec246a3bc0d3",
 }
 
 
