@@ -20,11 +20,10 @@ linear time both ways, where decimal costs quadratic time.  One loader,
 load_json, reads all JSON text from outside the program, certificates and
 the CLI's generator and point files: its numbers go through
 numeric.read_decimal, which keeps the 4,300-digit bound that numeric.py
-lifts for the package's own str().  The writer goes through bytes.hex(),
-3-4x faster than hex() on big n.  The reader decides "exactly what hex()
-writes" by its definition: int(s, 16), accepted iff hex() writes the value
-back unchanged.  Divisor records are exact integers and verdicts.  There
-is no stored check map: verify_certificate parses the document into a
+lifts for the package's own str().  The reader decides "exactly what
+hex() writes" by its definition: int(s, 16), accepted iff hex() writes the
+value back unchanged.  Divisor records are exact integers and verdicts.
+There is no stored check map: verify_certificate parses the document into a
 Certificate, re-derives everything from the generators alone and compares,
 proves the identity x^3 + y^3 = m from the lattice without forming a
 representation (see construct.evaluate_checks), and returns the parsed
@@ -32,19 +31,20 @@ Certificate with those fresh checks.
 
 The writer produces exactly the bytes of
 ``json.dumps(doc, separators=(",", ":"))`` plus a newline: one line, no
-whitespace, built piece by piece without ``doc`` whole.  The header, every
+whitespace, built as one string without ``doc`` whole.  The header, every
 key but ``lattice_points``, goes through json.dumps.  The lattice, N^r
-entries, is rendered from a one-line template, because a hex() string
-needs no JSON escaping, while json.dumps scans every string for escapes
-even in its C encoder.  The reader is json.loads, so any whitespace and
-key order parse the same: an indented document verifies to the same
-checks, and ``python -m json.tool`` pretty-prints one.
+entries, is rendered from a one-line template and joined into the header's
+empty slot, because a hex() string needs no JSON escaping, while json.dumps
+scans every string for escapes even in its C encoder.  A schema-"7"
+document is tens of kilobytes, so write_certificate writes that one string.
+The reader is json.loads, so any whitespace and key order parse the same:
+an indented document verifies to the same checks, and
+``python -m json.tool`` pretty-prints one.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from itertools import repeat
 
 from .construct import (
@@ -70,16 +70,6 @@ def _interval_to_json(a: ApproxReal) -> dict:
     return {"value": a.value, "radius": a.radius}
 
 
-def _hex(n: int) -> str:
-    """Exactly hex(n), built with bytes.hex(), which is 3-4x faster on big n."""
-    if not n:
-        return "0x0"
-    digits = abs(n).to_bytes((n.bit_length() + 7) // 8, "big").hex()
-    if digits[0] == "0":
-        digits = digits[1:]
-    return ("-0x" if n < 0 else "0x") + digits
-
-
 # the slot the header leaves for the lattice: the key's quotes cannot occur
 # unescaped inside a JSON string, so it occurs exactly once
 _LATTICE_SLOT = '"lattice_points":[]'
@@ -93,71 +83,55 @@ _LATTICE_ENTRY = (
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _array(entries: Iterator[str]) -> Iterator[str]:
-    """A top-level key's array of rendered entries."""
-    separator = "["
-    for entry in entries:
-        yield separator
-        yield entry
-        separator = ","
-    yield "[]" if separator == "[" else "]"
-
-
-def document_pieces(cert: Certificate) -> Iterator[str]:
-    """The certificate document in pieces, byte for byte
+def certificate_to_json(cert: Certificate) -> str:
+    """The certificate document, byte for byte
     json.dumps(doc, separators=(",", ":")) plus a newline.
 
     The header, everything but the lattice, goes through json.dumps; the
-    lattice is rendered from the template above, one piece per entry, with
-    no escaping pass over its strings.
+    lattice is rendered from the template above, one entry per lattice
+    point, with no escaping pass over its strings.
     """
     header = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
-            "m0": _hex(cert.m0),
+            "m0": hex(cert.m0),
             "r": cert.rank,
             "N": cert.box_size,
             "tol": cert.tol,
             "generators": [
-                [_hex(p.x), _hex(p.y), _hex(p.z)] for p in cert.generators
+                [hex(p.x), hex(p.y), hex(p.z)] for p in cert.generators
             ],
             "hhat_bar": _interval_to_json(cert.hhat_bar),
             "constants": {
-                "height_factor": _hex(cert.constants.height_factor),
-                "z_factor": _hex(cert.constants.z_factor),
-                "m_factor": _hex(cert.constants.m_factor),
+                "height_factor": hex(cert.constants.height_factor),
+                "z_factor": hex(cert.constants.z_factor),
+                "m_factor": hex(cert.constants.m_factor),
                 "z_constant": _interval_to_json(cert.constants.z_constant),
                 "n_min": cert.constants.n_min,
             },
             "lattice_points": [],
-            "m": _hex(cert.m),
+            "m": hex(cert.m),
             "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
         separators=(",", ":"),
     )
     head, _, tail = header.partition(_LATTICE_SLOT)
-    yield head + '"lattice_points":'
-    yield from _array(
+    lattice = ",".join(
         _LATTICE_ENTRY
         % (
             ",".join(map(str, idx)),
-            _hex(q.x), _hex(q.y), _hex(q.z),
-            _hex(dc.d), _hex(dc.a), _hex(dc.b),
+            hex(q.x), hex(q.y), hex(q.z),
+            hex(dc.d), hex(dc.a), hex(dc.b),
             _JSON_BOOL[dc.divisibility_pass], _JSON_BOOL[dc.bound_pass],
         )
         for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
     )
-    yield tail + "\n"
-
-
-def certificate_to_json(cert: Certificate) -> str:
-    return "".join(document_pieces(cert))
+    return f'{head}"lattice_points":[{lattice}]{tail}\n'
 
 
 def write_certificate(cert: Certificate, path: str) -> None:
-    # piece by piece, so the whole document is never one string in memory
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(document_pieces(cert))
+        handle.write(certificate_to_json(cert))
 
 
 def load_json(text: str):

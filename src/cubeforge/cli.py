@@ -16,9 +16,8 @@ import sys
 
 from .certificate import (
     CertificateFormatError,
-    _hex,
     _interval_to_json,
-    document_pieces,
+    certificate_to_json,
     load_json,
     verify_certificate,
     write_certificate,
@@ -143,8 +142,7 @@ def _cmd_construct(args) -> int:
     if args.out:
         write_certificate(cert, args.out)
     else:
-        # piece by piece, as write_certificate writes a file
-        sys.stdout.writelines(document_pieces(cert))
+        sys.stdout.write(certificate_to_json(cert))
     failed = [name for name, ok in cert.checks.items() if not ok]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
@@ -160,10 +158,10 @@ def _cmd_verify(args) -> int:
     cert = verify_certificate(document)
     _emit(
         {
-            "m0": str(cert.m0),
+            "m0": hex(cert.m0),
             "r": cert.rank,
             "N": cert.box_size,
-            "m": _hex(cert.m),
+            "m": hex(cert.m),
             "checks": cert.checks,
             "all_passed": cert.all_checks_pass,
         }

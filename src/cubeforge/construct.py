@@ -214,50 +214,33 @@ def index_set(
     """The N^r indices of least height, in lex order.
 
     The candidates are the n with every |n_i| <= N whose first nonzero
-    coordinate is positive: one of each pair n, -n, and never 0.  They are
-    ranked by 1/2 n^T G n at the Gram midpoints, computed as the math.fsum of
-    the float terms G_ii n_i^2 and 2 G_ij (n_i n_j).  Reordering the basis or
-    negating a generator permutes those terms or flips the sign of both
-    factors, which leaves every term's float as it is, and fsum rounds the
-    exact sum once; so the ranking is the lattice's, not the basis's.  Exact
-    ties are broken by index.  Both members of a pair n, -n have one height,
-    so the N^r least values give the least sum of hhat(Q_n) over any set of
-    N^r indices in the box with no zero and no pair.  Rank 1 is [1..N].
+    coordinate is positive (n > 0 in lex order): one of each pair n, -n, and
+    never 0.  One sort ranks them by 1/2 n^T G n at the Gram midpoints,
+    computed as the math.fsum of the float terms G_ii n_i^2 and
+    2 G_hi (n_h n_i).  Reordering the basis or negating a generator permutes
+    those terms or flips the sign of both factors, which leaves every term's
+    float as it is, and fsum rounds the exact sum once; so the ranking is the
+    lattice's, not the basis's.  Exact ties are broken by index.  Both
+    members of a pair n, -n have one height, so the N^r least values give the
+    least sum of hhat(Q_n) over any set of N^r indices in the box with no
+    zero and no pair.  The sort holds about 2^(r-1) N^r small tuples, some
+    42,000 at rank 4, N = 8.  Rank 1 is [1..N].
     """
     rank = len(gram)
     # G_ii on the diagonal and 2 G_hi off it: each term is one float times
     # one integer, n_i^2 or n_h n_i
-    weight = [
-        [g.value * (1.0 if h == i else 2.0) for i, g in enumerate(row)]
-        for h, row in enumerate(gram)
+    terms = [
+        (h, i, gram[h][i].value * (1.0 if h == i else 2.0))
+        for i in range(rank)
+        for h in range(i + 1)
     ]
-    span = range(-box_size, box_size + 1)
-    # the leading r - 1 coordinates with their terms, in lex order; while
-    # they are all zero the next one may not be negative
-    heads = [((), ())]
-    for i in range(rank - 1):
-        heads = [
-            (terms + tuple(w[i] * (a * k) for w, a in zip(weight, (*n, k))),
-             (*n, k))
-            for terms, n in heads
-            for k in (span if any(n) else range(box_size + 1))
-        ]
-    # the last coordinate runs in C along each head's row of candidates, and
-    # (value, head, k) orders exact ties by index; the sorted list is cut
-    # back to the N^r least whenever it doubles, so it stays O(N^r) long
-    count = box_size**rank
-    ranked: list[tuple[float, int, int]] = []
-    for head, (terms, n) in enumerate(heads):
-        ks = span if any(n) else range(1, box_size + 1)
-        cross = [map(w[-1].__mul__, map(a.__mul__, ks)) for w, a in zip(weight, n)]
-        square = map(weight[-1][-1].__mul__, map(int.__mul__, ks, ks))
-        values = zip(*map(itertools.repeat, terms), *cross, square)
-        ranked.extend(zip(map(math.fsum, values), itertools.repeat(head), ks))
-        if len(ranked) >= 2 * count:
-            ranked.sort()
-            del ranked[count:]
-    ranked.sort()
-    return sorted(heads[head][1] + (k,) for _, head, k in ranked[:count])
+    zero = (0,) * rank
+    ranked = sorted(
+        (math.fsum([w * (n[h] * n[i]) for h, i, w in terms]), n)
+        for n in itertools.product(range(-box_size, box_size + 1), repeat=rank)
+        if n > zero
+    )
+    return sorted(n for _, n in ranked[: box_size**rank])
 
 
 def index_set_screen(indices: list[tuple[int, ...]], box_size: int) -> bool:

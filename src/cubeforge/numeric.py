@@ -10,10 +10,14 @@ Interval operations round outward, so a certified comparison such as
 
 Decimal text from outside the program (a JSON number, a point coordinate,
 an integer option, a decimal literal's mantissa or exponent) becomes an int
-in one place, read_decimal.  Callers print integers such as a certificate's
-m in decimal, far past CPython's default int<->str limit of 4,300 digits, so
-the package lifts that limit at import, beside read_decimal; decimal
-conversion takes quadratic time, so read_decimal keeps the default bound.
+in one place, read_decimal.  Some integers the package and its callers
+print in decimal run far past CPython's default int<->str limit of 4,300
+digits: the CLI's phi prints X = 12 m0 z / (x + y), some 8,600 digits from
+4,300-digit inputs, and perfbench/worker.py counts a certificate's m in
+len(str(m)), 13,294 digits at m0 = 91, N = 12.  So the package lifts that
+limit at import, beside read_decimal.  Decimal conversion takes quadratic
+time, so read_decimal keeps the default bound, and a certificate's integers
+are written and echoed in hex.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from cubeforge import (
 )
 from cubeforge import construct
 from cubeforge.cli import main
-from cubeforge.certificate import _as_int, _hex
+from cubeforge.certificate import _as_int
 from cubeforge.construct import (
     CHECK_NAMES,
     _generator_checks,
@@ -613,6 +613,26 @@ _EDGE_INTS = [0] + [
 ]
 
 
+def _assert_writes_hex(cert, n):
+    # n as m, in the header json.dumps writes, and as a lattice point and a
+    # divisor d, in the entry template: every one written as hex() writes it
+    (idx, _), *points = cert.lattice_points
+    check, *checks = cert.divisor_checks
+    text = certificate_to_json(
+        cert._replace(
+            m=n,
+            lattice_points=[(idx, CubicPoint(n, -n, n)), *points],
+            divisor_checks=[check._replace(d=n), *checks],
+        )
+    )
+    _assert_json_fixed_point(text)
+    doc = json.loads(text)
+    entry = doc["lattice_points"][0]
+    assert [doc["m"], *entry["point"], entry["divisor"]["d"]] == [
+        hex(n), hex(n), hex(-n), hex(n), hex(n)
+    ]
+
+
 # the length at which _as_int read through bytes.fromhex() instead, while
 # schema "6" stored representations as long as m
 _FORMER_SWITCH = 256
@@ -626,12 +646,12 @@ class TestHexCodec:
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=-(2**20000), max_value=2**20000))
-    def test_writes_what_hex_writes(self, n):
-        assert _hex(n) == hex(n)
+    def test_writes_what_hex_writes(self, cert6, n):
+        _assert_writes_hex(cert6, n)
 
     @pytest.mark.parametrize("n", _EDGE_INTS)
-    def test_writes_what_hex_writes_at_edges(self, n):
-        assert _hex(n) == hex(n)
+    def test_writes_what_hex_writes_at_edges(self, cert6, n):
+        _assert_writes_hex(cert6, n)
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,5 @@
 """End-to-end command-line tests: output shapes and exit codes."""
 
-import io
 import json
 import time
 
@@ -49,7 +48,7 @@ def cert4_path(tmp_path_factory, gen_file):
 # `cubeforge verify` on the m0=6, (17, 37, 21), N=4 certificate
 VERIFY_CERT4_STDOUT = """\
 {
-  "m0": "6",
+  "m0": "0x6",
   "r": 1,
   "N": 4,
   "m": "0x6835303c1568c666fd163654817a3ce620aa2fc3e7af0d697c4e65883cc69d12d2f2c914b076c98710a73d06da2a3daef7d0da42edf2314610000",
@@ -428,29 +427,19 @@ class TestConstruct:
         ]
         assert construct(generators[::-1])["m"] == stored["m"]
 
-    def test_stdout_is_the_document_in_pieces(self, monkeypatch, tmp_path):
-        # without --out the document streams to stdout as write_certificate
-        # streams it to a file, never joined into one string
-        class CountingStdout(io.StringIO):
-            writes = 0
-
-            def write(self, text):
-                CountingStdout.writes += 1
-                return super().write(text)
-
-        stdout = CountingStdout()
-        monkeypatch.setattr("sys.stdout", stdout)
+    def test_stdout_is_the_document(self, capsys, tmp_path):
+        # without --out stdout gets the bytes write_certificate writes
         gens = tmp_path / "pool91.json"
         gens.write_text(json.dumps([[-5, 6, 1], [3, 4, 1]]))
-        rc = main(["construct", "--m0", "91", "--generators", str(gens),
-                   "--N", "8"])
+        rc, out, _ = run(
+            capsys,
+            ["construct", "--m0", "91", "--generators", str(gens), "--N", "8"],
+        )
         assert rc == EXIT_OK
         cert = build_certificate(
             CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 8
         )
-        assert stdout.getvalue() == certificate_to_json(cert)
-        # one piece per lattice point
-        assert CountingStdout.writes > 8**2
+        assert out == certificate_to_json(cert)
 
     def test_rank_three_construct_and_verify(self, capsys, tmp_path):
         gens = tmp_path / "rank3.json"
@@ -521,9 +510,11 @@ class TestVerify:
         assert rc == EXIT_OK
         payload = json.loads(out)
         assert payload["all_passed"] is True
-        assert payload["m0"] == "6"
-        # m is echoed in the certificate's hex encoding, linear to write
-        assert payload["m"] == json.loads(open(cert4_path).read())["m"]
+        # m0 and m are echoed in the certificate's hex encoding, linear to
+        # write
+        stored = json.loads(open(cert4_path).read())
+        assert payload["m0"] == stored["m0"]
+        assert payload["m"] == stored["m"]
 
     def test_stdout_is_pinned(self, capsys, cert4_path):
         # key order, every check in CHECK_NAMES order, m in hex, all_passed
@@ -756,6 +747,22 @@ class TestHostileInput:
         checks = json.loads(out)["checks"]
         assert checks["generators_independent"]
         assert not checks["representations_distinct"]
+
+    def test_long_m0_is_echoed_in_hex(self, capsys, cert4_path, tmp_path):
+        # m0 is an unbounded hex field: the echo stays linear in its length,
+        # where str() would take seconds on 400,000 hex digits
+        doc = json.loads(open(cert4_path).read())
+        doc["m0"] = "0x" + "7" * 400_000
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", "--cert", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_CHECK_FAILED
+        assert len(err) < 300
+        payload = json.loads(out)
+        assert payload["m0"] == doc["m0"]
+        assert not payload["checks"]["generators_on_curve"]
 
     @pytest.mark.parametrize("command", ["phi", "height"])
     def test_long_two_field_point(self, capsys, command):

@@ -215,12 +215,14 @@ class TestLatticeGeneration:
 
     @pytest.mark.parametrize("box_size", [1, 2, 3, 4, 7, 8])
     def test_index_set(self, box_size):
-        # on real Gram matrices of rank 1, 2 and 3: the brute-force sort, N^r
+        # on real Gram matrices of rank 1 to 4 (rank 4 up to N = 3, where
+        # the Fraction brute force stays cheap): the brute-force sort, N^r
         # indices in lex order, every one passing the verifier's screen, and
         # no larger a summed height than schema "5"'s centred set or random
         # valid sets (up to the rounding of the float terms ranked)
         rng = random.Random(box_size)
-        for m0 in (6, 91, 657):
+        curves = (6, 91, 657, 152551) if box_size <= 3 else (6, 91, 657)
+        for m0 in curves:
             gram = real_gram(m0)
             rank = len(gram)
             chosen = index_set(gram, box_size)
