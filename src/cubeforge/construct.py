@@ -52,7 +52,7 @@ from .curves import (
     on_cubic,
 )
 from .heights import independence
-from .numeric import ApproxReal, interval_max, log_abs
+from .numeric import ApproxReal, interval_max, log_abs, log_abs_sum
 
 _TWO_THIRDS = ApproxReal.from_ratio(2, 3)
 
@@ -78,17 +78,40 @@ class DivisorCheck(
     __slots__ = ()
 
 
+def divisor_records(
+    cfg: CurveConfig, points: list[CubicPoint]
+) -> list[DivisorCheck]:
+    """The DivisorCheck of each affine point, in order.
+
+    12 m0, 3 * 12^3 * m0^2 = 5184 m0^2 and 9 * 12^6 * |m0|^15 depend on the
+    curve alone, so they are formed once for all the points; each point
+    adds one gcd, two divisions and its two exact comparisons.  A point
+    with z = 0 is a ValueError.
+    """
+    m0 = cfg.m0
+    twelve_m0 = 12 * m0
+    square = 5184 * m0 * m0
+    bound = 9 * 12**6 * abs(m0) ** 15
+    out = []
+    for p in points:
+        z = p.z
+        if z == 0:
+            raise ValueError("divisor check applies to affine points only")
+        s = p.x + p.y
+        dz = twelve_m0 * z
+        d = math.gcd(dz, s)
+        b = s // d
+        out.append(
+            DivisorCheck(
+                d, dz // d, b, square * b % (d * d) == 0, d**6 < bound * z**3
+            )
+        )
+    return out
+
+
 def divisor_check(cfg: CurveConfig, p: CubicPoint) -> DivisorCheck:
-    if p.z == 0:
-        raise ValueError("divisor check applies to affine points only")
-    s = p.x + p.y
-    dz = 12 * cfg.m0 * p.z
-    d = math.gcd(dz, s)
-    a = dz // d
-    b = s // d
-    divisibility = (5184 * cfg.m0 * cfg.m0 * b) % (d * d) == 0
-    bound_ok = d**6 < 9 * 12**6 * abs(cfg.m0) ** 15 * p.z**3
-    return DivisorCheck(d, a, b, divisibility, bound_ok)
+    """divisor_records of the one point p."""
+    return divisor_records(cfg, [p])[0]
 
 
 def z_size_constant(cfg: CurveConfig) -> ApproxReal:
@@ -417,8 +440,9 @@ def derive_lattice(
     except GeneratorDependenceError:
         lattice = None
     else:
-        divisors = [divisor_check(cfg, q) for _, q in lattice]
-        m = cfg.m0 * product_tree([q.z for _, q in lattice]) ** 3
+        points = [q for _, q in lattice]
+        divisors = divisor_records(cfg, points)
+        m = cfg.m0 * product_tree([q.z for q in points]) ** 3
         if hhat_bar.lower() > 0.0:
             constants = chain_constants(cfg, rank, hhat_bar)
             bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
@@ -457,7 +481,11 @@ def evaluate_checks(
     m0 Z^3 and every lattice point is on the curve, x^3 + y^3 = m holds for
     each pair.  A document that fails one of those three checks fails the
     identity too, so nothing is cubed beyond the lattice and the work stays
-    linear in the document.  Returns the full check map in CHECK_NAMES
+    linear in the document.  log_m_consistency meets log_abs(m) with
+    log |m0| + 3 * log_abs_sum of the derived z_n: one enclosure of the
+    whole sum from two fsums, not an interval per lattice point, and still
+    from every z_n, so a wrong lattice point shows even when m is
+    m0 Z^3 for some other Z.  Returns the full check map in CHECK_NAMES
     order.  A lattice collision or a height interval touching zero ends it
     early with the remaining checks false.
     """
@@ -507,8 +535,8 @@ def evaluate_checks(
     ) and constants._replace(z_constant=z_stored) == cert.constants
 
     log_m = log_abs(cert.m)
-    log_m_from_parts = log_abs(cfg.m0) + sum(
-        (log_abs(q.z) * 3 for _, q in lattice), start=ApproxReal(0.0, 0.0)
+    log_m_from_parts = (
+        log_abs(cfg.m0) + log_abs_sum(q.z for _, q in lattice) * 3
     )
     checks["log_m_consistency"] = log_m.intersects(log_m_from_parts)
 

@@ -31,6 +31,8 @@ from cubeforge import (
 from cubeforge.construct import (
     CHECK_NAMES,
     derive_lattice,
+    divisor_records,
+    evaluate_checks,
     height_factor,
     index_set,
     index_set_screen,
@@ -39,6 +41,7 @@ from cubeforge.construct import (
     representations_from_lattice,
     z_factor,
 )
+from cubeforge.curves import cubic_add
 from cubeforge.heights import canonical_height
 from cubeforge.numeric import ApproxReal, log_abs
 from tests.conftest import KNOWN_GENERATORS, chosen_indices, line, pool_draws
@@ -89,6 +92,35 @@ class TestDivisorCheck:
             r = divisor_check(cfg6, q)
             assert math.gcd(r.a, r.b) == 1
             assert r.d > 0
+
+    @pytest.mark.parametrize("m0", [91, 1729])
+    def test_records_match_the_formulas(self, m0):
+        # the DivisorCheck docstring, spelled out per point
+        cfg = CurveConfig(m0)
+        gens = [CubicPoint(*g) for g in _SETS[m0]]
+        points = [
+            q for _, q in generate_lattice_points(
+                cfg, gens, chosen_indices(cfg, gens, 12)
+            )
+        ]
+        expected = []
+        for p in points:
+            d = math.gcd(12 * m0 * p.z, p.x + p.y)
+            b = (p.x + p.y) // d
+            expected.append(DivisorCheck(
+                d,
+                12 * m0 * p.z // d,
+                b,
+                (3 * 12**3 * m0**2 * b) % d**2 == 0,
+                d**6 < 9 * 12**6 * abs(m0) ** 15 * p.z**3,
+            ))
+        assert len(points) == 144
+        assert divisor_records(cfg, points) == expected
+        assert [divisor_check(cfg, p) for p in points] == expected
+
+    def test_records_refuse_the_identity(self, cfg6, gen6):
+        with pytest.raises(ValueError):
+            divisor_records(cfg6, [gen6, CubicPoint(1, -1, 0)])
 
 
 class TestZSizeConstant:
@@ -469,6 +501,51 @@ class TestDerivedOnce:
             "_generator_checks": 1,
             "independence": 1,
         }
+
+
+class TestPerPointPasses:
+    """Each pass over the lattice does only that point's arithmetic."""
+
+    def test_log_m_consistency_reads_every_z(self):
+        # one lattice point doubled, the stored m kept: m still matches the
+        # stored product, so only a check that reads every derived z_n,
+        # not Z, can see it
+        cfg = CurveConfig(91)
+        cert = build_certificate(cfg, list(_POOL_91), 8)
+        screen = construct._generator_checks(cfg, cert.generators)
+        assert evaluate_checks(cfg, cert, screen, True, cert) == cert.checks
+        lattice = list(cert.lattice_points)
+        idx, q = lattice[-1]
+        assert q.z > 1
+        lattice[-1] = (idx, cubic_add(cfg, q, q))
+        derived = cert._replace(lattice_points=lattice)
+        checks = evaluate_checks(cfg, cert, screen, True, derived)
+        assert checks["m_matches_product"]
+        assert not checks["log_m_consistency"]
+
+    def test_interval_count_does_not_grow_with_the_lattice(self, monkeypatch):
+        # the heights and the constants form a fixed number of intervals;
+        # the passes over the N^r points form none
+        count = Counter()
+        original = ApproxReal.__init__
+
+        def counting(self, *args):
+            count["intervals"] += 1
+            original(self, *args)
+
+        monkeypatch.setattr(ApproxReal, "__init__", counting)
+        built, verified = [], []
+        for box_size in (8, 12, 16):
+            count.clear()
+            cert = build_certificate(CurveConfig(91), list(_POOL_91), box_size)
+            built.append(count["intervals"])
+            document = certificate_to_json(cert)
+            count.clear()
+            report = verify_certificate(document)
+            verified.append(count["intervals"])
+            assert cert.all_checks_pass and report.all_checks_pass
+        assert len(set(built)) == 1, built
+        assert len(set(verified)) == 1, verified
 
 
 def gram_of(entries: dict[tuple[int, int], float], rank: int):
