@@ -23,7 +23,6 @@ from .construct import (
     build_certificate,
     chain_constants,
     density_constant,
-    divisor_check,
     generate_lattice_points,
     minimal_box_size,
     z_size_constant,

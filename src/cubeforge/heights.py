@@ -37,7 +37,8 @@ A tolerance below what a float enclosure of the result can carry raises
 PrecisionBudgetError.
 
 independence certifies points independent from the Gram matrix of the
-height pairing <P, Q> = hhat(P + Q) - hhat(P) - hhat(Q).
+height pairing <P, Q> = hhat(P + Q) - hhat(P) - hhat(Q): every pivot of
+its elimination is certified positive, so the matrix is positive definite.
 """
 
 from __future__ import annotations
@@ -186,31 +187,26 @@ def canonical_height(
     return h
 
 
-def _interval_det(a: list[list[ApproxReal]]) -> ApproxReal | None:
-    """Interval determinant, eliminating in place; None when a pivot cannot
-    be signed."""
+def positive_definite(gram: list[list[ApproxReal]]) -> bool:
+    """True only if every symmetric matrix inside the intervals is positive
+    definite.
+
+    Gaussian elimination on a copy with no row exchanges: the k-th pivot is
+    D_k / D_(k-1), a ratio of leading principal minors, enclosed for every
+    matrix inside.  Every pivot certified positive gives every D_k > 0,
+    which is Sylvester's criterion.
+    """
+    a = [list(row) for row in gram]
     n = len(a)
-    det = ApproxReal.exact(1.0)
     for col in range(n):
-        pivot_row = None
-        best = 0.0
-        for r in range(col, n):
-            e = a[r][col]
-            if (e.lower() > 0.0 or e.upper() < 0.0) and abs(e.value) > best:
-                best = abs(e.value)
-                pivot_row = r
-        if pivot_row is None:
-            return None
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
         pivot = a[col][col]
-        det = det * pivot
+        if pivot.lower() <= 0.0:
+            return False
         for r in range(col + 1, n):
             factor = a[r][col] / pivot
-            for c in range(col, n):
+            for c in range(col + 1, n):
                 a[r][c] = a[r][c] - factor * a[col][c]
-    return det
+    return True
 
 
 def independence(
@@ -222,10 +218,10 @@ def independence(
 
     Entry (i, j) is the height pairing hhat(P_i + P_j) - hhat(P_i) - hhat(P_j),
     and the diagonal is 2 hhat(P_i).  Each sum is formed with cubic_add.  The
-    verdict is True only when the interval determinant is strictly
-    positive after all error propagation.  False means "not certified at
-    this tolerance", which covers both genuine dependence and intervals too
-    wide to decide.
+    verdict is positive_definite: a positive-definite pairing on the span of
+    the points is their independence.  False means "not certified at this
+    tolerance", which covers both genuine dependence and intervals too wide
+    to decide.
     """
     if not points:
         raise ValueError("independence requires at least one point")
@@ -239,5 +235,4 @@ def independence(
             e = hs - heights[i] - heights[j]
             entries[i][j] = e
             entries[j][i] = e
-    det = _interval_det([list(row) for row in entries])
-    return entries, det is not None and det.lower() > 0.0
+    return entries, positive_definite(entries)

@@ -22,7 +22,6 @@ from cubeforge import (
     certificate_to_json,
     count_reps,
     cubic_add,
-    divisor_check,
     generate_lattice_points,
     log_abs,
     parse_certificate,
@@ -30,7 +29,7 @@ from cubeforge import (
     weierstrass_image,
 )
 from cubeforge.cli import main as cli_main
-from cubeforge.construct import verify_checks
+from cubeforge.construct import divisor_records, verify_checks
 from tests.conftest import line
 from tests.group_reference import (
     WeierstrassPoint,
@@ -184,10 +183,10 @@ def test_criterion_5_divisor_checks():
     lattice = generate_lattice_points(cfg, [GENERATORS[6]], line(5))
     assert len(lattice) == 5
     for _, q in lattice:
-        record = divisor_check(cfg, q)
+        record = divisor_records(cfg, [q])[0]
         assert record.divisibility_pass
         assert record.bound_pass
-    worked = divisor_check(cfg, GENERATORS[6])
+    worked = divisor_records(cfg, [GENERATORS[6]])[0]
     assert worked.d == 54
     assert worked.bound_pass
     # the paper's worked bound 3^(1/3) * 12 * 6^(5/2) * sqrt(21)

@@ -47,8 +47,9 @@ CHECK_COUNT = ast.literal_eval(_assigned("run.py", "CHECK_COUNT"))
 POOL = ast.literal_eval(_assigned("run.py", "POOL"))
 CERT_WORKLOADS = ast.literal_eval(_assigned("run.py", "CERT_WORKLOADS"))
 
-# the Fraction chord-and-tangent law; the group law is now curves.cubic_add
-RETIRED = {"curves.add"}
+# the Fraction chord-and-tangent law, whose place curves.cubic_add took; and
+# the one-point divisor record, now construct.divisor_records(cfg, [p])[0]
+RETIRED = {"curves.add", "construct.divisor_check"}
 
 
 @pytest.mark.parametrize("target", [t for t in TRACED if t not in RETIRED])

@@ -22,7 +22,6 @@ from cubeforge import (
     certificate_to_json,
     chain_constants,
     density_constant,
-    divisor_check,
     generate_lattice_points,
     minimal_box_size,
     verify_certificate,
@@ -52,7 +51,7 @@ ELKIES_M0 = 13293998056584952174157235
 
 class TestDivisorCheck:
     def test_worked_example(self, cfg6):
-        r = divisor_check(cfg6, CubicPoint(17, 37, 21))
+        r = divisor_records(cfg6, [CubicPoint(17, 37, 21)])[0]
         assert r.d == 54
         assert r.a == 28
         assert r.b == 1
@@ -73,23 +72,23 @@ class TestDivisorCheck:
         assert list(DivisorCheck._fields) == [
             "d", "a", "b", "divisibility_pass", "bound_pass"
         ]
-        r = divisor_check(cfg6, gen6)
+        r = divisor_records(cfg6, [gen6])[0]
         assert all(type(v) in (int, bool) for v in r._asdict().values())
 
     def test_trivial_gcd(self, cfg7):
-        r = divisor_check(cfg7, CubicPoint(2, -1, 1))
+        r = divisor_records(cfg7, [CubicPoint(2, -1, 1)])[0]
         assert r.d == 1
         assert r.divisibility_pass and r.bound_pass
 
     def test_identity_rejected(self, cfg6):
         with pytest.raises(ValueError):
-            divisor_check(cfg6, CubicPoint(1, -1, 0))
+            divisor_records(cfg6, [CubicPoint(1, -1, 0)])[0]
 
     def test_cofactors_coprime(self, cfg6, gen6):
         import math
 
         for _, q in generate_lattice_points(cfg6, [gen6], line(4)):
-            r = divisor_check(cfg6, q)
+            r = divisor_records(cfg6, [q])[0]
             assert math.gcd(r.a, r.b) == 1
             assert r.d > 0
 
@@ -116,7 +115,7 @@ class TestDivisorCheck:
             ))
         assert len(points) == 144
         assert divisor_records(cfg, points) == expected
-        assert [divisor_check(cfg, p) for p in points] == expected
+        assert [divisor_records(cfg, [p])[0] for p in points] == expected
 
     def test_records_refuse_the_identity(self, cfg6, gen6):
         with pytest.raises(ValueError):
@@ -162,6 +161,17 @@ class TestMinimalBoxSize:
 
         with pytest.raises(ValueError):
             minimal_box_size(cfg6, 1, ApproxReal(0.001, 0.01))
+
+    def test_decided_exactly(self, cfg6):
+        # the float 25 h rounds up to the upper end of c, while the exact
+        # product stays below it: N = 5 does not absorb c, N = 6 does
+        h = 0.7384926513838569
+        c_up = z_size_constant(cfg6).upper()
+        assert 25 * h == c_up
+        p, q = h.as_integer_ratio()
+        a, b = c_up.as_integer_ratio()
+        assert 25 * p * b < a * q <= 36 * p * b
+        assert minimal_box_size(cfg6, 1, ApproxReal(h, 0.0)) == 6
 
     def test_chain_constants_bundle(self, cfg6, gen6):
         h = canonical_height(cfg6, gen6, 1e-3)
@@ -546,6 +556,30 @@ class TestPerPointPasses:
             assert cert.all_checks_pass and report.all_checks_pass
         assert len(set(built)) == 1, built
         assert len(set(verified)) == 1, verified
+
+
+class TestExactChain:
+    """chain_bound and final_inequality are one exact comparison,
+    log m < K N^(r+2) hhat_up, at the upper end of log m."""
+
+    @pytest.mark.parametrize("step, holds", [(-1, False), (0, False), (1, True)])
+    def test_decided_at_the_upper_end_of_log_m(self, cfg6, gen6, step, holds):
+        cert = build_certificate(cfg6, [gen6], 4)
+        assert cert.all_checks_pass
+        # K N^(r+2) = 16 * 4^3 = 1024, a power of two, so 1024 h is exact
+        assert m_factor(1) * 4**3 == 1024
+        log_m_up = log_abs(cert.m).upper()
+        h = log_m_up / 1024
+        if step:
+            h = math.nextafter(h, step * math.inf)
+        # step -1 is the largest float h with 1024 h < log m's upper end
+        assert (1024 * h > log_m_up) == holds
+        assert (1024 * h < log_m_up) == (step < 0)
+        derived = cert._replace(hhat_bar=ApproxReal(h, 0.0))
+        screen = construct._generator_checks(cfg6, cert.generators)
+        checks = evaluate_checks(cfg6, cert, screen, True, derived)
+        assert checks["chain_bound"] is holds
+        assert checks["final_inequality"] is holds
 
 
 def gram_of(entries: dict[tuple[int, int], float], rank: int):

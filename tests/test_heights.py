@@ -24,7 +24,7 @@ from cubeforge import (
     search_points,
     weierstrass_image,
 )
-from cubeforge.numeric import icbrt
+from cubeforge.numeric import ApproxReal, icbrt
 from tests import doubling_reference as ref
 from tests import group_reference
 from tests.group_reference import (
@@ -440,6 +440,90 @@ class TestIndependence:
     def test_empty_rejected(self, cfg6):
         with pytest.raises(ValueError):
             independence(cfg6, [], TOL)
+
+
+def _exact_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Fraction elimination with row exchanges."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+@st.composite
+def symmetric_64ths(draw, diagonal=(0, 1024)):
+    """A symmetric n x n matrix, 1 <= n <= 5, of numerators k of k/64."""
+    n = draw(st.integers(1, 5))
+    k = [[0] * n for _ in range(n)]
+    for i in range(n):
+        k[i][i] = draw(st.integers(*diagonal))
+        for j in range(i + 1, n):
+            k[i][j] = k[j][i] = draw(st.integers(-256, 256))
+    return k
+
+
+def _exact_matrix(k):
+    return [[ApproxReal(v / 64, 0.0) for v in row] for row in k]
+
+
+class TestPositivePivots:
+    """positive_definite: every elimination pivot certified positive."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_64ths())
+    def test_certified_means_every_leading_minor_positive(self, k):
+        exact = [[Fraction(v, 64) for v in row] for row in k]
+        if heights.positive_definite(_exact_matrix(k)):
+            for size in range(1, len(k) + 1):
+                minor = [row[:size] for row in exact[:size]]
+                assert _exact_det(minor) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_64ths(diagonal=(0, 0)), st.data())
+    def test_diagonally_dominant_is_certified(self, k, data):
+        # a positive diagonal above each row's off-diagonal sum
+        for i, row in enumerate(k):
+            row[i] = sum(abs(v) for v in row) + data.draw(st.integers(1, 64))
+        assert heights.positive_definite(_exact_matrix(k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-64, 64), min_size=n - 1, max_size=n - 1),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]),
+    )
+    def test_gram_of_dependent_vectors_is_never_certified(self, vectors, radius):
+        # n vectors in R^(n-1): the Gram matrix is singular, and its integer
+        # entries are exact floats, so the centre itself is singular
+        gram = [
+            [ApproxReal(float(sum(a * b for a, b in zip(u, v))), radius)
+             for v in vectors]
+            for u in vectors
+        ]
+        assert not heights.positive_definite(gram)
+
+    def test_input_is_left_as_it_was(self):
+        gram = _exact_matrix([[128, 64], [64, 128]])
+        before = [list(row) for row in gram]
+        assert heights.positive_definite(gram)
+        assert gram == before
 
 
 class TestOffsetWindow:
