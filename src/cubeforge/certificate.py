@@ -3,16 +3,20 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "7" stores the lattice triples with
+reals as value/radius pairs.  Schema "8" stores the lattice triples with
 their indices and m, but not the N^r representations: each is
 (Z/z_n)(x_n, y_n), a pure function of the triples, which
 Certificate.representations expands for a consumer.  The lattice runs over
 the N^r indices of least height that build chose (construct.index_set),
 with the generators as given; verify screens the stored indices
-(construct.index_set_screen) and never chooses them again.  A "6"
-document, which also stored the pairs, is refused, as are older ones.
-Keys the schema does not name, such as a stray ``representations`` array
-or the ``generated_at`` of older writers, are ignored.
+(construct.index_set_screen) and never chooses them again.  The lattice is
+stored as named columns, not one object per entry: ``index`` holds the r
+integers of each entry in turn, and ``x``, ``y``, ``z``, ``d``, ``a``,
+``b``, ``divisibility_pass`` and ``bound_pass`` one element per entry.  A
+"7" document, which stored the same values one object per entry, is
+refused, as are older ones.  Keys the schema does not name, such as a
+stray ``representations`` array or the ``generated_at`` of older writers,
+are ignored.
 
 Every stored integer is written as ``hex(n)`` writes it ("0x1f", "-0x1f"),
 and the parser accepts exactly that form or a JSON number.  Hex converts in
@@ -22,8 +26,14 @@ the CLI's generator and point files: its numbers go through
 numeric.read_decimal, which keeps the 4,300-digit bound that numeric.py
 lifts for the package's own str().  The reader decides "exactly what
 hex() writes" by its definition: int(s, 16), accepted iff hex() writes the
-value back unchanged.  Divisor records are exact integers and verdicts.
-There is no stored check map: verify_certificate parses the document into a
+value back unchanged.  _as_int is that rule for one value and _as_ints
+for a column: one C-level pass of int(s, 16) and one of hex(), falling
+back to _as_int element by element, which names the first refused one.
+The reader checks every column's length (r per entry for ``index``, one per
+entry for the rest, the entries counted by ``z``) before it converts any,
+and builds the records with C-level maps, so no Python function runs per
+entry.  Divisor records are exact integers and verdicts.  There is no
+stored check map: verify_certificate parses the document into a
 Certificate, re-derives everything from the generators alone and compares,
 proves the identity x^3 + y^3 = m from the lattice without forming a
 representation (see construct.evaluate_checks), and returns the parsed
@@ -32,20 +42,20 @@ Certificate with those fresh checks.
 The writer produces exactly the bytes of
 ``json.dumps(doc, separators=(",", ":"))`` plus a newline: one line, no
 whitespace, built as one string without ``doc`` whole.  The header, every
-key but ``lattice_points``, goes through json.dumps.  The lattice, N^r
-entries, is rendered from a one-line template and joined into the header's
-empty slot, because a hex() string needs no JSON escaping, while json.dumps
-scans every string for escapes even in its C encoder.  A schema-"7"
-document is tens of kilobytes, so write_certificate writes that one string.
-The reader is json.loads, so any whitespace and key order parse the same:
-an indented document verifies to the same checks, and
+key but ``lattice_points``, goes through json.dumps.  Each lattice column
+is one join (``'","'.join(map(hex, column))`` for the integers) filled into
+a fixed template, because a hex() string needs no JSON escaping, while
+json.dumps scans every string for escapes even in its C encoder.  A
+schema-"8" document is tens of kilobytes, so write_certificate writes that
+one string.  The reader is json.loads, so any whitespace and key order
+parse the same: an indented document verifies to the same checks, and
 ``python -m json.tool`` pretty-prints one.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, repeat
 
 from .construct import (
     Certificate,
@@ -59,7 +69,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 
 class CertificateFormatError(Exception):
@@ -72,15 +82,29 @@ def _interval_to_json(a: ApproxReal) -> dict:
 
 # the slot the header leaves for the lattice: the key's quotes cannot occur
 # unescaped inside a JSON string, so it occurs exactly once
-_LATTICE_SLOT = '"lattice_points":[]'
+_LATTICE_SLOT = '"lattice_points":{}'
 
-# one lattice entry; every %s is a hex() string or a JSON literal, and
-# neither ever needs escaping
-_LATTICE_ENTRY = (
-    '{"index":[%s],"point":["%s","%s","%s"],"divisor":{"d":"%s","a":"%s",'
-    '"b":"%s","divisibility_pass":%s,"bound_pass":%s}}'
+# the lattice's columns in document order: index holds r JSON integers per
+# entry, x, y, z, d, a and b one hex() string each, the flags one boolean
+# each; every %s is filled by one join, and nothing in it needs escaping
+_LATTICE_COLUMNS = (
+    "index", "x", "y", "z", "d", "a", "b", "divisibility_pass", "bound_pass",
+)
+_LATTICE_TEMPLATE = (
+    '"lattice_points":{"index":[%s],"x":%s,"y":%s,"z":%s,"d":%s,"a":%s,'
+    '"b":%s,"divisibility_pass":[%s],"bound_pass":[%s]}'
 )
 _JSON_BOOL = {True: "true", False: "false"}
+
+
+def _transpose(rows, width: int) -> list:
+    """The columns of rows, width empty ones when there are no rows."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _hex_array(ints) -> str:
+    # a hex() string needs no JSON escaping, so one join writes the array
+    return '["%s"]' % '","'.join(map(hex, ints)) if ints else "[]"
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -88,8 +112,8 @@ def certificate_to_json(cert: Certificate) -> str:
     json.dumps(doc, separators=(",", ":")) plus a newline.
 
     The header, everything but the lattice, goes through json.dumps; the
-    lattice is rendered from the template above, one entry per lattice
-    point, with no escaping pass over its strings.
+    lattice is rendered column by column, each column in one join, with no
+    escaping pass over its strings.
     """
     header = json.dumps(
         {
@@ -109,24 +133,22 @@ def certificate_to_json(cert: Certificate) -> str:
                 "z_constant": _interval_to_json(cert.constants.z_constant),
                 "n_min": cert.constants.n_min,
             },
-            "lattice_points": [],
+            "lattice_points": {},
             "m": hex(cert.m),
             "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
         separators=(",", ":"),
     )
     head, _, tail = header.partition(_LATTICE_SLOT)
-    lattice = ",".join(
-        _LATTICE_ENTRY
-        % (
-            ",".join(map(str, idx)),
-            hex(q.x), hex(q.y), hex(q.z),
-            hex(dc.d), hex(dc.a), hex(dc.b),
-            _JSON_BOOL[dc.divisibility_pass], _JSON_BOOL[dc.bound_pass],
-        )
-        for (idx, q), dc in zip(cert.lattice_points, cert.divisor_checks)
+    indices, points = _transpose(cert.lattice_points, 2)
+    d, a, b, divisible, bounded = _transpose(cert.divisor_checks, 5)
+    lattice = _LATTICE_TEMPLATE % (
+        ",".join(map(str, chain.from_iterable(indices))),
+        *map(_hex_array, (*_transpose(points, 3), d, a, b)),
+        ",".join(map(_JSON_BOOL.__getitem__, divisible)),
+        ",".join(map(_JSON_BOOL.__getitem__, bounded)),
     )
-    return f'{head}"lattice_points":[{lattice}]{tail}\n'
+    return f"{head}{lattice}{tail}\n"
 
 
 def write_certificate(cert: Certificate, path: str) -> None:
@@ -208,6 +230,32 @@ def _as_triple(value, what: str) -> CubicPoint:
     return CubicPoint(_as_int(x, what), _as_int(y, what), _as_int(z, what))
 
 
+def _as_ints(values: list, what: str) -> list:
+    """A column of integers, each read by the one rule of _as_int.
+
+    A column of exact ints is taken as it is; otherwise one C-level pass
+    reads every element as exactly what hex() writes.  If that pass
+    refuses anything, _as_int reads the column element by element, which
+    also accepts JSON numbers and names the first element it refuses.
+    """
+    if set(map(type, values)) <= {int}:
+        return values
+    try:
+        ints = list(map(int, values, repeat(16)))
+    except (TypeError, ValueError):
+        pass
+    else:
+        if list(map(hex, ints)) == values:
+            return ints
+    return [_as_int(v, what) for v in values]
+
+
+def _as_bools(values: list, what: str) -> list:
+    if set(map(type, values)) <= {bool}:
+        return values
+    return [_as_bool(v, what) for v in values]
+
+
 _REQUIRED_KEYS = frozenset((
     "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
     "constants", "lattice_points", "m", "bound_rhs",
@@ -215,8 +263,7 @@ _REQUIRED_KEYS = frozenset((
 _CONSTANTS_KEYS = frozenset(
     ("height_factor", "z_factor", "m_factor", "z_constant", "n_min")
 )
-_ENTRY_KEYS = frozenset(("index", "point", "divisor"))
-_DIVISOR_KEYS = frozenset(("d", "a", "b", "divisibility_pass", "bound_pass"))
+_LATTICE_KEYS = frozenset(_LATTICE_COLUMNS)
 
 
 def parse_certificate(document: str | dict) -> Certificate:
@@ -235,7 +282,11 @@ def parse_certificate(document: str | dict) -> Certificate:
         data = document
     data = _as_record(data, "certificate", _REQUIRED_KEYS)
     if data["schema_version"] != SCHEMA_VERSION:
-        raise _fail(f"unsupported schema_version {data['schema_version']!r}")
+        raise _fail(
+            f"unsupported schema_version {repr(data['schema_version'])[:40]}: "
+            f'this reader takes "{SCHEMA_VERSION}"; rebuild the document with '
+            "cubeforge construct"
+        )
 
     m0 = _as_int(data["m0"], "m0")
     if m0 == 0:
@@ -265,29 +316,37 @@ def parse_certificate(document: str | dict) -> Certificate:
         n_min=_as_int(constants_raw["n_min"], "n_min"),
     )
 
-    lattice_points = []
-    divisor_checks = []
-    # N^r records: fixed labels and direct constructors, so a record that
-    # parses formats no message and builds no set or generator
-    for entry in _as_list(data["lattice_points"], "lattice_points"):
-        entry = _as_record(entry, "lattice point", _ENTRY_KEYS)
-        index = _as_list(entry["index"], "lattice index", rank)
-        div = _as_record(entry["divisor"], "divisor record", _DIVISOR_KEYS)
-        lattice_points.append(
-            (
-                tuple(map(_as_int, index, repeat("lattice index"))),
-                _as_triple(entry["point"], "lattice point"),
-            )
+    # every column's length is checked before any is converted, and each
+    # is then read in one pass: the records are built by C-level maps, with
+    # no Python call per entry
+    columns = _as_record(
+        data["lattice_points"], "lattice_points", _LATTICE_KEYS
+    )
+    count = len(_as_list(columns["z"], "lattice z"))
+    for key in _LATTICE_COLUMNS:
+        length = rank * count if key == "index" else count
+        _as_list(columns[key], f"lattice {key}", length)
+    index = _as_ints(columns["index"], "lattice index")
+    x, y, z = (_as_ints(columns[key], "lattice point") for key in "xyz")
+    lattice_points = list(
+        zip(
+            zip(*[iter(index)] * rank),
+            map(tuple.__new__, repeat(CubicPoint), zip(x, y, z)),
         )
-        divisor_checks.append(
-            DivisorCheck(
-                _as_int(div["d"], "divisor d"),
-                _as_int(div["a"], "divisor a"),
-                _as_int(div["b"], "divisor b"),
-                _as_bool(div["divisibility_pass"], "divisibility_pass"),
-                _as_bool(div["bound_pass"], "bound_pass"),
-            )
+    )
+    divisor_checks = list(
+        map(
+            tuple.__new__,
+            repeat(DivisorCheck),
+            zip(
+                _as_ints(columns["d"], "divisor d"),
+                _as_ints(columns["a"], "divisor a"),
+                _as_ints(columns["b"], "divisor b"),
+                _as_bools(columns["divisibility_pass"], "divisibility_pass"),
+                _as_bools(columns["bound_pass"], "bound_pass"),
+            ),
         )
+    )
 
     m = _as_int(data["m"], "m")
     if m == 0:

@@ -175,7 +175,10 @@ def minimal_box_size(cfg: CurveConfig, rank: int, hhat_bar: ApproxReal) -> int:
 
     N must satisfy c <= N^2 hhat and log |m0| <= N^(r+2) hhat, both decided
     exactly in integers at the lower end of hhat and the upper ends of c
-    and log |m0|, each float read as its as_integer_ratio.
+    and log |m0|, each float read as its as_integer_ratio.  Both sides
+    grow with N, so N is found by doubling to a box that absorbs the
+    constants and bisecting below it: O(log N) exact comparisons, none
+    with a box more than twice the answer.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -188,12 +191,24 @@ def minimal_box_size(cfg: CurveConfig, rank: int, hhat_bar: ApproxReal) -> int:
     p, q = h_low.as_integer_ratio()
     cn, cd = z_size_constant(cfg).upper().as_integer_ratio()
     ln, ld = log_abs(cfg.m0).upper().as_integer_ratio()
-    n = 1
-    while n * n * p * cd < cn * q or n ** (rank + 2) * p * ld < ln * q:
-        n += 1
-        if n > _BOX_SIZE_CAP:
+
+    def absorbs(n: int) -> bool:
+        return n * n * p * cd >= cn * q and n ** (rank + 2) * p * ld >= ln * q
+
+    high = 1
+    while not absorbs(high):
+        if high == _BOX_SIZE_CAP:
             raise RuntimeError("minimal box size exceeds the supported range")
-    return n
+        high = min(2 * high, _BOX_SIZE_CAP)
+    # high // 2 does not absorb them (0 stands below 1)
+    low = high // 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if absorbs(mid):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def chain_constants(

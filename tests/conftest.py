@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -55,15 +56,48 @@ def _pool_document_n2() -> str:
     return certificate_to_json(cert)
 
 
+_ENTRY_FIELDS = ("d", "a", "b", "divisibility_pass", "bound_pass")
+
+
+@contextmanager
+def lattice_entries(doc: dict):
+    """The lattice columns of a certificate document as one mutable record
+    per entry, {"index": [r ints], "point": [x, y, z], "d", "a", "b",
+    "divisibility_pass", "bound_pass"}, written back as columns on exit.
+
+    A tamper addresses one entry, as a per-entry layout would: change a
+    field, drop or repeat an entry, or replace the list.  r is read from
+    the columns, so the document's r may be changed first.
+    """
+    columns = doc["lattice_points"]
+    rank = len(columns["index"]) // max(len(columns["z"]), 1)
+    entries = [
+        {
+            "index": columns["index"][k * rank:(k + 1) * rank],
+            "point": [columns[key][k] for key in "xyz"],
+            **{key: columns[key][k] for key in _ENTRY_FIELDS},
+        }
+        for k in range(len(columns["z"]))
+    ]
+    yield entries
+    columns["index"] = [n for entry in entries for n in entry["index"]]
+    for i, key in enumerate("xyz"):
+        columns[key] = [entry["point"][i] for entry in entries]
+    for key in _ENTRY_FIELDS:
+        columns[key] = [entry[key] for entry in entries]
+
+
 def screen_tampered(name) -> dict:
     """The m0=91, N=2 document with SCREEN_TAMPERS[name] applied."""
     doc = json.loads(_pool_document_n2())
-    lattice = doc["lattice_points"]
-    assert [e["index"] for e in lattice] == [[0, 1], [1, -1], [1, 0], [1, 1]]
-    if SCREEN_TAMPERS[name] is None:
-        del lattice[-1]
-    else:
-        lattice[-1]["index"] = SCREEN_TAMPERS[name]
+    with lattice_entries(doc) as lattice:
+        assert [e["index"] for e in lattice] == [
+            [0, 1], [1, -1], [1, 0], [1, 1]
+        ]
+        if SCREEN_TAMPERS[name] is None:
+            del lattice[-1]
+        else:
+            lattice[-1]["index"] = SCREEN_TAMPERS[name]
     return doc
 
 
@@ -72,8 +106,8 @@ def representation_repeated() -> dict:
     first: N^r entries, which expand to only N^r - 1 distinct
     representations."""
     doc = json.loads(_pool_document_n2())
-    lattice = doc["lattice_points"]
-    lattice[-1]["point"] = lattice[0]["point"]
+    with lattice_entries(doc) as lattice:
+        lattice[-1]["point"] = lattice[0]["point"]
     return doc
 
 

@@ -28,6 +28,7 @@ from cubeforge import (
 )
 from cubeforge.construct import CHECK_NAMES
 from tests.conftest import pool_draws
+from tests.schema7_reference import schema7_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -78,12 +79,20 @@ def test_check_count_matches_check_names():
 # for all four draws: the generators are recorded as given, and the chosen
 # index set is the lattice's, so a reorder or a sign flip of every
 # generator changes which (x, y) comes first and which coordinate of an
-# index carries its minus sign, but no length
+# index carries its minus sign, but no length.  POOL_BYTES is the length in
+# the schema "7" layout (tests/schema7_reference.py), so it still pins every
+# stored value; POOL_BYTES_SCHEMA_8 is the document's own.
 POOL_BYTES = {
     (91, "cert_large"): 47_420,
     (1729, "cert_large"): 63_105,
     (91, "cert_tight"): 14_210,
     (1729, "cert_tight"): 17_304,
+}
+POOL_BYTES_SCHEMA_8 = {
+    (91, "cert_large"): 36_127,
+    (1729, "cert_large"): 51_812,
+    (91, "cert_tight"): 9_237,
+    (1729, "cert_tight"): 12_331,
 }
 
 
@@ -101,7 +110,8 @@ def test_pool_certificate_passes(m0, workload):
         assert len(cert.checks) == CHECK_COUNT
         assert all(cert.checks.values()), (draw, cert.checks)
         text = certificate_to_json(cert)
-        assert len(text) == POOL_BYTES[m0, workload], draw
+        assert len(text) == POOL_BYTES_SCHEMA_8[m0, workload], draw
+        assert len(schema7_json(cert)) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)
         assert report.checks == cert.checks
         # perfbench/worker.py reads the pairs after its timer, for the

@@ -25,7 +25,8 @@ from cubeforge import (
 )
 from cubeforge import construct
 from cubeforge.cli import main
-from cubeforge.certificate import _as_int
+from cubeforge import certificate
+from cubeforge.certificate import _as_int, _as_ints
 from cubeforge.construct import (
     CHECK_NAMES,
     _generator_checks,
@@ -35,10 +36,12 @@ from cubeforge.construct import (
 from cubeforge.heights import independence
 from tests.conftest import (
     SCREEN_TAMPERS,
+    lattice_entries,
     line,
     representation_repeated,
     screen_tampered,
 )
+from tests.schema7_reference import schema7_json
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
 # certificate is derived must not change a byte of it.  Schema "4" is the
@@ -51,11 +54,18 @@ from tests.conftest import (
 # the rank-1 document with its expanded pairs put back is the schema "4"
 # one.  Schema "4" documents were written with indent=2 and the writer is
 # compact, so GOLDEN_SHA256_SCHEMA_4 pins that document re-dumped with
-# indent=2 and schema_version set back to "4".
+# indent=2 and schema_version set back to "4".  Schema "8" stores the
+# lattice as columns: GOLDEN_SHA256 pins the document rendered in the "7"
+# layout (tests/schema7_reference.py), so m, every triple and every divisor
+# record are pinned across the change, and GOLDEN_SHA256_SCHEMA_8 pins the
+# document itself.
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
 GOLDEN_SHA256 = "840e74111a83bd2db28e20216b59d0789de905806fbd371264c282f2a9c8e913"
+GOLDEN_SHA256_SCHEMA_8 = (
+    "2bf407b16fd533c27a39e9b4a7028373c4fb0b1b9d23934300a371860aac8a8d"
+)
 
 
 def certificate_to_dict(cert):
@@ -79,9 +89,10 @@ class TestSerialization:
         assert cert6_doc["m"] == "0xa6d89355c80175d7080"
         assert cert6_doc["m0"] == "0x6"
         assert cert6_doc["generators"] == [["0x11", "0x25", "0x15"]]
-        assert cert6_doc["lattice_points"][1]["point"] == [
-            hex(2237723), "-0x1b8d9b", hex(960540)
-        ]
+        with lattice_entries(copy.deepcopy(cert6_doc)) as entries:
+            assert entries[1]["point"] == [
+                hex(2237723), "-0x1b8d9b", hex(960540)
+            ]
 
     def test_schema_fields_present(self, cert6_doc):
         expected = {
@@ -100,13 +111,19 @@ class TestSerialization:
         # no stored check map and no stored representations: verify
         # derives every verdict afresh, and a consumer expands the pairs
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "7"
+        assert cert6_doc["schema_version"] == "8"
+        # the lattice is named columns, one element per entry (r for index)
+        assert list(cert6_doc["lattice_points"]) == [
+            "index", "x", "y", "z", "d", "a", "b", "divisibility_pass",
+            "bound_pass",
+        ]
 
     def test_divisor_record_is_exact(self, cert6_doc):
-        for entry in cert6_doc["lattice_points"]:
-            record = entry["divisor"]
-            assert list(record) == ["d", "a", "b", "divisibility_pass", "bound_pass"]
-            assert not any(isinstance(v, float) for v in record.values())
+        lattice = cert6_doc["lattice_points"]
+        for key in ("d", "a", "b"):
+            assert all(isinstance(v, str) for v in lattice[key])
+        for key in ("divisibility_pass", "bound_pass"):
+            assert all(isinstance(v, bool) for v in lattice[key])
 
     def test_deterministic_bytes(self, cert6, monkeypatch):
         # no timestamp: the environment cannot change a byte of the document
@@ -118,12 +135,21 @@ class TestSerialization:
         assert "generated_at" not in json.loads(first)
 
     def test_golden_bytes(self, cfg6, gen6):
-        text = certificate_to_json(build_certificate(cfg6, [gen6], 4))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
+        cert = build_certificate(cfg6, [gen6], 4)
+        text = certificate_to_json(cert)
+        assert (
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == GOLDEN_SHA256_SCHEMA_8
+        )
         _assert_json_fixed_point(text)
+        as_schema_7 = schema7_json(cert)
+        assert (
+            hashlib.sha256(as_schema_7.encode("utf-8")).hexdigest()
+            == GOLDEN_SHA256
+        )
         # the pairs expanded on demand are the ones schema "4" stored,
-        # between m and bound_rhs
-        doc = json.loads(text)
+        # between m and bound_rhs, beside the per-entry lattice objects
+        doc = json.loads(as_schema_7)
         pairs = parse_certificate(text).representations
         doc = {
             **{k: v for k, v in doc.items() if k != "bound_rhs"},
@@ -196,7 +222,11 @@ class TestTemplateWriter:
         # build never writes one, but a parsed document may hold no lattice
         empty = cert6._replace(lattice_points=[], divisor_checks=[])
         text = certificate_to_json(empty)
-        assert '"lattice_points":[],' in text
+        assert (
+            '"lattice_points":{"index":[],"x":[],"y":[],"z":[],"d":[],'
+            '"a":[],"b":[],"divisibility_pass":[],"bound_pass":[]},'
+        ) in text
+        assert parse_certificate(text) == empty._replace(checks={})
         assert empty.representations == []
         _assert_json_fixed_point(text)
 
@@ -222,6 +252,189 @@ class TestTemplateWriter:
             _document_for(91, _POOL[91], box_size)
             counts.append(len(escaped))
         assert counts[0] == counts[1] > 0
+
+    def test_int_reads_do_not_grow_with_the_box(self, monkeypatch):
+        # the reader calls _as_int for the header's fields only; the N^r
+        # entries are read a column at a time
+        calls = []
+
+        def counted(value, what, _original=certificate._as_int):
+            calls.append(what)
+            return _original(value, what)
+
+        monkeypatch.setattr(certificate, "_as_int", counted)
+        counts = []
+        for box_size in (2, 6):
+            text = _document_for(91, _POOL[91], box_size)
+            calls.clear()
+            parse_certificate(text)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+# the pool pairs at both cert workloads, the rank-3 set, and the rank-4
+# m0=152551 set at N=3
+_ROUND_TRIP_CASES = [
+    pytest.param(m0, pair, box_size, tol, id=f"{m0}-N{box_size}")
+    for m0, pair in _POOL.items()
+    for box_size, tol in ((12, 1e-3), (8, 1e-4))
+] + [
+    pytest.param(
+        657, ((-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)), 4, 1e-3,
+        id="rank3-N4",
+    ),
+    pytest.param(
+        152551,
+        ((54, -17, 1), (55, -24, 1), (226, -225, 1), (705, -668, 7)),
+        3,
+        1e-3,
+        id="rank4-N3",
+    ),
+]
+
+
+def _column_doc():
+    """The m0=91, N=2 document as a dict: r = 2 and E = 4 entries."""
+    return copy.deepcopy(_FUZZ_DOC_RANK_2)
+
+
+# elements a lattice column may hold: what hex() writes, JSON numbers, the
+# forms int(s, 16) reads but hex() never writes, and non-integers
+_COLUMN_ELEMENTS = st.one_of(
+    st.integers().map(hex),
+    st.integers(),
+    st.from_regex(r"[+-]?0[xX]0?[0-9a-fA-F_]{0,6}\s?", fullmatch=True),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+
+
+class TestColumnReader:
+    @pytest.mark.parametrize("m0, generators, box_size, tol", _ROUND_TRIP_CASES)
+    def test_round_trip(self, m0, generators, box_size, tol):
+        cert = build_certificate(
+            CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size, tol
+        )
+        assert parse_certificate(certificate_to_json(cert)) == cert._replace(
+            checks={}
+        )
+
+    @pytest.mark.parametrize(
+        "key, change, message",
+        [
+            ("x", lambda column: column[:-1], "lattice x must have 4 elements"),
+            ("d", lambda column: column + ["0x1"],
+             "lattice d must have 4 elements"),
+            ("bound_pass", lambda column: column[1:],
+             "lattice bound_pass must have 4 elements"),
+            # r·E is 8: one entry's index short, or an index of length 3
+            ("index", lambda column: column[:-1],
+             "lattice index must have 8 elements"),
+            ("index", lambda column: [*column, 1],
+             "lattice index must have 8 elements"),
+            # E is z's length, so every column before z is one too long
+            ("z", lambda column: column[:-1],
+             "lattice index must have 6 elements"),
+        ],
+        ids=["x-short", "d-long", "bound_pass-short", "index-short",
+             "index-long", "z-short"],
+    )
+    def test_column_lengths_are_named(self, key, change, message):
+        doc = _column_doc()
+        lattice = doc["lattice_points"]
+        lattice[key] = change(lattice[key])
+        with pytest.raises(CertificateFormatError, match=re.escape(message)):
+            parse_certificate(doc)
+
+    def test_lengths_are_checked_before_any_conversion(self, monkeypatch):
+        # a bad element in an early column does not mask a length mismatch
+        # in a later one, and no column is converted before the mismatch
+        doc = _column_doc()
+        doc["lattice_points"]["x"][0] = "0x01"
+        doc["lattice_points"]["bound_pass"].pop()
+
+        def refuse(*args):
+            raise AssertionError("a column was converted")
+
+        monkeypatch.setattr(certificate, "_as_ints", refuse)
+        with pytest.raises(CertificateFormatError,
+                           match="lattice bound_pass must have 4 elements"):
+            parse_certificate(doc)
+
+    def test_column_that_is_no_array_is_named(self):
+        doc = _column_doc()
+        doc["lattice_points"]["a"] = {"0": "0x1"}
+        with pytest.raises(CertificateFormatError,
+                           match="lattice a must be an array"):
+            parse_certificate(doc)
+
+    def test_long_column_costs_only_its_length(self):
+        # a 10^6-entry d beside a 4-entry z is refused by its length alone
+        doc = _column_doc()
+        doc["lattice_points"]["d"] = ["0x1"] * 10**6
+        start = time.perf_counter()
+        with pytest.raises(CertificateFormatError,
+                           match="lattice d must have 4 elements"):
+            parse_certificate(doc)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("entry", range(4))
+    def test_bad_hex_is_named_at_every_entry(self, entry):
+        doc = _column_doc()
+        doc["lattice_points"]["d"][entry] = "0x01"
+        with pytest.raises(CertificateFormatError,
+                           match=re.escape("divisor d is not a hex() string")):
+            parse_certificate(doc)
+
+    @pytest.mark.parametrize("entry", range(8))
+    def test_bool_in_index_is_named(self, entry):
+        doc = _column_doc()
+        doc["lattice_points"]["index"][entry] = True
+        with pytest.raises(CertificateFormatError,
+                           match="lattice index must be an integer"):
+            parse_certificate(doc)
+
+    @pytest.mark.parametrize("key", ["divisibility_pass", "bound_pass"])
+    @pytest.mark.parametrize("entry", range(4))
+    def test_int_in_a_flag_column_is_named(self, key, entry):
+        doc = _column_doc()
+        doc["lattice_points"][key][entry] = 1
+        with pytest.raises(CertificateFormatError,
+                           match=f"{key} must be a boolean"):
+            parse_certificate(doc)
+
+    @pytest.mark.parametrize("entry", range(4))
+    def test_json_number_in_x_is_accepted(self, entry):
+        doc = _column_doc()
+        clean = parse_certificate(json.dumps(doc))
+        x = doc["lattice_points"]["x"]
+        x[entry] = int(x[entry], 16)
+        text = json.dumps(doc)
+        assert type(json.loads(text)["lattice_points"]["x"][entry]) is int
+        assert parse_certificate(text) == clean
+
+    @settings(max_examples=500)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers().map(hex), max_size=8),
+            st.lists(st.integers(), max_size=8),
+            st.lists(_COLUMN_ELEMENTS, max_size=8),
+        )
+    )
+    def test_one_rule_for_a_column(self, values):
+        # _as_ints reads a column exactly as _as_int reads its elements, and
+        # refuses one with _as_int's message for the first element refused
+        try:
+            expected = [_as_int(v, "column") for v in values]
+        except CertificateFormatError as exc:
+            with pytest.raises(CertificateFormatError) as refused:
+                _as_ints(values, "column")
+            assert str(refused.value) == str(exc)
+        else:
+            got = _as_ints(values, "column")
+            assert got == expected
+            assert [type(n) for n in got] == [int] * len(values)
 
 
 class TestVerification:
@@ -257,7 +470,8 @@ class TestVerification:
         # the first representation is (Z/z_1)(x_1, y_1), so a wrong y_1 in
         # the stored triple it expands from is a wrong representation
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][0]["point"][1] = hex(38)
+        with lattice_entries(doc) as entries:
+            entries[0]["point"][1] = hex(38)
         report = verify_certificate(doc)
         assert report.checks["m_matches_product"]
         assert not report.checks["representations_match_formula"]
@@ -265,7 +479,8 @@ class TestVerification:
 
     def test_tampered_lattice_point(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][1]["point"][0] = hex(2237724)
+        with lattice_entries(doc) as entries:
+            entries[1]["point"][0] = hex(2237724)
         report = verify_certificate(doc)
         assert not report.checks["lattice_points_match"]
 
@@ -279,7 +494,8 @@ class TestVerification:
 
     def test_tampered_divisor_record(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][0]["divisor"]["d"] = hex(27)
+        with lattice_entries(doc) as entries:
+            entries[0]["d"] = hex(27)
         report = verify_certificate(doc)
         assert not report.checks["divisor_records_match"]
 
@@ -313,11 +529,11 @@ class TestVerification:
         ]
         # N^r = 4 stored entries whose indices pass the index screen, so
         # the representation count holds
-        entry = doc["lattice_points"][0]
-        doc["lattice_points"] = [
-            {**entry, "index": index}
-            for index in ([1, 0], [0, 1], [1, 1], [1, -1])
-        ]
+        with lattice_entries(doc) as entries:
+            entries[:] = [
+                {**entries[0], "index": index}
+                for index in ([1, 0], [0, 1], [1, 1], [1, -1])
+            ]
         report = verify_certificate(doc)
         assert report.checks["representation_count"]
         assert not report.checks["generators_independent"]
@@ -335,14 +551,14 @@ class TestVerification:
             [hex(17), hex(37), hex(21)],
             [hex(2237723), hex(-1805723), hex(960540)],
         ]
-        entry = doc["lattice_points"][0]
-        doc["lattice_points"] = [
-            {**entry, "index": index}
-            for index in (
-                [1, 0], [2, 0], [3, 0], [0, 1], [1, 1],
-                [1, 2], [3, 1], [1, -1], [2, 1],
-            )
-        ]
+        with lattice_entries(doc) as entries:
+            entries[:] = [
+                {**entries[0], "index": index}
+                for index in (
+                    [1, 0], [2, 0], [3, 0], [0, 1], [1, 1],
+                    [1, 2], [3, 1], [1, -1], [2, 1],
+                )
+            ]
         raised = []
         generate = construct.generate_lattice_points
 
@@ -534,8 +750,9 @@ class TestIdentityProof:
         # too and no stored coordinate is cubed
         cert = build_certificate(cfg6, [gen6], 4)
         doc = certificate_to_dict(cert)
-        for entry, (_, q) in zip(doc["lattice_points"], cert.lattice_points):
-            entry["point"] = [CountingInt(c) for c in (q.y, q.x, q.z)]
+        with lattice_entries(doc) as entries:
+            for entry, (_, q) in zip(entries, cert.lattice_points):
+                entry["point"] = [CountingInt(c) for c in (q.y, q.x, q.z)]
         monkeypatch.setattr(CountingInt, "powers", 0)
         report = verify_certificate(doc)
         assert CountingInt.powers == 0
@@ -615,7 +832,7 @@ _EDGE_INTS = [0] + [
 
 def _assert_writes_hex(cert, n):
     # n as m, in the header json.dumps writes, and as a lattice point and a
-    # divisor d, in the entry template: every one written as hex() writes it
+    # divisor d, in the lattice columns: every one written as hex() writes it
     (idx, _), *points = cert.lattice_points
     check, *checks = cert.divisor_checks
     text = certificate_to_json(
@@ -627,10 +844,10 @@ def _assert_writes_hex(cert, n):
     )
     _assert_json_fixed_point(text)
     doc = json.loads(text)
-    entry = doc["lattice_points"][0]
-    assert [doc["m"], *entry["point"], entry["divisor"]["d"]] == [
-        hex(n), hex(n), hex(-n), hex(n), hex(n)
-    ]
+    with lattice_entries(doc) as entries:
+        assert [doc["m"], *entries[0]["point"], entries[0]["d"]] == [
+            hex(n), hex(n), hex(-n), hex(n), hex(n)
+        ]
 
 
 # the length at which _as_int read through bytes.fromhex() instead, while
@@ -870,21 +1087,21 @@ class TestFormatErrors:
     def test_bad_schema_version(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "1"
-        with pytest.raises(CertificateFormatError):
+        with pytest.raises(CertificateFormatError, match=_refused_schema("1")):
             verify_certificate(doc)
 
     def test_schema_4_is_refused(self, cert6_doc):
         # a "4" document's lattice is the box [1..N]^r
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "4"
-        with pytest.raises(CertificateFormatError, match="unsupported schema"):
+        with pytest.raises(CertificateFormatError, match=_refused_schema("4")):
             verify_certificate(doc)
 
     def test_schema_6_is_refused(self, cert6_doc):
         # a "6" document stored the representations beside the lattice
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "6"
-        with pytest.raises(CertificateFormatError, match="unsupported schema"):
+        with pytest.raises(CertificateFormatError, match=_refused_schema("6")):
             verify_certificate(doc)
 
     def test_schema_5_is_refused(self, cert6_doc):
@@ -892,8 +1109,14 @@ class TestFormatErrors:
         # build rearranged, not the stored set of least height
         doc = copy.deepcopy(cert6_doc)
         doc["schema_version"] = "5"
-        with pytest.raises(CertificateFormatError, match="unsupported schema"):
+        with pytest.raises(CertificateFormatError, match=_refused_schema("5")):
             verify_certificate(doc)
+
+    def test_schema_7_is_refused(self, cert6):
+        # a "7" document stored one object per lattice entry: the same
+        # values, read by the per-entry reader that schema "8" deleted
+        with pytest.raises(CertificateFormatError, match=_refused_schema("7")):
+            verify_certificate(schema7_json(cert6))
 
     def test_empty_generators(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
@@ -941,8 +1164,10 @@ class TestFormatErrors:
             verify_certificate(doc)
 
     def test_malformed_lattice_entry(self, cert6_doc):
+        # entry 0 without its divisor record: those columns are one short
         doc = copy.deepcopy(cert6_doc)
-        del doc["lattice_points"][0]["divisor"]
+        for key in ("d", "a", "b", "divisibility_pass", "bound_pass"):
+            del doc["lattice_points"][key][0]
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -974,7 +1199,8 @@ class TestFormatErrors:
     @pytest.mark.parametrize("bad", ["0x01", "-0x0" + "1" * 300, None])
     def test_divisor_field_is_named(self, cert6_doc, key, bad):
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][1]["divisor"][key] = bad
+        with lattice_entries(doc) as entries:
+            entries[1][key] = bad
         with pytest.raises(CertificateFormatError, match=f"divisor {key} "):
             verify_certificate(doc)
 
@@ -986,15 +1212,18 @@ class TestFormatErrors:
              "lattice point is not a hex()"),
             ("point", ["0x1", "0x2", 1.5],
              "lattice point must be an integer or hex string"),
-            ("point", ["0x1", "0x2"], "lattice point must have 3 elements"),
+            ("point", ["0x1", "0x2", True],
+             "lattice point must be an integer or hex string"),
             ("index", ["0x01"], "lattice index is not a hex()"),
             ("index", [True], "lattice index must be an integer"),
-            ("index", [1, 2], "lattice index must have 1 elements"),
+            # one index too many: 3 elements where r·E is 2
+            ("index", [1, 2], "lattice index must have 2 elements"),
         ],
     )
     def test_lattice_field_is_named(self, cert6_doc, field, bad, message):
         doc = copy.deepcopy(cert6_doc)
-        doc["lattice_points"][0][field] = bad
+        with lattice_entries(doc) as entries:
+            entries[0][field] = bad
         with pytest.raises(CertificateFormatError, match=re.escape(message)):
             verify_certificate(doc)
 
@@ -1003,12 +1232,14 @@ class TestFormatErrors:
         [
             ((), ("m", "bound_rhs"), "certificate is missing bound_rhs, m"),
             (("constants",), ("n_min",), "constants is missing n_min"),
-            (("lattice_points", 1), ("divisor",),
-             "lattice point is missing divisor"),
-            (("lattice_points", 1), ("point", "index"),
-             "lattice point is missing index, point"),
-            (("lattice_points", 1, "divisor"), ("bound_pass", "a"),
-             "divisor record is missing a, bound_pass"),
+            pytest.param(("lattice_points",), ("d",),
+                         "lattice_points is missing d", id="lattice-d"),
+            pytest.param(("lattice_points",), ("x", "index"),
+                         "lattice_points is missing index, x",
+                         id="lattice-index-x"),
+            pytest.param(("lattice_points",), ("bound_pass", "a"),
+                         "lattice_points is missing a, bound_pass",
+                         id="lattice-a-bound_pass"),
         ],
     )
     def test_missing_keys_are_named(self, cert6_doc, path, missing, message):
@@ -1026,8 +1257,11 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "path, message",
         [
-            (("lattice_points", 0), "lattice point must be an object"),
-            (("lattice_points", 0, "divisor"), "divisor record must be an object"),
+            pytest.param(("lattice_points",), "lattice_points must be an object",
+                         id="lattice"),
+            pytest.param(("hhat_bar",),
+                         "hhat_bar must be an object with value and radius",
+                         id="hhat_bar"),
             (("constants",), "constants must be an object"),
         ],
     )
@@ -1057,6 +1291,15 @@ class TestFormatErrors:
             assert time.perf_counter() - start < 0.5
         else:
             assert not verify_certificate(text).checks["m_matches_product"]
+
+
+def _refused_schema(version):
+    # the refusal names the version read, the one this reader takes, and
+    # how to get a document in it
+    return re.escape(
+        f"unsupported schema_version '{version}': this reader takes \"8\"; "
+        "rebuild the document with cubeforge construct"
+    )
 
 
 def _leaf_parent(doc, path):
@@ -1097,7 +1340,7 @@ _FUZZ_DOC_RANK_2 = certificate_to_dict(
     )
 )
 _DELETE = object()
-_RECORD_KEYS = ["index", "point", "divisor", "d", "a", "b", "divisibility_pass",
+_RECORD_KEYS = ["index", "x", "y", "z", "d", "a", "b", "divisibility_pass",
                 "bound_pass", "value", "radius"]
 
 _HOSTILE_LEAVES = st.one_of(
@@ -1143,12 +1386,13 @@ class TestMutationFuzz:
                             max_size=3),
         ),
     )
-    @example(path=("lattice_points", 3, "index"), leaf=[1])
-    @example(path=("lattice_points", 3, "index", 1), leaf="0x1")
-    @example(path=("lattice_points", 3, "index", 1), leaf=2**1024)
-    @example(path=("lattice_points", 2, "divisor", "a"), leaf=_DELETE)
-    @example(path=("lattice_points", 2, "point"), leaf=_DELETE)
-    @example(path=("lattice_points", 1, "point", 2), leaf="0x0")
+    # entry k's field f at lattice column f, element k (index: r·k + i)
+    @example(path=("lattice_points", "index"), leaf=[1])
+    @example(path=("lattice_points", "index", 7), leaf="0x1")
+    @example(path=("lattice_points", "index", 7), leaf=2**1024)
+    @example(path=("lattice_points", "a", 2), leaf=_DELETE)
+    @example(path=("lattice_points", "x", 2), leaf=_DELETE)
+    @example(path=("lattice_points", "z", 1), leaf="0x0")
     def test_verifier_is_total_at_rank_2(self, path, leaf):
         doc = copy.deepcopy(_FUZZ_DOC_RANK_2)
         parent = _leaf_parent(doc, path)

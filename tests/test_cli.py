@@ -380,7 +380,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "7"
+        assert payload["schema_version"] == "8"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
@@ -723,6 +723,16 @@ class TestHostileInput:
     )
     def test_long_integer(self, capsys, argv):
         self.assert_refused(capsys, argv, "more than 4300 digits")
+
+    def test_long_schema_version_is_not_echoed(self, capsys, cert4_path,
+                                               tmp_path):
+        # the refusal names the version it read in at most 40 characters
+        doc = json.loads(open(cert4_path).read())
+        doc["schema_version"] = "7" * 100_000
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        self.assert_refused(capsys, ["verify", "--cert", str(path)],
+                            "unsupported schema_version '777")
 
     @pytest.mark.parametrize("name", sorted(SCREEN_TAMPERS))
     def test_screened_index_set(self, capsys, tmp_path, name):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from cubeforge.heights import canonical_height
 from cubeforge.numeric import ApproxReal, log_abs
 from tests.conftest import KNOWN_GENERATORS, chosen_indices, line, pool_draws
 from tests.doubling_reference import lattice_height_bound_check
+from tests.schema7_reference import schema7_json
 
 ELKIES_M0 = 13293998056584952174157235
 
@@ -151,6 +153,22 @@ class TestChainFactors:
             assert z_factor(r) < m_factor(r)
 
 
+def _stepped_absorbs(cfg, rank, hhat_bar, n):
+    p, q = hhat_bar.lower().as_integer_ratio()
+    cn, cd = z_size_constant(cfg).upper().as_integer_ratio()
+    ln, ld = log_abs(cfg.m0).upper().as_integer_ratio()
+    return n * n * p * cd >= cn * q and n ** (rank + 2) * p * ld >= ln * q
+
+
+def _stepped_box_size(cfg, rank, hhat_bar):
+    """The step loop minimal_box_size ran before it bisected, kept as the
+    reference: the first n from 1 up that absorbs the constants."""
+    n = 1
+    while not _stepped_absorbs(cfg, rank, hhat_bar, n):
+        n += 1
+    return n
+
+
 class TestMinimalBoxSize:
     def test_m0_six(self, cfg6, gen6):
         h = canonical_height(cfg6, gen6, 1e-3)
@@ -172,6 +190,38 @@ class TestMinimalBoxSize:
         a, b = c_up.as_integer_ratio()
         assert 25 * p * b < a * q <= 36 * p * b
         assert minimal_box_size(cfg6, 1, ApproxReal(h, 0.0)) == 6
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m0=st.sampled_from([6, 91, 1729]),
+        rank=st.integers(1, 4),
+        value=st.floats(1e-5, 1e3),
+        relative=st.floats(0.0, 0.5),
+    )
+    def test_bisection_matches_the_step_loop(self, m0, rank, value, relative):
+        cfg = CurveConfig(m0)
+        hhat_bar = ApproxReal(value, value * relative)
+        assert minimal_box_size(cfg, rank, hhat_bar) == _stepped_box_size(
+            cfg, rank, hhat_bar
+        )
+
+    def test_cap_is_reached_without_stepping(self, cfg6):
+        # the step loop took about half a second to get here
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exceeds the supported range"):
+            minimal_box_size(cfg6, 2, ApproxReal(1e-300, 0.0))
+        assert time.perf_counter() - start < 0.01
+
+    def test_answer_at_the_cap(self, cfg6):
+        # the largest N the cap allows is returned, one more is refused
+        c_up = z_size_constant(cfg6).upper()
+        at_cap = ApproxReal(c_up / 10**12, 0.0)
+        assert _stepped_absorbs(cfg6, 1, at_cap, 10**6)
+        assert not _stepped_absorbs(cfg6, 1, at_cap, 10**6 - 1)
+        assert minimal_box_size(cfg6, 1, at_cap) == 10**6
+        below_cap = ApproxReal(c_up / 10**12 * (1 - 1e-6), 0.0)
+        with pytest.raises(RuntimeError):
+            minimal_box_size(cfg6, 1, below_cap)
 
     def test_chain_constants_bundle(self, cfg6, gen6):
         h = canonical_height(cfg6, gen6, 1e-3)
@@ -768,10 +818,16 @@ class TestOrientation:
 
 
 # sha256 of the m0=1729 documents at both benchmark (N, tol), built from
-# the pair as given
+# the pair as given: rendered in the schema "7" layout
+# (tests/schema7_reference.py), which pins every stored value across the
+# change to columns, and as the schema "8" document itself
 _GIVEN_1729_SHA256 = {
     (12, 1e-3): "1b244d749f53f777db9248219c318d5fe6916f6fae07e0ee8e180ab39e375d01",
     (8, 1e-4): "6ea34d7ec63df1698a1cde7c07ac927b46c2094364a1216ebb17ec246a3bc0d3",
+}
+_GIVEN_1729_SHA256_SCHEMA_8 = {
+    (12, 1e-3): "065e332b8f343cbc0f450bad9b28a3232afa0dad9b31e9a2e5f69e56dcd17ffc",
+    (8, 1e-4): "09e86d92076e754c719481b54bc0b1b35a53943af1213cad6c520b9a6f1d79a0",
 }
 
 
@@ -802,7 +858,12 @@ class TestOrientedBuild:
         cert = build_certificate(cfg, list(_POOL_1729), box_size, tol)
         text = certificate_to_json(cert)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == _GIVEN_1729_SHA256[box_size, tol]
+        assert digest == _GIVEN_1729_SHA256_SCHEMA_8[box_size, tol]
+        as_schema_7 = schema7_json(cert).encode("utf-8")
+        assert (
+            hashlib.sha256(as_schema_7).hexdigest()
+            == _GIVEN_1729_SHA256[box_size, tol]
+        )
         assert verify_certificate(text) == cert
         reversed_cert = build_certificate(
             cfg, list(_POOL_1729[::-1]), box_size, tol
