@@ -18,7 +18,6 @@ from .certificate import (
 from .construct import (
     Certificate,
     ChainConstants,
-    DivisorCheck,
     GeneratorDependenceError,
     build_certificate,
     chain_constants,

@@ -3,7 +3,7 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "8" stores the lattice triples with
+reals as value/radius pairs.  Schema "9" stores the lattice triples with
 their indices and m, but not the N^r representations: each is
 (Z/z_n)(x_n, y_n), a pure function of the triples, which
 Certificate.representations expands for a consumer.  The lattice runs over
@@ -11,12 +11,13 @@ the N^r indices of least height that build chose (construct.index_set),
 with the generators as given; verify screens the stored indices
 (construct.index_set_screen) and never chooses them again.  The lattice is
 stored as named columns, not one object per entry: ``index`` holds the r
-integers of each entry in turn, and ``x``, ``y``, ``z``, ``d``, ``a``,
-``b``, ``divisibility_pass`` and ``bound_pass`` one element per entry.  A
-"7" document, which stored the same values one object per entry, is
-refused, as are older ones.  Keys the schema does not name, such as a
-stray ``representations`` array or the ``generated_at`` of older writers,
-are ignored.
+integers of each entry in turn, and ``x``, ``y``, ``z`` and ``d`` one
+element per entry, d being gcd(12 m0 z, x + y).  An "8" document, which
+also stored the cofactors a = 12 m0 z / d and b = (x + y) / d and both
+lemma verdicts per entry, is refused, as are older ones.  Keys the schema
+does not name, such as the ``a``, ``b`` and verdict columns of "8", a stray
+``representations`` array or the ``generated_at`` of older writers, are
+ignored.
 
 Every stored integer is written as ``hex(n)`` writes it ("0x1f", "-0x1f"),
 and the parser accepts exactly that form or a JSON number.  Hex converts in
@@ -32,12 +33,12 @@ back to _as_int element by element, which names the first refused one.
 The reader checks every column's length (r per entry for ``index``, one per
 entry for the rest, the entries counted by ``z``) before it converts any,
 and builds the records with C-level maps, so no Python function runs per
-entry.  Divisor records are exact integers and verdicts.  There is no
-stored check map: verify_certificate parses the document into a
-Certificate, re-derives everything from the generators alone and compares,
-proves the identity x^3 + y^3 = m from the lattice without forming a
-representation (see construct.evaluate_checks), and returns the parsed
-Certificate with those fresh checks.
+entry.  There is no stored check map and no stored verdict:
+verify_certificate parses the document into a Certificate, re-derives
+everything from the generators alone and compares, proves the identity
+x^3 + y^3 = m from the lattice without forming a representation (see
+construct.evaluate_checks), and returns the parsed Certificate with those
+fresh checks.
 
 The writer produces exactly the bytes of
 ``json.dumps(doc, separators=(",", ":"))`` plus a newline: one line, no
@@ -46,7 +47,7 @@ key but ``lattice_points``, goes through json.dumps.  Each lattice column
 is one join (``'","'.join(map(hex, column))`` for the integers) filled into
 a fixed template, because a hex() string needs no JSON escaping, while
 json.dumps scans every string for escapes even in its C encoder.  A
-schema-"8" document is tens of kilobytes, so write_certificate writes that
+schema-"9" document is tens of kilobytes, so write_certificate writes that
 one string.  The reader is json.loads, so any whitespace and key order
 parse the same: an indented document verifies to the same checks, and
 ``python -m json.tool`` pretty-prints one.
@@ -60,7 +61,6 @@ from itertools import chain, repeat
 from .construct import (
     Certificate,
     ChainConstants,
-    DivisorCheck,
     checked_box_size,
     checked_tol,
     finite_float,
@@ -69,7 +69,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 
 class CertificateFormatError(Exception):
@@ -85,16 +85,12 @@ def _interval_to_json(a: ApproxReal) -> dict:
 _LATTICE_SLOT = '"lattice_points":{}'
 
 # the lattice's columns in document order: index holds r JSON integers per
-# entry, x, y, z, d, a and b one hex() string each, the flags one boolean
-# each; every %s is filled by one join, and nothing in it needs escaping
-_LATTICE_COLUMNS = (
-    "index", "x", "y", "z", "d", "a", "b", "divisibility_pass", "bound_pass",
-)
+# entry, x, y, z and d one hex() string each; every %s is filled by one
+# join, and nothing in it needs escaping
+_LATTICE_COLUMNS = ("index", "x", "y", "z", "d")
 _LATTICE_TEMPLATE = (
-    '"lattice_points":{"index":[%s],"x":%s,"y":%s,"z":%s,"d":%s,"a":%s,'
-    '"b":%s,"divisibility_pass":[%s],"bound_pass":[%s]}'
+    '"lattice_points":{"index":[%s],"x":%s,"y":%s,"z":%s,"d":%s}'
 )
-_JSON_BOOL = {True: "true", False: "false"}
 
 
 def _transpose(rows, width: int) -> list:
@@ -141,12 +137,9 @@ def certificate_to_json(cert: Certificate) -> str:
     )
     head, _, tail = header.partition(_LATTICE_SLOT)
     indices, points = _transpose(cert.lattice_points, 2)
-    d, a, b, divisible, bounded = _transpose(cert.divisor_checks, 5)
     lattice = _LATTICE_TEMPLATE % (
         ",".join(map(str, chain.from_iterable(indices))),
-        *map(_hex_array, (*_transpose(points, 3), d, a, b)),
-        ",".join(map(_JSON_BOOL.__getitem__, divisible)),
-        ",".join(map(_JSON_BOOL.__getitem__, bounded)),
+        *map(_hex_array, (*_transpose(points, 3), cert.divisors)),
     )
     return f"{head}{lattice}{tail}\n"
 
@@ -219,12 +212,6 @@ def _as_record(value, what: str, keys: frozenset) -> dict:
     raise _fail(f"{what} is missing {missing}")
 
 
-def _as_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise _fail(f"{what} must be a boolean")
-    return value
-
-
 def _as_triple(value, what: str) -> CubicPoint:
     x, y, z = _as_list(value, what, 3)
     return CubicPoint(_as_int(x, what), _as_int(y, what), _as_int(z, what))
@@ -233,13 +220,14 @@ def _as_triple(value, what: str) -> CubicPoint:
 def _as_ints(values: list, what: str) -> list:
     """A column of integers, each read by the one rule of _as_int.
 
-    A column of exact ints is taken as it is; otherwise one C-level pass
-    reads every element as exactly what hex() writes.  If that pass
+    A column of exact ints is copied as it is, so the parsed certificate
+    shares no list with the document; otherwise one C-level pass reads
+    every element as exactly what hex() writes.  If that pass
     refuses anything, _as_int reads the column element by element, which
     also accepts JSON numbers and names the first element it refuses.
     """
     if set(map(type, values)) <= {int}:
-        return values
+        return list(values)
     try:
         ints = list(map(int, values, repeat(16)))
     except (TypeError, ValueError):
@@ -248,12 +236,6 @@ def _as_ints(values: list, what: str) -> list:
         if list(map(hex, ints)) == values:
             return ints
     return [_as_int(v, what) for v in values]
-
-
-def _as_bools(values: list, what: str) -> list:
-    if set(map(type, values)) <= {bool}:
-        return values
-    return [_as_bool(v, what) for v in values]
 
 
 _REQUIRED_KEYS = frozenset((
@@ -334,19 +316,7 @@ def parse_certificate(document: str | dict) -> Certificate:
             map(tuple.__new__, repeat(CubicPoint), zip(x, y, z)),
         )
     )
-    divisor_checks = list(
-        map(
-            tuple.__new__,
-            repeat(DivisorCheck),
-            zip(
-                _as_ints(columns["d"], "divisor d"),
-                _as_ints(columns["a"], "divisor a"),
-                _as_ints(columns["b"], "divisor b"),
-                _as_bools(columns["divisibility_pass"], "divisibility_pass"),
-                _as_bools(columns["bound_pass"], "bound_pass"),
-            ),
-        )
-    )
+    divisors = _as_ints(columns["d"], "divisor d")
 
     m = _as_int(data["m"], "m")
     if m == 0:
@@ -360,7 +330,7 @@ def parse_certificate(document: str | dict) -> Certificate:
         generators=generators,
         hhat_bar=_as_interval(data["hhat_bar"], "hhat_bar"),
         lattice_points=lattice_points,
-        divisor_checks=divisor_checks,
+        divisors=divisors,
         m=m,
         constants=constants,
         bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),

@@ -13,9 +13,10 @@ is a sum of two coprime cubes in at least N^r ways: the n-th is
 lattice, so the certificate records the lattice and m, not the pairs;
 Certificate.representations expands them for a consumer on demand
 (representations_from_lattice), and build, write and verify never do.  The
-certificate also records a divisor check controlling gcd(12 m0 z, x + y)
-for every lattice point, and the height bookkeeping that bounds log m and
-yields the final density inequality
+certificate also records d = gcd(12 m0 z, x + y) for every lattice point,
+one integer from which evaluate_checks decides the paper's two divisor
+lemmas, and the height bookkeeping that bounds log m and yields the final
+density inequality
 N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).  That bookkeeping uses
 only |n_i| <= N and the count N^r, so it holds for any such I as for the
 paper's box [1..N]^r.
@@ -63,50 +64,18 @@ class GeneratorDependenceError(Exception):
     """The supplied generators fail a certified independence requirement."""
 
 
-class DivisorCheck(
-    namedtuple("DivisorCheck", "d a b divisibility_pass bound_pass")
-):
-    """Result of the gcd control for one lattice point.
+def divisor_records(cfg: CurveConfig, points: list[CubicPoint]) -> list[int]:
+    """d = gcd(12 m0 z, x + y) of each affine point, in order.
 
-    d = gcd(12 m0 z, x + y) with cofactors a, b satisfying d a = 12 m0 z and
-    d b = x + y.  divisibility_pass checks d^2 | 3 * 12^3 * m0^2 * b, and
-    bound_pass checks d < 3^(1/3) * 12 * |m0|^(5/2) * z^(1/2), decided
-    exactly as d^6 < 9 * 12^6 * |m0|^15 * z^3.  The record is all integers
-    and booleans, so it is exact at every size of z.
+    12 m0 depends on the curve alone, so it is formed once for all the
+    points, and each point adds one gcd.  The cofactors 12 m0 z / d and
+    (x + y) / d are not stored: a consumer divides for them.  A point with
+    z = 0 is a ValueError.
     """
-
-    __slots__ = ()
-
-
-def divisor_records(
-    cfg: CurveConfig, points: list[CubicPoint]
-) -> list[DivisorCheck]:
-    """The DivisorCheck of each affine point, in order.
-
-    12 m0, 3 * 12^3 * m0^2 = 5184 m0^2 and 9 * 12^6 * |m0|^15 depend on the
-    curve alone, so they are formed once for all the points; each point
-    adds one gcd, two divisions and its two exact comparisons.  A point
-    with z = 0 is a ValueError.
-    """
-    m0 = cfg.m0
-    twelve_m0 = 12 * m0
-    square = 5184 * m0 * m0
-    bound = 9 * 12**6 * abs(m0) ** 15
-    out = []
-    for p in points:
-        z = p.z
-        if z == 0:
-            raise ValueError("divisor check applies to affine points only")
-        s = p.x + p.y
-        dz = twelve_m0 * z
-        d = math.gcd(dz, s)
-        b = s // d
-        out.append(
-            DivisorCheck(
-                d, dz // d, b, square * b % (d * d) == 0, d**6 < bound * z**3
-            )
-        )
-    return out
+    if any(p.z == 0 for p in points):
+        raise ValueError("divisor check applies to affine points only")
+    twelve_m0 = 12 * cfg.m0
+    return [math.gcd(twelve_m0 * p.z, p.x + p.y) for p in points]
 
 
 def z_size_constant(cfg: CurveConfig) -> ApproxReal:
@@ -401,17 +370,18 @@ class Certificate(
     namedtuple(
         "Certificate",
         "m0 rank box_size tol generators hhat_bar lattice_points "
-        "divisor_checks m constants bound_rhs checks",
+        "divisors m constants bound_rhs checks",
     )
 ):
     """One run of the construction: what build returns and verify rechecks.
 
     generators is a list of CubicPoint, lattice_points a list of
-    (index tuple, CubicPoint) pairs, divisor_checks a list of DivisorCheck,
-    hhat_bar and bound_rhs are ApproxReal, and checks maps each name in
-    CHECK_NAMES to its verdict.  derive_lattice and parse_certificate leave
-    checks an empty dict of its own; build_certificate and
-    verify_certificate fill it in.
+    (index tuple, CubicPoint) pairs, divisors the int d = gcd(12 m0 z, x + y)
+    of each lattice point in order (divisor_records), hhat_bar and
+    bound_rhs are ApproxReal, and checks maps each name in CHECK_NAMES to
+    its verdict.  derive_lattice and parse_certificate leave checks an
+    empty dict of its own; build_certificate and verify_certificate fill it
+    in.
     """
 
     __slots__ = ()
@@ -487,18 +457,21 @@ def evaluate_checks(
     once by the caller, which screens on it; ``independent`` is the verdict
     of independence on them, and ``derived`` is derive_lattice over its Gram
     matrix and the stored indices.  Each stored value is compared with its
-    derived counterpart; nothing is derived again.  The representations
-    (Z/z_n)(x_n, y_n) are never formed: their four checks read the stored
-    triples they expand from.  The cube-sum identity is proved from the
-    lattice alone: when the stored triples are the derived ones, m equals
-    m0 Z^3 and every lattice point is on the curve, x^3 + y^3 = m holds for
-    each pair.  A document that fails one of those three checks fails the
-    identity too, so nothing is cubed beyond the lattice and the work stays
-    linear in the document.  log_m_consistency meets log_abs(m) with
-    log |m0| + 3 * log_abs_sum of the derived z_n: one enclosure of the
-    whole sum from two fsums, not an interval per lattice point, and still
-    from every z_n, so a wrong lattice point shows even when m is
-    m0 Z^3 for some other Z.  lattice_on_curve and lattice_primitive stay
+    derived counterpart; nothing is derived again.  The two divisor lemmas
+    are decided on the derived d's and triples, with 5184 m0^2 and
+    9 * 12^6 * |m0|^15 formed once per call: d^3 | 5184 m0^2 (x + y) and
+    d^6 < 9 * 12^6 * |m0|^15 * z^3; the stored d's are only compared.  The
+    representations (Z/z_n)(x_n, y_n) are never formed: their four checks
+    read the stored triples they expand from.  The cube-sum identity is
+    proved from the lattice alone: when the stored triples are the derived
+    ones, m equals m0 Z^3 and every lattice point is on the curve,
+    x^3 + y^3 = m holds for each pair.  A document that fails one of those
+    three checks fails the identity too, so nothing is cubed beyond the
+    lattice and the work stays linear in the document.  log_m_consistency
+    meets log_abs(m) with log |m0| + 3 * log_abs_sum of the derived z_n:
+    one enclosure of the whole sum from two fsums, not an interval per
+    lattice point, and still from every z_n, so a wrong lattice point shows
+    even when m is m0 Z^3 for some other Z.  lattice_on_curve and lattice_primitive stay
     as independent exact checks of cubic_add and CubicPoint.from_triple,
     at 0.27 and 0.18 ms of this function's 0.67 ms at m0 = 91, N = 12
     (CPython 3.11, 2-core VM).  chain_bound and final_inequality are one
@@ -523,10 +496,19 @@ def evaluate_checks(
     )
     checks["lattice_primitive"] = all(is_primitive(q) for _, q in lattice)
 
-    divisors = derived.divisor_checks
-    checks["divisor_divisibility"] = all(d.divisibility_pass for d in divisors)
-    checks["divisor_bound"] = all(d.bound_pass for d in divisors)
-    checks["divisor_records_match"] = divisors == cert.divisor_checks
+    # the lemmas on the derived d's: x + y = d b, so d^2 | 5184 m0^2 b iff
+    # d^3 | 5184 m0^2 d b = 5184 m0^2 (x + y); and the paper's
+    # d < 3^(1/3) 12 |m0|^(5/2) z^(1/2) is d^6 < 9 * 12^6 * |m0|^15 * z^3
+    square = 5184 * cfg.m0**2
+    bound = 9 * 12**6 * abs(cfg.m0) ** 15
+    divisors = derived.divisors
+    checks["divisor_divisibility"] = all(
+        square * (q.x + q.y) % d**3 == 0 for d, (_, q) in zip(divisors, lattice)
+    )
+    checks["divisor_bound"] = all(
+        d**6 < bound * q.z**3 for d, (_, q) in zip(divisors, lattice)
+    )
+    checks["divisor_records_match"] = divisors == cert.divisors
 
     checks["m_matches_product"] = cert.m == derived.m
     # the representations are (Z/z_n)(x_n, y_n), expanded from the stored

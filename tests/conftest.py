@@ -8,6 +8,10 @@ from cubeforge import CubicPoint, CurveConfig, build_certificate, certificate_to
 from cubeforge.construct import index_set
 from cubeforge.heights import independence
 
+# the 4,253-bit Mersenne prime 2^4253 - 1: a factor that inflates a
+# divisor d past both of the paper's divisor lemmas
+M4253 = 2**4253 - 1
+
 # rank-1 curves with a known small generator, one per m0
 KNOWN_GENERATORS = {
     6: CubicPoint(17, 37, 21),
@@ -56,14 +60,11 @@ def _pool_document_n2() -> str:
     return certificate_to_json(cert)
 
 
-_ENTRY_FIELDS = ("d", "a", "b", "divisibility_pass", "bound_pass")
-
-
 @contextmanager
 def lattice_entries(doc: dict):
     """The lattice columns of a certificate document as one mutable record
-    per entry, {"index": [r ints], "point": [x, y, z], "d", "a", "b",
-    "divisibility_pass", "bound_pass"}, written back as columns on exit.
+    per entry, {"index": [r ints], "point": [x, y, z], "d"}, written back
+    as columns on exit.
 
     A tamper addresses one entry, as a per-entry layout would: change a
     field, drop or repeat an entry, or replace the list.  r is read from
@@ -75,7 +76,7 @@ def lattice_entries(doc: dict):
         {
             "index": columns["index"][k * rank:(k + 1) * rank],
             "point": [columns[key][k] for key in "xyz"],
-            **{key: columns[key][k] for key in _ENTRY_FIELDS},
+            "d": columns["d"][k],
         }
         for k in range(len(columns["z"]))
     ]
@@ -83,8 +84,7 @@ def lattice_entries(doc: dict):
     columns["index"] = [n for entry in entries for n in entry["index"]]
     for i, key in enumerate("xyz"):
         columns[key] = [entry["point"][i] for entry in entries]
-    for key in _ENTRY_FIELDS:
-        columns[key] = [entry[key] for entry in entries]
+    columns["d"] = [entry["d"] for entry in entries]
 
 
 def screen_tampered(name) -> dict:

@@ -182,21 +182,25 @@ def test_criterion_5_divisor_checks():
     cfg = CurveConfig(6)
     lattice = generate_lattice_points(cfg, [GENERATORS[6]], line(5))
     assert len(lattice) == 5
-    for _, q in lattice:
-        record = divisor_records(cfg, [q])[0]
-        assert record.divisibility_pass
-        assert record.bound_pass
-    worked = divisor_records(cfg, [GENERATORS[6]])[0]
-    assert worked.d == 54
-    assert worked.bound_pass
+    # the lemmas are decided on the gcds of the N=5 lattice
+    cert = build_certificate(cfg, [GENERATORS[6]], 5)
+    assert cert.lattice_points == lattice
+    assert cert.divisors == divisor_records(cfg, [q for _, q in lattice])
+    assert cert.checks["divisor_divisibility"]
+    assert cert.checks["divisor_bound"]
+    d = divisor_records(cfg, [GENERATORS[6]])[0]
+    assert d == 54
+    # the cofactors 12 m0 z / d = 28 and (x + y) / d = 1: d^2 | 5184 m0^2 b
+    assert (12 * 6 * 21 // d, (17 + 37) // d) == (28, 1)
+    assert (5184 * 36 * 1) % d**2 == 0
     # the paper's worked bound 3^(1/3) * 12 * 6^(5/2) * sqrt(21)
     with mpmath.workdps(60):
         bound = mpmath.cbrt(3) * 12 * mpmath.mpf(6) ** 2.5 * mpmath.sqrt(21)
         assert abs(bound - mpmath.mpf("6993.7392707726857")) < 1e-12
         assert abs(bound - 6995.9) / 6995.9 < 1e-3
-        assert worked.d < bound
+        assert d < bound
     # decided exactly as d^6 < 9 * 12^6 * |m0|^15 * z^3
-    assert worked.d**6 < 9 * 12**6 * 6**15 * GENERATORS[6].z ** 3
+    assert d**6 < 9 * 12**6 * 6**15 * GENERATORS[6].z ** 3
     print(
         "criterion 5 PASS: divisibility and size bound hold to N=5;"
         f" worked point d=54, bound {float(bound):.1f}"

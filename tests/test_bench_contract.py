@@ -49,7 +49,8 @@ POOL = ast.literal_eval(_assigned("run.py", "POOL"))
 CERT_WORKLOADS = ast.literal_eval(_assigned("run.py", "CERT_WORKLOADS"))
 
 # the Fraction chord-and-tangent law, whose place curves.cubic_add took; and
-# the one-point divisor record, now construct.divisor_records(cfg, [p])[0]
+# the one-point divisor record, now the gcd construct.divisor_records(cfg,
+# [p])[0], with both lemmas decided in construct.evaluate_checks
 RETIRED = {"curves.add", "construct.divisor_check"}
 
 
@@ -81,18 +82,19 @@ def test_check_count_matches_check_names():
 # generator changes which (x, y) comes first and which coordinate of an
 # index carries its minus sign, but no length.  POOL_BYTES is the length in
 # the schema "7" layout (tests/schema7_reference.py), so it still pins every
-# stored value; POOL_BYTES_SCHEMA_8 is the document's own.
+# stored value and the a, b and verdicts derived from them;
+# POOL_BYTES_SCHEMA_9 is the document's own.
 POOL_BYTES = {
     (91, "cert_large"): 47_420,
     (1729, "cert_large"): 63_105,
     (91, "cert_tight"): 14_210,
     (1729, "cert_tight"): 17_304,
 }
-POOL_BYTES_SCHEMA_8 = {
-    (91, "cert_large"): 36_127,
-    (1729, "cert_large"): 51_812,
-    (91, "cert_tight"): 9_237,
-    (1729, "cert_tight"): 12_331,
+POOL_BYTES_SCHEMA_9 = {
+    (91, "cert_large"): 27_975,
+    (1729, "cert_large"): 40_871,
+    (91, "cert_tight"): 6_822,
+    (1729, "cert_tight"): 9_355,
 }
 
 
@@ -110,7 +112,7 @@ def test_pool_certificate_passes(m0, workload):
         assert len(cert.checks) == CHECK_COUNT
         assert all(cert.checks.values()), (draw, cert.checks)
         text = certificate_to_json(cert)
-        assert len(text) == POOL_BYTES_SCHEMA_8[m0, workload], draw
+        assert len(text) == POOL_BYTES_SCHEMA_9[m0, workload], draw
         assert len(schema7_json(cert)) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)
         assert report.checks == cert.checks

@@ -35,13 +35,14 @@ from cubeforge.construct import (
 )
 from cubeforge.heights import independence
 from tests.conftest import (
+    M4253,
     SCREEN_TAMPERS,
     lattice_entries,
     line,
     representation_repeated,
     screen_tampered,
 )
-from tests.schema7_reference import schema7_json
+from tests.schema7_reference import schema7_json, schema8_doc
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
 # certificate is derived must not change a byte of it.  Schema "4" is the
@@ -55,16 +56,18 @@ from tests.schema7_reference import schema7_json
 # one.  Schema "4" documents were written with indent=2 and the writer is
 # compact, so GOLDEN_SHA256_SCHEMA_4 pins that document re-dumped with
 # indent=2 and schema_version set back to "4".  Schema "8" stores the
-# lattice as columns: GOLDEN_SHA256 pins the document rendered in the "7"
-# layout (tests/schema7_reference.py), so m, every triple and every divisor
-# record are pinned across the change, and GOLDEN_SHA256_SCHEMA_8 pins the
-# document itself.
+# lattice as columns, and "9" keeps of each divisor record only d:
+# GOLDEN_SHA256 pins the document rendered in the "7" layout
+# (tests/schema7_reference.py), which spells out a, b and both verdicts
+# from each triple and d, so m, every triple and every divisor record are
+# pinned across both changes, and GOLDEN_SHA256_SCHEMA_9 pins the document
+# itself.
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
 GOLDEN_SHA256 = "840e74111a83bd2db28e20216b59d0789de905806fbd371264c282f2a9c8e913"
-GOLDEN_SHA256_SCHEMA_8 = (
-    "2bf407b16fd533c27a39e9b4a7028373c4fb0b1b9d23934300a371860aac8a8d"
+GOLDEN_SHA256_SCHEMA_9 = (
+    "b782797d608201231b721b982799c71f39129719194e56976b3fdb1a6989e99f"
 )
 
 
@@ -111,19 +114,17 @@ class TestSerialization:
         # no stored check map and no stored representations: verify
         # derives every verdict afresh, and a consumer expands the pairs
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "8"
+        assert cert6_doc["schema_version"] == "9"
         # the lattice is named columns, one element per entry (r for index)
         assert list(cert6_doc["lattice_points"]) == [
-            "index", "x", "y", "z", "d", "a", "b", "divisibility_pass",
-            "bound_pass",
+            "index", "x", "y", "z", "d"
         ]
 
     def test_divisor_record_is_exact(self, cert6_doc):
+        # a divisor record is its gcd d, one hex string per entry
         lattice = cert6_doc["lattice_points"]
-        for key in ("d", "a", "b"):
-            assert all(isinstance(v, str) for v in lattice[key])
-        for key in ("divisibility_pass", "bound_pass"):
-            assert all(isinstance(v, bool) for v in lattice[key])
+        assert all(isinstance(v, str) for v in lattice["d"])
+        assert len(lattice["d"]) == len(lattice["z"])
 
     def test_deterministic_bytes(self, cert6, monkeypatch):
         # no timestamp: the environment cannot change a byte of the document
@@ -139,7 +140,7 @@ class TestSerialization:
         text = certificate_to_json(cert)
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()
-            == GOLDEN_SHA256_SCHEMA_8
+            == GOLDEN_SHA256_SCHEMA_9
         )
         _assert_json_fixed_point(text)
         as_schema_7 = schema7_json(cert)
@@ -220,11 +221,10 @@ class TestTemplateWriter:
 
     def test_empty_arrays(self, cert6):
         # build never writes one, but a parsed document may hold no lattice
-        empty = cert6._replace(lattice_points=[], divisor_checks=[])
+        empty = cert6._replace(lattice_points=[], divisors=[])
         text = certificate_to_json(empty)
         assert (
-            '"lattice_points":{"index":[],"x":[],"y":[],"z":[],"d":[],'
-            '"a":[],"b":[],"divisibility_pass":[],"bound_pass":[]},'
+            '"lattice_points":{"index":[],"x":[],"y":[],"z":[],"d":[]},'
         ) in text
         assert parse_certificate(text) == empty._replace(checks={})
         assert empty.representations == []
@@ -326,8 +326,6 @@ class TestColumnReader:
             ("x", lambda column: column[:-1], "lattice x must have 4 elements"),
             ("d", lambda column: column + ["0x1"],
              "lattice d must have 4 elements"),
-            ("bound_pass", lambda column: column[1:],
-             "lattice bound_pass must have 4 elements"),
             # r·E is 8: one entry's index short, or an index of length 3
             ("index", lambda column: column[:-1],
              "lattice index must have 8 elements"),
@@ -337,8 +335,7 @@ class TestColumnReader:
             ("z", lambda column: column[:-1],
              "lattice index must have 6 elements"),
         ],
-        ids=["x-short", "d-long", "bound_pass-short", "index-short",
-             "index-long", "z-short"],
+        ids=["x-short", "d-long", "index-short", "index-long", "z-short"],
     )
     def test_column_lengths_are_named(self, key, change, message):
         doc = _column_doc()
@@ -352,21 +349,21 @@ class TestColumnReader:
         # in a later one, and no column is converted before the mismatch
         doc = _column_doc()
         doc["lattice_points"]["x"][0] = "0x01"
-        doc["lattice_points"]["bound_pass"].pop()
+        doc["lattice_points"]["d"].pop()
 
         def refuse(*args):
             raise AssertionError("a column was converted")
 
         monkeypatch.setattr(certificate, "_as_ints", refuse)
         with pytest.raises(CertificateFormatError,
-                           match="lattice bound_pass must have 4 elements"):
+                           match="lattice d must have 4 elements"):
             parse_certificate(doc)
 
     def test_column_that_is_no_array_is_named(self):
         doc = _column_doc()
-        doc["lattice_points"]["a"] = {"0": "0x1"}
+        doc["lattice_points"]["d"] = {"0": "0x1"}
         with pytest.raises(CertificateFormatError,
-                           match="lattice a must be an array"):
+                           match="lattice d must be an array"):
             parse_certificate(doc)
 
     def test_long_column_costs_only_its_length(self):
@@ -395,15 +392,6 @@ class TestColumnReader:
                            match="lattice index must be an integer"):
             parse_certificate(doc)
 
-    @pytest.mark.parametrize("key", ["divisibility_pass", "bound_pass"])
-    @pytest.mark.parametrize("entry", range(4))
-    def test_int_in_a_flag_column_is_named(self, key, entry):
-        doc = _column_doc()
-        doc["lattice_points"][key][entry] = 1
-        with pytest.raises(CertificateFormatError,
-                           match=f"{key} must be a boolean"):
-            parse_certificate(doc)
-
     @pytest.mark.parametrize("entry", range(4))
     def test_json_number_in_x_is_accepted(self, entry):
         doc = _column_doc()
@@ -413,6 +401,19 @@ class TestColumnReader:
         text = json.dumps(doc)
         assert type(json.loads(text)["lattice_points"]["x"][entry]) is int
         assert parse_certificate(text) == clean
+
+    def test_parsed_divisors_do_not_alias_the_document(self):
+        # the d column is stored in the Certificate as read: a column of
+        # JSON numbers is copied, so a later edit of the document leaves
+        # the parsed certificate as it was
+        doc = _column_doc()
+        d = doc["lattice_points"]["d"] = [int(v, 16) for v in
+                                          doc["lattice_points"]["d"]]
+        parsed = parse_certificate(doc)
+        assert parsed.divisors == d
+        d[0] += 1
+        assert parsed.divisors != d
+        assert parsed == parse_certificate(_column_doc())
 
     @settings(max_examples=500)
     @given(
@@ -498,6 +499,18 @@ class TestVerification:
             entries[0]["d"] = hex(27)
         report = verify_certificate(doc)
         assert not report.checks["divisor_records_match"]
+
+    def test_tampered_d_fails_only_its_match(self, cfg6, gen6):
+        # the lemmas are decided on the derived d's, so a wrong stored d,
+        # even one that fails both, is caught by the comparison alone
+        cert = build_certificate(cfg6, [gen6], 4)
+        doc = certificate_to_dict(cert)
+        with lattice_entries(doc) as entries:
+            entries[-1]["d"] = hex(int(entries[-1]["d"], 16) * M4253)
+        report = verify_certificate(doc)
+        assert list(report.checks) == list(CHECK_NAMES)
+        failed = [name for name, ok in report.checks.items() if not ok]
+        assert failed == ["divisor_records_match"]
 
     def test_tampered_height(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
@@ -834,12 +847,11 @@ def _assert_writes_hex(cert, n):
     # n as m, in the header json.dumps writes, and as a lattice point and a
     # divisor d, in the lattice columns: every one written as hex() writes it
     (idx, _), *points = cert.lattice_points
-    check, *checks = cert.divisor_checks
     text = certificate_to_json(
         cert._replace(
             m=n,
             lattice_points=[(idx, CubicPoint(n, -n, n)), *points],
-            divisor_checks=[check._replace(d=n), *checks],
+            divisors=[n, *cert.divisors[1:]],
         )
     )
     _assert_json_fixed_point(text)
@@ -1118,6 +1130,27 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError, match=_refused_schema("7")):
             verify_certificate(schema7_json(cert6))
 
+    def test_schema_8_is_refused(self, cert6):
+        # an "8" document also stored a, b and both verdicts per entry
+        with pytest.raises(CertificateFormatError, match=_refused_schema("8")):
+            verify_certificate(schema8_doc(cert6))
+
+    @pytest.mark.parametrize(
+        "key", ["a", "b", "divisibility_pass", "bound_pass"]
+    )
+    @pytest.mark.parametrize("bad", ["0x01", 1, None])
+    def test_leftover_divisor_column_is_never_read(self, cert6, key, bad):
+        # the "8" columns a, b and both verdicts are keys "9" does not name:
+        # what the "8" reader refused in them, a non-hex() string, an int
+        # among the verdicts or a null, the "9" reader never reads
+        doc = {**schema8_doc(cert6), "schema_version": "9"}
+        assert list(doc["lattice_points"])[5:] == [
+            "a", "b", "divisibility_pass", "bound_pass"
+        ]
+        doc["lattice_points"][key][1] = bad
+        assert parse_certificate(doc) == cert6._replace(checks={})
+        assert verify_certificate(json.dumps(doc)) == cert6
+
     def test_empty_generators(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
         doc["generators"] = []
@@ -1164,10 +1197,9 @@ class TestFormatErrors:
             verify_certificate(doc)
 
     def test_malformed_lattice_entry(self, cert6_doc):
-        # entry 0 without its divisor record: those columns are one short
+        # entry 0 without its divisor record: the d column is one short
         doc = copy.deepcopy(cert6_doc)
-        for key in ("d", "a", "b", "divisibility_pass", "bound_pass"):
-            del doc["lattice_points"][key][0]
+        del doc["lattice_points"]["d"][0]
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -1195,7 +1227,9 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
-    @pytest.mark.parametrize("key", ["d", "a", "b"])
+    # d is the one divisor column left; it stays a parameter so that each
+    # id still names the column it tampers
+    @pytest.mark.parametrize("key", ["d"])
     @pytest.mark.parametrize("bad", ["0x01", "-0x0" + "1" * 300, None])
     def test_divisor_field_is_named(self, cert6_doc, key, bad):
         doc = copy.deepcopy(cert6_doc)
@@ -1237,9 +1271,6 @@ class TestFormatErrors:
             pytest.param(("lattice_points",), ("x", "index"),
                          "lattice_points is missing index, x",
                          id="lattice-index-x"),
-            pytest.param(("lattice_points",), ("bound_pass", "a"),
-                         "lattice_points is missing a, bound_pass",
-                         id="lattice-a-bound_pass"),
         ],
     )
     def test_missing_keys_are_named(self, cert6_doc, path, missing, message):
@@ -1297,7 +1328,7 @@ def _refused_schema(version):
     # the refusal names the version read, the one this reader takes, and
     # how to get a document in it
     return re.escape(
-        f"unsupported schema_version '{version}': this reader takes \"8\"; "
+        f"unsupported schema_version '{version}': this reader takes \"9\"; "
         "rebuild the document with cubeforge construct"
     )
 
@@ -1340,8 +1371,7 @@ _FUZZ_DOC_RANK_2 = certificate_to_dict(
     )
 )
 _DELETE = object()
-_RECORD_KEYS = ["index", "x", "y", "z", "d", "a", "b", "divisibility_pass",
-                "bound_pass", "value", "radius"]
+_RECORD_KEYS = ["index", "x", "y", "z", "d", "value", "radius"]
 
 _HOSTILE_LEAVES = st.one_of(
     st.integers(min_value=2**1024, max_value=2**1400),
@@ -1390,7 +1420,7 @@ class TestMutationFuzz:
     @example(path=("lattice_points", "index"), leaf=[1])
     @example(path=("lattice_points", "index", 7), leaf="0x1")
     @example(path=("lattice_points", "index", 7), leaf=2**1024)
-    @example(path=("lattice_points", "a", 2), leaf=_DELETE)
+    @example(path=("lattice_points", "d", 2), leaf=_DELETE)
     @example(path=("lattice_points", "x", 2), leaf=_DELETE)
     @example(path=("lattice_points", "z", 1), leaf="0x0")
     def test_verifier_is_total_at_rank_2(self, path, leaf):

@@ -380,7 +380,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "8"
+        assert payload["schema_version"] == "9"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])

@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -17,7 +18,6 @@ from cubeforge import construct, heights
 from cubeforge import (
     CubicPoint,
     CurveConfig,
-    DivisorCheck,
     GeneratorDependenceError,
     build_certificate,
     certificate_to_json,
@@ -44,59 +44,69 @@ from cubeforge.construct import (
 from cubeforge.curves import cubic_add
 from cubeforge.heights import canonical_height
 from cubeforge.numeric import ApproxReal, log_abs
-from tests.conftest import KNOWN_GENERATORS, chosen_indices, line, pool_draws
+from tests.conftest import (
+    KNOWN_GENERATORS,
+    M4253,
+    chosen_indices,
+    line,
+    pool_draws,
+)
 from tests.doubling_reference import lattice_height_bound_check
 from tests.schema7_reference import schema7_json
 
 ELKIES_M0 = 13293998056584952174157235
 
 
+@lru_cache(maxsize=1)
+def _full_certificate_6():
+    """The m0=6, (17, 37, 21), N=4 certificate: every check true."""
+    return build_certificate(CurveConfig(6), [KNOWN_GENERATORS[6]], 4)
+
+
 class TestDivisorCheck:
     def test_worked_example(self, cfg6):
-        r = divisor_records(cfg6, [CubicPoint(17, 37, 21)])[0]
-        assert r.d == 54
-        assert r.a == 28
-        assert r.b == 1
-        assert r.d * r.a == 12 * 6 * 21
-        assert r.d * r.b == 17 + 37
-        # d^2 = 2916 divides 3 * 12^3 * 36 * 1 = 186624 = 64 * 2916
-        assert r.divisibility_pass
-        assert r.bound_pass
+        d = divisor_records(cfg6, [CubicPoint(17, 37, 21)])[0]
+        assert d == 54
+        # the cofactors a consumer divides for: d a = 12 m0 z, d b = x + y
+        a, b = 12 * 6 * 21 // d, (17 + 37) // d
+        assert (a, b) == (28, 1)
+        assert d * a == 12 * 6 * 21
+        assert d * b == 17 + 37
+        # d^2 = 2916 divides 3 * 12^3 * 36 * 1 = 186624 = 64 * 2916, which
+        # is the check's d^3 | 5184 * 36 * (17 + 37)
+        assert (3 * 12**3 * 36 * b) % d**2 == 0
+        assert (5184 * 36 * (17 + 37)) % d**3 == 0
         # the paper's bound 3^(1/3) * 12 * 6^(5/2) * sqrt(21), at 60 digits
         with mpmath.workdps(60):
             bound = mpmath.cbrt(3) * 12 * mpmath.mpf(6) ** 2.5 * mpmath.sqrt(21)
             assert abs(bound - mpmath.mpf("6993.7392707726857")) < 1e-12
-            assert r.d < bound
+            assert d < bound
         # and the exact form the check decides: d^6 < 9 * 12^6 * 6^15 * 21^3
         assert 54**6 < 9 * 12**6 * 6**15 * 21**3
 
     def test_record_is_exact(self, cfg6, gen6):
-        assert list(DivisorCheck._fields) == [
-            "d", "a", "b", "divisibility_pass", "bound_pass"
-        ]
-        r = divisor_records(cfg6, [gen6])[0]
-        assert all(type(v) in (int, bool) for v in r._asdict().values())
+        # a divisor record is its gcd: one exact int per point
+        records = divisor_records(cfg6, [gen6])
+        assert [type(d) for d in records] == [int]
 
     def test_trivial_gcd(self, cfg7):
-        r = divisor_records(cfg7, [CubicPoint(2, -1, 1)])[0]
-        assert r.d == 1
-        assert r.divisibility_pass and r.bound_pass
+        assert divisor_records(cfg7, [CubicPoint(2, -1, 1)]) == [1]
 
     def test_identity_rejected(self, cfg6):
         with pytest.raises(ValueError):
             divisor_records(cfg6, [CubicPoint(1, -1, 0)])[0]
 
     def test_cofactors_coprime(self, cfg6, gen6):
-        import math
-
+        # d is the greatest common divisor: what is left of 12 m0 z and of
+        # x + y shares no factor
         for _, q in generate_lattice_points(cfg6, [gen6], line(4)):
-            r = divisor_records(cfg6, [q])[0]
-            assert math.gcd(r.a, r.b) == 1
-            assert r.d > 0
+            d = divisor_records(cfg6, [q])[0]
+            assert d > 0
+            assert math.gcd(12 * 6 * q.z // d, (q.x + q.y) // d) == 1
 
     @pytest.mark.parametrize("m0", [91, 1729])
     def test_records_match_the_formulas(self, m0):
-        # the DivisorCheck docstring, spelled out per point
+        # the divisor_records docstring, spelled out per point
         cfg = CurveConfig(m0)
         gens = [CubicPoint(*g) for g in _SETS[m0]]
         points = [
@@ -104,17 +114,7 @@ class TestDivisorCheck:
                 cfg, gens, chosen_indices(cfg, gens, 12)
             )
         ]
-        expected = []
-        for p in points:
-            d = math.gcd(12 * m0 * p.z, p.x + p.y)
-            b = (p.x + p.y) // d
-            expected.append(DivisorCheck(
-                d,
-                12 * m0 * p.z // d,
-                b,
-                (3 * 12**3 * m0**2 * b) % d**2 == 0,
-                d**6 < 9 * 12**6 * abs(m0) ** 15 * p.z**3,
-            ))
+        expected = [math.gcd(12 * m0 * p.z, p.x + p.y) for p in points]
         assert len(points) == 144
         assert divisor_records(cfg, points) == expected
         assert [divisor_records(cfg, [p])[0] for p in points] == expected
@@ -122,6 +122,46 @@ class TestDivisorCheck:
     def test_records_refuse_the_identity(self, cfg6, gen6):
         with pytest.raises(ValueError):
             divisor_records(cfg6, [gen6, CubicPoint(1, -1, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 10**7),
+        b=st.integers(-(2**64), 2**64),
+        x=st.integers(-(2**64), 2**64),
+        z=st.integers(1, 10**6),
+    )
+    def test_lemmas_are_the_papers_forms(self, cfg6, d, b, x, z):
+        # the checks on one derived entry (x, y, z) with x + y = d b, beside
+        # the paper's forms: d^2 | 3 * 12^3 * m0^2 * b, and
+        # d < 3^(1/3) * 12 * |m0|^(5/2) * z^(1/2) at 60 digits
+        cert = _full_certificate_6()
+        derived = cert._replace(
+            lattice_points=[((1,), CubicPoint(x, d * b - x, z))], divisors=[d]
+        )
+        screen = construct._generator_checks(cfg6, cert.generators)
+        checks = evaluate_checks(cfg6, cert, screen, True, derived)
+        assert checks["divisor_divisibility"] is (
+            3 * 12**3 * 6**2 * b % d**2 == 0
+        )
+        with mpmath.workdps(60):
+            bound = mpmath.cbrt(3) * 12 * mpmath.mpf(6) ** 2.5 * mpmath.sqrt(z)
+            assert checks["divisor_bound"] is bool(d < bound)
+
+    def test_inflated_d_fails_both_lemmas(self, cfg6):
+        # the lemma checks read the derived d's: the last one times a
+        # 4,253-bit prime divides no 5184 m0^2 (x + y) and passes no bound
+        cert = _full_certificate_6()
+        assert cert.all_checks_pass
+        *divisors, last = cert.divisors
+        derived = cert._replace(divisors=[*divisors, last * M4253])
+        screen = construct._generator_checks(cfg6, cert.generators)
+        checks = evaluate_checks(cfg6, cert, screen, True, derived)
+        assert list(checks) == list(CHECK_NAMES)
+        assert [name for name, ok in checks.items() if not ok] == [
+            "divisor_divisibility",
+            "divisor_bound",
+            "divisor_records_match",
+        ]
 
 
 class TestZSizeConstant:
@@ -820,14 +860,15 @@ class TestOrientation:
 # sha256 of the m0=1729 documents at both benchmark (N, tol), built from
 # the pair as given: rendered in the schema "7" layout
 # (tests/schema7_reference.py), which pins every stored value across the
-# change to columns, and as the schema "8" document itself
+# change to columns and the drop of a, b and the verdicts, and as the
+# schema "9" document itself
 _GIVEN_1729_SHA256 = {
     (12, 1e-3): "1b244d749f53f777db9248219c318d5fe6916f6fae07e0ee8e180ab39e375d01",
     (8, 1e-4): "6ea34d7ec63df1698a1cde7c07ac927b46c2094364a1216ebb17ec246a3bc0d3",
 }
-_GIVEN_1729_SHA256_SCHEMA_8 = {
-    (12, 1e-3): "065e332b8f343cbc0f450bad9b28a3232afa0dad9b31e9a2e5f69e56dcd17ffc",
-    (8, 1e-4): "09e86d92076e754c719481b54bc0b1b35a53943af1213cad6c520b9a6f1d79a0",
+_GIVEN_1729_SHA256_SCHEMA_9 = {
+    (12, 1e-3): "709d1bd10a844cd19f1666d861d3532226c92f0b7b8b19be3fc7803b417385a8",
+    (8, 1e-4): "fba0c5b6012291aadaf0871f1f7c6e619b9580079b05e01d1b17d787bf287731",
 }
 
 
@@ -858,7 +899,7 @@ class TestOrientedBuild:
         cert = build_certificate(cfg, list(_POOL_1729), box_size, tol)
         text = certificate_to_json(cert)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == _GIVEN_1729_SHA256_SCHEMA_8[box_size, tol]
+        assert digest == _GIVEN_1729_SHA256_SCHEMA_9[box_size, tol]
         as_schema_7 = schema7_json(cert).encode("utf-8")
         assert (
             hashlib.sha256(as_schema_7).hexdigest()
