@@ -42,12 +42,14 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from functools import partial, reduce
+from functools import reduce
+from operator import add, eq, itemgetter, lt, mod, mul, neg
 
 from .curves import (
     CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
+    _hessian_sum,
     cubic_add,
     is_primitive,
     on_cubic,
@@ -68,14 +70,20 @@ def divisor_records(cfg: CurveConfig, points: list[CubicPoint]) -> list[int]:
     """d = gcd(12 m0 z, x + y) of each affine point, in order.
 
     12 m0 depends on the curve alone, so it is formed once for all the
-    points, and each point adds one gcd.  The cofactors 12 m0 z / d and
-    (x + y) / d are not stored: a consumer divides for them.  A point with
-    z = 0 is a ValueError.
+    points, and the gcds are one map over the coordinate columns.  The
+    cofactors 12 m0 z / d and (x + y) / d are not stored: a consumer
+    divides for them.  A point with z = 0 is a ValueError.
     """
-    if any(p.z == 0 for p in points):
+    xs, ys, zs = _columns(points)
+    if 0 in zs:
         raise ValueError("divisor check applies to affine points only")
-    twelve_m0 = 12 * cfg.m0
-    return [math.gcd(twelve_m0 * p.z, p.x + p.y) for p in points]
+    return list(map(math.gcd, map(mul, itertools.repeat(12 * cfg.m0), zs),
+                    map(add, xs, ys)))
+
+
+def _columns(points: list[CubicPoint]) -> tuple[tuple[int, ...], ...]:
+    """The x, y and z columns of a list of triples."""
+    return tuple(zip(*points)) if points else ((), (), ())
 
 
 def z_size_constant(cfg: CurveConfig) -> ApproxReal:
@@ -220,43 +228,61 @@ def index_set(
 
     The candidates are the n with every |n_i| <= N whose first nonzero
     coordinate is positive (n > 0 in lex order): one of each pair n, -n, and
-    never 0.  One sort ranks them by 1/2 n^T G n at the Gram midpoints,
-    computed as the math.fsum of the float terms G_ii n_i^2 and
-    2 G_hi (n_h n_i).  Reordering the basis or negating a generator permutes
-    those terms or flips the sign of both factors, which leaves every term's
-    float as it is, and fsum rounds the exact sum once; so the ranking is the
-    lattice's, not the basis's.  Exact ties are broken by index.  Both
-    members of a pair n, -n have one height, so the N^r least values give the
-    least sum of hhat(Q_n) over any set of N^r indices in the box with no
-    zero and no pair.  The sort holds about 2^(r-1) N^r small tuples, some
-    42,000 at rank 4, N = 8.  Rank 1 is [1..N].
+    never 0.  They are generated lead coordinate by lead coordinate, the
+    last lead first, so the list is in lex order and nothing is filtered.
+    One sort ranks them by 1/2 n^T G n at the Gram midpoints, computed as
+    the math.fsum of the float terms G_ii n_i^2 and 2 G_hi (n_h n_i).
+    Reordering the basis or negating a generator permutes those terms or
+    flips the sign of both factors, which leaves every term's float as it
+    is, and fsum rounds the exact sum once; so the ranking is the
+    lattice's, not the basis's.  The sort is stable on the lex-ordered
+    list, so exact ties are broken by index.  Both members of a pair n, -n
+    have one height, so the N^r least values give the least sum of
+    hhat(Q_n) over any set of N^r indices in the box with no zero and no
+    pair.  Each term is a lazy C-level map over the coordinate columns,
+    and one map of fsum over their rows gives the keys, so no Python code
+    runs per candidate and no term is stored.  There are about
+    2^(r-1) N^r candidates, some 42,000 at rank 4, N = 8.  Rank 1 is
+    [1..N].
     """
     rank = len(gram)
+    side = range(-box_size, box_size + 1)
+    candidates = list(
+        itertools.chain.from_iterable(
+            itertools.product(
+                *[(0,)] * lead,
+                range(1, box_size + 1),
+                *[side] * (rank - 1 - lead),
+            )
+            for lead in reversed(range(rank))
+        )
+    )
+    coords = list(zip(*candidates))
     # G_ii on the diagonal and 2 G_hi off it: each term is one float times
     # one integer, n_i^2 or n_h n_i
-    terms = [
-        (h, i, gram[h][i].value * (1.0 if h == i else 2.0))
-        for i in range(rank)
-        for h in range(i + 1)
-    ]
-    zero = (0,) * rank
-    ranked = sorted(
-        (math.fsum([w * (n[h] * n[i]) for h, i, w in terms]), n)
-        for n in itertools.product(range(-box_size, box_size + 1), repeat=rank)
-        if n > zero
-    )
-    return sorted(n for _, n in ranked[: box_size**rank])
+    terms = []
+    for i in range(rank):
+        for h in range(i + 1):
+            weight = gram[h][i].value * (1.0 if h == i else 2.0)
+            products = map(mul, coords[h], coords[i])
+            terms.append(map(mul, itertools.repeat(weight), products))
+    keys = list(map(math.fsum, zip(*terms)))
+    chosen = sorted(range(len(candidates)), key=keys.__getitem__)
+    chosen = sorted(chosen[: box_size**rank])
+    return list(map(candidates.__getitem__, chosen))
 
 
 def index_set_screen(indices: list[tuple[int, ...]], box_size: int) -> bool:
-    """Whether every |n_i| <= N (tested first, so no huge coordinate is
-    negated), no index repeats and no n appears with -n, which rules out
-    n = 0 too: with N^r indices, all that the chain factors assume."""
+    """Whether every |n_i| <= N (tested first, by min and max over all the
+    coordinates, so no huge coordinate is negated), no index repeats and no
+    n appears with -n, which rules out n = 0 too: with N^r indices, all
+    that the chain factors assume."""
+    flat = list(itertools.chain.from_iterable(indices))
+    if flat and not (-box_size <= min(flat) and max(flat) <= box_size):
+        return False
     seen = set(indices)
-    return (
-        all(-box_size <= k <= box_size for n in indices for k in n)
-        and len(seen) == len(indices)
-        and not any(tuple(-k for k in n) in seen for n in indices)
+    return len(seen) == len(indices) and seen.isdisjoint(
+        map(tuple, map(map, itertools.repeat(neg), indices))
     )
 
 
@@ -268,9 +294,14 @@ def generate_lattice_points(
     """The combinations n_1 P_1 + ... + n_r P_r, one per index, in its order.
 
     One table of multiples per generator reaches the largest |n_i| used, and
-    each point adds its nonzero coordinates only: one cubic_add per point at
-    rank 2.  The zero index is a ValueError.  A collision or an identity hit
-    proves the generators dependent and raises.
+    each point adds its nonzero coordinates only, left to right: one
+    addition per point at rank 2.  An addition is cubic_add's first
+    formulas (_hessian_sum) with the gcd, signed to leave z > 0, divided
+    out, and the CubicPoint built directly; from_triple reads a sum with
+    z = 0, and cubic_add itself runs only where the first formulas vanish.
+    So every point is the primitive triple cubic_add gives.  The zero index is
+    a ValueError.  A collision or an identity hit proves the generators
+    dependent and raises.
     """
     rank = len(generators)
     if rank < 1:
@@ -283,15 +314,30 @@ def generate_lattice_points(
             row.append(cubic_add(cfg, row[-1], row[1]))
         # read with negative keys from the end: -cP is cP with x and y swapped
         multiples.append(row[: top + 1] + [q.neg() for q in row[top:0:-1]])
-    add = partial(cubic_add, cfg)
+    hessian_sum, gcd, new = _hessian_sum, math.gcd, tuple.__new__
     out: list[tuple[tuple[int, ...], CubicPoint]] = []
     seen: dict[CubicPoint, tuple[int, ...]] = {}
     for idx in indices:
-        terms = [row[k] for row, k in zip(multiples, idx) if k]
-        if not terms:
+        q = None
+        for row, k in zip(multiples, idx):
+            if not k:
+                continue
+            if q is None:
+                q = row[k]
+                continue
+            x, y, z = hessian_sum(q, row[k])
+            if z:
+                # divide by the gcd, negated where z < 0 so that z > 0
+                g = gcd(x, y, z) if z > 0 else -gcd(x, y, z)
+                q = new(CubicPoint, (x // g, y // g, z // g))
+            elif x or y:
+                # the identity, or a ValueError off the curve
+                q = CubicPoint.from_triple(x, y, z)
+            else:
+                q = cubic_add(cfg, q, row[k])
+        if q is None:
             raise ValueError("the zero index names no lattice point")
-        q = reduce(add, terms)
-        if q.is_identity:
+        if q.z == 0:
             raise GeneratorDependenceError(
                 f"generators not independent: combination {idx} is the identity"
             )
@@ -471,10 +517,13 @@ def evaluate_checks(
     meets log_abs(m) with log |m0| + 3 * log_abs_sum of the derived z_n:
     one enclosure of the whole sum from two fsums, not an interval per
     lattice point, and still from every z_n, so a wrong lattice point shows
-    even when m is m0 Z^3 for some other Z.  lattice_on_curve and lattice_primitive stay
-    as independent exact checks of cubic_add and CubicPoint.from_triple,
-    at 0.27 and 0.18 ms of this function's 0.67 ms at m0 = 91, N = 12
-    (CPython 3.11, 2-core VM).  chain_bound and final_inequality are one
+    even when m is m0 Z^3 for some other Z.  The passes over the lattice
+    are C-level maps over the x, y, z and d columns, each check still
+    decided on its own: z^3 is formed once for the curve equation and the
+    bound.  lattice_on_curve and lattice_primitive stay as independent
+    exact checks of the lattice pass, at 0.12 and 0.10 ms of this
+    function's 0.43 ms at m0 = 91, N = 12 (CPython 3.11, 2-core VM, warm,
+    best of 7 x 50 calls).  chain_bound and final_inequality are one
     exact comparison on the stored m: the paper's inequality raised to the
     power (r+2)/r is log m < K N^(r+2) hhat, decided in integers with the
     floats log_abs(m).upper() and hhat_bar.upper() read as their integer
@@ -491,30 +540,41 @@ def evaluate_checks(
     if lattice is None:
         return checks
     checks["lattice_points_match"] = lattice == cert.lattice_points
+    points = list(map(itemgetter(1), lattice))
+    xs, ys, zs = _columns(points)
+    divisors = derived.divisors
+    repeat = itertools.repeat
+    z_cubes = list(map(pow, zs, repeat(3)))
+    # x^3 + y^3 = m0 z^3 and (x, y, z) != (0, 0, 0), as on_cubic decides it
+    cube_sums = map(add, map(pow, xs, repeat(3)), map(pow, ys, repeat(3)))
     checks["lattice_on_curve"] = all(
-        on_cubic(cfg, *q.triple()) for _, q in lattice
-    )
-    checks["lattice_primitive"] = all(is_primitive(q) for _, q in lattice)
+        map(eq, cube_sums, map(mul, repeat(cfg.m0), z_cubes))
+    ) and (0, 0, 0) not in points
+    # is_primitive is gcd 1 and z > 0, or the identity; with every gcd 1
+    # and z > 0 nothing is left to read point by point
+    checks["lattice_primitive"] = all(
+        map(eq, map(math.gcd, xs, ys, zs), repeat(1))
+    ) and (min(zs, default=1) > 0 or all(map(is_primitive, points)))
 
     # the lemmas on the derived d's: x + y = d b, so d^2 | 5184 m0^2 b iff
     # d^3 | 5184 m0^2 d b = 5184 m0^2 (x + y); and the paper's
     # d < 3^(1/3) 12 |m0|^(5/2) z^(1/2) is d^6 < 9 * 12^6 * |m0|^15 * z^3
     square = 5184 * cfg.m0**2
     bound = 9 * 12**6 * abs(cfg.m0) ** 15
-    divisors = derived.divisors
-    checks["divisor_divisibility"] = all(
-        square * (q.x + q.y) % d**3 == 0 for d, (_, q) in zip(divisors, lattice)
+    numerators = map(mul, repeat(square), map(add, xs, ys))
+    checks["divisor_divisibility"] = not any(
+        map(mod, numerators, map(pow, divisors, repeat(3)))
     )
     checks["divisor_bound"] = all(
-        d**6 < bound * q.z**3 for d, (_, q) in zip(divisors, lattice)
+        map(lt, map(pow, divisors, repeat(6)), map(mul, repeat(bound), z_cubes))
     )
     checks["divisor_records_match"] = divisors == cert.divisors
 
     checks["m_matches_product"] = cert.m == derived.m
     # the representations are (Z/z_n)(x_n, y_n), expanded from the stored
     # triples, so the four checks on them read the triples
-    stored = [q for _, q in cert.lattice_points]
-    checks["representations_match_formula"] = stored == [q for _, q in lattice]
+    stored = list(map(itemgetter(1), cert.lattice_points))
+    checks["representations_match_formula"] = stored == points
     # the three checks prove the identity: each z_n is nonzero and divides
     # Z = prod z_n, so ((Z/z_n) x_n)^3 + ((Z/z_n) y_n)^3 = m0 Z^3 = m
     checks["representation_identity"] = (
@@ -538,7 +598,7 @@ def evaluate_checks(
 
     log_m = log_abs(cert.m)
     log_m_from_parts = (
-        log_abs(cfg.m0) + log_abs_sum(q.z for _, q in lattice) * 3
+        log_abs(cfg.m0) + log_abs_sum(zs) * 3
     )
     checks["log_m_consistency"] = log_m.intersects(log_m_from_parts)
 

@@ -128,6 +128,25 @@ def weierstrass_image(cfg: CurveConfig, p: CubicPoint) -> tuple[int, int, int, i
     return xn // g, s // g, yn // h, s // h
 
 
+def _hessian_sum(p, q) -> tuple[int, int, int]:
+    """The first addition formulas of cubic_add on two triples, unreduced.
+
+    Twelve multiplications: the six cross products A = x1 y2, B = x1 z2,
+    C = y1 x2, D = y1 z2, E = z1 x2, F = z1 y2 give
+    (CD - AF, AB - CE, EF - BD).  The result is (0, 0, 0) exactly when
+    these formulas vanish.
+    """
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    a = x1 * y2
+    b = x1 * z2
+    c = y1 * x2
+    d = y1 * z2
+    e = z1 * x2
+    f = z1 * y2
+    return c * d - a * f, a * b - c * e, e * f - b * d
+
+
 def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
     """Group law on the cubic model, in integer projective coordinates.
 
@@ -137,14 +156,22 @@ def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
     and Lange ("Twisted Hessian curves", LATINCRYPT 2015) give the sum unless
     they vanish, which includes doubling; the rotated formulas then give it.
     On the curve the two never vanish together.
+
+    In this model's coordinates the first formulas are
+
+        x3 = y1^2 x2 z2 - y2^2 x1 z1 = (y1 x2)(y1 z2) - (x1 y2)(z1 y2),
+        y3 = x1^2 y2 z2 - x2^2 y1 z1 = (x1 y2)(x1 z2) - (y1 x2)(z1 x2),
+        z3 = z1^2 x2 y2 - z2^2 x1 y1 = (z1 x2)(z1 y2) - (x1 z2)(y1 z2),
+
+    so six cross products and six products of them give the sum
+    (_hessian_sum): twelve multiplications where the monomials take
+    eighteen, and the same integers.
     """
-    x1, y1, z1 = p.x, p.y, p.z
-    x2, y2, z2 = q.x, q.y, q.z
-    # the paper's (X3, Y3, Z3) is (z3, x3, y3) here
-    x3 = y1 * y1 * x2 * z2 - y2 * y2 * x1 * z1
-    y3 = x1 * x1 * y2 * z2 - x2 * x2 * y1 * z1
-    z3 = z1 * z1 * x2 * y2 - z2 * z2 * x1 * y1
+    x3, y3, z3 = _hessian_sum(p, q)
     if not (x3 or y3 or z3):
+        x1, y1, z1 = p
+        x2, y2, z2 = q
+        # the paper's (X3, Y3, Z3) is (z3, x3, y3) here
         x3 = x2 * x2 * x1 * y1 + cfg.m0 * z1 * z1 * y2 * z2
         y3 = -cfg.m0 * z2 * z2 * x1 * z1 - y1 * y1 * x2 * y2
         z3 = y2 * y2 * y1 * z1 - x1 * x1 * x2 * z2

@@ -52,7 +52,14 @@ from .curves import (
     require_on_cubic,
     weierstrass_image,
 )
-from .numeric import ApproxReal, icbrt, log_abs
+from .numeric import (
+    ApproxReal,
+    _log_parts,
+    _ratio_parts,
+    _widen,
+    icbrt,
+    log_abs,
+)
 
 # hhat(P) - h_x(P)/2 <= h(b)/6 + OFFSET_ABOVE, with h_x the naive height of X
 OFFSET_ABOVE = ApproxReal.from_decimal("1.576")
@@ -124,7 +131,11 @@ def _good_height(c: int, a: int, d: int, tol: float) -> ApproxReal:
     """hhat(Q) for Q with X = a/d of nonsingular reduction everywhere.
 
     The series tail and the fixed-point error take at most tol/2 of the
-    radius; the rest is float rounding.
+    radius; the rest is float rounding.  Each term's enclosure of
+    4^-k log(z_k) and its addition to the sum are numeric's value/radius
+    rules (_ratio_parts, _log_parts, _widen), the ones from_ratio, log
+    and interval addition wrap, so the sum is bit for bit the per-term
+    interval sum, and only the result is an ApproxReal.
     """
     terms = 0
     while math.ldexp(_TAIL, -2 * terms) > 0.5 * tol:
@@ -135,12 +146,15 @@ def _good_height(c: int, a: int, d: int, tol: float) -> ApproxReal:
     one = 1 << bits
     t_max = icbrt((1 << 3 * bits) // c)[0]
     t = min((d << bits) // a, t_max)
-    series = ApproxReal(0.0)
+    value = radius = 0.0
     for k in range(terms):
         u = (c * t * t * t) >> (2 * bits)
         z = one + 8 * u
-        series += ApproxReal.from_ratio(z, one).log().ldexp(-2 * k)
+        v, r = _log_parts(*_ratio_parts(z, one))
+        value += math.ldexp(v, -2 * k)
+        radius = _widen(value, radius + math.ldexp(r, -2 * k))
         t = min((4 * t * (one - u)) // z, t_max)
+    series = ApproxReal(value, radius)
     e_fp = ApproxReal.from_int(err).ldexp(-bits).upper()
     tail = math.ldexp(_TAIL, -2 * terms)
     return (

@@ -8,6 +8,15 @@ an error radius that is guaranteed to contain the true real number.
 Interval operations round outward, so a certified comparison such as
 ``a.upper() < b.lower()`` is a proof, not a heuristic.
 
+Each interval rule is one function on a value and a radius, returning
+the two floats: _ratio_parts (from_ratio), _endpoint_parts
+(from_endpoints), _lower and _upper (lower, upper), _log_parts (log),
+_widen (the outward step of addition, multiplication and log_abs_sum) and
+_log_abs_parts (log_abs).  The ApproxReal methods wrap them, and a loop
+that would form an interval per iteration calls them directly and forms
+one interval at its end, with bit for bit the same value and radius: the
+Tate series of heights._good_height does so per term.
+
 A long sum of enclosures is formed without an interval per term
 (log_abs_sum): the term values are summed by one math.fsum and the term
 radii by another.  fsum rounds the exact sum of its floats once, to
@@ -105,8 +114,14 @@ def icbrt(n: int) -> tuple[int, bool]:
 
 
 def read_decimal(text: str) -> int:
-    """int(text), refused unconverted past 4,300 digits, sign and spaces aside."""
-    if len(text.strip().lstrip("+-")) > _DECIMAL_DIGITS:
+    """int(text), refused unconverted past 4,300 digits, sign and spaces aside.
+
+    Text of at most 4,300 characters holds no more digits, so only longer
+    text is stripped and measured.
+    """
+    if len(text) > _DECIMAL_DIGITS and (
+        len(text.strip().lstrip("+-")) > _DECIMAL_DIGITS
+    ):
         raise ValueError(f"an integer has more than {_DECIMAL_DIGITS} digits")
     return int(text)
 
@@ -185,14 +200,7 @@ class ApproxReal:
     @classmethod
     def from_ratio(cls, num: int, den: int) -> "ApproxReal":
         """num/den, correctly rounded, with radius 0 when the float is exact."""
-        try:
-            v = num / den
-        except OverflowError:
-            raise ValueError("a rational beyond float range") from None
-        p, q = v.as_integer_ratio()
-        if p * den == num * q:
-            return cls(v, 0.0)
-        return cls(v, 2.0 * math.ulp(abs(v)))
+        return cls(*_ratio_parts(num, den))
 
     @classmethod
     def from_decimal(cls, text: str) -> "ApproxReal":
@@ -231,21 +239,15 @@ class ApproxReal:
     def from_endpoints(cls, lo: float, hi: float) -> "ApproxReal":
         if lo > hi:
             raise ValueError("empty interval")
-        v = 0.5 * (lo + hi)
-        r = max(v - lo, hi - v)
-        return cls(v, _nudge_up(r, 2) if r > 0.0 else 2.0 * math.ulp(abs(v)))
+        return cls(*_endpoint_parts(lo, hi))
 
     # -- enclosure queries -------------------------------------------------
 
     def lower(self) -> float:
-        if self.radius == 0.0:
-            return self.value
-        return _nudge_down(self.value - self.radius)
+        return _lower(self.value, self.radius)
 
     def upper(self) -> float:
-        if self.radius == 0.0:
-            return self.value
-        return _nudge_up(self.value + self.radius)
+        return _upper(self.value, self.radius)
 
     def contains(self, x: float) -> bool:
         return self.lower() <= x <= self.upper()
@@ -300,12 +302,7 @@ class ApproxReal:
         return ApproxReal(math.ldexp(self.value, k), math.ldexp(self.radius, k))
 
     def log(self) -> "ApproxReal":
-        lo, hi = self.lower(), self.upper()
-        if lo <= 0.0:
-            raise ValueError("log of an interval touching zero")
-        return ApproxReal.from_endpoints(
-            _nudge_down(math.log(lo), 3), _nudge_up(math.log(hi), 3)
-        )
+        return ApproxReal(*_log_parts(self.value, self.radius))
 
     def exp(self) -> "ApproxReal":
         lo, hi = self.lower(), self.upper()
@@ -331,8 +328,50 @@ def _coerce(x) -> ApproxReal:
     raise TypeError(f"cannot mix ApproxReal with {type(x).__name__}")
 
 
+def _widen(v: float, r: float, steps: int = 2) -> float:
+    """The radius r widened by steps ulps of |v| + r."""
+    return r + steps * math.ulp(abs(v) + r)
+
+
 def _outward(v: float, r: float, steps: int = 2) -> ApproxReal:
-    return ApproxReal(v, r + steps * math.ulp(abs(v) + r))
+    return ApproxReal(v, _widen(v, r, steps))
+
+
+def _ratio_parts(num: int, den: int) -> tuple[float, float]:
+    """The value and radius of from_ratio(num, den), as two floats."""
+    try:
+        v = num / den
+    except OverflowError:
+        raise ValueError("a rational beyond float range") from None
+    p, q = v.as_integer_ratio()
+    if p * den == num * q:
+        return v, 0.0
+    return v, 2.0 * math.ulp(abs(v))
+
+
+def _lower(v: float, r: float) -> float:
+    return v if r == 0.0 else _nudge_down(v - r)
+
+
+def _upper(v: float, r: float) -> float:
+    return v if r == 0.0 else _nudge_up(v + r)
+
+
+def _endpoint_parts(lo: float, hi: float) -> tuple[float, float]:
+    """The value and radius of from_endpoints(lo, hi), lo <= hi."""
+    v = 0.5 * (lo + hi)
+    r = max(v - lo, hi - v)
+    return v, _nudge_up(r, 2) if r > 0.0 else 2.0 * math.ulp(abs(v))
+
+
+def _log_parts(v: float, r: float) -> tuple[float, float]:
+    """The value and radius of the log of the interval (v, r)."""
+    lo, hi = _lower(v, r), _upper(v, r)
+    if lo <= 0.0:
+        raise ValueError("log of an interval touching zero")
+    return _endpoint_parts(
+        _nudge_down(math.log(lo), 3), _nudge_up(math.log(hi), 3)
+    )
 
 
 def interval_max(a: ApproxReal, b: ApproxReal) -> ApproxReal:

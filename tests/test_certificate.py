@@ -1305,7 +1305,7 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "sign, digits, refused",
         [("", 4300, False), ("-", 4300, False), ("", 4301, True),
-         ("", 400_000, True)],
+         ("-", 4301, True), ("", 400_000, True)],
     )
     def test_json_integer_literal_digit_limit(
         self, cert6_doc, sign, digits, refused

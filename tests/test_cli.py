@@ -285,7 +285,7 @@ _DIGIT_LIMIT_CASES = [
     for name, argv in places.items()
     for sign, digits, refused in [
         ("", 4300, False), ("-", 4300, False), ("", 4301, True),
-        ("", 400_000, True),
+        ("-", 4301, True), ("", 400_000, True),
     ]
     for quoted, form in forms.items()
 ]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeforge import construct, heights
+from cubeforge import construct, curves, heights
 from cubeforge import (
     CubicPoint,
     CurveConfig,
@@ -41,7 +41,7 @@ from cubeforge.construct import (
     representations_from_lattice,
     z_factor,
 )
-from cubeforge.curves import cubic_add
+from cubeforge.curves import CUBIC_IDENTITY, cubic_add, is_primitive, on_cubic
 from cubeforge.heights import canonical_height
 from cubeforge.numeric import ApproxReal, log_abs
 from tests.conftest import (
@@ -51,6 +51,7 @@ from tests.conftest import (
     line,
     pool_draws,
 )
+from tests import loop_reference
 from tests.doubling_reference import lattice_height_bound_check
 from tests.schema7_reference import schema7_json
 
@@ -308,6 +309,49 @@ class TestLatticeGeneration:
         with pytest.raises(GeneratorDependenceError, match="identity"):
             generate_lattice_points(cfg6, [gen6, double], [(1, 0), (2, -1)])
 
+    @pytest.mark.parametrize(
+        "order, indices",
+        [
+            ("2P,P", list(itertools.product(range(1, 4), range(-1, 2)))),
+            ("P,2P", list(itertools.product(range(-1, 2), range(1, 4)))),
+            ("P,2P", [(1, 0), (2, -1)]),
+            ("P,2P", [(1, 1), (0, 1), (-2, 1)]),
+            ("P,2P", [(4, -2), (2, -1)]),
+        ],
+        ids=["collide", "collide-flipped", "identity", "identity-negated",
+             "identity-from-the-tables"],
+    )
+    def test_dependence_message_is_the_references(self, cfg6, gen6, order,
+                                                  indices):
+        # P with 2P, in both orders: the collision above and its mirror,
+        # the identity above, its negation, and (4, -2), which sums the
+        # tables' 4P and -4P; each raises with the message of the
+        # reduce(cubic_add) reference
+        double = CubicPoint(2237723, -1805723, 960540)
+        gens = [double, gen6] if order == "2P,P" else [gen6, double]
+        with pytest.raises(GeneratorDependenceError) as info:
+            generate_lattice_points(cfg6, gens, indices)
+        with pytest.raises(GeneratorDependenceError) as expected:
+            loop_reference.lattice_points(cfg6, gens, indices)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "m0, box_size",
+        [(91, 8), (91, 12), (1729, 8), (1729, 12), (657, 4), (152551, 3)],
+    )
+    def test_matches_the_reduce_reference(self, m0, box_size):
+        # the inlined pass against one reduce(cubic_add) per index, on the
+        # chosen index set and on its negation; the sums come out of
+        # _hessian_sum with z of either sign (115 of the 253 at N = 12 on
+        # the two pool curves have z < 0)
+        cfg = CurveConfig(m0)
+        gens = [CubicPoint(*g) for g in _SETS[m0]]
+        indices = chosen_indices(cfg, gens, box_size)
+        for idx in (indices, [tuple(-k for k in n) for n in indices]):
+            assert generate_lattice_points(cfg, gens, idx) == (
+                loop_reference.lattice_points(cfg, gens, idx)
+            )
+
     def test_rank_two_box_shape(self, cfg6, gen6):
         from tests.group_reference import cubic_smul
 
@@ -324,21 +368,23 @@ class TestLatticeGeneration:
 
     def test_one_addition_per_point_at_rank_two(self, monkeypatch):
         # the tables of multiples reach the largest |n_i| used, and each
-        # point adds only its nonzero coordinates
+        # point adds only its nonzero coordinates: every addition, in the
+        # tables (through cubic_add) or in the pass, is one _hessian_sum
         cfg = CurveConfig(91)
         indices = chosen_indices(cfg, _POOL_91, 8)
         reach = [max(abs(n[i]) for n in indices) for i in range(2)]
         both = sum(1 for n in indices if all(n))
         calls = Counter()
-        original = construct.cubic_add
+        original = curves._hessian_sum
 
         def counting(*args):
-            calls["cubic_add"] += 1
+            calls["_hessian_sum"] += 1
             return original(*args)
 
-        monkeypatch.setattr(construct, "cubic_add", counting)
+        monkeypatch.setattr(curves, "_hessian_sum", counting)
+        monkeypatch.setattr(construct, "_hessian_sum", counting)
         generate_lattice_points(cfg, list(_POOL_91), indices)
-        assert calls["cubic_add"] == both + sum(max(k - 1, 0) for k in reach)
+        assert calls["_hessian_sum"] == both + sum(max(k - 1, 0) for k in reach)
         assert both <= len(indices) == 64
 
     def test_zero_index_is_refused(self, cfg6, gen6):
@@ -623,6 +669,48 @@ class TestPerPointPasses:
         assert checks["m_matches_product"]
         assert not checks["log_m_consistency"]
 
+    @pytest.mark.parametrize(
+        "tamper, on_curve, primitive",
+        [
+            (lambda q: CubicPoint(-q.x, -q.y, -q.z), True, False),
+            (lambda q: CubicPoint(2 * q.x, 2 * q.y, 2 * q.z), True, False),
+            (lambda q: CubicPoint(q.x + 1, q.y, q.z), False, True),
+            (lambda q: CUBIC_IDENTITY, True, True),
+            (lambda q: CubicPoint(2, -2, 0), True, False),
+            (lambda q: CubicPoint(0, 0, 0), False, False),
+        ],
+        ids=["z-negative", "scaled", "off-curve", "identity", "at-infinity",
+             "zero"],
+    )
+    def test_lattice_checks_are_the_per_point_rules(
+        self, tamper, on_curve, primitive, monkeypatch
+    ):
+        # the column passes against on_cubic and is_primitive point by
+        # point, on a derived lattice with one point replaced; a z = 0
+        # point would end log_m_consistency's log of every z, which this
+        # test leaves out
+        original = construct.log_abs_sum
+        monkeypatch.setattr(
+            construct, "log_abs_sum", lambda zs: original(filter(None, zs))
+        )
+        cfg = CurveConfig(91)
+        cert = build_certificate(cfg, list(_POOL_91), 8)
+        screen = construct._generator_checks(cfg, cert.generators)
+        lattice = list(cert.lattice_points)
+        idx, q = lattice[5]
+        lattice[5] = (idx, tamper(q))
+        checks = evaluate_checks(
+            cfg, cert, screen, True, cert._replace(lattice_points=lattice)
+        )
+        points = [q for _, q in lattice]
+        assert checks["lattice_on_curve"] is all(
+            on_cubic(cfg, *q) for q in points
+        )
+        assert checks["lattice_primitive"] is all(map(is_primitive, points))
+        assert (checks["lattice_on_curve"], checks["lattice_primitive"]) == (
+            on_curve, primitive
+        )
+
     def test_interval_count_does_not_grow_with_the_lattice(self, monkeypatch):
         # the heights and the constants form a fixed number of intervals;
         # the passes over the N^r points form none
@@ -837,6 +925,22 @@ class TestOrientation:
         assert len(chosen) == 81
         assert all(next(k for k in n if k) > 0 for n in chosen)
         assert index_set_screen(chosen, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.floats(0.0, 1e-3))
+    def test_equals_the_filtered_ranking(self, data, rank, radius):
+        # the lead-by-lead candidates and the column keys against one fsum
+        # per candidate of the filtered (2N+1)^r box, on interval Gram
+        # matrices with exact ties (dyadic entries) and without
+        box_size = data.draw(st.integers(1, (6, 5, 3, 2)[rank - 1]))
+        entries = st.one_of(_DYADIC, st.floats(-10.0, 10.0))
+        gram = [[None] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = ApproxReal(data.draw(entries), radius)
+        assert index_set(gram, box_size) == loop_reference.index_set(
+            gram, box_size
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(

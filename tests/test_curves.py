@@ -23,7 +23,7 @@ from cubeforge import (
     weierstrass_image,
 )
 from cubeforge import construct, curves
-from tests import group_reference
+from tests import group_reference, loop_reference
 from tests.conftest import KNOWN_GENERATORS, chosen_indices
 from tests.group_reference import (
     INFINITY,
@@ -281,6 +281,21 @@ class TestIntegerGroupLaw:
             monkeypatch.setattr(module, "weierstrass_image", refuse, raising=False)
         monkeypatch.setattr(group_reference, "add", refuse)
         assert generate_lattice_points(cfg, list(_P91), indices) == expected
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40)),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300)
+    def test_twelve_products_equal_the_monomials(self, coords):
+        # a polynomial identity, so triples off every curve count too
+        p, q = tuple(coords[:3]), tuple(coords[3:])
+        assert curves._hessian_sum(p, q) == (
+            loop_reference.hessian_sum_monomials(p, q)
+        )
 
     def test_both_formulas_vanishing_is_refused(self, cfg6):
         # (0, 0, 1) is on no curve with m0 != 0, and both formulas vanish

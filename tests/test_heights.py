@@ -26,7 +26,7 @@ from cubeforge import (
 )
 from cubeforge.numeric import ApproxReal, icbrt
 from tests import doubling_reference as ref
-from tests import group_reference
+from tests import group_reference, loop_reference
 from tests.group_reference import (
     INFINITY,
     WeierstrassPoint,
@@ -312,6 +312,38 @@ class TestBitIdentical:
             "is about 0.0125"
         )
         assert info.value.achievable_tol.hex() == "0x1.980b504de971cp-7"
+
+
+    @pytest.mark.parametrize(
+        "tol", [10.0**-k for k in range(1, 13)] + [1e-15, 1e-16]
+    )
+    @pytest.mark.parametrize("m0", [6, 7, 91, 1729])
+    def test_series_matches_an_interval_per_term(self, m0, tol, monkeypatch):
+        # the float value/radius series against the per-term ApproxReal
+        # one, bit for bit, and the same PrecisionBudgetError where the
+        # float enclosure cannot carry tol (1e-15 on m0 = 6, 91 and 1729)
+        cfg = CurveConfig(m0)
+        good_height = heights._good_height
+        if m0 in POOL:
+            points = [p for c, _, p in pool_points() if c == cfg]
+        else:
+            p = KNOWN_GENERATORS[m0]
+            points = [p, cubic_add(cfg, p, p)]
+
+        def heights_of(series):
+            monkeypatch.setattr(heights, "_good_height", series)
+            out = []
+            for p in points:
+                try:
+                    h = canonical_height(cfg, p, tol)
+                except PrecisionBudgetError as exc:
+                    out.append((str(exc), exc.achievable_tol.hex()))
+                else:
+                    out.append((h.value.hex(), h.radius.hex()))
+            return out
+
+        expected = heights_of(loop_reference.good_height)
+        assert heights_of(good_height) == expected
 
 
 class TestNoGroupLaw:

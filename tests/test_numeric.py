@@ -16,6 +16,7 @@ from cubeforge.numeric import (
     interval_max,
     log_abs,
     log_abs_sum,
+    read_decimal,
     to_primitive,
 )
 
@@ -110,6 +111,24 @@ class TestIcbrt:
     @given(st.integers(-10**20, 10**20))
     def test_cube_roundtrip(self, r):
         assert icbrt(r**3) == (r, True)
+
+
+class TestReadDecimal:
+    @pytest.mark.parametrize(
+        "pad", ["", " ", " \t\n"], ids=["bare", "space", "white"]
+    )
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("digits", [1, 4300, 4301])
+    def test_digit_bound(self, digits, sign, pad):
+        # the bound counts digits only: a sign and surrounding spaces take
+        # 4,300 digits past 4,300 characters, and still read
+        text = pad + sign + "7" * digits + pad
+        if digits > 4300:
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                read_decimal(text)
+        else:
+            value = int("7" * digits)
+            assert read_decimal(text) == (-value if sign == "-" else value)
 
 
 class TestLogAbs:
