@@ -39,7 +39,7 @@ from .heights import (
     canonical_height,
     independence,
 )
-from .numeric import ApproxReal, gcd3, icbrt, log_abs, to_primitive
+from .numeric import ApproxReal, icbrt, log_abs
 from .oracle import RepCensus, count_reps, search_points
 
 __version__ = "0.1.0"

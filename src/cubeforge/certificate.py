@@ -61,6 +61,7 @@ from itertools import chain, repeat
 from .construct import (
     Certificate,
     ChainConstants,
+    _columns,
     checked_box_size,
     checked_tol,
     finite_float,
@@ -91,11 +92,6 @@ _LATTICE_COLUMNS = ("index", "x", "y", "z", "d")
 _LATTICE_TEMPLATE = (
     '"lattice_points":{"index":[%s],"x":%s,"y":%s,"z":%s,"d":%s}'
 )
-
-
-def _transpose(rows, width: int) -> list:
-    """The columns of rows, width empty ones when there are no rows."""
-    return list(zip(*rows)) or [()] * width
 
 
 def _hex_array(ints) -> str:
@@ -136,10 +132,10 @@ def certificate_to_json(cert: Certificate) -> str:
         separators=(",", ":"),
     )
     head, _, tail = header.partition(_LATTICE_SLOT)
-    indices, points = _transpose(cert.lattice_points, 2)
+    indices, points = _columns(cert.lattice_points, 2)
     lattice = _LATTICE_TEMPLATE % (
         ",".join(map(str, chain.from_iterable(indices))),
-        *map(_hex_array, (*_transpose(points, 3), cert.divisors)),
+        *map(_hex_array, (*_columns(points, 3), cert.divisors)),
     )
     return f"{head}{lattice}{tail}\n"
 

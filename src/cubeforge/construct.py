@@ -3,8 +3,9 @@
 Starting from r independent points P_1 ... P_r on x^3 + y^3 = m0 z^3 and a
 box size N, form the lattice combination Q_n = n_1 P_1 + ... + n_r P_r for
 each n in an index set I of N^r indices with every |n_i| <= N, none zero
-and no two negatives of each other.  Each Q_n is a primitive triple
-(x_n, y_n, z_n), and
+and no two negatives of each other.  Each sum is formed by curves.cubic_add,
+the package's one group law, so each Q_n is a primitive triple
+(x_n, y_n, z_n) in the normal form of CubicPoint.from_triple, and
 
     m = m0 * Z^3,  Z = z_1 * ... * z_{N^r},
 
@@ -49,7 +50,6 @@ from .curves import (
     CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
-    _hessian_sum,
     cubic_add,
     is_primitive,
     on_cubic,
@@ -74,16 +74,16 @@ def divisor_records(cfg: CurveConfig, points: list[CubicPoint]) -> list[int]:
     cofactors 12 m0 z / d and (x + y) / d are not stored: a consumer
     divides for them.  A point with z = 0 is a ValueError.
     """
-    xs, ys, zs = _columns(points)
+    xs, ys, zs = _columns(points, 3)
     if 0 in zs:
         raise ValueError("divisor check applies to affine points only")
     return list(map(math.gcd, map(mul, itertools.repeat(12 * cfg.m0), zs),
                     map(add, xs, ys)))
 
 
-def _columns(points: list[CubicPoint]) -> tuple[tuple[int, ...], ...]:
-    """The x, y and z columns of a list of triples."""
-    return tuple(zip(*points)) if points else ((), (), ())
+def _columns(rows, width: int) -> list:
+    """The columns of rows, width empty ones when there are no rows."""
+    return list(zip(*rows)) or [()] * width
 
 
 def z_size_constant(cfg: CurveConfig) -> ApproxReal:
@@ -294,14 +294,10 @@ def generate_lattice_points(
     """The combinations n_1 P_1 + ... + n_r P_r, one per index, in its order.
 
     One table of multiples per generator reaches the largest |n_i| used, and
-    each point adds its nonzero coordinates only, left to right: one
-    addition per point at rank 2.  An addition is cubic_add's first
-    formulas (_hessian_sum) with the gcd, signed to leave z > 0, divided
-    out, and the CubicPoint built directly; from_triple reads a sum with
-    z = 0, and cubic_add itself runs only where the first formulas vanish.
-    So every point is the primitive triple cubic_add gives.  The zero index is
-    a ValueError.  A collision or an identity hit proves the generators
-    dependent and raises.
+    each point adds its nonzero coordinates only, left to right, with
+    cubic_add: one addition per point at rank 2.  So every point is the
+    primitive triple cubic_add gives.  The zero index is a ValueError.  A
+    collision or an identity hit proves the generators dependent and raises.
     """
     rank = len(generators)
     if rank < 1:
@@ -314,27 +310,13 @@ def generate_lattice_points(
             row.append(cubic_add(cfg, row[-1], row[1]))
         # read with negative keys from the end: -cP is cP with x and y swapped
         multiples.append(row[: top + 1] + [q.neg() for q in row[top:0:-1]])
-    hessian_sum, gcd, new = _hessian_sum, math.gcd, tuple.__new__
     out: list[tuple[tuple[int, ...], CubicPoint]] = []
     seen: dict[CubicPoint, tuple[int, ...]] = {}
     for idx in indices:
         q = None
         for row, k in zip(multiples, idx):
-            if not k:
-                continue
-            if q is None:
-                q = row[k]
-                continue
-            x, y, z = hessian_sum(q, row[k])
-            if z:
-                # divide by the gcd, negated where z < 0 so that z > 0
-                g = gcd(x, y, z) if z > 0 else -gcd(x, y, z)
-                q = new(CubicPoint, (x // g, y // g, z // g))
-            elif x or y:
-                # the identity, or a ValueError off the curve
-                q = CubicPoint.from_triple(x, y, z)
-            else:
-                q = cubic_add(cfg, q, row[k])
+            if k:
+                q = row[k] if q is None else cubic_add(cfg, q, row[k])
         if q is None:
             raise ValueError("the zero index names no lattice point")
         if q.z == 0:
@@ -541,7 +523,7 @@ def evaluate_checks(
         return checks
     checks["lattice_points_match"] = lattice == cert.lattice_points
     points = list(map(itemgetter(1), lattice))
-    xs, ys, zs = _columns(points)
+    xs, ys, zs = _columns(points, 3)
     divisors = derived.divisors
     repeat = itertools.repeat
     z_cubes = list(map(pow, zs, repeat(3)))

@@ -11,6 +11,8 @@ isomorphism.  The one group law is on C: the integer projective formulas of
 twisted Hessian curves (cubic_add).  Everything else reads W through
 weierstrass_image, which gives X and Y as integer ratios in lowest terms.
 Points on C are kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
+CubicPoint.from_triple is the one place an integer triple is put in that form,
+and the one place that knows the point at infinity of C.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .numeric import ApproxReal, gcd3, log_abs, to_primitive
+from .numeric import ApproxReal, log_abs
 
 
 class CurveConfig:
@@ -79,7 +81,19 @@ class CubicPoint(namedtuple("CubicPoint", "x y z")):
 
     @classmethod
     def from_triple(cls, x: int, y: int, z: int) -> "CubicPoint":
-        return cls(*to_primitive(x, y, z))
+        """The point of the projective triple (x, y, z), in primitive normal form.
+
+        The one place a triple becomes a point: the gcd is divided out,
+        negated where z < 0 so that z > 0.  On the line z = 0 only a scaling
+        of (1, -1, 0) is on the curve, and it gives the identity; any other
+        triple there, (0, 0, 0) included, is a ValueError.
+        """
+        if z:
+            g = math.gcd(x, y, z) if z > 0 else -math.gcd(x, y, z)
+            return tuple.__new__(cls, (x // g, y // g, z // g))
+        if x and x + y == 0:
+            return CUBIC_IDENTITY
+        raise ValueError(f"({x}, {y}, 0) is not on the curve at infinity")
 
     @property
     def is_identity(self) -> bool:
@@ -128,25 +142,6 @@ def weierstrass_image(cfg: CurveConfig, p: CubicPoint) -> tuple[int, int, int, i
     return xn // g, s // g, yn // h, s // h
 
 
-def _hessian_sum(p, q) -> tuple[int, int, int]:
-    """The first addition formulas of cubic_add on two triples, unreduced.
-
-    Twelve multiplications: the six cross products A = x1 y2, B = x1 z2,
-    C = y1 x2, D = y1 z2, E = z1 x2, F = z1 y2 give
-    (CD - AF, AB - CE, EF - BD).  The result is (0, 0, 0) exactly when
-    these formulas vanish.
-    """
-    x1, y1, z1 = p
-    x2, y2, z2 = q
-    a = x1 * y2
-    b = x1 * z2
-    c = y1 * x2
-    d = y1 * z2
-    e = z1 * x2
-    f = z1 * y2
-    return c * d - a * f, a * b - c * e, e * f - b * d
-
-
 def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
     """Group law on the cubic model, in integer projective coordinates.
 
@@ -163,14 +158,21 @@ def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
         y3 = x1^2 y2 z2 - x2^2 y1 z1 = (x1 y2)(x1 z2) - (y1 x2)(z1 x2),
         z3 = z1^2 x2 y2 - z2^2 x1 y1 = (z1 x2)(z1 y2) - (x1 z2)(y1 z2),
 
-    so six cross products and six products of them give the sum
-    (_hessian_sum): twelve multiplications where the monomials take
-    eighteen, and the same integers.
+    so six cross products and six products of them give the sum: twelve
+    multiplications where the monomials take eighteen, and the same
+    integers.  The sum leaves through from_triple, which divides out the
+    gcd and signs it so that z > 0.
     """
-    x3, y3, z3 = _hessian_sum(p, q)
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    a = x1 * y2
+    b = x1 * z2
+    c = y1 * x2
+    d = y1 * z2
+    e = z1 * x2
+    f = z1 * y2
+    x3, y3, z3 = c * d - a * f, a * b - c * e, e * f - b * d
     if not (x3 or y3 or z3):
-        x1, y1, z1 = p
-        x2, y2, z2 = q
         # the paper's (X3, Y3, Z3) is (z3, x3, y3) here
         x3 = x2 * x2 * x1 * y1 + cfg.m0 * z1 * z1 * y2 * z2
         y3 = -cfg.m0 * z2 * z2 * x1 * z1 - y1 * y1 * x2 * y2
@@ -187,4 +189,4 @@ def is_primitive(p: CubicPoint) -> bool:
     """True when the stored triple is in primitive normal form."""
     if p.is_identity:
         return (p.x, p.y) == (1, -1)
-    return p.z > 0 and gcd3(p.x, p.y, p.z) == 1
+    return p.z > 0 and math.gcd(p.x, p.y, p.z) == 1

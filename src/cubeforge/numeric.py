@@ -8,6 +8,10 @@ an error radius that is guaranteed to contain the true real number.
 Interval operations round outward, so a certified comparison such as
 ``a.upper() < b.lower()`` is a proof, not a heuristic.
 
+The integer kernels are icbrt and read_decimal.  Nothing here knows the
+curve: a triple is put in primitive form, and its point at infinity
+recognised, by curves.CubicPoint.from_triple alone.
+
 Each interval rule is one function on a value and a radius, returning
 the two floats: _ratio_parts (from_ratio), _endpoint_parts
 (from_endpoints), _lower and _upper (lower, upper), _log_parts (log),
@@ -56,32 +60,6 @@ if hasattr(sys, "set_int_max_str_digits"):
 
 # float(n) is exact for |n| below this
 _EXACT_FLOAT_BOUND = 1 << 53
-
-
-def gcd3(a: int, b: int, c: int) -> int:
-    """Positive gcd of three integers.  (0, 0, 0) has no well-defined gcd."""
-    if a == 0 and b == 0 and c == 0:
-        raise ValueError("gcd of (0, 0, 0) is undefined")
-    return math.gcd(a, b, c)
-
-
-def to_primitive(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """Scale a projective integer triple to its primitive normal form.
-
-    The common gcd is divided out and the sign is fixed so that z > 0.  A
-    triple with z = 0 is accepted only when it is a scaling of (1, -1, 0),
-    the point at infinity of x^3 + y^3 = m0 z^3; anything else on the line
-    at infinity is rejected.
-    """
-    g = gcd3(x, y, z)
-    x, y, z = x // g, y // g, z // g
-    if z == 0:
-        if x + y != 0:
-            raise ValueError(f"({x}, {y}, 0) is not on the curve at infinity")
-        return (1, -1, 0)
-    if z < 0:
-        x, y, z = -x, -y, -z
-    return (x, y, z)
 
 
 def icbrt(n: int) -> tuple[int, bool]:

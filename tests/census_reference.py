@@ -11,9 +11,9 @@ once: the scan on m0 z^3 for every z, keeping the primitive triples.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
-from cubeforge import CubicPoint, gcd3, icbrt
+from cubeforge import CubicPoint, icbrt
 
 
 def divisor_scan(m: int) -> tuple[tuple[int, int], ...]:
@@ -56,7 +56,7 @@ def points_at(m0: int, z: int) -> list[CubicPoint]:
     return [
         CubicPoint(x, y, z)
         for x, y in divisor_scan(m0 * z**3)
-        if gcd3(x, y, z) == 1
+        if gcd(x, y, z) == 1
     ]
 
 

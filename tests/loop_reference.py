@@ -4,10 +4,11 @@ kept as references.
 Each function here computes what a package kernel computes, the plain way:
 
 - hessian_sum_monomials, the first addition formulas of curves.cubic_add
-  as eighteen multiplications of monomials (curves._hessian_sum takes
-  twelve);
-- lattice_points, one reduce(cubic_add) over each index's table terms
-  (construct.generate_lattice_points inlines the additions);
+  as eighteen multiplications of monomials (cubic_add takes twelve);
+- lattice_points, one reduce(cubic_add) over each index's table terms.
+  construct.generate_lattice_points also adds with cubic_add, one term at
+  a time, so this is no un-inlined twin of it: it is the reference for
+  the order of the fold and for the GeneratorDependenceError messages;
 - index_set, one fsum per candidate over the filtered (2N+1)^r box
   (construct.index_set maps over coordinate columns);
 - good_height, Tate's series with an ApproxReal per term

@@ -340,10 +340,10 @@ class TestLatticeGeneration:
         [(91, 8), (91, 12), (1729, 8), (1729, 12), (657, 4), (152551, 3)],
     )
     def test_matches_the_reduce_reference(self, m0, box_size):
-        # the inlined pass against one reduce(cubic_add) per index, on the
-        # chosen index set and on its negation; the sums come out of
-        # _hessian_sum with z of either sign (115 of the 253 at N = 12 on
-        # the two pool curves have z < 0)
+        # the pass against one reduce(cubic_add) per index, on the chosen
+        # index set and on its negation; cubic_add's first formulas give
+        # sums with z of either sign (115 of the 253 at N = 12 on the two
+        # pool curves have z < 0)
         cfg = CurveConfig(m0)
         gens = [CubicPoint(*g) for g in _SETS[m0]]
         indices = chosen_indices(cfg, gens, box_size)
@@ -369,22 +369,22 @@ class TestLatticeGeneration:
     def test_one_addition_per_point_at_rank_two(self, monkeypatch):
         # the tables of multiples reach the largest |n_i| used, and each
         # point adds only its nonzero coordinates: every addition, in the
-        # tables (through cubic_add) or in the pass, is one _hessian_sum
+        # tables or in the pass, is one cubic_add
         cfg = CurveConfig(91)
         indices = chosen_indices(cfg, _POOL_91, 8)
         reach = [max(abs(n[i]) for n in indices) for i in range(2)]
         both = sum(1 for n in indices if all(n))
         calls = Counter()
-        original = curves._hessian_sum
+        original = curves.cubic_add
 
         def counting(*args):
-            calls["_hessian_sum"] += 1
+            calls["cubic_add"] += 1
             return original(*args)
 
-        monkeypatch.setattr(curves, "_hessian_sum", counting)
-        monkeypatch.setattr(construct, "_hessian_sum", counting)
+        monkeypatch.setattr(curves, "cubic_add", counting)
+        monkeypatch.setattr(construct, "cubic_add", counting)
         generate_lattice_points(cfg, list(_POOL_91), indices)
-        assert calls["_hessian_sum"] == both + sum(max(k - 1, 0) for k in reach)
+        assert calls["cubic_add"] == both + sum(max(k - 1, 0) for k in reach)
         assert both <= len(indices) == 64
 
     def test_zero_index_is_refused(self, cfg6, gen6):

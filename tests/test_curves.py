@@ -6,6 +6,7 @@ kept in tests/group_reference.py.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,51 @@ class TestOnCurve:
         assert on_weierstrass(cfg6, WeierstrassPoint.affine(28, 80))
         assert on_weierstrass(cfg6, INFINITY)
         assert not on_weierstrass(cfg6, WeierstrassPoint.affine(28, 81))
+
+
+class TestFromTriple:
+    def test_examples(self):
+        assert CubicPoint.from_triple(34, 74, 42) == (17, 37, 21)
+        assert CubicPoint.from_triple(-17, -37, -21) == (17, 37, 21)
+        assert CubicPoint.from_triple(-1, 1, 0) == CUBIC_IDENTITY
+        assert CubicPoint.from_triple(5, -5, 0) == CUBIC_IDENTITY
+
+    def test_divides_out_the_gcd(self):
+        # the normal form needs no curve: (0, 0, 1) is on none with m0 != 0
+        assert CubicPoint.from_triple(6, 10, 15) == (6, 10, 15)
+        assert CubicPoint.from_triple(4, 8, 12) == (1, 2, 3)
+        assert CubicPoint.from_triple(-4, 8, -12) == (1, -2, 3)
+        assert CubicPoint.from_triple(0, 0, 5) == (0, 0, 1)
+
+    def test_bad_infinity_rejected(self):
+        with pytest.raises(ValueError):
+            CubicPoint.from_triple(2, 3, 0)
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError):
+            CubicPoint.from_triple(0, 0, 0)
+
+    @given(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20))
+    def test_line_at_infinity(self, x, y):
+        # on z = 0 only the scalings of (1, -1, 0) are points of the curve
+        if x and x + y == 0:
+            assert CubicPoint.from_triple(x, y, 0) is CUBIC_IDENTITY
+        else:
+            with pytest.raises(ValueError, match="not on the curve at infinity"):
+                CubicPoint.from_triple(x, y, 0)
+
+    @given(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20),
+           st.integers(1, 10**20),
+           st.integers(1, 10**6).flatmap(lambda s: st.sampled_from([s, -s])))
+    def test_scaling_invariant(self, x, y, z, s):
+        p = CubicPoint.from_triple(x, y, z)
+        assert CubicPoint.from_triple(x * s, y * s, z * s) == p
+        assert CubicPoint.from_triple(*p) == p
+        assert math.gcd(*p) == 1 and p.z > 0
+        assert type(p) is CubicPoint
+        # p is (x, y, z) over its gcd
+        g = z // p.z
+        assert (x, y, z) == (g * p.x, g * p.y, g * p.z)
 
 
 class TestBirationalMap:
@@ -291,11 +337,21 @@ class TestIntegerGroupLaw:
     )
     @settings(max_examples=300)
     def test_twelve_products_equal_the_monomials(self, coords):
-        # a polynomial identity, so triples off every curve count too
-        p, q = tuple(coords[:3]), tuple(coords[3:])
-        assert curves._hessian_sum(p, q) == (
-            loop_reference.hessian_sum_monomials(p, q)
-        )
+        # cubic_add's twelve products against the eighteen-multiplication
+        # monomials: a polynomial identity, so triples off every curve count
+        # too; a zero sum sends cubic_add to its rotated formulas instead
+        p, q = CubicPoint(*coords[:3]), CubicPoint(*coords[3:])
+        sum_ = loop_reference.hessian_sum_monomials(p, q)
+        if sum_ == (0, 0, 0):
+            return
+        try:
+            expected = CubicPoint.from_triple(*sum_)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as info:
+                cubic_add(CurveConfig(1), p, q)
+            assert str(info.value) == str(refused)
+        else:
+            assert cubic_add(CurveConfig(1), p, q) == expected
 
     def test_both_formulas_vanishing_is_refused(self, cfg6):
         # (0, 0, 1) is on no curve with m0 != 0, and both formulas vanish

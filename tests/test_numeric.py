@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from cubeforge.numeric import (
     ApproxReal,
-    gcd3,
     icbrt,
     interval_max,
     log_abs,
     log_abs_sum,
     read_decimal,
-    to_primitive,
 )
 
 
@@ -43,48 +41,6 @@ def fraction_path(q: Fraction) -> ApproxReal:
 def bits(a: ApproxReal) -> tuple:
     """Value and radius bit for bit, the sign of a zero value included."""
     return (a.value.hex(), math.copysign(1.0, a.value), a.radius.hex())
-
-
-class TestGcd3:
-    def test_basic(self):
-        assert gcd3(6, 10, 15) == 1
-        assert gcd3(4, 8, 12) == 4
-        assert gcd3(-4, 8, -12) == 4
-        assert gcd3(0, 0, 5) == 5
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd3(0, 0, 0)
-
-    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
-           st.integers(-10**30, 10**30))
-    def test_divides_all(self, a, b, c):
-        if a == b == c == 0:
-            return
-        g = gcd3(a, b, c)
-        assert g > 0
-        assert a % g == 0 and b % g == 0 and c % g == 0
-
-
-class TestToPrimitive:
-    def test_examples(self):
-        assert to_primitive(34, 74, 42) == (17, 37, 21)
-        assert to_primitive(-17, -37, -21) == (17, 37, 21)
-        assert to_primitive(-1, 1, 0) == (1, -1, 0)
-        assert to_primitive(5, -5, 0) == (1, -1, 0)
-
-    def test_bad_infinity_rejected(self):
-        with pytest.raises(ValueError):
-            to_primitive(2, 3, 0)
-
-    @given(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20),
-           st.integers(1, 10**20), st.integers(1, 10**6))
-    def test_scaling_invariant(self, x, y, z, s):
-        p = to_primitive(x, y, z)
-        assert to_primitive(x * s, y * s, z * s) == p
-        assert to_primitive(*p) == p
-        assert gcd3(*p) == 1
-        assert p[2] > 0
 
 
 class TestIcbrt:

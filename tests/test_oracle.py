@@ -12,7 +12,7 @@ bases, and numbers past the range where Miller-Rabin alone decides.
 
 import ast
 import random
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -349,9 +349,7 @@ class TestSearchPoints:
         # (4, -2, 2) solves the equation but is a scaled copy of (2, -1, 1)
         points = search_points(cfg7, 4)
         assert CubicPoint(4, -2, 2) not in points
-        from cubeforge import gcd3
-
-        assert all(gcd3(p.x, p.y, p.z) == 1 for p in points)
+        assert all(gcd(p.x, p.y, p.z) == 1 for p in points)
 
     def test_sorted_deterministic(self, cfg6):
         points = search_points(cfg6, 25)
