@@ -92,6 +92,16 @@ class TestFromTriple:
         with pytest.raises(ValueError):
             CubicPoint.from_triple(0, 0, 0)
 
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+           st.integers(-10**30, 10**30).filter(bool))
+    def test_divides_all(self, a, b, c):
+        # the gcd, signed like c, is divided out of every coordinate
+        p = CubicPoint.from_triple(a, b, c)
+        g = c // p.z
+        assert g != 0 and (g > 0) == (c > 0)
+        assert abs(g) == math.gcd(a, b, c)
+        assert (a, b, c) == (g * p.x, g * p.y, g * p.z)
+
     @given(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20))
     def test_line_at_infinity(self, x, y):
         # on z = 0 only the scalings of (1, -1, 0) are points of the curve
