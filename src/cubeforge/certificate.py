@@ -3,20 +3,21 @@
 A certificate is a JSON document that pins every input and every claimed
 output of one construction run, and nothing else: the same Certificate
 always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "9" stores the lattice triples with
-their indices and m, but not the N^r representations: each is
-(Z/z_n)(x_n, y_n), a pure function of the triples, which
-Certificate.representations expands for a consumer.  The lattice runs over
+reals as value/radius pairs.  Schema "10" stores the lattice triples with
+their indices and Z, the product of their z's, but neither m nor the N^r
+representations: m = m0 Z^3 and each pair (Z/z_n)(x_n, y_n) are pure
+functions of the triples, which Certificate.m and
+Certificate.representations form for a consumer.  The lattice runs over
 the N^r indices of least height that build chose (construct.index_set),
 with the generators as given; verify screens the stored indices
 (construct.index_set_screen) and never chooses them again.  The lattice is
 stored as named columns, not one object per entry: ``index`` holds the r
 integers of each entry in turn, and ``x``, ``y``, ``z`` and ``d`` one
-element per entry, d being gcd(12 m0 z, x + y).  An "8" document, which
-also stored the cofactors a = 12 m0 z / d and b = (x + y) / d and both
-lemma verdicts per entry, is refused, as are older ones.  Keys the schema
-does not name, such as the ``a``, ``b`` and verdict columns of "8", a stray
-``representations`` array or the ``generated_at`` of older writers, are
+element per entry, d being gcd(12 m0 z, x + y).  A "9" document, which
+stored m in place of Z, is refused, as are older ones; Z must be positive,
+as the product of positive z's is.  Keys the schema does not name, such as
+the ``a``, ``b`` and verdict columns of "8", a stray ``m`` or
+``representations`` or the ``generated_at`` of older writers, are
 ignored.
 
 Every stored integer is written as ``hex(n)`` writes it ("0x1f", "-0x1f"),
@@ -36,7 +37,7 @@ and builds the records with C-level maps, so no Python function runs per
 entry.  There is no stored check map and no stored verdict:
 verify_certificate parses the document into a Certificate, re-derives
 everything from the generators alone and compares, proves the identity
-x^3 + y^3 = m from the lattice without forming a representation (see
+x^3 + y^3 = m from the lattice without forming m or a representation (see
 construct.evaluate_checks), and returns the parsed Certificate with those
 fresh checks.
 
@@ -47,7 +48,7 @@ key but ``lattice_points``, goes through json.dumps.  Each lattice column
 is one join (``'","'.join(map(hex, column))`` for the integers) filled into
 a fixed template, because a hex() string needs no JSON escaping, while
 json.dumps scans every string for escapes even in its C encoder.  A
-schema-"9" document is tens of kilobytes, so write_certificate writes that
+schema-"10" document is tens of kilobytes, so write_certificate writes that
 one string.  The reader is json.loads, so any whitespace and key order
 parse the same: an indented document verifies to the same checks, and
 ``python -m json.tool`` pretty-prints one.
@@ -70,7 +71,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 
 
 class CertificateFormatError(Exception):
@@ -126,7 +127,7 @@ def certificate_to_json(cert: Certificate) -> str:
                 "n_min": cert.constants.n_min,
             },
             "lattice_points": {},
-            "m": hex(cert.m),
+            "Z": hex(cert.Z),
             "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
         separators=(",", ":"),
@@ -236,7 +237,7 @@ def _as_ints(values: list, what: str) -> list:
 
 _REQUIRED_KEYS = frozenset((
     "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
-    "constants", "lattice_points", "m", "bound_rhs",
+    "constants", "lattice_points", "Z", "bound_rhs",
 ))
 _CONSTANTS_KEYS = frozenset(
     ("height_factor", "z_factor", "m_factor", "z_constant", "n_min")
@@ -258,13 +259,16 @@ def parse_certificate(document: str | dict) -> Certificate:
             raise _fail(str(exc)) from None
     else:
         data = document
-    data = _as_record(data, "certificate", _REQUIRED_KEYS)
+    # the version first, so that an older document is refused as such and
+    # not by a key its schema did not have
+    data = _as_record(data, "certificate", frozenset(("schema_version",)))
     if data["schema_version"] != SCHEMA_VERSION:
         raise _fail(
             f"unsupported schema_version {repr(data['schema_version'])[:40]}: "
             f'this reader takes "{SCHEMA_VERSION}"; rebuild the document with '
             "cubeforge construct"
         )
+    data = _as_record(data, "certificate", _REQUIRED_KEYS)
 
     m0 = _as_int(data["m0"], "m0")
     if m0 == 0:
@@ -314,9 +318,9 @@ def parse_certificate(document: str | dict) -> Certificate:
     )
     divisors = _as_ints(columns["d"], "divisor d")
 
-    m = _as_int(data["m"], "m")
-    if m == 0:
-        raise _fail("m must be nonzero")
+    z_total = _as_int(data["Z"], "Z")
+    if z_total <= 0:
+        raise _fail("Z must be positive")
 
     return Certificate(
         m0=m0,
@@ -327,7 +331,7 @@ def parse_certificate(document: str | dict) -> Certificate:
         hhat_bar=_as_interval(data["hhat_bar"], "hhat_bar"),
         lattice_points=lattice_points,
         divisors=divisors,
-        m=m,
+        Z=z_total,
         constants=constants,
         bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),
         checks={},

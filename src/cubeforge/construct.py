@@ -10,11 +10,14 @@ the package's one group law, so each Q_n is a primitive triple
     m = m0 * Z^3,  Z = z_1 * ... * z_{N^r},
 
 is a sum of two coprime cubes in at least N^r ways: the n-th is
-(Z/z_n) * (x_n, y_n).  A representation is a pure function of m0 and the
-lattice, so the certificate records the lattice and m, not the pairs;
-Certificate.representations expands them for a consumer on demand
-(representations_from_lattice), and build, write and verify never do.  The
-certificate also records d = gcd(12 m0 z, x + y) for every lattice point,
+(Z/z_n) * (x_n, y_n).  m and every representation are pure functions of m0
+and the lattice, so the certificate records the lattice and Z, not m or the
+pairs: Certificate.m forms m0 Z^3 and Certificate.representations expands
+the pairs from Z (representations_from_lattice) for a consumer on demand,
+and build, write and verify never raise Z to a power.  The exact claim
+m = m0 Z^3 is the comparison of the stored Z with the derived product, and
+every bound on log m reads log |m0| + 3 log Z.  The certificate also
+records d = gcd(12 m0 z, x + y) for every lattice point,
 one integer from which evaluate_checks decides the paper's two divisor
 lemmas, and the height bookkeeping that bounds log m and yields the final
 density inequality
@@ -213,12 +216,21 @@ def density_constant(rank: int, hhat_bar: ApproxReal) -> ApproxReal:
     )
 
 
-def representation_bound(rank: int, hhat_upper: float, m: int) -> ApproxReal:
-    """(K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)), using the height upper end."""
-    if abs(m) == 1:
+def log_m(m0: int, z_total: int) -> ApproxReal:
+    """An enclosure of log |m| for m = m0 Z^3, without forming m: the sum
+    log |m0| + 3 log |Z|, one log_abs each."""
+    return log_abs(m0) + log_abs(z_total) * 3
+
+
+def representation_bound(
+    rank: int, hhat_upper: float, m0: int, z_total: int
+) -> ApproxReal:
+    """(K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)) for m = m0 Z^3, using the
+    height upper end and log_m."""
+    if abs(m0) == 1 and z_total == 1:
         return ApproxReal(0.0, 0.0)
     scale = density_constant(rank, ApproxReal.exact(hhat_upper))
-    return scale * log_abs(m).pow_ratio(rank, rank + 2)
+    return scale * log_m(m0, z_total).pow_ratio(rank, rank + 2)
 
 
 def index_set(
@@ -351,16 +363,16 @@ def product_tree(factors: list[int]) -> int:
 
 
 def representations_from_lattice(
-    lattice: list[tuple[tuple[int, ...], CubicPoint]],
+    lattice: list[tuple[tuple[int, ...], CubicPoint]], z_total: int
 ) -> list[tuple[int, int]]:
     """One representation of m = m0 Z^3 per lattice point, in its order.
 
-    The n-th scales (x_n, y_n) by Z/z_n, the product of the other z's, so
-    its cubes sum to m0 Z^3 = m exactly.  Each coordinate is about as long
-    as Z, so the pairs together are about 2N^r/3 times as long as m; in the
-    package only Certificate.representations calls this.
+    z_total is Z, the product of the lattice's z's, as the certificate
+    stores it.  The n-th scales (x_n, y_n) by Z/z_n, the product of the
+    other z's, so its cubes sum to m0 Z^3 = m exactly.  Each coordinate is
+    about as long as Z, so the pairs together are about 2N^r times as long
+    as Z; in the package only Certificate.representations calls this.
     """
-    z_total = product_tree([q.z for _, q in lattice])
     reps = []
     for _, q in lattice:
         f = z_total // q.z
@@ -398,18 +410,18 @@ class Certificate(
     namedtuple(
         "Certificate",
         "m0 rank box_size tol generators hhat_bar lattice_points "
-        "divisors m constants bound_rhs checks",
+        "divisors Z constants bound_rhs checks",
     )
 ):
     """One run of the construction: what build returns and verify rechecks.
 
     generators is a list of CubicPoint, lattice_points a list of
     (index tuple, CubicPoint) pairs, divisors the int d = gcd(12 m0 z, x + y)
-    of each lattice point in order (divisor_records), hhat_bar and
-    bound_rhs are ApproxReal, and checks maps each name in CHECK_NAMES to
-    its verdict.  derive_lattice and parse_certificate leave checks an
-    empty dict of its own; build_certificate and verify_certificate fill it
-    in.
+    of each lattice point in order (divisor_records), Z the product of the
+    lattice's z's, hhat_bar and bound_rhs are ApproxReal, and checks maps
+    each name in CHECK_NAMES to its verdict.  derive_lattice and
+    parse_certificate leave checks an empty dict of its own;
+    build_certificate and verify_certificate fill it in.
     """
 
     __slots__ = ()
@@ -419,12 +431,21 @@ class Certificate(
         return bool(self.checks) and all(self.checks.values())
 
     @property
+    def m(self) -> int | None:
+        """The manufactured integer m0 Z^3, formed afresh on each read;
+        None when there is no lattice."""
+        if self.Z is None:
+            return None
+        return self.m0 * self.Z**3
+
+    @property
     def representations(self) -> list[tuple[int, int]] | None:
         """The (x, y) pairs with x^3 + y^3 = m, one per lattice point,
-        expanded afresh on each read; None when there is no lattice."""
+        expanded from Z afresh on each read; None when there is no
+        lattice."""
         if self.lattice_points is None:
             return None
-        return representations_from_lattice(self.lattice_points)
+        return representations_from_lattice(self.lattice_points, self.Z)
 
 
 def derive_lattice(
@@ -445,7 +466,7 @@ def derive_lattice(
     """
     rank = len(generators)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
-    divisors = m = constants = bound_rhs = None
+    divisors = z_total = constants = bound_rhs = None
     try:
         lattice = generate_lattice_points(cfg, generators, indices)
     except GeneratorDependenceError:
@@ -453,13 +474,15 @@ def derive_lattice(
     else:
         points = [q for _, q in lattice]
         divisors = divisor_records(cfg, points)
-        m = cfg.m0 * product_tree([q.z for q in points]) ** 3
+        z_total = product_tree([q.z for q in points])
         if hhat_bar.lower() > 0.0:
             constants = chain_constants(cfg, rank, hhat_bar)
-            bound_rhs = representation_bound(rank, hhat_bar.upper(), m)
+            bound_rhs = representation_bound(
+                rank, hhat_bar.upper(), cfg.m0, z_total
+            )
     return Certificate(
         cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
-        divisors, m, constants, bound_rhs, {},
+        divisors, z_total, constants, bound_rhs, {},
     )
 
 
@@ -488,27 +511,30 @@ def evaluate_checks(
     derived counterpart; nothing is derived again.  The two divisor lemmas
     are decided on the derived d's and triples, with 5184 m0^2 and
     9 * 12^6 * |m0|^15 formed once per call: d^3 | 5184 m0^2 (x + y) and
-    d^6 < 9 * 12^6 * |m0|^15 * z^3; the stored d's are only compared.  The
-    representations (Z/z_n)(x_n, y_n) are never formed: their four checks
-    read the stored triples they expand from.  The cube-sum identity is
-    proved from the lattice alone: when the stored triples are the derived
-    ones, m equals m0 Z^3 and every lattice point is on the curve,
-    x^3 + y^3 = m holds for each pair.  A document that fails one of those
-    three checks fails the identity too, so nothing is cubed beyond the
-    lattice and the work stays linear in the document.  log_m_consistency
-    meets log_abs(m) with log |m0| + 3 * log_abs_sum of the derived z_n:
-    one enclosure of the whole sum from two fsums, not an interval per
-    lattice point, and still from every z_n, so a wrong lattice point shows
-    even when m is m0 Z^3 for some other Z.  The passes over the lattice
-    are C-level maps over the x, y, z and d columns, each check still
-    decided on its own: z^3 is formed once for the curve equation and the
-    bound.  lattice_on_curve and lattice_primitive stay as independent
+    d^6 < 9 * 12^6 * |m0|^15 * z^3; the stored d's are only compared.
+    Neither m = m0 Z^3 nor a representation (Z/z_n)(x_n, y_n) is formed:
+    m_matches_product compares the stored Z with the derived product of the
+    z_n exactly, which is m = m0 Z^3, and the four representation checks
+    read the stored triples the pairs expand from.  The cube-sum identity
+    is proved from the lattice alone: when the stored triples are the
+    derived ones, Z is their product and every lattice point is on the
+    curve, x^3 + y^3 = m holds for each pair.  A document that fails one of
+    those three checks fails the identity too, so nothing is cubed beyond
+    the lattice and the work stays linear in the document.  Every bound
+    reads log m as log_m(m0, Z), log |m0| + 3 log Z, from the stored Z.
+    log_m_consistency meets it with log |m0| + 3 * log_abs_sum of the
+    derived z_n: one enclosure of the whole sum from two fsums, not an
+    interval per lattice point, and still from every z_n, so a wrong
+    lattice point shows even when Z is the product of some other z's.  The
+    passes over the lattice are C-level maps over the x, y, z and d
+    columns, each check still decided on its own: z^3 is formed once for
+    the curve equation and the bound.  lattice_on_curve and lattice_primitive stay as independent
     exact checks of the lattice pass, at 0.12 and 0.10 ms of this
     function's 0.43 ms at m0 = 91, N = 12 (CPython 3.11, 2-core VM, warm,
     best of 7 x 50 calls).  chain_bound and final_inequality are one
-    exact comparison on the stored m: the paper's inequality raised to the
+    exact comparison on the stored Z: the paper's inequality raised to the
     power (r+2)/r is log m < K N^(r+2) hhat, decided in integers with the
-    floats log_abs(m).upper() and hhat_bar.upper() read as their integer
+    floats log_m(m0, Z).upper() and hhat_bar.upper() read as their integer
     ratios.  Returns the full check map in CHECK_NAMES order.  A lattice
     collision or a height interval touching zero ends it early with the
     remaining checks false.
@@ -552,7 +578,8 @@ def evaluate_checks(
     )
     checks["divisor_records_match"] = divisors == cert.divisors
 
-    checks["m_matches_product"] = cert.m == derived.m
+    # m = m0 Z^3 on both sides, so equal m is equal Z
+    checks["m_matches_product"] = cert.Z == derived.Z
     # the representations are (Z/z_n)(x_n, y_n), expanded from the stored
     # triples, so the four checks on them read the triples
     stored = list(map(itemgetter(1), cert.lattice_points))
@@ -578,15 +605,13 @@ def evaluate_checks(
         z_stored
     ) and constants._replace(z_constant=z_stored) == cert.constants
 
-    log_m = log_abs(cert.m)
-    log_m_from_parts = (
-        log_abs(cfg.m0) + log_abs_sum(zs) * 3
-    )
-    checks["log_m_consistency"] = log_m.intersects(log_m_from_parts)
+    log_m_stored = log_m(cfg.m0, cert.Z)
+    log_m_from_parts = log_abs(cfg.m0) + log_abs_sum(zs) * 3
+    checks["log_m_consistency"] = log_m_stored.intersects(log_m_from_parts)
 
     checks["theorem_preconditions"] = cert.box_size >= constants.n_min
-    # log m < K N^(r+2) hhat_up, with log_m.upper() = a/b and hhat_up = p/q
-    a, b = log_m.upper().as_integer_ratio()
+    # log m < K N^(r+2) hhat_up, with log m's upper end a/b and hhat_up = p/q
+    a, b = log_m_stored.upper().as_integer_ratio()
     p, q = derived.hhat_bar.upper().as_integer_ratio()
     chain = a * q < constants.m_factor * cert.box_size ** (rank + 2) * p * b
     checks["chain_bound"] = checks["final_inequality"] = chain

@@ -205,14 +205,25 @@ def positive_definite(gram: list[list[ApproxReal]]) -> bool:
     """True only if every symmetric matrix inside the intervals is positive
     definite.
 
-    Gaussian elimination on a copy with no row exchanges: the k-th pivot is
-    D_k / D_(k-1), a ratio of leading principal minors, enclosed for every
-    matrix inside.  Every pivot certified positive gives every D_k > 0,
-    which is Sylvester's criterion.
+    Gaussian elimination on a copy with symmetric pivoting: each step takes
+    for its pivot the remaining diagonal entry with the largest lower end
+    and swaps its row and its column to the front.  That is elimination
+    without exchanges on P^T A P for one permutation P, whose k-th pivot is
+    D_k / D_(k-1), a ratio of its leading principal minors, enclosed for
+    every matrix inside.  Every pivot certified positive gives every
+    D_k > 0, so P^T A P is positive definite by Sylvester's criterion, and
+    with it A.  Pivoting on the largest lower end certifies some
+    near-singular interval matrices that elimination in the given order
+    leaves undecided.
     """
     a = [list(row) for row in gram]
     n = len(a)
     for col in range(n):
+        best = max(range(col, n), key=lambda k: a[k][k].lower())
+        if best != col:
+            a[col], a[best] = a[best], a[col]
+            for row in a:
+                row[col], row[best] = row[best], row[col]
         pivot = a[col][col]
         if pivot.lower() <= 0.0:
             return False

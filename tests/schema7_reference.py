@@ -5,14 +5,14 @@ same values as columns; schema "9" keeps of each divisor record only d.
 Both older layouts also stored the cofactors a = 12 m0 z / d and
 b = (x + y) / d and the two verdicts, which divisor_record spells out from
 the entry's triple and d.  schema7_json renders a Certificate in the "7"
-layout, with the header of today's writer, so the hashes and lengths
-pinned on "7" documents still pin m, every triple and every divisor
-record.
+layout, with the header of the "9" writer (tests/schema9_reference.py),
+so the hashes and lengths pinned on "7" documents still pin m, every
+triple and every divisor record.
 """
 
 import json
 
-from cubeforge import certificate_to_json
+from tests.schema9_reference import schema9_doc
 
 
 def divisor_record(m0: int, q, d: int) -> dict:
@@ -36,7 +36,7 @@ def _records(cert) -> list:
 
 def schema7_json(cert) -> str:
     """cert as the schema "7" writer wrote it, byte for byte."""
-    doc = json.loads(certificate_to_json(cert))
+    doc = schema9_doc(cert)
     doc["schema_version"] = "7"
     doc["lattice_points"] = [
         {
@@ -52,7 +52,7 @@ def schema7_json(cert) -> str:
 def schema8_doc(cert) -> dict:
     """cert as a schema "8" document: the "9" columns followed by a, b and
     both verdicts, one column each."""
-    doc = json.loads(certificate_to_json(cert))
+    doc = schema9_doc(cert)
     doc["schema_version"] = "8"
     records = _records(cert)
     for key in ("a", "b", "divisibility_pass", "bound_pass"):

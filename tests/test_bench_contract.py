@@ -29,6 +29,7 @@ from cubeforge import (
 from cubeforge.construct import CHECK_NAMES
 from tests.conftest import pool_draws
 from tests.schema7_reference import schema7_json
+from tests.schema9_reference import schema9_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,7 +84,8 @@ def test_check_count_matches_check_names():
 # index carries its minus sign, but no length.  POOL_BYTES is the length in
 # the schema "7" layout (tests/schema7_reference.py), so it still pins every
 # stored value and the a, b and verdicts derived from them;
-# POOL_BYTES_SCHEMA_9 is the document's own.
+# POOL_BYTES_SCHEMA_9 is the length in the "9" layout, with m in place of Z
+# (tests/schema9_reference.py), and POOL_BYTES_SCHEMA_10 the document's own.
 POOL_BYTES = {
     (91, "cert_large"): 47_420,
     (1729, "cert_large"): 63_105,
@@ -95,6 +97,12 @@ POOL_BYTES_SCHEMA_9 = {
     (1729, "cert_large"): 40_871,
     (91, "cert_tight"): 6_822,
     (1729, "cert_tight"): 9_355,
+}
+POOL_BYTES_SCHEMA_10 = {
+    (91, "cert_large"): 20_616,
+    (1729, "cert_large"): 29_472,
+    (91, "cert_tight"): 5_405,
+    (1729, "cert_tight"): 7_154,
 }
 
 
@@ -112,7 +120,8 @@ def test_pool_certificate_passes(m0, workload):
         assert len(cert.checks) == CHECK_COUNT
         assert all(cert.checks.values()), (draw, cert.checks)
         text = certificate_to_json(cert)
-        assert len(text) == POOL_BYTES_SCHEMA_9[m0, workload], draw
+        assert len(text) == POOL_BYTES_SCHEMA_10[m0, workload], draw
+        assert len(schema9_json(cert)) == POOL_BYTES_SCHEMA_9[m0, workload]
         assert len(schema7_json(cert)) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)
         assert report.checks == cert.checks
@@ -123,6 +132,7 @@ def test_pool_certificate_passes(m0, workload):
         widest = max((c for rep in pairs for c in rep),
                      key=lambda c: abs(c).bit_length())
         assert widest.bit_length() < cert.m.bit_length()
+        assert cert.m == m0 * cert.Z**3
         manufactured.add(cert.m)
     # the index set follows the lattice, not the basis, so all four share
     # one m

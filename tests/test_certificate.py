@@ -43,6 +43,7 @@ from tests.conftest import (
     screen_tampered,
 )
 from tests.schema7_reference import schema7_json, schema8_doc
+from tests.schema9_reference import schema9_doc, schema9_json
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
 # certificate is derived must not change a byte of it.  Schema "4" is the
@@ -60,14 +61,19 @@ from tests.schema7_reference import schema7_json, schema8_doc
 # GOLDEN_SHA256 pins the document rendered in the "7" layout
 # (tests/schema7_reference.py), which spells out a, b and both verdicts
 # from each triple and d, so m, every triple and every divisor record are
-# pinned across both changes, and GOLDEN_SHA256_SCHEMA_9 pins the document
-# itself.
+# pinned across both changes.  Schema "10" stores Z where "9" stored
+# m = m0 Z^3: GOLDEN_SHA256_SCHEMA_9 pins the document rendered in the "9"
+# layout (tests/schema9_reference.py), which puts m back, and
+# GOLDEN_SHA256_SCHEMA_10 pins the document itself.
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
 GOLDEN_SHA256 = "840e74111a83bd2db28e20216b59d0789de905806fbd371264c282f2a9c8e913"
 GOLDEN_SHA256_SCHEMA_9 = (
     "b782797d608201231b721b982799c71f39129719194e56976b3fdb1a6989e99f"
+)
+GOLDEN_SHA256_SCHEMA_10 = (
+    "17d0afff38b251f30082cbd03c06c454e1cdbaa289e4056bf0d07b3f6b196894"
 )
 
 
@@ -88,8 +94,9 @@ def cert6_doc(cert6):
 
 class TestSerialization:
     def test_big_ints_as_strings(self, cert6_doc):
-        assert cert6_doc["m"] == hex(49244246842992972624000)
-        assert cert6_doc["m"] == "0xa6d89355c80175d7080"
+        # Z = 20171340 and m = 6 Z^3 = 49244246842992972624000
+        assert cert6_doc["Z"] == hex(20171340)
+        assert cert6_doc["Z"] == "0x133ca4c"
         assert cert6_doc["m0"] == "0x6"
         assert cert6_doc["generators"] == [["0x11", "0x25", "0x15"]]
         with lattice_entries(copy.deepcopy(cert6_doc)) as entries:
@@ -108,13 +115,13 @@ class TestSerialization:
             "hhat_bar",
             "constants",
             "lattice_points",
-            "m",
+            "Z",
             "bound_rhs",
         }
         # no stored check map and no stored representations: verify
         # derives every verdict afresh, and a consumer expands the pairs
         assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "9"
+        assert cert6_doc["schema_version"] == "10"
         # the lattice is named columns, one element per entry (r for index)
         assert list(cert6_doc["lattice_points"]) == [
             "index", "x", "y", "z", "d"
@@ -140,9 +147,15 @@ class TestSerialization:
         text = certificate_to_json(cert)
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()
-            == GOLDEN_SHA256_SCHEMA_9
+            == GOLDEN_SHA256_SCHEMA_10
         )
         _assert_json_fixed_point(text)
+        assert cert.m == 6 * cert.Z**3
+        as_schema_9 = schema9_json(cert)
+        assert (
+            hashlib.sha256(as_schema_9.encode("utf-8")).hexdigest()
+            == GOLDEN_SHA256_SCHEMA_9
+        )
         as_schema_7 = schema7_json(cert)
         assert (
             hashlib.sha256(as_schema_7.encode("utf-8")).hexdigest()
@@ -167,6 +180,7 @@ class TestSerialization:
         assert parsed.box_size == cert6.box_size
         assert parsed.generators == cert6.generators
         assert parsed.lattice_points == cert6.lattice_points
+        assert parsed.Z == cert6.Z
         assert parsed.m == cert6.m
         assert parsed.representations == cert6.representations
         assert parsed.constants.n_min == cert6.constants.n_min
@@ -460,8 +474,9 @@ class TestVerification:
         assert report.checks == verify_certificate(cert6_doc).checks
 
     def test_tampered_m(self, cert6_doc):
+        # m is m0 Z^3 of the stored Z, so a wrong Z is a wrong m
         doc = copy.deepcopy(cert6_doc)
-        doc["m"] = hex(int(doc["m"], 16) + 18)
+        doc["Z"] = hex(int(doc["Z"], 16) + 18)
         report = verify_certificate(doc)
         assert not report.checks["m_matches_product"]
         assert not report.checks["representation_identity"]
@@ -733,10 +748,10 @@ class TestIdentityProof:
         self, cfg6, gen6, monkeypatch
     ):
         # the identity follows from the lattice, m = m0 Z^3 and the formula:
-        # no pair is formed, and the stored m and triples are only compared
+        # no pair is formed, and the stored Z and triples are only compared
         cert = build_certificate(cfg6, [gen6], 4)
         counted = cert._replace(
-            m=CountingInt(cert.m),
+            Z=CountingInt(cert.Z),
             lattice_points=[
                 (idx, CubicPoint(*map(CountingInt, q.triple())))
                 for idx, q in cert.lattice_points
@@ -753,6 +768,28 @@ class TestIdentityProof:
         )
         assert all(checks.values())
         assert CountingInt.powers == 0
+
+    def test_no_step_raises_Z_to_a_power(self, monkeypatch):
+        # m = m0 Z^3 is read only through Certificate.m: build, write, parse
+        # and verify carry Z, derived and stored, as it is
+        def counted_tree(factors):
+            return CountingInt(math.prod(factors))
+
+        monkeypatch.setattr(construct, "product_tree", counted_tree)
+        monkeypatch.setattr(CountingInt, "powers", 0)
+        gens = [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)]
+        cert = build_certificate(CurveConfig(91), gens, 8, 1e-4)
+        assert cert.all_checks_pass and isinstance(cert.Z, CountingInt)
+        doc = json.loads(certificate_to_json(cert))
+        doc["Z"] = CountingInt(int(doc["Z"], 16))
+        parsed = parse_certificate(doc)
+        assert isinstance(parsed.Z, CountingInt)
+        report = verify_certificate(doc)
+        assert report.all_checks_pass and isinstance(report.Z, CountingInt)
+        assert CountingInt.powers == 0
+        # the one cube is Certificate.m's, on the consumer's read
+        assert report.m == 91 * int(report.Z) ** 3
+        assert CountingInt.powers == 1
 
     def test_swapped_representations_still_satisfy_the_identity(
         self, cfg6, gen6, monkeypatch
@@ -844,12 +881,12 @@ _EDGE_INTS = [0] + [
 
 
 def _assert_writes_hex(cert, n):
-    # n as m, in the header json.dumps writes, and as a lattice point and a
+    # n as Z, in the header json.dumps writes, and as a lattice point and a
     # divisor d, in the lattice columns: every one written as hex() writes it
     (idx, _), *points = cert.lattice_points
     text = certificate_to_json(
         cert._replace(
-            m=n,
+            Z=n,
             lattice_points=[(idx, CubicPoint(n, -n, n)), *points],
             divisors=[n, *cert.divisors[1:]],
         )
@@ -857,7 +894,7 @@ def _assert_writes_hex(cert, n):
     _assert_json_fixed_point(text)
     doc = json.loads(text)
     with lattice_entries(doc) as entries:
-        assert [doc["m"], *entries[0]["point"], entries[0]["d"]] == [
+        assert [doc["Z"], *entries[0]["point"], entries[0]["d"]] == [
             hex(n), hex(n), hex(-n), hex(n), hex(n)
         ]
 
@@ -1092,7 +1129,7 @@ class TestFormatErrors:
 
     def test_missing_key(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        del doc["m"]
+        del doc["Z"]
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -1135,15 +1172,27 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError, match=_refused_schema("8")):
             verify_certificate(schema8_doc(cert6))
 
+    def test_schema_9_is_refused(self, cert6):
+        # a "9" document stored m = m0 Z^3 in place of Z
+        with pytest.raises(CertificateFormatError, match=_refused_schema("9")):
+            verify_certificate(schema9_json(cert6))
+
+    def test_schema_9_with_the_version_changed_lacks_Z(self, cert6):
+        # its m is a key "10" does not name, so nothing stands for Z
+        doc = {**schema9_doc(cert6), "schema_version": "10"}
+        with pytest.raises(CertificateFormatError, match="missing Z"):
+            verify_certificate(doc)
+
     @pytest.mark.parametrize(
         "key", ["a", "b", "divisibility_pass", "bound_pass"]
     )
     @pytest.mark.parametrize("bad", ["0x01", 1, None])
     def test_leftover_divisor_column_is_never_read(self, cert6, key, bad):
-        # the "8" columns a, b and both verdicts are keys "9" does not name:
-        # what the "8" reader refused in them, a non-hex() string, an int
-        # among the verdicts or a null, the "9" reader never reads
-        doc = {**schema8_doc(cert6), "schema_version": "9"}
+        # the "8" columns a, b and both verdicts are keys "10" does not
+        # name: what the "8" reader refused in them, a non-hex() string, an
+        # int among the verdicts or a null, the "10" reader never reads
+        doc = certificate_to_dict(cert6)
+        doc["lattice_points"] = schema8_doc(cert6)["lattice_points"]
         assert list(doc["lattice_points"])[5:] == [
             "a", "b", "divisibility_pass", "bound_pass"
         ]
@@ -1165,7 +1214,7 @@ class TestFormatErrors:
 
     def test_bad_integer_string(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
-        doc["m"] = "49abc"
+        doc["Z"] = "49abc"
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -1222,9 +1271,19 @@ class TestFormatErrors:
             verify_certificate(json.dumps(doc))
 
     def test_zero_m(self, cert6_doc):
+        # m = m0 Z^3 is zero exactly when Z is
         doc = copy.deepcopy(cert6_doc)
-        doc["m"] = "0x0"
-        with pytest.raises(CertificateFormatError):
+        doc["Z"] = "0x0"
+        with pytest.raises(CertificateFormatError, match="Z must be positive"):
+            verify_certificate(doc)
+
+    @pytest.mark.parametrize("bad", ["-0x1", "-0x133ca4c", -(10**40)])
+    def test_negative_Z_is_refused(self, cert6_doc, bad):
+        # every z_n is positive, so their product is: a negative Z, which
+        # would stand for a negative m0 Z^3, is no product of the lattice
+        doc = copy.deepcopy(cert6_doc)
+        doc["Z"] = bad
+        with pytest.raises(CertificateFormatError, match="Z must be positive"):
             verify_certificate(doc)
 
     # d is the one divisor column left; it stays a parameter so that each
@@ -1264,7 +1323,7 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "path, missing, message",
         [
-            ((), ("m", "bound_rhs"), "certificate is missing bound_rhs, m"),
+            ((), ("Z", "bound_rhs"), "certificate is missing Z, bound_rhs"),
             (("constants",), ("n_min",), "constants is missing n_min"),
             pytest.param(("lattice_points",), ("d",),
                          "lattice_points is missing d", id="lattice-d"),
@@ -1311,9 +1370,10 @@ class TestFormatErrors:
         self, cert6_doc, sign, digits, refused
     ):
         # CPython's default int<->str limit, kept for JSON numbers: decimal
-        # conversion is quadratic, and 400,000 digits took over a second
+        # conversion is quadratic, and 400,000 digits took over a second.
+        # The literal is a lattice x, an integer of either sign
         doc = copy.deepcopy(cert6_doc)
-        doc["m"] = "LITERAL"
+        doc["lattice_points"]["x"][0] = "LITERAL"
         text = json.dumps(doc).replace('"LITERAL"', sign + "9" * digits)
         if refused:
             start = time.perf_counter()
@@ -1321,14 +1381,14 @@ class TestFormatErrors:
                 verify_certificate(text)
             assert time.perf_counter() - start < 0.5
         else:
-            assert not verify_certificate(text).checks["m_matches_product"]
+            assert not verify_certificate(text).checks["lattice_points_match"]
 
 
 def _refused_schema(version):
     # the refusal names the version read, the one this reader takes, and
     # how to get a document in it
     return re.escape(
-        f"unsupported schema_version '{version}': this reader takes \"9\"; "
+        f"unsupported schema_version '{version}': this reader takes \"10\"; "
         "rebuild the document with cubeforge construct"
     )
 
@@ -1391,9 +1451,10 @@ class TestMutationFuzz:
     @given(path=st.sampled_from(_leaf_paths(_FUZZ_DOC)), leaf=_HOSTILE_LEAVES)
     @example(path=("tol",), leaf=10**400)
     @example(path=("tol",), leaf=math.inf)
-    @example(path=("m",), leaf=0)
-    @example(path=("m",), leaf="49244246842992972624000")
-    @example(path=("m",), leaf=10**4300)
+    @example(path=("Z",), leaf=0)
+    @example(path=("Z",), leaf=-1)
+    @example(path=("Z",), leaf="20171340")
+    @example(path=("Z",), leaf=10**4300)
     def test_verifier_is_total(self, path, leaf):
         doc = copy.deepcopy(_FUZZ_DOC)
         _leaf_parent(doc, path)[path[-1]] = leaf

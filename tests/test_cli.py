@@ -366,7 +366,9 @@ class TestConstruct:
         assert rc == EXIT_CHECK_FAILED
         assert "theorem_preconditions" in err
         payload = json.loads(out_path.read_text())
-        assert payload["m"] == hex(49244246842992972624000)
+        # the document stores Z; m = 6 Z^3 = 49244246842992972624000
+        assert payload["Z"] == hex(20171340)
+        assert "m" not in payload
 
     def test_stdout_when_no_out(self, capsys, gen_file):
         rc, out, _ = run(
@@ -380,7 +382,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "9"
+        assert payload["schema_version"] == "10"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
@@ -406,7 +408,7 @@ class TestConstruct:
     def test_names_negated_generators(self, capsys, tmp_path, generators):
         # on m0=91 at N=8 construct neither reorders nor negates the pair:
         # it is stored as given, the stderr line names only the count, and
-        # the other order manufactures the same m
+        # the other order manufactures the same Z, so the same m
         def construct(gens):
             gen_path = tmp_path / "pool91.json"
             gen_path.write_text(json.dumps(gens))
@@ -425,7 +427,7 @@ class TestConstruct:
         assert stored["generators"] == [
             [hex(c) for c in g] for g in generators
         ]
-        assert construct(generators[::-1])["m"] == stored["m"]
+        assert construct(generators[::-1])["Z"] == stored["Z"]
 
     def test_stdout_is_the_document(self, capsys, tmp_path):
         # without --out stdout gets the bytes write_certificate writes
@@ -510,11 +512,11 @@ class TestVerify:
         assert rc == EXIT_OK
         payload = json.loads(out)
         assert payload["all_passed"] is True
-        # m0 and m are echoed in the certificate's hex encoding, linear to
-        # write
+        # m0 is echoed in the certificate's hex encoding, and m = m0 Z^3
+        # from the stored Z in the same encoding, linear to write
         stored = json.loads(open(cert4_path).read())
         assert payload["m0"] == stored["m0"]
-        assert payload["m"] == stored["m"]
+        assert payload["m"] == hex(6 * int(stored["Z"], 16) ** 3)
 
     def test_stdout_is_pinned(self, capsys, cert4_path):
         # key order, every check in CHECK_NAMES order, m in hex, all_passed
@@ -524,7 +526,7 @@ class TestVerify:
 
     def test_tampered_certificate(self, capsys, cert4_path, tmp_path):
         doc = json.loads(open(cert4_path).read())
-        doc["m"] = hex(int(doc["m"], 16) + 6)
+        doc["Z"] = hex(int(doc["Z"], 16) + 6)
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
         rc, out, _ = run(capsys, ["verify", "--cert", str(bad)])

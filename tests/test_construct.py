@@ -36,6 +36,7 @@ from cubeforge.construct import (
     height_factor,
     index_set,
     index_set_screen,
+    log_m,
     m_factor,
     product_tree,
     representations_from_lattice,
@@ -54,6 +55,7 @@ from tests.conftest import (
 from tests import loop_reference
 from tests.doubling_reference import lattice_height_bound_check
 from tests.schema7_reference import schema7_json
+from tests.schema9_reference import schema9_json
 
 ELKIES_M0 = 13293998056584952174157235
 
@@ -431,8 +433,9 @@ class TestLatticeGeneration:
 
     def test_representations_identity(self, cfg6, gen6):
         lattice = generate_lattice_points(cfg6, [gen6], line(2))
-        reps = representations_from_lattice(lattice)
-        m = cfg6.m0 * product_tree([q.z for _, q in lattice]) ** 3
+        z_total = product_tree([q.z for _, q in lattice])
+        reps = representations_from_lattice(lattice, z_total)
+        m = cfg6.m0 * z_total**3
         assert m == 6 * 20171340**3 == 49244246842992972624000
         assert reps == [(16329180, 35539980), (46992183, -37920183)]
         for x, y in reps:
@@ -738,7 +741,8 @@ class TestPerPointPasses:
 
 class TestExactChain:
     """chain_bound and final_inequality are one exact comparison,
-    log m < K N^(r+2) hhat_up, at the upper end of log m."""
+    log m < K N^(r+2) hhat_up, at the upper end of log m, read as
+    log |m0| + 3 log Z from the stored Z."""
 
     @pytest.mark.parametrize("step, holds", [(-1, False), (0, False), (1, True)])
     def test_decided_at_the_upper_end_of_log_m(self, cfg6, gen6, step, holds):
@@ -746,7 +750,7 @@ class TestExactChain:
         assert cert.all_checks_pass
         # K N^(r+2) = 16 * 4^3 = 1024, a power of two, so 1024 h is exact
         assert m_factor(1) * 4**3 == 1024
-        log_m_up = log_abs(cert.m).upper()
+        log_m_up = log_m(cert.m0, cert.Z).upper()
         h = log_m_up / 1024
         if step:
             h = math.nextafter(h, step * math.inf)
@@ -964,8 +968,9 @@ class TestOrientation:
 # sha256 of the m0=1729 documents at both benchmark (N, tol), built from
 # the pair as given: rendered in the schema "7" layout
 # (tests/schema7_reference.py), which pins every stored value across the
-# change to columns and the drop of a, b and the verdicts, and as the
-# schema "9" document itself
+# change to columns and the drop of a, b and the verdicts; in the schema "9"
+# layout (tests/schema9_reference.py), which pins m; and as the schema "10"
+# document itself
 _GIVEN_1729_SHA256 = {
     (12, 1e-3): "1b244d749f53f777db9248219c318d5fe6916f6fae07e0ee8e180ab39e375d01",
     (8, 1e-4): "6ea34d7ec63df1698a1cde7c07ac927b46c2094364a1216ebb17ec246a3bc0d3",
@@ -973,6 +978,10 @@ _GIVEN_1729_SHA256 = {
 _GIVEN_1729_SHA256_SCHEMA_9 = {
     (12, 1e-3): "709d1bd10a844cd19f1666d861d3532226c92f0b7b8b19be3fc7803b417385a8",
     (8, 1e-4): "fba0c5b6012291aadaf0871f1f7c6e619b9580079b05e01d1b17d787bf287731",
+}
+_GIVEN_1729_SHA256_SCHEMA_10 = {
+    (12, 1e-3): "86558ca0be9e42f2f429b32836457acce8b1b9cdbeb31592f861f6cf704d59b2",
+    (8, 1e-4): "63403a0493c0575df0947cd3797db59d31caf95b3e2243f3ed63b3add34c5467",
 }
 
 
@@ -1003,7 +1012,12 @@ class TestOrientedBuild:
         cert = build_certificate(cfg, list(_POOL_1729), box_size, tol)
         text = certificate_to_json(cert)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == _GIVEN_1729_SHA256_SCHEMA_9[box_size, tol]
+        assert digest == _GIVEN_1729_SHA256_SCHEMA_10[box_size, tol]
+        as_schema_9 = schema9_json(cert).encode("utf-8")
+        assert (
+            hashlib.sha256(as_schema_9).hexdigest()
+            == _GIVEN_1729_SHA256_SCHEMA_9[box_size, tol]
+        )
         as_schema_7 = schema7_json(cert).encode("utf-8")
         assert (
             hashlib.sha256(as_schema_7).hexdigest()

@@ -551,6 +551,20 @@ class TestPositivePivots:
         ]
         assert not heights.positive_definite(gram)
 
+    def test_pivots_on_the_largest_lower_end(self):
+        # every matrix inside is positive definite: only G_00 is an interval,
+        # and each leading minor is linear in it and positive at both ends.
+        # Eliminating on G_00 = [5.5, 6.5] first leaves a last pivot whose
+        # enclosure reaches below zero; pivoting on G_11 = 8 first certifies it
+        gram = _exact_matrix([[384, -320, -128], [-320, 512, 384],
+                              [-128, 384, 384]])
+        gram[0][0] = ApproxReal(6.0, 0.5)
+        for g00 in (Fraction(11, 2), Fraction(13, 2)):
+            exact = [[g00, -5, -2], [-5, 8, 6], [-2, 6, 6]]
+            for size in range(1, 4):
+                assert _exact_det([row[:size] for row in exact[:size]]) > 0
+        assert heights.positive_definite(gram)
+
     def test_input_is_left_as_it_was(self):
         gram = _exact_matrix([[128, 64], [64, 128]])
         before = [list(row) for row in gram]
