@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
             "m0": hex(cert.m0),
             "r": cert.rank,
             "N": cert.box_size,
-            "m": hex(cert.m),
+            "Z": hex(cert.Z),
             "checks": cert.checks,
             "all_passed": cert.all_checks_pass,
         }

@@ -58,7 +58,7 @@ from .curves import (
     on_cubic,
 )
 from .heights import independence
-from .numeric import ApproxReal, interval_max, log_abs, log_abs_sum
+from .numeric import ApproxReal, interval_max, log_abs
 
 _TWO_THIRDS = ApproxReal.from_ratio(2, 3)
 
@@ -521,20 +521,17 @@ def evaluate_checks(
     curve, x^3 + y^3 = m holds for each pair.  A document that fails one of
     those three checks fails the identity too, so nothing is cubed beyond
     the lattice and the work stays linear in the document.  Every bound
-    reads log m as log_m(m0, Z), log |m0| + 3 log Z, from the stored Z.
-    log_m_consistency meets it with log |m0| + 3 * log_abs_sum of the
-    derived z_n: one enclosure of the whole sum from two fsums, not an
-    interval per lattice point, and still from every z_n, so a wrong
-    lattice point shows even when Z is the product of some other z's.  The
+    reads log m as log_m(m0, Z), log |m0| + 3 log Z, from the stored Z, and
+    log_m_consistency meets it with log_m of the derived Z, the exact
+    product of the derived z_n, so no log is taken per lattice point.  The
     passes over the lattice are C-level maps over the x, y, z and d
     columns, each check still decided on its own: z^3 is formed once for
-    the curve equation and the bound.  lattice_on_curve and lattice_primitive stay as independent
-    exact checks of the lattice pass, at 0.12 and 0.10 ms of this
-    function's 0.43 ms at m0 = 91, N = 12 (CPython 3.11, 2-core VM, warm,
-    best of 7 x 50 calls).  chain_bound and final_inequality are one
-    exact comparison on the stored Z: the paper's inequality raised to the
-    power (r+2)/r is log m < K N^(r+2) hhat, decided in integers with the
-    floats log_m(m0, Z).upper() and hhat_bar.upper() read as their integer
+    the curve equation and the bound.  lattice_on_curve and
+    lattice_primitive stay as independent exact checks of the lattice
+    pass.  chain_bound and final_inequality are one exact comparison on
+    the stored Z: the paper's inequality raised to the power (r+2)/r is
+    log m < K N^(r+2) hhat, decided in integers with the floats
+    log_m(m0, Z).upper() and hhat_bar.upper() read as their integer
     ratios.  Returns the full check map in CHECK_NAMES order.  A lattice
     collision or a height interval touching zero ends it early with the
     remaining checks false.
@@ -606,8 +603,9 @@ def evaluate_checks(
     ) and constants._replace(z_constant=z_stored) == cert.constants
 
     log_m_stored = log_m(cfg.m0, cert.Z)
-    log_m_from_parts = log_abs(cfg.m0) + log_abs_sum(zs) * 3
-    checks["log_m_consistency"] = log_m_stored.intersects(log_m_from_parts)
+    checks["log_m_consistency"] = log_m_stored.intersects(
+        log_m(cfg.m0, derived.Z)
+    )
 
     checks["theorem_preconditions"] = cert.box_size >= constants.n_min
     # log m < K N^(r+2) hhat_up, with log m's upper end a/b and hhat_up = p/q

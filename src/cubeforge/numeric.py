@@ -14,24 +14,12 @@ recognised, by curves.CubicPoint.from_triple alone.
 
 Each interval rule is one function on a value and a radius, returning
 the two floats: _ratio_parts (from_ratio), _endpoint_parts
-(from_endpoints), _lower and _upper (lower, upper), _log_parts (log),
-_widen (the outward step of addition, multiplication and log_abs_sum) and
-_log_abs_parts (log_abs).  The ApproxReal methods wrap them, and a loop
-that would form an interval per iteration calls them directly and forms
-one interval at its end, with bit for bit the same value and radius: the
-Tate series of heights._good_height does so per term.
-
-A long sum of enclosures is formed without an interval per term
-(log_abs_sum): the term values are summed by one math.fsum and the term
-radii by another.  fsum rounds the exact sum of its floats once, to
-nearest (Shewchuk, "Adaptive precision floating-point arithmetic and fast
-robust geometric predicates", DCG 18, 1997), so each total is off by at
-most half an ulp of itself.  The true sum then lies within the exact radius
-sum of the exact value sum, and the one widening by two ulps of
-|value| + radius, the rule of every interval addition here, covers both
-half-ulp roundings and the rounding of the widening itself.  So the
-radius is the term radii's sum plus a few ulps, where the same sum added
-term by term widens at every step.
+(from_endpoints), _lower and _upper (lower, upper), _log_parts (log) and
+_widen (the outward step of addition and multiplication).  The ApproxReal
+methods wrap them, and a loop that would form an interval per iteration
+calls them directly and forms one interval at its end, with bit for bit
+the same value and radius: the Tate series of heights._good_height does
+so per term.
 
 Decimal text from outside the program (a JSON number, a point coordinate,
 an integer option, a decimal literal's mantissa or exponent) becomes an int
@@ -359,22 +347,6 @@ def interval_max(a: ApproxReal, b: ApproxReal) -> ApproxReal:
     )
 
 
-def _log_abs_parts(n: int) -> tuple[float, float]:
-    """The value and radius of log_abs(n), as two floats."""
-    if n == 0:
-        raise ValueError("log_abs(0) is undefined")
-    a = abs(n)
-    if a == 1:
-        return 0.0, 0.0
-    nb = a.bit_length()
-    if nb <= 53:
-        v = math.log(a)
-        return v, 4.0 * math.ulp(v)
-    shift = nb - 53
-    v = math.log(a >> shift) + shift * _LN2
-    return v, 2.0**-52 + 1.5e-14 + abs(v) * 1e-15
-
-
 def log_abs(n: int) -> ApproxReal:
     """Natural log of |n| for a nonzero integer of any size.
 
@@ -382,21 +354,15 @@ def log_abs(n: int) -> ApproxReal:
     the top 53 bits carry the mantissa and the rest contributes at most
     2**-52 through the truncated remainder.
     """
-    return ApproxReal(*_log_abs_parts(n))
-
-
-def log_abs_sum(ints) -> ApproxReal:
-    """Enclosure of the sum of log |n| over nonzero integers, in one pass.
-
-    Each term's value and radius are log_abs's; the values and the radii
-    are each summed by one math.fsum and widened once (see the module
-    docstring), so no interval is formed per term.  The empty sum encloses
-    0; a zero entry is a ValueError.
-    """
-    values = []
-    radii = []
-    for n in ints:
-        v, r = _log_abs_parts(n)
-        values.append(v)
-        radii.append(r)
-    return _outward(math.fsum(values), math.fsum(radii))
+    if n == 0:
+        raise ValueError("log_abs(0) is undefined")
+    a = abs(n)
+    if a == 1:
+        return ApproxReal(0.0, 0.0)
+    nb = a.bit_length()
+    if nb <= 53:
+        v = math.log(a)
+        return ApproxReal(v, 4.0 * math.ulp(v))
+    shift = nb - 53
+    v = math.log(a >> shift) + shift * _LN2
+    return ApproxReal(v, 2.0**-52 + 1.5e-14 + abs(v) * 1e-15)

@@ -287,6 +287,46 @@ def test_criterion_7_oracle_ground_truth():
     )
 
 
+# the certified m whose census is exactly the lattice's N^r representations
+# and their swaps, with m's decimal digits: 41 at m0=91, N=3, up to 65 at
+# m0=6, N=3
+_ORDERED_COUNT_CASES = [
+    (91, ((-5, 6, 1), (3, 4, 1)), 2, 7),
+    (91, ((-5, 6, 1), (3, 4, 1)), 3, 41),
+    (1729, ((1, 12, 1), (9, 10, 1)), 2, 9),
+    (657, ((-7, 10, 1), (7, 17, 2), (-2890, 2971, 147)), 2, 42),
+    (6, ((17, 37, 21),), 3, 65),
+]
+
+
+def test_criterion_7_ordered_count_is_twice_the_lattice():
+    # the oracle counts exactly 2 N^r ordered pairs of each m: every
+    # certified representation and its swap, and nothing else
+    start = time.monotonic()
+    for m0, generators, box_size, digits in _ORDERED_COUNT_CASES:
+        cert = build_certificate(
+            CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size
+        )
+        assert len(str(abs(cert.m))) == digits, m0
+        census = count_reps(cert.m)
+        assert census.ordered_count == 2 * box_size**cert.rank, m0
+        for x, y in cert.representations:
+            assert (x, y) in census.pairs and (y, x) in census.pairs
+    # N = 1 certifies one representation of m = 91 = 3^3 + 4^3, and the
+    # census also finds 6^3 + (-5)^3: the certificate bounds the count
+    # from below, it does not give it
+    cert = build_certificate(
+        CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 1
+    )
+    assert cert.m == 91
+    assert count_reps(cert.m).ordered_count == 4
+    elapsed = time.monotonic() - start
+    print(
+        f"criterion 7 PASS: ordered counts are 2 N^r on"
+        f" {len(_ORDERED_COUNT_CASES)} certified m, {elapsed:.2f}s"
+    )
+
+
 def test_criterion_8_corollary_arithmetic(capsys):
     start = time.monotonic()
     rc = cli_main(

@@ -45,13 +45,17 @@ def cert4_path(tmp_path_factory, gen_file):
     return str(path)
 
 
+# m = 6 Z^3 of the m0=6, (17, 37, 21), N=4 certificate, pinned through the
+# Z that verify reports
+CERT4_M = "0x6835303c1568c666fd163654817a3ce620aa2fc3e7af0d697c4e65883cc69d12d2f2c914b076c98710a73d06da2a3daef7d0da42edf2314610000"
+
 # `cubeforge verify` on the m0=6, (17, 37, 21), N=4 certificate
 VERIFY_CERT4_STDOUT = """\
 {
   "m0": "0x6",
   "r": 1,
   "N": 4,
-  "m": "0x6835303c1568c666fd163654817a3ce620aa2fc3e7af0d697c4e65883cc69d12d2f2c914b076c98710a73d06da2a3daef7d0da42edf2314610000",
+  "Z": "0x686902cdfcf686410bd123ac6417fad08008260",
   "checks": {
     "generators_on_curve": true,
     "generators_primitive": true,
@@ -512,17 +516,20 @@ class TestVerify:
         assert rc == EXIT_OK
         payload = json.loads(out)
         assert payload["all_passed"] is True
-        # m0 is echoed in the certificate's hex encoding, and m = m0 Z^3
-        # from the stored Z in the same encoding, linear to write
+        # m0 and Z are echoed in the certificate's hex encoding; m = m0 Z^3
+        # is never formed
         stored = json.loads(open(cert4_path).read())
         assert payload["m0"] == stored["m0"]
-        assert payload["m"] == hex(6 * int(stored["Z"], 16) ** 3)
+        assert payload["Z"] == stored["Z"]
+        assert "m" not in payload
 
     def test_stdout_is_pinned(self, capsys, cert4_path):
-        # key order, every check in CHECK_NAMES order, m in hex, all_passed
+        # key order, every check in CHECK_NAMES order, Z in hex, all_passed
         rc, out, _ = run(capsys, ["verify", "--cert", cert4_path])
         assert rc == EXIT_OK
         assert out == VERIFY_CERT4_STDOUT
+        # so m itself is pinned too
+        assert hex(6 * int(json.loads(out)["Z"], 16) ** 3) == CERT4_M
 
     def test_tampered_certificate(self, capsys, cert4_path, tmp_path):
         doc = json.loads(open(cert4_path).read())

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -49,6 +50,7 @@ from tests.conftest import (
     KNOWN_GENERATORS,
     M4253,
     chosen_indices,
+    lattice_entries,
     line,
     pool_draws,
 )
@@ -655,22 +657,41 @@ class TestDerivedOnce:
 class TestPerPointPasses:
     """Each pass over the lattice does only that point's arithmetic."""
 
-    def test_log_m_consistency_reads_every_z(self):
-        # one lattice point doubled, the stored m kept: m still matches the
-        # stored product, so only a check that reads every derived z_n,
-        # not Z, can see it
-        cfg = CurveConfig(91)
-        cert = build_certificate(cfg, list(_POOL_91), 8)
-        screen = construct._generator_checks(cfg, cert.generators)
-        assert evaluate_checks(cfg, cert, screen, True, cert) == cert.checks
-        lattice = list(cert.lattice_points)
-        idx, q = lattice[-1]
-        assert q.z > 1
-        lattice[-1] = (idx, cubic_add(cfg, q, q))
-        derived = cert._replace(lattice_points=lattice)
-        checks = evaluate_checks(cfg, cert, screen, True, derived)
-        assert checks["m_matches_product"]
-        assert not checks["log_m_consistency"]
+    @pytest.mark.parametrize(
+        "tamper, expected",
+        [
+            ("doubled-point", {"lattice_points_match": False,
+                               "m_matches_product": True,
+                               "log_m_consistency": True}),
+            ("Z-doubled", {"m_matches_product": False,
+                           "log_m_consistency": False}),
+            ("Z-plus-one", {"m_matches_product": False,
+                            "log_m_consistency": True}),
+        ],
+        ids=["doubled-point", "Z-doubled", "Z-plus-one"],
+    )
+    def test_log_m_consistency_on_a_tampered_document(self, tamper, expected):
+        # log_m_consistency meets log m of the stored Z with log m of the
+        # derived Z, the product of the derived z_n: a wrong lattice point
+        # with Z kept shows in lattice_points_match, a wrong Z in
+        # m_matches_product, and only a Z off by more than the enclosures'
+        # width in log_m_consistency too
+        cert = build_certificate(CurveConfig(91), list(_POOL_91), 8)
+        doc = json.loads(certificate_to_json(cert))
+        if tamper == "doubled-point":
+            q = cert.lattice_points[-1][1]
+            assert q.z > 1
+            with lattice_entries(doc) as lattice:
+                lattice[-1]["point"] = list(
+                    map(hex, cubic_add(CurveConfig(91), q, q))
+                )
+        elif tamper == "Z-doubled":
+            doc["Z"] = hex(cert.Z * 2)
+        else:
+            doc["Z"] = hex(cert.Z + 1)
+        checks = verify_certificate(json.dumps(doc)).checks
+        assert list(checks) == list(CHECK_NAMES)
+        assert {k: checks[k] for k in expected} == expected
 
     @pytest.mark.parametrize(
         "tamper, on_curve, primitive",
@@ -686,16 +707,10 @@ class TestPerPointPasses:
              "zero"],
     )
     def test_lattice_checks_are_the_per_point_rules(
-        self, tamper, on_curve, primitive, monkeypatch
+        self, tamper, on_curve, primitive
     ):
         # the column passes against on_cubic and is_primitive point by
-        # point, on a derived lattice with one point replaced; a z = 0
-        # point would end log_m_consistency's log of every z, which this
-        # test leaves out
-        original = construct.log_abs_sum
-        monkeypatch.setattr(
-            construct, "log_abs_sum", lambda zs: original(filter(None, zs))
-        )
+        # point, on a derived lattice with one point replaced
         cfg = CurveConfig(91)
         cert = build_certificate(cfg, list(_POOL_91), 8)
         screen = construct._generator_checks(cfg, cert.generators)
@@ -715,25 +730,32 @@ class TestPerPointPasses:
         )
 
     def test_interval_count_does_not_grow_with_the_lattice(self, monkeypatch):
-        # the heights and the constants form a fixed number of intervals;
-        # the passes over the N^r points form none
+        # the heights and the constants form a fixed number of intervals
+        # and take a fixed number of logs; the passes over the N^r points
+        # form and take none
         count = Counter()
         original = ApproxReal.__init__
+        original_log = math.log
 
         def counting(self, *args):
             count["intervals"] += 1
             original(self, *args)
 
+        def counting_log(*args):
+            count["logs"] += 1
+            return original_log(*args)
+
         monkeypatch.setattr(ApproxReal, "__init__", counting)
+        monkeypatch.setattr(math, "log", counting_log)
         built, verified = [], []
         for box_size in (8, 12, 16):
             count.clear()
             cert = build_certificate(CurveConfig(91), list(_POOL_91), box_size)
-            built.append(count["intervals"])
+            built.append((count["intervals"], count["logs"]))
             document = certificate_to_json(cert)
             count.clear()
             report = verify_certificate(document)
-            verified.append(count["intervals"])
+            verified.append((count["intervals"], count["logs"]))
             assert cert.all_checks_pass and report.all_checks_pass
         assert len(set(built)) == 1, built
         assert len(set(verified)) == 1, verified

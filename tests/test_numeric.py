@@ -14,7 +14,6 @@ from cubeforge.numeric import (
     icbrt,
     interval_max,
     log_abs,
-    log_abs_sum,
     read_decimal,
 )
 
@@ -118,47 +117,6 @@ class TestLogAbs:
         n = 7**100000
         a = log_abs(n)
         assert a.radius <= 1e-12 * a.value
-
-
-nonzero_ints = st.one_of(
-    st.sampled_from([1, -1]),
-    st.integers(-(2**53), 2**53),
-    st.integers(-(10**300), 10**300),
-).filter(bool)
-
-
-class TestLogAbsSum:
-    @given(st.lists(nonzero_ints, min_size=1, max_size=40))
-    @settings(max_examples=200)
-    def test_encloses_and_no_wider_than_termwise(self, ns):
-        a = log_abs_sum(ns)
-        with mpmath.workdps(120):
-            true = mpmath.fsum(mpmath.log(abs(n)) for n in ns)
-            assert mpmath.mpf(a.lower()) <= true <= mpmath.mpf(a.upper())
-        assert a.radius <= sum(log_abs(n) for n in ns).radius
-
-    @given(nonzero_ints)
-    def test_one_term_has_log_abs_value(self, n):
-        a = log_abs_sum([n])
-        assert a.value == log_abs(n).value
-        assert log_abs(n).radius <= a.radius <= sum([log_abs(n)]).radius
-
-    def test_huge_term(self):
-        ns = [7**100000, -3, 10**300, 1, -(2**53)]
-        a = log_abs_sum(ns)
-        with mpmath.workdps(120):
-            true = mpmath.fsum(mpmath.log(abs(n)) for n in ns)
-            assert mpmath.mpf(a.lower()) <= true <= mpmath.mpf(a.upper())
-        assert a.radius <= sum(log_abs(n) for n in ns).radius
-        assert a.radius <= 1e-12 * a.value
-
-    def test_empty_sum_contains_zero(self):
-        assert log_abs_sum([]).contains(0.0)
-        assert log_abs_sum(iter(())).contains(0.0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            log_abs_sum([5, 0, 7])
 
 
 fractions_st = st.fractions(
