@@ -62,8 +62,6 @@ from .numeric import ApproxReal, interval_max, log_abs
 
 _TWO_THIRDS = ApproxReal.from_ratio(2, 3)
 
-_BOX_SIZE_CAP = 1_000_000
-
 
 class GeneratorDependenceError(Exception):
     """The supplied generators fail a certified independence requirement."""
@@ -150,56 +148,42 @@ class ChainConstants(
     __slots__ = ()
 
 
-def minimal_box_size(cfg: CurveConfig, rank: int, hhat_bar: ApproxReal) -> int:
+def minimal_box_size(z_constant: ApproxReal, hhat_bar: ApproxReal) -> int:
     """Smallest N whose index set absorbs the curve constants.
 
-    N must satisfy c <= N^2 hhat and log |m0| <= N^(r+2) hhat, both decided
-    exactly in integers at the lower end of hhat and the upper ends of c
-    and log |m0|, each float read as its as_integer_ratio.  Both sides
-    grow with N, so N is found by doubling to a box that absorbs the
-    constants and bisecting below it: O(log N) exact comparisons, none
-    with a box more than twice the answer.
+    N must satisfy c <= N^2 hhat and log |m0| <= N^(r+2) hhat, decided at
+    the lower end h = p/q of hhat and the upper end cn/cd of c, each float
+    read as its as_integer_ratio.  The first is N^2 >= k with
+    k = ceil(cn q / (cd p)), so N = isqrt(k - 1) + 1; k >= 1 since c > 0.
+    The second follows from the first.  z_constant encloses
+    c = (2/3) h(b) + 5.92 + (2/3) log 3 + 3 log |m0|, and h(b) = log |b| > 0,
+    so c.upper() >= c >= 3 log |m0| + 5.92.  log_abs(m0).upper() exceeds
+    log |m0| >= 0 by at most twice its radius and an ulp, under
+    1e-13 + 3e-15 log |m0|, so it lies below c.upper().  Hence
+    N^(r+2) h >= N^2 h >= c.upper() > log_abs(m0).upper() for every rank
+    r >= 0, and no rank is needed.
     """
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
     h_low = hhat_bar.lower()
     if h_low <= 0.0:
         raise ValueError(
             "minimal box size needs a height interval bounded away from zero"
         )
-    # n^k h < a/b, with h = p/q, is n^k p b < a q
     p, q = h_low.as_integer_ratio()
-    cn, cd = z_size_constant(cfg).upper().as_integer_ratio()
-    ln, ld = log_abs(cfg.m0).upper().as_integer_ratio()
-
-    def absorbs(n: int) -> bool:
-        return n * n * p * cd >= cn * q and n ** (rank + 2) * p * ld >= ln * q
-
-    high = 1
-    while not absorbs(high):
-        if high == _BOX_SIZE_CAP:
-            raise RuntimeError("minimal box size exceeds the supported range")
-        high = min(2 * high, _BOX_SIZE_CAP)
-    # high // 2 does not absorb them (0 stands below 1)
-    low = high // 2
-    while high - low > 1:
-        mid = (low + high) // 2
-        if absorbs(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    cn, cd = z_constant.upper().as_integer_ratio()
+    k = -(-cn * q // (cd * p))
+    return math.isqrt(k - 1) + 1
 
 
 def chain_constants(
     cfg: CurveConfig, rank: int, hhat_bar: ApproxReal
 ) -> ChainConstants:
+    z_constant = z_size_constant(cfg)
     return ChainConstants(
         height_factor=height_factor(rank),
         z_factor=z_factor(rank),
         m_factor=m_factor(rank),
-        z_constant=z_size_constant(cfg),
-        n_min=minimal_box_size(cfg, rank, hhat_bar),
+        z_constant=z_constant,
+        n_min=minimal_box_size(z_constant, hhat_bar),
     )
 
 
@@ -578,9 +562,10 @@ def evaluate_checks(
     # m = m0 Z^3 on both sides, so equal m is equal Z
     checks["m_matches_product"] = cert.Z == derived.Z
     # the representations are (Z/z_n)(x_n, y_n), expanded from the stored
-    # triples, so the four checks on them read the triples
-    stored = list(map(itemgetter(1), cert.lattice_points))
-    checks["representations_match_formula"] = stored == points
+    # triples, so the four checks on them read the triples; the derived
+    # lattice runs over the stored indices, so it equals the stored one
+    # exactly when the triples do
+    checks["representations_match_formula"] = checks["lattice_points_match"]
     # the three checks prove the identity: each z_n is nonzero and divides
     # Z = prod z_n, so ((Z/z_n) x_n)^3 + ((Z/z_n) y_n)^3 = m0 Z^3 = m
     checks["representation_identity"] = (
@@ -590,6 +575,7 @@ def evaluate_checks(
     )
     # derived triples are primitive with z > 0, so distinct triples give
     # distinct pairs
+    stored = list(map(itemgetter(1), cert.lattice_points))
     checks["representations_distinct"] = len(set(stored)) == len(stored)
     checks["representation_count"] = len(stored) == cert.box_size**rank
 

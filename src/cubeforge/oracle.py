@@ -29,6 +29,7 @@ however many z it scans.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from itertools import count
 from math import gcd, isqrt
 
@@ -45,6 +46,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 # rho steps multiplied together between two gcds
 _RHO_BATCH = 128
+# count_reps runs its kernel once per cube divisor g (g^3 | m) and refuses
+# an m with more than this many: the m of the m0 = 1729, N = 3 certificate
+# (62 digits, 16,128 of them) takes about 1 s, and the cube of
+# 2 * 3 * ... * 61 (70 digits, 2^18 of them) would take over 30 s
+# (CPython 3.11, one core)
+CUBE_DIVISOR_BUDGET = 1 << 14
 
 
 class RepCensus(
@@ -255,24 +262,27 @@ def _coprime_pairs(
 
 def _cube_divisors(
     factors: dict[int, int]
-) -> list[tuple[int, dict[int, int]]]:
-    """Each g >= 1 with g^3 | n, with the factorization of n / g^3.
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield each g >= 1 with g^3 | n, with the factorization of n / g^3.
 
-    factors is the factorization of n; the first entry is (1, factors), the
-    dict itself, so callers must not mutate what they get.
+    factors is the factorization of n.  A depth-first walk multiplies g by
+    one prime at a time, never by one that comes before the last it used,
+    so each g comes once.  Its stack holds about omega(n) entries for each
+    prime factor of g, counted with multiplicity, not all prod(e_p // 3 + 1)
+    entries.  The first entry is (1, factors), the dict itself, so callers
+    must not mutate what they get.
     """
-    found = [(1, factors)]
-    for p, e in factors.items():
-        if e < 3:
-            continue
-        for g, rest in found[:]:
-            for k in range(1, e // 3 + 1):
+    stack = [(1, factors, list(factors))]
+    while stack:
+        g, rest, primes = stack.pop()
+        yield g, rest
+        for i, p in enumerate(primes):
+            if rest.get(p, 0) >= 3:
                 left = dict(rest)
-                left[p] -= 3 * k
+                left[p] -= 3
                 if not left[p]:
                     del left[p]
-                found.append((g * p**k, left))
-    return found
+                stack.append((g * p, left, primes[i:]))
 
 
 def count_reps(m: int) -> RepCensus:
@@ -280,16 +290,27 @@ def count_reps(m: int) -> RepCensus:
 
     A solution with gcd(x, y) = g is g times a coprime solution for m / g^3,
     so the census factors m once and runs the coprime kernel _coprime_pairs
-    on m / g^3 for every g with g^3 | m.
+    on m / g^3 for every g with g^3 | m.  Their number, prod(e // 3 + 1)
+    over the exponents of m, is read off the factorization first, and an m
+    with more than CUBE_DIVISOR_BUDGET of them is a ValueError.
     """
     if m == 0:
         raise ValueError(
             "m = 0 has the infinite family (t, -t); census is undefined"
         )
+    factors = factorize(m)
+    divisors = 1
+    for e in factors.values():
+        divisors *= e // 3 + 1
+    if divisors > CUBE_DIVISOR_BUDGET:
+        raise ValueError(
+            f"m has {divisors:,} cube divisors, past the census budget of "
+            f"{CUBE_DIVISOR_BUDGET:,}"
+        )
     bound = icbrt(4 * abs(m))[0]
     pairs = []
     tried = 0
-    for g, rest in _cube_divisors(factorize(m)):
+    for g, rest in _cube_divisors(factors):
         # icbrt(4 |m| / g^3) = floor(cbrt(4 |m|) / g) = bound // g
         found, n = _coprime_pairs(m // g**3, rest, bound // g)
         for x, y in found:
@@ -317,7 +338,7 @@ def search_points(cfg: CurveConfig, zmax: int) -> list[CubicPoint]:
     if zmax < 1:
         raise ValueError("zmax must be at least 1")
     m0 = cfg.m0
-    cube_divisors = _cube_divisors(factorize(m0))
+    cube_divisors = list(_cube_divisors(factorize(m0)))
     found = []
     for z in range(1, zmax + 1):
         z_factors = factorize(z)

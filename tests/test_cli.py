@@ -584,6 +584,31 @@ class TestCount:
         assert rc == EXIT_INVALID_INPUT
         assert "infinite family" in err
 
+    @pytest.mark.parametrize("which", ["m0=91,N=4", "primorial-61-cubed"])
+    def test_past_the_budget_refused(self, capsys, which):
+        # the m of the m0 = 91, N = 4 certificate has 17,694,720 cube
+        # divisors and (2 * 3 * ... * 61)^3 has 2^18, both past the budget
+        if which == "m0=91,N=4":
+            cert = build_certificate(
+                CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 4
+            )
+            m, divisors = str(cert.m), "17,694,720"
+        else:
+            m = (
+                "1613485171766425360438651451902506476925609794419195008385"
+                "535091783000"
+            )
+            divisors = "262,144"
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["count", "--m", m])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == (
+            f"error: m has {divisors} cube divisors, past the census budget"
+            " of 16,384\n"
+        )
+
 
 class TestCertifyCorollary:
     ARGS = [

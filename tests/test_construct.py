@@ -206,8 +206,9 @@ def _stepped_absorbs(cfg, rank, hhat_bar, n):
 
 
 def _stepped_box_size(cfg, rank, hhat_bar):
-    """The step loop minimal_box_size ran before it bisected, kept as the
-    reference: the first n from 1 up that absorbs the constants."""
+    """The step loop minimal_box_size ran before it bisected and then took
+    its closed form, kept as the reference: the first n from 1 up that
+    absorbs both constants."""
     n = 1
     while not _stepped_absorbs(cfg, rank, hhat_bar, n):
         n += 1
@@ -217,56 +218,62 @@ def _stepped_box_size(cfg, rank, hhat_bar):
 class TestMinimalBoxSize:
     def test_m0_six(self, cfg6, gen6):
         h = canonical_height(cfg6, gen6, 1e-3)
-        assert minimal_box_size(cfg6, 1, h) == 4
+        assert minimal_box_size(z_size_constant(cfg6), h) == 4
 
     def test_requires_positive_height(self, cfg6):
-        from cubeforge.numeric import ApproxReal, log_abs
-
         with pytest.raises(ValueError):
-            minimal_box_size(cfg6, 1, ApproxReal(0.001, 0.01))
+            minimal_box_size(z_size_constant(cfg6), ApproxReal(0.001, 0.01))
 
     def test_decided_exactly(self, cfg6):
         # the float 25 h rounds up to the upper end of c, while the exact
         # product stays below it: N = 5 does not absorb c, N = 6 does
         h = 0.7384926513838569
-        c_up = z_size_constant(cfg6).upper()
+        c = z_size_constant(cfg6)
+        c_up = c.upper()
         assert 25 * h == c_up
         p, q = h.as_integer_ratio()
         a, b = c_up.as_integer_ratio()
         assert 25 * p * b < a * q <= 36 * p * b
-        assert minimal_box_size(cfg6, 1, ApproxReal(h, 0.0)) == 6
+        assert minimal_box_size(c, ApproxReal(h, 0.0)) == 6
 
     @settings(max_examples=150, deadline=None)
     @given(
         m0=st.sampled_from([6, 91, 1729]),
-        rank=st.integers(1, 4),
+        rank=st.integers(1, 11),
         value=st.floats(1e-5, 1e3),
         relative=st.floats(0.0, 0.5),
     )
-    def test_bisection_matches_the_step_loop(self, m0, rank, value, relative):
+    def test_closed_form_matches_the_step_loop(self, m0, rank, value, relative):
+        # the step loop decides both conditions, so this also checks that
+        # c <= N^2 hhat implies log |m0| <= N^(r+2) hhat
         cfg = CurveConfig(m0)
         hhat_bar = ApproxReal(value, value * relative)
-        assert minimal_box_size(cfg, rank, hhat_bar) == _stepped_box_size(
-            cfg, rank, hhat_bar
-        )
+        assert minimal_box_size(
+            z_size_constant(cfg), hhat_bar
+        ) == _stepped_box_size(cfg, rank, hhat_bar)
 
-    def test_cap_is_reached_without_stepping(self, cfg6):
-        # the step loop took about half a second to get here
+    def test_tiny_height_answers_at_once(self, cfg6):
+        # the doubling search stopped at a cap of 10^6 here; N is about
+        # 10^151, far past any box the step loop could reach
+        h = ApproxReal(1e-300, 0.0)
         start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="exceeds the supported range"):
-            minimal_box_size(cfg6, 2, ApproxReal(1e-300, 0.0))
+        n = minimal_box_size(z_size_constant(cfg6), h)
         assert time.perf_counter() - start < 0.01
+        assert _stepped_absorbs(cfg6, 2, h, n)
+        assert not _stepped_absorbs(cfg6, 2, h, n - 1)
 
     def test_answer_at_the_cap(self, cfg6):
-        # the largest N the cap allows is returned, one more is refused
-        c_up = z_size_constant(cfg6).upper()
-        at_cap = ApproxReal(c_up / 10**12, 0.0)
+        # 10^6 was the largest N the doubling search returned; one more
+        # is now an answer too
+        c = z_size_constant(cfg6)
+        at_cap = ApproxReal(c.upper() / 10**12, 0.0)
         assert _stepped_absorbs(cfg6, 1, at_cap, 10**6)
         assert not _stepped_absorbs(cfg6, 1, at_cap, 10**6 - 1)
-        assert minimal_box_size(cfg6, 1, at_cap) == 10**6
-        below_cap = ApproxReal(c_up / 10**12 * (1 - 1e-6), 0.0)
-        with pytest.raises(RuntimeError):
-            minimal_box_size(cfg6, 1, below_cap)
+        assert minimal_box_size(c, at_cap) == 10**6
+        below_cap = ApproxReal(c.upper() / 10**12 * (1 - 1e-6), 0.0)
+        assert _stepped_absorbs(cfg6, 1, below_cap, 10**6 + 1)
+        assert not _stepped_absorbs(cfg6, 1, below_cap, 10**6)
+        assert minimal_box_size(c, below_cap) == 10**6 + 1
 
     def test_chain_constants_bundle(self, cfg6, gen6):
         h = canonical_height(cfg6, gen6, 1e-3)
@@ -594,7 +601,7 @@ class TestChainOnTheIndexSet:
         gram, _ = heights.independence(cfg, gens, tol)
         hhat_bar = max((gram[i][i].ldexp(-1) for i in range(rank)),
                        key=lambda h: h.upper())
-        assert box_size >= minimal_box_size(cfg, rank, hhat_bar)
+        assert box_size >= minimal_box_size(z_size_constant(cfg), hhat_bar)
         lattice = generate_lattice_points(
             cfg, gens, index_set(gram, box_size)
         )

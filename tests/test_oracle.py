@@ -12,6 +12,7 @@ bases, and numbers past the range where Miller-Rabin alone decides.
 
 import ast
 import random
+import time
 from math import gcd, isqrt, prod
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from cubeforge import (
     CubicPoint,
     CurveConfig,
+    build_certificate,
     count_reps,
     icbrt,
     search_points,
@@ -188,6 +190,66 @@ class TestCountReps:
             (231518, 331954),
         )
         assert all(x**3 + y**3 == TA5 for x, y in census.pairs)
+
+
+# (2 * 3 * ... * 61)^3: 70 digits with 2^18 cube divisors
+PRIMORIAL_61_CUBED = prod(oracle._primes_below(62)) ** 3
+
+
+def _certificate_m(box_size):
+    cert = build_certificate(
+        CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], box_size
+    )
+    return cert.m
+
+
+class TestCensusBudget:
+    """count_reps counts the cube divisors before it runs the kernel."""
+
+    def test_cube_divisors_are_yielded(self):
+        factors = factorize(2**7 * 5**3 * 7**2 * 11**6)
+        entries = oracle._cube_divisors(factors)
+        assert iter(entries) is entries
+        entries = list(entries)
+        assert len(entries) == 3 * 2 * 1 * 3
+        assert entries[0] == (1, factors)
+        assert len({g for g, _ in entries}) == len(entries)
+        n = prod(p**e for p, e in factors.items())
+        for g, rest in entries:
+            assert g**3 * prod(p**e for p, e in rest.items()) == n
+            assert 0 not in rest.values()
+
+    def test_certificate_m_within_the_budget(self):
+        # the 41-digit m of m0 = 91 at N = 3 still counts: 9 representations
+        # and their swaps
+        m = _certificate_m(3)
+        exponents = factorize(m).values()
+        assert prod(e // 3 + 1 for e in exponents) == 3072
+        assert count_reps(m).ordered_count == 18
+
+    @pytest.mark.parametrize(
+        "make_m, divisors",
+        [(lambda: _certificate_m(4), "17,694,720"),
+         (lambda: PRIMORIAL_61_CUBED, "262,144")],
+        ids=["m0=91,N=4", "primorial-61-cubed"],
+    )
+    def test_refused_at_once(self, make_m, divisors):
+        m = make_m()
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            count_reps(m)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            f"m has {divisors} cube divisors, past the census budget of 16,384"
+        )
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # 1000 = 2^3 5^3 has the cube divisors 1, 2, 5 and 10
+        monkeypatch.setattr(oracle, "CUBE_DIVISOR_BUDGET", 4)
+        assert count_reps(1000).pairs == ((0, 10), (10, 0))
+        monkeypatch.setattr(oracle, "CUBE_DIVISOR_BUDGET", 3)
+        with pytest.raises(ValueError, match="4 cube divisors"):
+            count_reps(1000)
 
 
 class TestKernelAgreement:
