@@ -17,10 +17,8 @@ from .certificate import (
 )
 from .construct import (
     Certificate,
-    ChainConstants,
     GeneratorDependenceError,
     build_certificate,
-    chain_constants,
     density_constant,
     generate_lattice_points,
     minimal_box_size,

@@ -1,22 +1,27 @@
 """Machine-checkable certificate files.
 
-A certificate is a JSON document that pins every input and every claimed
-output of one construction run, and nothing else: the same Certificate
-always serializes to the same bytes, with a fixed key order and approximate
-reals as value/radius pairs.  Schema "10" stores the lattice triples with
-their indices and Z, the product of their z's, but neither m nor the N^r
-representations: m = m0 Z^3 and each pair (Z/z_n)(x_n, y_n) are pure
-functions of the triples, which Certificate.m and
-Certificate.representations form for a consumer.  The lattice runs over
-the N^r indices of least height that build chose (construct.index_set),
-with the generators as given; verify screens the stored indices
-(construct.index_set_screen) and never chooses them again.  The lattice is
-stored as named columns, not one object per entry: ``index`` holds the r
-integers of each entry in turn, and ``x``, ``y``, ``z`` and ``d`` one
-element per entry, d being gcd(12 m0 z, x + y).  A "9" document, which
-stored m in place of Z, is refused, as are older ones; Z must be positive,
-as the product of positive z's is.  Keys the schema does not name, such as
-the ``a``, ``b`` and verdict columns of "8", a stray ``m`` or
+A certificate is a JSON document that pins every input of one
+construction run and the lattice it claims, and nothing that verify
+derives: the same Certificate always serializes to the same bytes, with a
+fixed key order and approximate reals as value/radius pairs.  Schema "11"
+stores the inputs (m0, r, N, tol and the generators), hhat_bar, the lattice
+triples with their indices, and Z, the product of their z's.  It stores
+neither m nor the N^r representations: m = m0 Z^3 and each pair
+(Z/z_n)(x_n, y_n) are pure functions of the triples, which Certificate.m
+and Certificate.representations form for a consumer.  Nor does it store
+what verify computes afresh from those fields: the divisor record
+d = gcd(12 m0 z, x + y) of each triple, the chain constants, which are
+functions of m0, r and hhat_bar, and the representation bound.  The lattice
+runs over the N^r indices of least height that build chose
+(construct.index_set), with the generators as given; verify screens the
+stored indices (construct.index_set_screen) and never chooses them again.
+The lattice is stored as named columns, not one object per entry:
+``index`` holds the r integers of each entry in turn, and ``x``, ``y`` and
+``z`` one element per entry.  A "10" document, which also stored the d
+column, the constants and bound_rhs, is refused, as are older ones; Z must
+be positive, as the product of positive z's is.  Keys the schema does not
+name, such as a stale ``d`` column, ``constants`` or ``bound_rhs``, the
+``a``, ``b`` and verdict columns of "8", a stray ``m`` or
 ``representations`` or the ``generated_at`` of older writers, are
 ignored.
 
@@ -48,7 +53,7 @@ key but ``lattice_points``, goes through json.dumps.  Each lattice column
 is one join (``'","'.join(map(hex, column))`` for the integers) filled into
 a fixed template, because a hex() string needs no JSON escaping, while
 json.dumps scans every string for escapes even in its C encoder.  A
-schema-"10" document is tens of kilobytes, so write_certificate writes that
+schema-"11" document is tens of kilobytes, so write_certificate writes that
 one string.  The reader is json.loads, so any whitespace and key order
 parse the same: an indented document verifies to the same checks, and
 ``python -m json.tool`` pretty-prints one.
@@ -61,7 +66,6 @@ from itertools import chain, repeat
 
 from .construct import (
     Certificate,
-    ChainConstants,
     _columns,
     checked_box_size,
     checked_tol,
@@ -71,7 +75,7 @@ from .construct import (
 from .curves import CubicPoint, CurveConfig
 from .numeric import ApproxReal, read_decimal
 
-SCHEMA_VERSION = "10"
+SCHEMA_VERSION = "11"
 
 
 class CertificateFormatError(Exception):
@@ -87,12 +91,10 @@ def _interval_to_json(a: ApproxReal) -> dict:
 _LATTICE_SLOT = '"lattice_points":{}'
 
 # the lattice's columns in document order: index holds r JSON integers per
-# entry, x, y, z and d one hex() string each; every %s is filled by one
-# join, and nothing in it needs escaping
-_LATTICE_COLUMNS = ("index", "x", "y", "z", "d")
-_LATTICE_TEMPLATE = (
-    '"lattice_points":{"index":[%s],"x":%s,"y":%s,"z":%s,"d":%s}'
-)
+# entry, x, y and z one hex() string each; every %s is filled by one join,
+# and nothing in it needs escaping
+_LATTICE_COLUMNS = ("index", "x", "y", "z")
+_LATTICE_TEMPLATE = '"lattice_points":{"index":[%s],"x":%s,"y":%s,"z":%s}'
 
 
 def _hex_array(ints) -> str:
@@ -119,16 +121,8 @@ def certificate_to_json(cert: Certificate) -> str:
                 [hex(p.x), hex(p.y), hex(p.z)] for p in cert.generators
             ],
             "hhat_bar": _interval_to_json(cert.hhat_bar),
-            "constants": {
-                "height_factor": hex(cert.constants.height_factor),
-                "z_factor": hex(cert.constants.z_factor),
-                "m_factor": hex(cert.constants.m_factor),
-                "z_constant": _interval_to_json(cert.constants.z_constant),
-                "n_min": cert.constants.n_min,
-            },
             "lattice_points": {},
             "Z": hex(cert.Z),
-            "bound_rhs": _interval_to_json(cert.bound_rhs),
         },
         separators=(",", ":"),
     )
@@ -136,7 +130,7 @@ def certificate_to_json(cert: Certificate) -> str:
     indices, points = _columns(cert.lattice_points, 2)
     lattice = _LATTICE_TEMPLATE % (
         ",".join(map(str, chain.from_iterable(indices))),
-        *map(_hex_array, (*_columns(points, 3), cert.divisors)),
+        *map(_hex_array, _columns(points, 3)),
     )
     return f"{head}{lattice}{tail}\n"
 
@@ -237,11 +231,8 @@ def _as_ints(values: list, what: str) -> list:
 
 _REQUIRED_KEYS = frozenset((
     "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
-    "constants", "lattice_points", "Z", "bound_rhs",
+    "lattice_points", "Z",
 ))
-_CONSTANTS_KEYS = frozenset(
-    ("height_factor", "z_factor", "m_factor", "z_constant", "n_min")
-)
 _LATTICE_KEYS = frozenset(_LATTICE_COLUMNS)
 
 
@@ -289,15 +280,6 @@ def parse_certificate(document: str | dict) -> Certificate:
     if rank != len(generators):
         raise _fail("r must equal the number of generators")
 
-    constants_raw = _as_record(data["constants"], "constants", _CONSTANTS_KEYS)
-    constants = ChainConstants(
-        height_factor=_as_int(constants_raw["height_factor"], "height_factor"),
-        z_factor=_as_int(constants_raw["z_factor"], "z_factor"),
-        m_factor=_as_int(constants_raw["m_factor"], "m_factor"),
-        z_constant=_as_interval(constants_raw["z_constant"], "z_constant"),
-        n_min=_as_int(constants_raw["n_min"], "n_min"),
-    )
-
     # every column's length is checked before any is converted, and each
     # is then read in one pass: the records are built by C-level maps, with
     # no Python call per entry
@@ -316,7 +298,6 @@ def parse_certificate(document: str | dict) -> Certificate:
             map(tuple.__new__, repeat(CubicPoint), zip(x, y, z)),
         )
     )
-    divisors = _as_ints(columns["d"], "divisor d")
 
     z_total = _as_int(data["Z"], "Z")
     if z_total <= 0:
@@ -330,10 +311,7 @@ def parse_certificate(document: str | dict) -> Certificate:
         generators=generators,
         hhat_bar=_as_interval(data["hhat_bar"], "hhat_bar"),
         lattice_points=lattice_points,
-        divisors=divisors,
         Z=z_total,
-        constants=constants,
-        bound_rhs=_as_interval(data["bound_rhs"], "bound_rhs"),
         checks={},
     )
 

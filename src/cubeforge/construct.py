@@ -16,11 +16,11 @@ pairs: Certificate.m forms m0 Z^3 and Certificate.representations expands
 the pairs from Z (representations_from_lattice) for a consumer on demand,
 and build, write and verify never raise Z to a power.  The exact claim
 m = m0 Z^3 is the comparison of the stored Z with the derived product, and
-every bound on log m reads log |m0| + 3 log Z.  The certificate also
-records d = gcd(12 m0 z, x + y) for every lattice point,
-one integer from which evaluate_checks decides the paper's two divisor
-lemmas, and the height bookkeeping that bounds log m and yields the final
-density inequality
+every bound on log m reads log |m0| + 3 log Z.  The certificate records
+nothing else that the lattice and the inputs determine: evaluate_checks
+computes d = gcd(12 m0 z, x + y) of every lattice point, from which it
+decides the paper's two divisor lemmas, and the height bookkeeping that
+bounds log m and yields the final density inequality
 N^r > (K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)).  That bookkeeping uses
 only |n_i| <= N and the count N^r, so it holds for any such I as for the
 paper's box [1..N]^r.
@@ -31,13 +31,14 @@ height (index_set), which depends on the lattice and not on the order or
 signs of the generators, and records the generators as given.  Rank 1 is
 the paper's [1..N].
 
-One record, Certificate, carries a run.  derive_lattice computes everything
-the inputs (m0, generators, Gram matrix, indices, N, tol) determine and
-returns it as a Certificate with no checks.  build_certificate runs
-independence once, chooses I from its Gram matrix, runs derive_lattice and
-fills in the checks; the verifier screens the stored indices
-(index_set_screen), runs independence and derive_lattice over them, never
-choosing again, and compares field by field.
+One record, Certificate, carries a run: the inputs, hhat_bar, the lattice
+and Z.  derive_lattice computes the lattice and Z from the inputs
+(m0, generators, Gram matrix, indices, N, tol) and returns them as a
+Certificate with no checks.  build_certificate runs independence once,
+chooses I from its Gram matrix, runs derive_lattice and fills in the
+checks; the verifier screens the stored indices (index_set_screen), runs
+independence and derive_lattice over them, never choosing again, and
+compares field by field.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ def divisor_records(cfg: CurveConfig, points: list[CubicPoint]) -> list[int]:
     """d = gcd(12 m0 z, x + y) of each affine point, in order.
 
     12 m0 depends on the curve alone, so it is formed once for all the
-    points, and the gcds are one map over the coordinate columns.  The
-    cofactors 12 m0 z / d and (x + y) / d are not stored: a consumer
-    divides for them.  A point with z = 0 is a ValueError.
+    points, and the gcds are one map over the coordinate columns.  No d is
+    stored: evaluate_checks computes them from the derived triples, and a
+    consumer divides for the cofactors 12 m0 z / d and (x + y) / d.  A
+    point with z = 0 is a ValueError.
     """
     xs, ys, zs = _columns(points, 3)
     if 0 in zs:
@@ -134,20 +136,6 @@ def m_factor(rank: int) -> int:
     return 9 * 2 ** (rank + 1) - 20
 
 
-class ChainConstants(
-    namedtuple(
-        "ChainConstants",
-        "height_factor z_factor m_factor z_constant n_min",
-    )
-):
-    """Rank-dependent constants of the construction, plus the minimal box.
-
-    z_constant is an ApproxReal; the other fields are ints.
-    """
-
-    __slots__ = ()
-
-
 def minimal_box_size(z_constant: ApproxReal, hhat_bar: ApproxReal) -> int:
     """Smallest N whose index set absorbs the curve constants.
 
@@ -174,19 +162,6 @@ def minimal_box_size(z_constant: ApproxReal, hhat_bar: ApproxReal) -> int:
     return math.isqrt(k - 1) + 1
 
 
-def chain_constants(
-    cfg: CurveConfig, rank: int, hhat_bar: ApproxReal
-) -> ChainConstants:
-    z_constant = z_size_constant(cfg)
-    return ChainConstants(
-        height_factor=height_factor(rank),
-        z_factor=z_factor(rank),
-        m_factor=m_factor(rank),
-        z_constant=z_constant,
-        n_min=minimal_box_size(z_constant, hhat_bar),
-    )
-
-
 def density_constant(rank: int, hhat_bar: ApproxReal) -> ApproxReal:
     """(K2 * hhat)^(-r/(r+2)), the constant of the representation bound."""
     if rank < 1:
@@ -204,17 +179,6 @@ def log_m(m0: int, z_total: int) -> ApproxReal:
     """An enclosure of log |m| for m = m0 Z^3, without forming m: the sum
     log |m0| + 3 log |Z|, one log_abs each."""
     return log_abs(m0) + log_abs(z_total) * 3
-
-
-def representation_bound(
-    rank: int, hhat_upper: float, m0: int, z_total: int
-) -> ApproxReal:
-    """(K2 * hhat)^(-r/(r+2)) * (log m)^(r/(r+2)) for m = m0 Z^3, using the
-    height upper end and log_m."""
-    if abs(m0) == 1 and z_total == 1:
-        return ApproxReal(0.0, 0.0)
-    scale = density_constant(rank, ApproxReal.exact(hhat_upper))
-    return scale * log_m(m0, z_total).pow_ratio(rank, rank + 2)
 
 
 def index_set(
@@ -393,17 +357,18 @@ CHECK_NAMES = (
 class Certificate(
     namedtuple(
         "Certificate",
-        "m0 rank box_size tol generators hhat_bar lattice_points "
-        "divisors Z constants bound_rhs checks",
+        "m0 rank box_size tol generators hhat_bar lattice_points Z checks",
     )
 ):
     """One run of the construction: what build returns and verify rechecks.
 
-    generators is a list of CubicPoint, lattice_points a list of
-    (index tuple, CubicPoint) pairs, divisors the int d = gcd(12 m0 z, x + y)
-    of each lattice point in order (divisor_records), Z the product of the
-    lattice's z's, hhat_bar and bound_rhs are ApproxReal, and checks maps
-    each name in CHECK_NAMES to its verdict.  derive_lattice and
+    The inputs m0, rank, box_size, tol and generators (a list of
+    CubicPoint); hhat_bar, the ApproxReal largest generator height;
+    lattice_points, a list of (index tuple, CubicPoint) pairs; Z, the
+    product of the lattice's z's; and checks, which maps each name in
+    CHECK_NAMES to its verdict.  Everything else the run claims, the
+    divisor records, the chain constants and the representation bound, is
+    a function of these, and the checks derive it.  derive_lattice and
     parse_certificate leave checks an empty dict of its own;
     build_certificate and verify_certificate fill it in.
     """
@@ -440,33 +405,24 @@ def derive_lattice(
     box_size: int,
     tol: float,
 ) -> Certificate:
-    """The certificate the generators and their Gram matrix determine.
+    """The certificate the generators and their Gram matrix determine: the
+    lattice over the given indices and Z, the product of its z's.
 
     hhat_bar is read off the Gram diagonal, which holds 2 hhat(P_i):
-    halving is exact, so no height is computed twice.  The fields after
-    ``hhat_bar`` are None when two lattice combinations collide or one is
-    the identity; ``constants`` and ``bound_rhs`` are None also when the
-    height interval is not bounded away from zero.
+    halving is exact, so no height is computed twice.  The lattice and Z
+    are None when two lattice combinations collide or one is the identity.
     """
     rank = len(generators)
     hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
-    divisors = z_total = constants = bound_rhs = None
     try:
         lattice = generate_lattice_points(cfg, generators, indices)
     except GeneratorDependenceError:
-        lattice = None
+        lattice = z_total = None
     else:
-        points = [q for _, q in lattice]
-        divisors = divisor_records(cfg, points)
-        z_total = product_tree([q.z for q in points])
-        if hhat_bar.lower() > 0.0:
-            constants = chain_constants(cfg, rank, hhat_bar)
-            bound_rhs = representation_bound(
-                rank, hhat_bar.upper(), cfg.m0, z_total
-            )
+        z_total = product_tree([q.z for _, q in lattice])
     return Certificate(
         cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
-        divisors, z_total, constants, bound_rhs, {},
+        z_total, {},
     )
 
 
@@ -493,9 +449,9 @@ def evaluate_checks(
     of independence on them, and ``derived`` is derive_lattice over its Gram
     matrix and the stored indices.  Each stored value is compared with its
     derived counterpart; nothing is derived again.  The two divisor lemmas
-    are decided on the derived d's and triples, with 5184 m0^2 and
-    9 * 12^6 * |m0|^15 formed once per call: d^3 | 5184 m0^2 (x + y) and
-    d^6 < 9 * 12^6 * |m0|^15 * z^3; the stored d's are only compared.
+    are decided on the d's of the derived triples (divisor_records), with
+    5184 m0^2 and 9 * 12^6 * |m0|^15 formed once per call:
+    d^3 | 5184 m0^2 (x + y) and d^6 < 9 * 12^6 * |m0|^15 * z^3.
     Neither m = m0 Z^3 nor a representation (Z/z_n)(x_n, y_n) is formed:
     m_matches_product compares the stored Z with the derived product of the
     z_n exactly, which is m = m0 Z^3, and the four representation checks
@@ -512,11 +468,16 @@ def evaluate_checks(
     columns, each check still decided on its own: z^3 is formed once for
     the curve equation and the bound.  lattice_on_curve and
     lattice_primitive stay as independent exact checks of the lattice
-    pass.  chain_bound and final_inequality are one exact comparison on
-    the stored Z: the paper's inequality raised to the power (r+2)/r is
-    log m < K N^(r+2) hhat, decided in integers with the floats
-    log_m(m0, Z).upper() and hhat_bar.upper() read as their integer
-    ratios.  Returns the full check map in CHECK_NAMES order.  A lattice
+    pass.  The chain constants are m_factor(r) and n_min, computed here
+    from m0, r and the derived hhat_bar.  chain_bound and final_inequality
+    are one exact comparison on the stored Z: the paper's inequality raised
+    to the power (r+2)/r is log m < K N^(r+2) hhat, decided in integers
+    with the floats log_m(m0, Z).upper() and hhat_bar.upper() read as their
+    integer ratios.  The document stores no d, no constant and no bound, so
+    the three checks that compared stored copies, divisor_records_match,
+    constants_match and bound_rhs_match, are the verdicts of the checks
+    that carry their claims: lattice_points_match, heights_match and the
+    chain.  Returns the full check map in CHECK_NAMES order.  A lattice
     collision or a height interval touching zero ends it early with the
     remaining checks false.
     """
@@ -531,7 +492,6 @@ def evaluate_checks(
     checks["lattice_points_match"] = lattice == cert.lattice_points
     points = list(map(itemgetter(1), lattice))
     xs, ys, zs = _columns(points, 3)
-    divisors = derived.divisors
     repeat = itertools.repeat
     z_cubes = list(map(pow, zs, repeat(3)))
     # x^3 + y^3 = m0 z^3 and (x, y, z) != (0, 0, 0), as on_cubic decides it
@@ -545,19 +505,24 @@ def evaluate_checks(
         map(eq, map(math.gcd, xs, ys, zs), repeat(1))
     ) and (min(zs, default=1) > 0 or all(map(is_primitive, points)))
 
-    # the lemmas on the derived d's: x + y = d b, so d^2 | 5184 m0^2 b iff
+    # the lemmas are the paper's for affine points, which are all that
+    # derive_lattice gives: x + y = d b, so d^2 | 5184 m0^2 b iff
     # d^3 | 5184 m0^2 d b = 5184 m0^2 (x + y); and the paper's
     # d < 3^(1/3) 12 |m0|^(5/2) z^(1/2) is d^6 < 9 * 12^6 * |m0|^15 * z^3
-    square = 5184 * cfg.m0**2
-    bound = 9 * 12**6 * abs(cfg.m0) ** 15
-    numerators = map(mul, repeat(square), map(add, xs, ys))
-    checks["divisor_divisibility"] = not any(
-        map(mod, numerators, map(pow, divisors, repeat(3)))
-    )
-    checks["divisor_bound"] = all(
-        map(lt, map(pow, divisors, repeat(6)), map(mul, repeat(bound), z_cubes))
-    )
-    checks["divisor_records_match"] = divisors == cert.divisors
+    if 0 not in zs:
+        divisors = divisor_records(cfg, points)
+        square = 5184 * cfg.m0**2
+        bound = 9 * 12**6 * abs(cfg.m0) ** 15
+        numerators = map(mul, repeat(square), map(add, xs, ys))
+        checks["divisor_divisibility"] = not any(
+            map(mod, numerators, map(pow, divisors, repeat(3)))
+        )
+        checks["divisor_bound"] = all(
+            map(lt, map(pow, divisors, repeat(6)),
+                map(mul, repeat(bound), z_cubes))
+        )
+    # no d is stored: each is gcd(12 m0 z, x + y) of its triple
+    checks["divisor_records_match"] = checks["lattice_points_match"]
 
     # m = m0 Z^3 on both sides, so equal m is equal Z
     checks["m_matches_product"] = cert.Z == derived.Z
@@ -579,27 +544,26 @@ def evaluate_checks(
     checks["representations_distinct"] = len(set(stored)) == len(stored)
     checks["representation_count"] = len(stored) == cert.box_size**rank
 
-    constants = derived.constants
-    if constants is None:
+    if derived.hhat_bar.lower() <= 0.0:
         return checks
-    # every field equal, except that the z_constant intervals need only meet
-    z_stored = cert.constants.z_constant
-    checks["constants_match"] = constants.z_constant.intersects(
-        z_stored
-    ) and constants._replace(z_constant=z_stored) == cert.constants
+    # the constants are functions of m0, r and the derived hhat_bar, which
+    # heights_match meets with the stored one
+    checks["constants_match"] = checks["heights_match"]
 
     log_m_stored = log_m(cfg.m0, cert.Z)
     checks["log_m_consistency"] = log_m_stored.intersects(
         log_m(cfg.m0, derived.Z)
     )
 
-    checks["theorem_preconditions"] = cert.box_size >= constants.n_min
+    n_min = minimal_box_size(z_size_constant(cfg), derived.hhat_bar)
+    checks["theorem_preconditions"] = cert.box_size >= n_min
     # log m < K N^(r+2) hhat_up, with log m's upper end a/b and hhat_up = p/q
     a, b = log_m_stored.upper().as_integer_ratio()
     p, q = derived.hhat_bar.upper().as_integer_ratio()
-    chain = a * q < constants.m_factor * cert.box_size ** (rank + 2) * p * b
-    checks["chain_bound"] = checks["final_inequality"] = chain
-    checks["bound_rhs_match"] = derived.bound_rhs.intersects(cert.bound_rhs)
+    chain = a * q < m_factor(rank) * cert.box_size ** (rank + 2) * p * b
+    # the bound (K hhat)^(-r/(r+2)) (log m)^(r/(r+2)) < N^r is the chain
+    for name in ("chain_bound", "bound_rhs_match", "final_inequality"):
+        checks[name] = chain
     return checks
 
 

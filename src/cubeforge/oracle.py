@@ -21,8 +21,10 @@ m / g^3, and for coprime x, y the sum s and q share no prime but 3, so each
 prime power of m other than 3's goes wholly into s or wholly into q
 (_coprime_pairs has the proof).  So one kernel tests at most
 2^omega(m / g^3) sums for each g with g^3 | m, not every divisor of m up to
-icbrt(4 |m|).  search_points runs the same kernel on (m0 / g^3) z^3, with
-its factorization assembled from those of m0 and z, so m0 is factored once
+icbrt(4 |m|).  census_work adds those up from the exponents of m alone,
+and count_reps refuses an m past CENSUS_BUDGET before the kernel runs.
+search_points runs the same kernel on (m0 / g^3) z^3, with its
+factorization assembled from those of m0 and z, so m0 is factored once
 however many z it scans.
 """
 
@@ -46,12 +48,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 # rho steps multiplied together between two gcds
 _RHO_BATCH = 128
-# count_reps runs its kernel once per cube divisor g (g^3 | m) and refuses
-# an m with more than this many: the m of the m0 = 1729, N = 3 certificate
-# (62 digits, 16,128 of them) takes about 1 s, and the cube of
-# 2 * 3 * ... * 61 (70 digits, 2^18 of them) would take over 30 s
-# (CPython 3.11, one core)
-CUBE_DIVISOR_BUDGET = 1 << 14
+# count_reps refuses an m whose census_work exceeds this: the m of the
+# m0 = 1729, N = 3 certificate (62 digits, work 6,839,568) counts in about
+# 2 s, and the squarefree product of the first 28 primes other than 3
+# (44 digits, work 2^28 + 1) would take over 10 s (CPython 3.11, one core)
+CENSUS_BUDGET = 1 << 23
 
 
 class RepCensus(
@@ -165,16 +166,15 @@ def _prime_or_factor(n: int) -> int | None:
     return None
 
 
-def factorize(n: int) -> dict[int, int]:
-    """The prime factorization {p: e} of |n|, n nonzero; every p is proved.
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """Trial division of n >= 1 by the primes below _TRIAL_LIMIT.
 
-    Trial division takes the primes below _TRIAL_LIMIT.  What is left has no
-    prime factor below it, so a cofactor under _TRIAL_LIMIT^2 is prime and a
-    larger one is split by Brent's rho until each part is proved prime.
+    Returns the factorization found and the cofactor left, which is 1 or
+    at least _TRIAL_LIMIT^2 with no prime factor below _TRIAL_LIMIT.  What
+    the loop leaves below _TRIAL_LIMIT^2 is prime and goes into the
+    factorization: it has no prime factor below the last p tried, and when
+    the loop stopped early it is below that p's square.
     """
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    n = abs(n)
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -182,6 +182,18 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             n //= p
             factors[p] = factors.get(p, 0) + 1
+    if 1 < n < _TRIAL_LIMIT**2:
+        factors[n] = 1
+        n = 1
+    return factors, n
+
+
+def _split_cofactor(factors: dict[int, int], n: int) -> dict[int, int]:
+    """factors with the primes of the cofactor n of _trial_division added.
+
+    Brent's rho splits n until each part is proved prime; a part below
+    _TRIAL_LIMIT^2 has no prime factor below _TRIAL_LIMIT, so it is prime.
+    """
     pending = [n] if n > 1 else []
     while pending:
         c = pending.pop()
@@ -191,6 +203,50 @@ def factorize(n: int) -> dict[int, int]:
         else:
             pending += (d, c // d)
     return factors
+
+
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of |n|, n nonzero; every p is proved.
+
+    Trial division takes the primes below _TRIAL_LIMIT, and Brent's rho
+    splits what is left.
+    """
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    return _split_cofactor(*_trial_division(abs(n)))
+
+
+def census_work(factors: dict[int, int]) -> int:
+    """W, the work of count_reps on an m with this factorization.
+
+    W is the number of cube divisors g (g^3 | m) plus, summed over them,
+    the sums x + y the kernel forms for m / g^3 before its |s| <= bound
+    cut: none when v_3(m / g^3) = 1, else 2 to the number of primes other
+    than 3 left in m / g^3 (_coprime_pairs).  g runs over prod p^k_p with
+    k_p <= e_p // 3, so the sum is a product over the primes: for p != 3
+    the factor sum_k (2 - [e_p = 3 k_p]) = 2 (e_p // 3 + 1) - [3 | e_p],
+    and for 3 the number of k_3 with e_3 - 3 k_3 != 1.  Every factor for a
+    prime other than 3 is at least 1 and does not fall as e_p grows, so W
+    only grows as such primes are added; 3's exponent is final after
+    trial division.
+    """
+    divisors = sums = 1
+    for p, e in factors.items():
+        divisors *= e // 3 + 1
+        if p == 3:
+            sums *= e // 3 + 1 - (e % 3 == 1)
+        else:
+            sums *= 2 * (e // 3 + 1) - (e % 3 == 0)
+    return divisors + sums
+
+
+def _within_budget(factors: dict[int, int]) -> None:
+    work = census_work(factors)
+    if work > CENSUS_BUDGET:
+        raise ValueError(
+            f"the census of m takes at least {work:,} steps, past the "
+            f"census budget of {CENSUS_BUDGET:,}"
+        )
 
 
 def _coprime_pairs(
@@ -290,23 +346,20 @@ def count_reps(m: int) -> RepCensus:
 
     A solution with gcd(x, y) = g is g times a coprime solution for m / g^3,
     so the census factors m once and runs the coprime kernel _coprime_pairs
-    on m / g^3 for every g with g^3 | m.  Their number, prod(e // 3 + 1)
-    over the exponents of m, is read off the factorization first, and an m
-    with more than CUBE_DIVISOR_BUDGET of them is a ValueError.
+    on m / g^3 for every g with g^3 | m.  An m whose census_work exceeds
+    CENSUS_BUDGET is a ValueError.  The work is checked on the trial
+    division part first: Brent's rho only adds primes above _TRIAL_LIMIT,
+    which never lower it, so an m past the budget is refused before rho
+    runs, and checked again on the whole factorization.
     """
     if m == 0:
         raise ValueError(
             "m = 0 has the infinite family (t, -t); census is undefined"
         )
-    factors = factorize(m)
-    divisors = 1
-    for e in factors.values():
-        divisors *= e // 3 + 1
-    if divisors > CUBE_DIVISOR_BUDGET:
-        raise ValueError(
-            f"m has {divisors:,} cube divisors, past the census budget of "
-            f"{CUBE_DIVISOR_BUDGET:,}"
-        )
+    factors, cofactor = _trial_division(abs(m))
+    _within_budget(factors)
+    factors = _split_cofactor(factors, cofactor)
+    _within_budget(factors)
     bound = icbrt(4 * abs(m))[0]
     pairs = []
     tried = 0

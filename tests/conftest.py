@@ -63,7 +63,7 @@ def _pool_document_n2() -> str:
 @contextmanager
 def lattice_entries(doc: dict):
     """The lattice columns of a certificate document as one mutable record
-    per entry, {"index": [r ints], "point": [x, y, z], "d"}, written back
+    per entry, {"index": [r ints], "point": [x, y, z]}, written back
     as columns on exit.
 
     A tamper addresses one entry, as a per-entry layout would: change a
@@ -76,7 +76,6 @@ def lattice_entries(doc: dict):
         {
             "index": columns["index"][k * rank:(k + 1) * rank],
             "point": [columns[key][k] for key in "xyz"],
-            "d": columns["d"][k],
         }
         for k in range(len(columns["z"]))
     ]
@@ -84,7 +83,6 @@ def lattice_entries(doc: dict):
     columns["index"] = [n for entry in entries for n in entry["index"]]
     for i, key in enumerate("xyz"):
         columns[key] = [entry["point"][i] for entry in entries]
-    columns["d"] = [entry["d"] for entry in entries]
 
 
 def screen_tampered(name) -> dict:

@@ -5,13 +5,15 @@ same values as columns; schema "9" keeps of each divisor record only d.
 Both older layouts also stored the cofactors a = 12 m0 z / d and
 b = (x + y) / d and the two verdicts, which divisor_record spells out from
 the entry's triple and d.  schema7_json renders a Certificate in the "7"
-layout, with the header of the "9" writer (tests/schema9_reference.py),
-so the hashes and lengths pinned on "7" documents still pin m, every
-triple and every divisor record.
+layout, with the header of the "9" writer (tests/schema9_reference.py)
+and the d's of tests/schema10_reference.py, so the hashes and lengths
+pinned on "7" documents still pin m, every triple and every divisor
+record.
 """
 
 import json
 
+from tests.schema10_reference import divisors
 from tests.schema9_reference import schema9_doc
 
 
@@ -30,7 +32,7 @@ def divisor_record(m0: int, q, d: int) -> dict:
 def _records(cert) -> list:
     return [
         divisor_record(cert.m0, q, d)
-        for (_, q), d in zip(cert.lattice_points, cert.divisors)
+        for (_, q), d in zip(cert.lattice_points, divisors(cert))
     ]
 
 

@@ -1,15 +1,16 @@
 """The schema "9" document, kept as a reference rendering for the tests.
 
-Schema "9" stored m = m0 Z^3 under "m", where "10" stores Z under "Z" in
+Schema "9" stored m = m0 Z^3 under "m", where "10" stored Z under "Z" in
 the same place, and enclosed the log m of bound_rhs as log_abs(m), where
-"10" reads log |m0| + 3 log Z.  schema9_doc puts both back, so the hashes
-and lengths pinned on "9" documents still pin m, every triple and every
-other stored value.
+"10" read log |m0| + 3 log Z.  schema9_doc puts both back into the "10"
+document of tests/schema10_reference.py, so the hashes and lengths pinned
+on "9" documents still pin m, every triple and every other stored value.
 """
 
 import json
 
-from cubeforge import ApproxReal, certificate_to_json, density_constant, log_abs
+from cubeforge import ApproxReal, density_constant, log_abs
+from tests.schema10_reference import interval, schema10_doc
 
 
 def _bound_rhs_from_m(cert) -> dict:
@@ -22,12 +23,12 @@ def _bound_rhs_from_m(cert) -> dict:
             cert.rank, ApproxReal.exact(cert.hhat_bar.upper())
         )
         bound = scale * log_abs(m).pow_ratio(cert.rank, cert.rank + 2)
-    return {"value": bound.value, "radius": bound.radius}
+    return interval(bound)
 
 
 def schema9_doc(cert) -> dict:
     """cert as the schema "9" writer wrote it, as a dict in key order."""
-    doc = json.loads(certificate_to_json(cert))
+    doc = schema10_doc(cert)
     # "m" takes Z's place in the key order; update keeps every key's place
     doc = {("m" if key == "Z" else key): value for key, value in doc.items()}
     doc.update(

@@ -9,6 +9,7 @@ import json
 import random
 import time
 from functools import lru_cache
+from math import gcd
 
 import mpmath
 
@@ -22,14 +23,17 @@ from cubeforge import (
     certificate_to_json,
     count_reps,
     cubic_add,
+    density_constant,
     generate_lattice_points,
     log_abs,
+    minimal_box_size,
     parse_certificate,
     verify_certificate,
     weierstrass_image,
+    z_size_constant,
 )
 from cubeforge.cli import main as cli_main
-from cubeforge.construct import divisor_records, verify_checks
+from cubeforge.construct import divisor_records, log_m, verify_checks
 from tests.conftest import line
 from tests.group_reference import (
     WeierstrassPoint,
@@ -182,10 +186,13 @@ def test_criterion_5_divisor_checks():
     cfg = CurveConfig(6)
     lattice = generate_lattice_points(cfg, [GENERATORS[6]], line(5))
     assert len(lattice) == 5
-    # the lemmas are decided on the gcds of the N=5 lattice
+    # the lemmas are decided on the gcds of the N=5 lattice, which the
+    # certificate does not store: each is a function of m0 and its triple
     cert = build_certificate(cfg, [GENERATORS[6]], 5)
     assert cert.lattice_points == lattice
-    assert cert.divisors == divisor_records(cfg, [q for _, q in lattice])
+    assert divisor_records(cfg, [q for _, q in lattice]) == [
+        gcd(12 * 6 * q.z, q.x + q.y) for _, q in lattice
+    ]
     assert cert.checks["divisor_divisibility"]
     assert cert.checks["divisor_bound"]
     d = divisor_records(cfg, [GENERATORS[6]])[0]
@@ -347,16 +354,22 @@ def test_criterion_8_corollary_arithmetic(capsys):
 
 
 def test_criterion_9_certified_inequality():
-    cert = build_certificate(CurveConfig(6), [GENERATORS[6]], 4)
-    assert cert.box_size >= cert.constants.n_min
+    cfg = CurveConfig(6)
+    cert = build_certificate(cfg, [GENERATORS[6]], 4)
+    assert cert.box_size >= minimal_box_size(z_size_constant(cfg), cert.hhat_bar)
     assert cert.checks["theorem_preconditions"]
     assert cert.checks["chain_bound"]
     assert cert.checks["final_inequality"]
     assert cert.all_checks_pass
-    assert cert.box_size**cert.rank > cert.bound_rhs.upper()
+    # the float bound (K2 hhat)^(-r/(r+2)) (log m)^(r/(r+2)), at the
+    # height's upper end
+    bound = density_constant(
+        cert.rank, ApproxReal.exact(cert.hhat_bar.upper())
+    ) * log_m(cert.m0, cert.Z).pow_ratio(cert.rank, cert.rank + 2)
+    assert cert.box_size**cert.rank > bound.upper()
     print(
         "criterion 9 PASS: N^r = 4 beats the certified bound"
-        f" {cert.bound_rhs.upper():.4f}"
+        f" {bound.upper():.4f}"
     )
 
 

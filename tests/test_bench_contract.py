@@ -24,12 +24,15 @@ from cubeforge import (
     CurveConfig,
     build_certificate,
     certificate_to_json,
+    minimal_box_size,
     verify_certificate,
+    z_size_constant,
 )
 from cubeforge.construct import CHECK_NAMES
 from tests.conftest import pool_draws
 from tests.schema7_reference import schema7_json
 from tests.schema9_reference import schema9_json
+from tests.schema10_reference import schema10_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,7 +88,10 @@ def test_check_count_matches_check_names():
 # the schema "7" layout (tests/schema7_reference.py), so it still pins every
 # stored value and the a, b and verdicts derived from them;
 # POOL_BYTES_SCHEMA_9 is the length in the "9" layout, with m in place of Z
-# (tests/schema9_reference.py), and POOL_BYTES_SCHEMA_10 the document's own.
+# (tests/schema9_reference.py); POOL_BYTES_SCHEMA_10 the length in the "10"
+# layout, with d, the constants and bound_rhs put back
+# (tests/schema10_reference.py); and POOL_BYTES_SCHEMA_11 the document's
+# own.
 POOL_BYTES = {
     (91, "cert_large"): 47_420,
     (1729, "cert_large"): 63_105,
@@ -104,6 +110,12 @@ POOL_BYTES_SCHEMA_10 = {
     (91, "cert_tight"): 5_405,
     (1729, "cert_tight"): 7_154,
 }
+POOL_BYTES_SCHEMA_11 = {
+    (91, "cert_large"): 18_253,
+    (1729, "cert_large"): 26_392,
+    (91, "cert_tight"): 4_536,
+    (1729, "cert_tight"): 6_133,
+}
 
 
 @pytest.mark.parametrize("workload", sorted(CERT_WORKLOADS))
@@ -113,14 +125,16 @@ def test_pool_certificate_passes(m0, workload):
     # raises n_min fails here first; a larger document fails the length
     box_size, tol = CERT_WORKLOADS[workload]
     manufactured = set()
+    cfg = CurveConfig(m0)
     for draw in pool_draws(POOL[m0]):
         gens = [CubicPoint(*g) for g in draw]
-        cert = build_certificate(CurveConfig(m0), gens, box_size, tol)
-        assert cert.constants.n_min <= box_size
+        cert = build_certificate(cfg, gens, box_size, tol)
+        assert minimal_box_size(z_size_constant(cfg), cert.hhat_bar) <= box_size
         assert len(cert.checks) == CHECK_COUNT
         assert all(cert.checks.values()), (draw, cert.checks)
         text = certificate_to_json(cert)
-        assert len(text) == POOL_BYTES_SCHEMA_10[m0, workload], draw
+        assert len(text) == POOL_BYTES_SCHEMA_11[m0, workload], draw
+        assert len(schema10_json(cert)) == POOL_BYTES_SCHEMA_10[m0, workload]
         assert len(schema9_json(cert)) == POOL_BYTES_SCHEMA_9[m0, workload]
         assert len(schema7_json(cert)) == POOL_BYTES[m0, workload], draw
         report = verify_certificate(text)

@@ -32,6 +32,8 @@ from cubeforge.construct import (
     _generator_checks,
     derive_lattice,
     evaluate_checks,
+    minimal_box_size,
+    z_size_constant,
 )
 from cubeforge.heights import independence
 from tests.conftest import (
@@ -44,6 +46,7 @@ from tests.conftest import (
 )
 from tests.schema7_reference import schema7_json, schema8_doc
 from tests.schema9_reference import schema9_doc, schema9_json
+from tests.schema10_reference import schema10_doc, schema10_json
 
 # sha256 of the m0=6, (17, 37, 21), N=4 certificate: a change to how the
 # certificate is derived must not change a byte of it.  Schema "4" is the
@@ -61,10 +64,13 @@ from tests.schema9_reference import schema9_doc, schema9_json
 # GOLDEN_SHA256 pins the document rendered in the "7" layout
 # (tests/schema7_reference.py), which spells out a, b and both verdicts
 # from each triple and d, so m, every triple and every divisor record are
-# pinned across both changes.  Schema "10" stores Z where "9" stored
+# pinned across both changes.  Schema "10" stored Z where "9" stored
 # m = m0 Z^3: GOLDEN_SHA256_SCHEMA_9 pins the document rendered in the "9"
-# layout (tests/schema9_reference.py), which puts m back, and
-# GOLDEN_SHA256_SCHEMA_10 pins the document itself.
+# layout (tests/schema9_reference.py), which puts m back.  Schema "11"
+# drops the d column, the constants and bound_rhs, which verify derives:
+# GOLDEN_SHA256_SCHEMA_10 pins the document rendered in the "10" layout
+# (tests/schema10_reference.py), which computes the three and puts them
+# back, and GOLDEN_SHA256_SCHEMA_11 pins the document itself.
 GOLDEN_SHA256_SCHEMA_4 = (
     "b034543eb2abff9d100dc85ee4740eea87f3bdf0279518685f5ad8005bdec88d"
 )
@@ -74,6 +80,9 @@ GOLDEN_SHA256_SCHEMA_9 = (
 )
 GOLDEN_SHA256_SCHEMA_10 = (
     "17d0afff38b251f30082cbd03c06c454e1cdbaa289e4056bf0d07b3f6b196894"
+)
+GOLDEN_SHA256_SCHEMA_11 = (
+    "ebcdc6fc7ede5e56af7931d51347f081d8ee709bef3fbef91c72771e2e1f7f3a"
 )
 
 
@@ -113,25 +122,30 @@ class TestSerialization:
             "tol",
             "generators",
             "hhat_bar",
-            "constants",
             "lattice_points",
             "Z",
-            "bound_rhs",
         }
-        # no stored check map and no stored representations: verify
-        # derives every verdict afresh, and a consumer expands the pairs
-        assert set(cert6_doc) == expected
-        assert cert6_doc["schema_version"] == "10"
-        # the lattice is named columns, one element per entry (r for index)
-        assert list(cert6_doc["lattice_points"]) == [
-            "index", "x", "y", "z", "d"
+        # no stored check map, no stored representations and nothing else
+        # verify derives: it derives every verdict, d, constant and bound
+        # afresh, and a consumer expands the pairs
+        assert list(cert6_doc) == [
+            "schema_version", "m0", "r", "N", "tol", "generators", "hhat_bar",
+            "lattice_points", "Z",
         ]
+        assert set(cert6_doc) == expected
+        assert cert6_doc["schema_version"] == "11"
+        # the lattice is named columns, one element per entry (r for index)
+        assert list(cert6_doc["lattice_points"]) == ["index", "x", "y", "z"]
 
-    def test_divisor_record_is_exact(self, cert6_doc):
-        # a divisor record is its gcd d, one hex string per entry
-        lattice = cert6_doc["lattice_points"]
-        assert all(isinstance(v, str) for v in lattice["d"])
-        assert len(lattice["d"]) == len(lattice["z"])
+    def test_divisor_record_is_exact(self, cfg6, cert6_doc):
+        # a divisor record is its gcd d, which the document does not store:
+        # it is an exact int read off each stored triple
+        parsed = parse_certificate(cert6_doc)
+        points = [q for _, q in parsed.lattice_points]
+        assert "d" not in cert6_doc["lattice_points"]
+        assert construct.divisor_records(cfg6, points) == [
+            math.gcd(12 * 6 * q.z, q.x + q.y) for q in points
+        ]
 
     def test_deterministic_bytes(self, cert6, monkeypatch):
         # no timestamp: the environment cannot change a byte of the document
@@ -147,10 +161,15 @@ class TestSerialization:
         text = certificate_to_json(cert)
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()
-            == GOLDEN_SHA256_SCHEMA_10
+            == GOLDEN_SHA256_SCHEMA_11
         )
         _assert_json_fixed_point(text)
         assert cert.m == 6 * cert.Z**3
+        as_schema_10 = schema10_json(cert)
+        assert (
+            hashlib.sha256(as_schema_10.encode("utf-8")).hexdigest()
+            == GOLDEN_SHA256_SCHEMA_10
+        )
         as_schema_9 = schema9_json(cert)
         assert (
             hashlib.sha256(as_schema_9.encode("utf-8")).hexdigest()
@@ -183,7 +202,7 @@ class TestSerialization:
         assert parsed.Z == cert6.Z
         assert parsed.m == cert6.m
         assert parsed.representations == cert6.representations
-        assert parsed.constants.n_min == cert6.constants.n_min
+        assert parsed.hhat_bar == cert6.hhat_bar
         # the document stores no checks, so a parsed certificate has none
         assert list(cert6.checks) == list(CHECK_NAMES)
         assert parsed.checks == {}
@@ -235,11 +254,9 @@ class TestTemplateWriter:
 
     def test_empty_arrays(self, cert6):
         # build never writes one, but a parsed document may hold no lattice
-        empty = cert6._replace(lattice_points=[], divisors=[])
+        empty = cert6._replace(lattice_points=[])
         text = certificate_to_json(empty)
-        assert (
-            '"lattice_points":{"index":[],"x":[],"y":[],"z":[],"d":[]},'
-        ) in text
+        assert '"lattice_points":{"index":[],"x":[],"y":[],"z":[]},' in text
         assert parse_certificate(text) == empty._replace(checks={})
         assert empty.representations == []
         _assert_json_fixed_point(text)
@@ -338,8 +355,8 @@ class TestColumnReader:
         "key, change, message",
         [
             ("x", lambda column: column[:-1], "lattice x must have 4 elements"),
-            ("d", lambda column: column + ["0x1"],
-             "lattice d must have 4 elements"),
+            ("y", lambda column: column + ["0x1"],
+             "lattice y must have 4 elements"),
             # r·E is 8: one entry's index short, or an index of length 3
             ("index", lambda column: column[:-1],
              "lattice index must have 8 elements"),
@@ -349,7 +366,7 @@ class TestColumnReader:
             ("z", lambda column: column[:-1],
              "lattice index must have 6 elements"),
         ],
-        ids=["x-short", "d-long", "index-short", "index-long", "z-short"],
+        ids=["x-short", "y-long", "index-short", "index-long", "z-short"],
     )
     def test_column_lengths_are_named(self, key, change, message):
         doc = _column_doc()
@@ -363,39 +380,39 @@ class TestColumnReader:
         # in a later one, and no column is converted before the mismatch
         doc = _column_doc()
         doc["lattice_points"]["x"][0] = "0x01"
-        doc["lattice_points"]["d"].pop()
+        doc["lattice_points"]["y"].pop()
 
         def refuse(*args):
             raise AssertionError("a column was converted")
 
         monkeypatch.setattr(certificate, "_as_ints", refuse)
         with pytest.raises(CertificateFormatError,
-                           match="lattice d must have 4 elements"):
+                           match="lattice y must have 4 elements"):
             parse_certificate(doc)
 
     def test_column_that_is_no_array_is_named(self):
         doc = _column_doc()
-        doc["lattice_points"]["d"] = {"0": "0x1"}
+        doc["lattice_points"]["y"] = {"0": "0x1"}
         with pytest.raises(CertificateFormatError,
-                           match="lattice d must be an array"):
+                           match="lattice y must be an array"):
             parse_certificate(doc)
 
     def test_long_column_costs_only_its_length(self):
-        # a 10^6-entry d beside a 4-entry z is refused by its length alone
+        # a 10^6-entry y beside a 4-entry z is refused by its length alone
         doc = _column_doc()
-        doc["lattice_points"]["d"] = ["0x1"] * 10**6
+        doc["lattice_points"]["y"] = ["0x1"] * 10**6
         start = time.perf_counter()
         with pytest.raises(CertificateFormatError,
-                           match="lattice d must have 4 elements"):
+                           match="lattice y must have 4 elements"):
             parse_certificate(doc)
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("entry", range(4))
     def test_bad_hex_is_named_at_every_entry(self, entry):
         doc = _column_doc()
-        doc["lattice_points"]["d"][entry] = "0x01"
+        doc["lattice_points"]["y"][entry] = "0x01"
         with pytest.raises(CertificateFormatError,
-                           match=re.escape("divisor d is not a hex() string")):
+                           match=re.escape("lattice point is not a hex() string")):
             parse_certificate(doc)
 
     @pytest.mark.parametrize("entry", range(8))
@@ -417,16 +434,14 @@ class TestColumnReader:
         assert parse_certificate(text) == clean
 
     def test_parsed_divisors_do_not_alias_the_document(self):
-        # the d column is stored in the Certificate as read: a column of
-        # JSON numbers is copied, so a later edit of the document leaves
-        # the parsed certificate as it was
+        # a d column, as "10" stored it, is a key "11" does not name: the
+        # parsed certificate holds no divisors, so no edit of the
+        # document's d reaches it
         doc = _column_doc()
-        d = doc["lattice_points"]["d"] = [int(v, 16) for v in
-                                          doc["lattice_points"]["d"]]
+        d = doc["lattice_points"]["d"] = [1, 2, 3, 4]
         parsed = parse_certificate(doc)
-        assert parsed.divisors == d
+        assert "divisors" not in parsed._fields
         d[0] += 1
-        assert parsed.divisors != d
         assert parsed == parse_certificate(_column_doc())
 
     @settings(max_examples=500)
@@ -501,31 +516,50 @@ class TestVerification:
         assert not report.checks["lattice_points_match"]
 
     def test_tampered_constants(self, cert6_doc):
+        # the constants are functions of m0, r and hhat_bar, so a forged
+        # constants object, as "10" stored it, is a key "11" does not name,
+        # and a tampered hhat_bar is what fails constants_match
         doc = copy.deepcopy(cert6_doc)
-        doc["constants"]["n_min"] = 1
+        doc["constants"] = {"n_min": 1}
         report = verify_certificate(doc)
-        assert not report.checks["constants_match"]
+        assert report == verify_certificate(cert6_doc)
         # a forged n_min cannot flip the recomputed precondition outcome
         assert not report.checks["theorem_preconditions"]
+        doc["hhat_bar"] = {"value": 99.0, "radius": 0.001}
+        report = verify_certificate(doc)
+        assert not report.checks["heights_match"]
+        assert not report.checks["constants_match"]
 
     def test_tampered_divisor_record(self, cert6_doc):
+        # each d is gcd(12 m0 z, x + y) of its triple, so a tampered triple
+        # is a tampered divisor record
         doc = copy.deepcopy(cert6_doc)
         with lattice_entries(doc) as entries:
-            entries[0]["d"] = hex(27)
+            entries[0]["point"][1] = hex(38)
         report = verify_certificate(doc)
+        assert not report.checks["lattice_points_match"]
         assert not report.checks["divisor_records_match"]
 
     def test_tampered_d_fails_only_its_match(self, cfg6, gen6):
-        # the lemmas are decided on the derived d's, so a wrong stored d,
-        # even one that fails both, is caught by the comparison alone
+        # the document stores no d, so a wrong d is a wrong triple: the
+        # last one scaled by a 4,253-bit prime, whose d is inflated past
+        # both lemmas.  The lemmas are decided on the derived triples, so
+        # the comparison of the stored triple, and the checks that read
+        # it, catch it alone
         cert = build_certificate(cfg6, [gen6], 4)
         doc = certificate_to_dict(cert)
+        q = cert.lattice_points[-1][1]
         with lattice_entries(doc) as entries:
-            entries[-1]["d"] = hex(int(entries[-1]["d"], 16) * M4253)
+            entries[-1]["point"] = [hex(c * M4253) for c in q.triple()]
         report = verify_certificate(doc)
         assert list(report.checks) == list(CHECK_NAMES)
         failed = [name for name, ok in report.checks.items() if not ok]
-        assert failed == ["divisor_records_match"]
+        assert failed == [
+            "lattice_points_match",
+            "divisor_records_match",
+            "representations_match_formula",
+            "representation_identity",
+        ]
 
     def test_tampered_height(self, cert6_doc):
         doc = copy.deepcopy(cert6_doc)
@@ -650,6 +684,7 @@ class TestVerification:
         assert list(report.checks) == list(CHECK_NAMES)
         assert {name for name, ok in report.checks.items() if not ok} == {
             "lattice_points_match",
+            "divisor_records_match",
             "representations_match_formula",
             "representation_identity",
             "representations_distinct",
@@ -809,6 +844,7 @@ class TestIdentityProof:
         failed = {name for name, ok in report.checks.items() if not ok}
         assert failed == {
             "lattice_points_match",
+            "divisor_records_match",
             "representations_match_formula",
             "representation_identity",
         }
@@ -824,6 +860,7 @@ class TestIdentityProof:
         failed = {name for name, ok in checks.items() if not ok}
         assert failed == {
             "lattice_points_match",
+            "divisor_records_match",
             "representations_match_formula",
             "representation_identity",
             "representation_count",
@@ -881,21 +918,20 @@ _EDGE_INTS = [0] + [
 
 
 def _assert_writes_hex(cert, n):
-    # n as Z, in the header json.dumps writes, and as a lattice point and a
-    # divisor d, in the lattice columns: every one written as hex() writes it
+    # n as Z, in the header json.dumps writes, and as a lattice point, in
+    # the lattice columns: every one written as hex() writes it
     (idx, _), *points = cert.lattice_points
     text = certificate_to_json(
         cert._replace(
             Z=n,
             lattice_points=[(idx, CubicPoint(n, -n, n)), *points],
-            divisors=[n, *cert.divisors[1:]],
         )
     )
     _assert_json_fixed_point(text)
     doc = json.loads(text)
     with lattice_entries(doc) as entries:
-        assert [doc["Z"], *entries[0]["point"], entries[0]["d"]] == [
-            hex(n), hex(n), hex(-n), hex(n), hex(n)
+        assert [doc["Z"], *entries[0]["point"]] == [
+            hex(n), hex(n), hex(-n), hex(n)
         ]
 
 
@@ -1039,7 +1075,10 @@ class TestScale:
         assert all(cert.checks.values())
         assert len(cert.representations) == box_size ** len(generators)
         if len(generators) == 3:
-            assert cert.constants.n_min == box_size
+            cfg = CurveConfig(m0)
+            assert minimal_box_size(z_size_constant(cfg), cert.hhat_bar) == (
+                box_size
+            )
         assert verify_certificate(certificate_to_json(cert)).all_checks_pass
 
     # the sizes a stored-pair document could not reach: m0=91 at N=32 and
@@ -1177,9 +1216,40 @@ class TestFormatErrors:
         with pytest.raises(CertificateFormatError, match=_refused_schema("9")):
             verify_certificate(schema9_json(cert6))
 
+    def test_schema_10_is_refused(self, cert6):
+        # a "10" document also stored the d column, the constants and
+        # bound_rhs, which verify derives
+        with pytest.raises(CertificateFormatError, match=_refused_schema("10")):
+            verify_certificate(schema10_json(cert6))
+
+    @pytest.mark.parametrize(
+        "bad", ["0x01", "-0x0" + "1" * 300, None, "inflated-d"],
+        ids=["0x01", "long-hex", "None", "inflated-d"],
+    )
+    def test_stale_derived_keys_are_never_read(self, cfg6, gen6, bad):
+        # a "10" document relabelled "11": its d column, constants and
+        # bound_rhs are keys "11" does not name.  A garbage leaf in each,
+        # one the "10" reader refused, or a d inflated past both lemmas,
+        # which "10" failed in divisor_records_match, leaves all 22
+        # verdicts as they are
+        cert = build_certificate(cfg6, [gen6], 4)
+        assert cert.all_checks_pass
+        doc = {**schema10_doc(cert), "schema_version": "11"}
+        d = doc["lattice_points"]["d"]
+        if bad == "inflated-d":
+            d[-1] = hex(int(d[-1], 16) * M4253)
+        else:
+            d[1] = bad
+            doc["constants"]["n_min"] = bad
+            doc["constants"]["z_constant"]["value"] = bad
+            doc["bound_rhs"]["radius"] = bad
+        report = verify_certificate(json.dumps(doc))
+        assert list(report.checks) == list(CHECK_NAMES)
+        assert report == cert
+
     def test_schema_9_with_the_version_changed_lacks_Z(self, cert6):
-        # its m is a key "10" does not name, so nothing stands for Z
-        doc = {**schema9_doc(cert6), "schema_version": "10"}
+        # its m is a key "11" does not name, so nothing stands for Z
+        doc = {**schema9_doc(cert6), "schema_version": "11"}
         with pytest.raises(CertificateFormatError, match="missing Z"):
             verify_certificate(doc)
 
@@ -1188,9 +1258,9 @@ class TestFormatErrors:
     )
     @pytest.mark.parametrize("bad", ["0x01", 1, None])
     def test_leftover_divisor_column_is_never_read(self, cert6, key, bad):
-        # the "8" columns a, b and both verdicts are keys "10" does not
+        # the "8" columns a, b and both verdicts are keys "11" does not
         # name: what the "8" reader refused in them, a non-hex() string, an
-        # int among the verdicts or a null, the "10" reader never reads
+        # int among the verdicts or a null, the "11" reader never reads
         doc = certificate_to_dict(cert6)
         doc["lattice_points"] = schema8_doc(cert6)["lattice_points"]
         assert list(doc["lattice_points"])[5:] == [
@@ -1246,9 +1316,9 @@ class TestFormatErrors:
             verify_certificate(doc)
 
     def test_malformed_lattice_entry(self, cert6_doc):
-        # entry 0 without its divisor record: the d column is one short
+        # entry 0 without its x: the x column is one short
         doc = copy.deepcopy(cert6_doc)
-        del doc["lattice_points"]["d"][0]
+        del doc["lattice_points"]["x"][0]
         with pytest.raises(CertificateFormatError):
             verify_certificate(doc)
 
@@ -1264,9 +1334,14 @@ class TestFormatErrors:
             ("constants", "z_constant", "radius"),
         ],
     )
-    def test_integer_beyond_float_range(self, cert6_doc, path):
-        doc = copy.deepcopy(cert6_doc)
+    def test_integer_beyond_float_range(self, cert6, path):
+        # refused where "11" reads a float; in bound_rhs and the constants,
+        # which "10" stored and "11" does not name, never read
+        doc = {**schema10_doc(cert6), "schema_version": "11"}
         _leaf_parent(doc, path)[path[-1]] = 10**400
+        if path[0] in ("bound_rhs", "constants"):
+            assert verify_certificate(json.dumps(doc)) == cert6
+            return
         with pytest.raises(CertificateFormatError, match="out of float range"):
             verify_certificate(json.dumps(doc))
 
@@ -1284,17 +1359,6 @@ class TestFormatErrors:
         doc = copy.deepcopy(cert6_doc)
         doc["Z"] = bad
         with pytest.raises(CertificateFormatError, match="Z must be positive"):
-            verify_certificate(doc)
-
-    # d is the one divisor column left; it stays a parameter so that each
-    # id still names the column it tampers
-    @pytest.mark.parametrize("key", ["d"])
-    @pytest.mark.parametrize("bad", ["0x01", "-0x0" + "1" * 300, None])
-    def test_divisor_field_is_named(self, cert6_doc, key, bad):
-        doc = copy.deepcopy(cert6_doc)
-        with lattice_entries(doc) as entries:
-            entries[1][key] = bad
-        with pytest.raises(CertificateFormatError, match=f"divisor {key} "):
             verify_certificate(doc)
 
     @pytest.mark.parametrize(
@@ -1323,10 +1387,9 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "path, missing, message",
         [
-            ((), ("Z", "bound_rhs"), "certificate is missing Z, bound_rhs"),
-            (("constants",), ("n_min",), "constants is missing n_min"),
-            pytest.param(("lattice_points",), ("d",),
-                         "lattice_points is missing d", id="lattice-d"),
+            ((), ("Z", "hhat_bar"), "certificate is missing Z, hhat_bar"),
+            pytest.param(("lattice_points",), ("y",),
+                         "lattice_points is missing y", id="lattice-y"),
             pytest.param(("lattice_points",), ("x", "index"),
                          "lattice_points is missing index, x",
                          id="lattice-index-x"),
@@ -1352,7 +1415,6 @@ class TestFormatErrors:
             pytest.param(("hhat_bar",),
                          "hhat_bar must be an object with value and radius",
                          id="hhat_bar"),
-            (("constants",), "constants must be an object"),
         ],
     )
     def test_record_that_is_no_object_is_named(self, cert6_doc, path, message):
@@ -1388,7 +1450,7 @@ def _refused_schema(version):
     # the refusal names the version read, the one this reader takes, and
     # how to get a document in it
     return re.escape(
-        f"unsupported schema_version '{version}': this reader takes \"10\"; "
+        f"unsupported schema_version '{version}': this reader takes \"11\"; "
         "rebuild the document with cubeforge construct"
     )
 
@@ -1431,7 +1493,7 @@ _FUZZ_DOC_RANK_2 = certificate_to_dict(
     )
 )
 _DELETE = object()
-_RECORD_KEYS = ["index", "x", "y", "z", "d", "value", "radius"]
+_RECORD_KEYS = ["index", "x", "y", "z", "value", "radius"]
 
 _HOSTILE_LEAVES = st.one_of(
     st.integers(min_value=2**1024, max_value=2**1400),
@@ -1481,7 +1543,7 @@ class TestMutationFuzz:
     @example(path=("lattice_points", "index"), leaf=[1])
     @example(path=("lattice_points", "index", 7), leaf="0x1")
     @example(path=("lattice_points", "index", 7), leaf=2**1024)
-    @example(path=("lattice_points", "d", 2), leaf=_DELETE)
+    @example(path=("lattice_points", "y", 2), leaf=_DELETE)
     @example(path=("lattice_points", "x", 2), leaf=_DELETE)
     @example(path=("lattice_points", "z", 1), leaf="0x0")
     def test_verifier_is_total_at_rank_2(self, path, leaf):

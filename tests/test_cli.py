@@ -386,7 +386,7 @@ class TestConstruct:
         # the fixture asserts exit 0, which means every check passed
         payload = json.loads(open(cert4_path).read())
         assert payload["N"] == 4
-        assert payload["schema_version"] == "10"
+        assert payload["schema_version"] == "11"
         assert "checks" not in payload
 
     @pytest.mark.parametrize("box_size", ["20", "24"])
@@ -584,30 +584,41 @@ class TestCount:
         assert rc == EXIT_INVALID_INPUT
         assert "infinite family" in err
 
-    @pytest.mark.parametrize("which", ["m0=91,N=4", "primorial-61-cubed"])
+    @pytest.mark.parametrize(
+        "which", ["m0=91,N=4", "primorial-61-cubed", "squarefree-28", "m0=6,N=5"]
+    )
     def test_past_the_budget_refused(self, capsys, which):
-        # the m of the m0 = 91, N = 4 certificate has 17,694,720 cube
-        # divisors and (2 * 3 * ... * 61)^3 has 2^18, both past the budget
+        # the m of the m0 = 91, N = 4 certificate, (2 * 3 * ... * 61)^3, the
+        # squarefree product of the first 28 primes other than 3, and the m
+        # of the m0 = 6, N = 5 certificate: each past the census budget,
+        # the two certificate m on their trial-division part alone
         if which == "m0=91,N=4":
             cert = build_certificate(
                 CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], 4
             )
-            m, divisors = str(cert.m), "17,694,720"
+            m, work = str(cert.m), "653,006,880"
+        elif which == "m0=6,N=5":
+            cert = build_certificate(CurveConfig(6), [CubicPoint(17, 37, 21)], 5)
+            m, work = str(cert.m), "8,757,288"
+        elif which == "squarefree-28":
+            m = "93244998939284978726092053957355936558332410"
+            work = "268,435,457"
         else:
             m = (
                 "1613485171766425360438651451902506476925609794419195008385"
                 "535091783000"
             )
-            divisors = "262,144"
+            work = "258,542,470"
         start = time.perf_counter()
         rc, out, err = run(capsys, ["count", "--m", m])
         assert time.perf_counter() - start < 1.0
         assert rc == EXIT_INVALID_INPUT
         assert out == ""
         assert err == (
-            f"error: m has {divisors} cube divisors, past the census budget"
-            " of 16,384\n"
+            f"error: the census of m takes at least {work} steps, past the"
+            " census budget of 8,388,608\n"
         )
+        assert len(err) < 300
 
 
 class TestCertifyCorollary:

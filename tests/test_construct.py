@@ -22,7 +22,6 @@ from cubeforge import (
     GeneratorDependenceError,
     build_certificate,
     certificate_to_json,
-    chain_constants,
     density_constant,
     generate_lattice_points,
     minimal_box_size,
@@ -58,6 +57,7 @@ from tests import loop_reference
 from tests.doubling_reference import lattice_height_bound_check
 from tests.schema7_reference import schema7_json
 from tests.schema9_reference import schema9_json
+from tests.schema10_reference import schema10_json
 
 ELKIES_M0 = 13293998056584952174157235
 
@@ -136,15 +136,18 @@ class TestDivisorCheck:
         z=st.integers(1, 10**6),
     )
     def test_lemmas_are_the_papers_forms(self, cfg6, d, b, x, z):
-        # the checks on one derived entry (x, y, z) with x + y = d b, beside
-        # the paper's forms: d^2 | 3 * 12^3 * m0^2 * b, and
+        # the checks on one derived entry (x, y, z) with x + y = d b, its d
+        # handed to them in place of divisor_records', beside the paper's
+        # forms: d^2 | 3 * 12^3 * m0^2 * b, and
         # d < 3^(1/3) * 12 * |m0|^(5/2) * z^(1/2) at 60 digits
         cert = _full_certificate_6()
         derived = cert._replace(
-            lattice_points=[((1,), CubicPoint(x, d * b - x, z))], divisors=[d]
+            lattice_points=[((1,), CubicPoint(x, d * b - x, z))]
         )
         screen = construct._generator_checks(cfg6, cert.generators)
-        checks = evaluate_checks(cfg6, cert, screen, True, derived)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construct, "divisor_records", lambda *args: [d])
+            checks = evaluate_checks(cfg6, cert, screen, True, derived)
         assert checks["divisor_divisibility"] is (
             3 * 12**3 * 6**2 * b % d**2 == 0
         )
@@ -152,20 +155,24 @@ class TestDivisorCheck:
             bound = mpmath.cbrt(3) * 12 * mpmath.mpf(6) ** 2.5 * mpmath.sqrt(z)
             assert checks["divisor_bound"] is bool(d < bound)
 
-    def test_inflated_d_fails_both_lemmas(self, cfg6):
-        # the lemma checks read the derived d's: the last one times a
-        # 4,253-bit prime divides no 5184 m0^2 (x + y) and passes no bound
+    def test_inflated_d_fails_both_lemmas(self, cfg6, monkeypatch):
+        # the lemma checks read the d's of the derived triples: the last
+        # one times a 4,253-bit prime divides no 5184 m0^2 (x + y) and
+        # passes no bound, and no other check reads a d
         cert = _full_certificate_6()
         assert cert.all_checks_pass
-        *divisors, last = cert.divisors
-        derived = cert._replace(divisors=[*divisors, last * M4253])
+
+        def inflated(cfg, points):
+            *divisors, last = divisor_records(cfg, points)
+            return [*divisors, last * M4253]
+
+        monkeypatch.setattr(construct, "divisor_records", inflated)
         screen = construct._generator_checks(cfg6, cert.generators)
-        checks = evaluate_checks(cfg6, cert, screen, True, derived)
+        checks = evaluate_checks(cfg6, cert, screen, True, cert)
         assert list(checks) == list(CHECK_NAMES)
         assert [name for name, ok in checks.items() if not ok] == [
             "divisor_divisibility",
             "divisor_bound",
-            "divisor_records_match",
         ]
 
 
@@ -276,11 +283,12 @@ class TestMinimalBoxSize:
         assert minimal_box_size(c, below_cap) == 10**6 + 1
 
     def test_chain_constants_bundle(self, cfg6, gen6):
+        # the values schema "10" stored as its constants object, each from
+        # the function verify calls for it
         h = canonical_height(cfg6, gen6, 1e-3)
-        c = chain_constants(cfg6, 1, h)
-        assert (c.height_factor, c.z_factor, c.m_factor) == (1, 5, 16)
-        assert c.n_min == 4
-        assert c.z_constant.contains(18.462316284596385)
+        assert (height_factor(1), z_factor(1), m_factor(1)) == (1, 5, 16)
+        assert minimal_box_size(z_size_constant(cfg6), h) == 4
+        assert z_size_constant(cfg6).contains(18.462316284596385)
 
 
 class TestDensityConstant:
@@ -478,7 +486,7 @@ class TestBuildCertificate:
             (16329180, 35539980),
             (46992183, -37920183),
         ]
-        assert cert.constants.n_min == 4
+        assert minimal_box_size(z_size_constant(cfg6), cert.hhat_bar) == 4
         assert not cert.checks["theorem_preconditions"]
         failing = {k for k, v in cert.checks.items() if not v}
         assert failing == {"theorem_preconditions"}
@@ -504,7 +512,10 @@ class TestBuildCertificate:
         cert = build_certificate(cfg6, [gen6], 4)
         assert cert.all_checks_pass
         assert cert.checks["final_inequality"]
-        assert cert.box_size ** cert.rank > cert.bound_rhs.upper()
+        bound = density_constant(
+            cert.rank, ApproxReal.exact(cert.hhat_bar.upper())
+        ) * log_m(cert.m0, cert.Z).pow_ratio(cert.rank, cert.rank + 2)
+        assert cert.box_size ** cert.rank > bound.upper()
         assert len(cert.representations) == 4
 
     def test_rejects_empty(self, cfg6):
@@ -998,8 +1009,10 @@ class TestOrientation:
 # the pair as given: rendered in the schema "7" layout
 # (tests/schema7_reference.py), which pins every stored value across the
 # change to columns and the drop of a, b and the verdicts; in the schema "9"
-# layout (tests/schema9_reference.py), which pins m; and as the schema "10"
-# document itself
+# layout (tests/schema9_reference.py), which pins m; in the schema "10"
+# layout (tests/schema10_reference.py), which pins every triple, hhat_bar
+# and Z across the drop of d, the constants and bound_rhs; and as the
+# schema "11" document itself
 _GIVEN_1729_SHA256 = {
     (12, 1e-3): "1b244d749f53f777db9248219c318d5fe6916f6fae07e0ee8e180ab39e375d01",
     (8, 1e-4): "6ea34d7ec63df1698a1cde7c07ac927b46c2094364a1216ebb17ec246a3bc0d3",
@@ -1011,6 +1024,10 @@ _GIVEN_1729_SHA256_SCHEMA_9 = {
 _GIVEN_1729_SHA256_SCHEMA_10 = {
     (12, 1e-3): "86558ca0be9e42f2f429b32836457acce8b1b9cdbeb31592f861f6cf704d59b2",
     (8, 1e-4): "63403a0493c0575df0947cd3797db59d31caf95b3e2243f3ed63b3add34c5467",
+}
+_GIVEN_1729_SHA256_SCHEMA_11 = {
+    (12, 1e-3): "4cbdefca563f34165975b40d16aad7d20fd2fb7858f67e84b65b9ee1e9452375",
+    (8, 1e-4): "b8bab4d5ae213650de0c29c9ad7878d60190934f46b36aff9e7925ceae6df8e6",
 }
 
 
@@ -1041,7 +1058,12 @@ class TestOrientedBuild:
         cert = build_certificate(cfg, list(_POOL_1729), box_size, tol)
         text = certificate_to_json(cert)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == _GIVEN_1729_SHA256_SCHEMA_10[box_size, tol]
+        assert digest == _GIVEN_1729_SHA256_SCHEMA_11[box_size, tol]
+        as_schema_10 = schema10_json(cert).encode("utf-8")
+        assert (
+            hashlib.sha256(as_schema_10).hexdigest()
+            == _GIVEN_1729_SHA256_SCHEMA_10[box_size, tol]
+        )
         as_schema_9 = schema9_json(cert).encode("utf-8")
         assert (
             hashlib.sha256(as_schema_9).hexdigest()

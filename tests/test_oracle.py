@@ -194,17 +194,45 @@ class TestCountReps:
 
 # (2 * 3 * ... * 61)^3: 70 digits with 2^18 cube divisors
 PRIMORIAL_61_CUBED = prod(oracle._primes_below(62)) ** 3
+# the squarefree product of the first 28 primes other than 3: one cube
+# divisor and 2^28 sums
+SQUAREFREE_28 = prod([p for p in oracle._primes_below(200) if p != 3][:28])
 
 
-def _certificate_m(box_size):
-    cert = build_certificate(
-        CurveConfig(91), [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)], box_size
-    )
+def _certificate_m(box_size, m0=91):
+    generators = {
+        6: [CubicPoint(17, 37, 21)],
+        91: [CubicPoint(-5, 6, 1), CubicPoint(3, 4, 1)],
+        1729: [CubicPoint(1, 12, 1), CubicPoint(9, 10, 1)],
+    }
+    cert = build_certificate(CurveConfig(m0), generators[m0], box_size)
     return cert.m
 
 
+def _work_by_walk(factors):
+    """census_work spelled out: one step per cube divisor g, and per g the
+    sums _coprime_pairs forms before its cut, none when v_3(m / g^3) = 1,
+    else 2 to the number of primes other than 3 in m / g^3."""
+    work = 0
+    for _, rest in oracle._cube_divisors(factors):
+        others = sum(1 for p in rest if p != 3)
+        work += 1 + (0 if rest.get(3) == 1 else 2**others)
+    return work
+
+
+# the values measured on the m of each case; the m0 = 91, N = 4 and the
+# m0 = 6, N = 5 m are refused on their trial-division part, before rho
+_REFUSED = [
+    pytest.param(lambda: _certificate_m(4), "653,006,880", id="m0=91,N=4"),
+    pytest.param(lambda: PRIMORIAL_61_CUBED, "258,542,470",
+                 id="primorial-61-cubed"),
+    pytest.param(lambda: SQUAREFREE_28, "268,435,457", id="squarefree-28"),
+    pytest.param(lambda: _certificate_m(5, 6), "8,757,288", id="m0=6,N=5"),
+]
+
+
 class TestCensusBudget:
-    """count_reps counts the cube divisors before it runs the kernel."""
+    """count_reps bounds its work before it runs the kernel."""
 
     def test_cube_divisors_are_yielded(self):
         factors = factorize(2**7 * 5**3 * 7**2 * 11**6)
@@ -221,35 +249,101 @@ class TestCensusBudget:
 
     def test_certificate_m_within_the_budget(self):
         # the 41-digit m of m0 = 91 at N = 3 still counts: 9 representations
-        # and their swaps
+        # and their swaps, with 3,072 cube divisors
         m = _certificate_m(3)
-        exponents = factorize(m).values()
-        assert prod(e // 3 + 1 for e in exponents) == 3072
+        factors = factorize(m)
+        assert prod(e // 3 + 1 for e in factors.values()) == 3072
+        assert oracle.census_work(factors) == 275_232
+        census = count_reps(m)
+        assert census.ordered_count == 18
+        assert census.sums_tried + 3072 <= 275_232
+
+    def test_largest_certificate_m_within_the_budget(self):
+        # the 62-digit m of m0 = 1729 at N = 3, a second of work
+        m = _certificate_m(3, 1729)
+        assert oracle.census_work(factorize(m)) == 6_839_568
+        assert 6_839_568 <= oracle.CENSUS_BUDGET == 2**23
         assert count_reps(m).ordered_count == 18
 
-    @pytest.mark.parametrize(
-        "make_m, divisors",
-        [(lambda: _certificate_m(4), "17,694,720"),
-         (lambda: PRIMORIAL_61_CUBED, "262,144")],
-        ids=["m0=91,N=4", "primorial-61-cubed"],
-    )
-    def test_refused_at_once(self, make_m, divisors):
+    @pytest.mark.parametrize("make_m, work", _REFUSED)
+    def test_refused_at_once(self, make_m, work, monkeypatch):
+        # refused on the trial-division part: rho never runs
         m = make_m()
+        monkeypatch.setattr(oracle, "_rho", _refuse_rho)
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
             count_reps(m)
         assert time.perf_counter() - start < 1.0
         assert str(info.value) == (
-            f"m has {divisors} cube divisors, past the census budget of 16,384"
+            f"the census of m takes at least {work} steps, past the census"
+            " budget of 8,388,608"
         )
 
     def test_budget_is_inclusive(self, monkeypatch):
-        # 1000 = 2^3 5^3 has the cube divisors 1, 2, 5 and 10
-        monkeypatch.setattr(oracle, "CUBE_DIVISOR_BUDGET", 4)
+        # 1000 = 2^3 5^3 has the cube divisors 1, 2, 5 and 10, whose
+        # kernels form 4, 2, 2 and 1 sums: 13 steps
+        assert oracle.census_work(factorize(1000)) == 13
+        monkeypatch.setattr(oracle, "CENSUS_BUDGET", 13)
         assert count_reps(1000).pairs == ((0, 10), (10, 0))
-        monkeypatch.setattr(oracle, "CUBE_DIVISOR_BUDGET", 3)
-        with pytest.raises(ValueError, match="4 cube divisors"):
+        monkeypatch.setattr(oracle, "CENSUS_BUDGET", 12)
+        with pytest.raises(ValueError, match="at least 13 steps"):
             count_reps(1000)
+
+    def test_full_factorization_is_checked_too(self, monkeypatch):
+        # 2^6 times a product of two primes past the trial limit, which rho
+        # splits: 3 cube divisors and 5 sums on the trial-division part,
+        # and the two primes double the sums twice
+        m = 2**6 * 1009 * 1013
+        assert oracle._trial_division(m) == ({2: 6}, 1009 * 1013)
+        assert oracle.census_work({2: 6}) == 3 + 5
+        assert oracle.census_work(factorize(m)) == 3 + 5 * 2 * 2
+        monkeypatch.setattr(oracle, "CENSUS_BUDGET", 22)
+        with pytest.raises(ValueError, match="at least 23 steps"):
+            count_reps(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponents=st.dictionaries(
+            st.sampled_from([2, 3, 5, 7, 1009]), st.integers(0, 11),
+            max_size=5,
+        ).map(lambda d: {p: e for p, e in d.items() if e}),
+        extra=st.integers(1, 7),
+    )
+    def test_work_is_the_walk_and_only_grows(self, exponents, extra):
+        # the closed form against the walk over the cube divisors, and a
+        # prime other than 3 added, or raised, never lowers it
+        work = oracle.census_work(exponents)
+        assert work == _work_by_walk(exponents)
+        for p in (2, 1013):
+            grown = {**exponents, p: exponents.get(p, 0) + extra}
+            assert oracle.census_work(grown) >= work
+
+    @pytest.mark.parametrize(
+        "n", [3, 2**5 * 3, 997, 997**2, 1009, 1009 * 1013, 2 * 1009**2]
+    )
+    def test_trial_division_leaves_no_small_prime(self, n):
+        # what is left is 1 or past _TRIAL_LIMIT^2 with no trial prime in
+        # it, so 3's exponent is final and rho adds only larger primes
+        factors, rest = oracle._trial_division(n)
+        assert rest == 1 or (
+            rest >= oracle._TRIAL_LIMIT**2
+            and gcd(rest, prod(oracle._TRIAL_PRIMES)) == 1
+        )
+        assert prod(p**e for p, e in factors.items()) * rest == n
+        assert factorize(n) == oracle._split_cofactor(factors, rest)
+
+    def test_sums_tried_within_the_work(self):
+        # the kernel's sums after the cut never exceed W less the g's
+        for m in (1000, 1729, 91 * 8**3, -2 * 3**9, 2**9 * 7 * 27):
+            factors = factorize(m)
+            g_count = len(list(oracle._cube_divisors(factors)))
+            assert count_reps(m).sums_tried + g_count <= (
+                oracle.census_work(factors)
+            )
+
+
+def _refuse_rho(n):
+    raise AssertionError("rho ran")
 
 
 class TestKernelAgreement:
