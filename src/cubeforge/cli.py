@@ -25,6 +25,7 @@ from .certificate import (
 from .construct import (
     GeneratorDependenceError,
     build_certificate,
+    checked_tol,
     density_constant,
     finite_float,
     m_factor,
@@ -116,14 +117,14 @@ def _cmd_phi(args) -> int:
 def _cmd_height(args) -> int:
     cfg = CurveConfig(args.m0)
     p = _parse_cubic(args.point)
-    _emit(_interval_to_json(canonical_height(cfg, p, args.tol)))
+    _emit(_interval_to_json(canonical_height(cfg, p, checked_tol(args.tol))))
     return EXIT_OK
 
 
 def _cmd_independence(args) -> int:
     cfg = CurveConfig(args.m0)
     points = _load_triples(args.points)
-    gram, independent = independence(cfg, points, args.tol)
+    gram, independent = independence(cfg, points, checked_tol(args.tol))
     _emit(
         {
             "independent": independent,

@@ -17,15 +17,17 @@ test and one integer square root decide whether s yields a solution.
 The census factors m itself (factorize: trial division by the 168 primes
 below 1000, Brent's rho and a proof of primality for every prime it
 returns).  A solution with gcd(x, y) = g is g times a coprime solution for
-m / g^3, and for coprime x, y the sum s and q share no prime but 3, so each
-prime power of m other than 3's goes wholly into s or wholly into q
-(_coprime_pairs has the proof).  So one kernel tests at most
-2^omega(m / g^3) sums for each g with g^3 | m, not every divisor of m up to
-icbrt(4 |m|).  census_work adds those up from the exponents of m alone,
-and count_reps refuses an m past CENSUS_BUDGET before the kernel runs.
-search_points runs the same kernel on (m0 / g^3) z^3, with its
-factorization assembled from those of m0 and z, so m0 is factored once
-however many z it scans.
+m / g^3, and for coprime x, y the sum s and q share no prime but 3, and no
+prime p = 2 (mod 3) divides q at all.  So the full power of each such
+prime of m goes into s, and each prime p = 1 (mod 3) goes wholly into s or
+wholly into q (_coprime_pairs has the proof).  One kernel tests at most
+2^(number of primes p = 1 (mod 3) of m / g^3) sums for each g with
+g^3 | m, not every divisor of m up to icbrt(4 |m|).  census_work bounds
+those sums from the exponents of m alone, and count_reps refuses an m past
+CENSUS_BUDGET before the kernel runs.  search_points runs the same kernel
+on (m0 / g^3) z^3.  It factors m0 once, reads the primes of every z off one
+least-prime-factor table, and refuses a zmax past SEARCH_BUDGET before it
+builds the table.
 """
 
 from __future__ import annotations
@@ -48,11 +50,18 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 # rho steps multiplied together between two gcds
 _RHO_BATCH = 128
-# count_reps refuses an m whose census_work exceeds this: the m of the
-# m0 = 1729, N = 3 certificate (62 digits, work 6,839,568) counts in about
-# 2 s, and the squarefree product of the first 28 primes other than 3
-# (44 digits, work 2^28 + 1) would take over 10 s (CPython 3.11, one core)
+# count_reps refuses an m whose census_work exceeds this.  W bounds the
+# kernel's sums from above: the m of the m0 = 1729, N = 3 certificate
+# (62 digits, W = 6,839,568) tries 88,434 sums and counts in about 0.3 s,
+# and the product of the first 20 primes p = 1 (mod 3) (W = 2^20 + 1)
+# tries 84,272 in 0.15 s, against 24,354 for the first 18 (CPython 3.11,
+# one core)
 CENSUS_BUDGET = 1 << 23
+# search_points refuses a zmax past this: its least-prime-factor table holds
+# zmax + 1 entries of 8 bytes, and each z runs the kernel once per cube
+# divisor of m0.  At the budget, m0 = 91 takes about 5.5 s and 16 MB
+# (CPython 3.11, one core)
+SEARCH_BUDGET = 1 << 20
 
 
 class RepCensus(
@@ -217,18 +226,20 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def census_work(factors: dict[int, int]) -> int:
-    """W, the work of count_reps on an m with this factorization.
+    """W, a bound on the work of count_reps on an m with this factorization.
 
     W is the number of cube divisors g (g^3 | m) plus, summed over them,
-    the sums x + y the kernel forms for m / g^3 before its |s| <= bound
-    cut: none when v_3(m / g^3) = 1, else 2 to the number of primes other
-    than 3 left in m / g^3 (_coprime_pairs).  g runs over prod p^k_p with
-    k_p <= e_p // 3, so the sum is a product over the primes: for p != 3
-    the factor sum_k (2 - [e_p = 3 k_p]) = 2 (e_p // 3 + 1) - [3 | e_p],
-    and for 3 the number of k_3 with e_3 - 3 k_3 != 1.  Every factor for a
-    prime other than 3 is at least 1 and does not fall as e_p grows, so W
-    only grows as such primes are added; 3's exponent is final after
-    trial division.
+    2 to the number of primes other than 3 left in m / g^3, or none when
+    v_3(m / g^3) = 1.  That is an upper bound on the sums x + y the kernel
+    forms for m / g^3: it doubles its list only at the primes p = 1 (mod 3)
+    and forms none once the forced part of s is past the bound
+    (_coprime_pairs), so RepCensus.sums_tried never exceeds W less the g's.
+    g runs over prod p^k_p with k_p <= e_p // 3, so the sum is a product
+    over the primes: for p != 3 the factor sum_k (2 - [e_p = 3 k_p]) =
+    2 (e_p // 3 + 1) - [3 | e_p], and for 3 the number of k_3 with
+    e_3 - 3 k_3 != 1.  Every factor for a prime other than 3 is at least 1
+    and does not fall as e_p grows, so W only grows as such primes are
+    added; 3's exponent is final after trial division.
     """
     divisors = sums = 1
     for p, e in factors.items():
@@ -263,15 +274,22 @@ def _coprime_pairs(
 
     - each prime p != 3 of m divides only one of s and q, so v_p(s) is 0
       or v_p(m);
+    - a prime p = 2 (mod 3) never divides q, so v_p(s) = v_p(m).  q is odd,
+      since x and y are not both even.  For odd p write
+      4 q = (2 x - y)^2 + 3 y^2.  If p divided q and not y, then -3 would be
+      a square mod p, so p = 1 (mod 3); if p divided q and y, it would
+      divide 2 x - y, hence x, against gcd(x, y) = 1;
     - if 3 does not divide s, then q = s^2 (mod 3) is prime to 3 as well
       and v_3(m) = 0;
     - if 3 divides s, then 3 does not divide x y, so v_3(3 x y) = 1 while
       v_3(s^2) >= 2, which gives v_3(q) = 1 and v_3(s) = v_3(m) - 1 >= 1.
 
-    So m with v_3(m) = 1 has no coprime solution, and otherwise |s| is
-    3^(v_3(m) - 1) (or 1 when 3 does not divide m) times the full prime
-    powers of a subset of the other primes: at most 2^omega(m) sums, cut at
-    |s| <= bound.  s has the sign of m, and x, y are the roots of
+    So m with v_3(m) = 1 has no coprime solution, and otherwise |s| is the
+    forced part, 3^(v_3(m) - 1) (or 1 when 3 does not divide m) times the
+    full power of every prime p = 2 (mod 3) of m, times the full prime
+    powers of a subset of the primes p = 1 (mod 3): at most 2^(number of
+    those primes) sums, cut at |s| <= bound, and none when the forced part
+    is past the bound.  s has the sign of m, and x, y are the roots of
     t^2 - s t + (s^2 - m / s) / 3, integers exactly when the division by 3
     is exact and the discriminant is a perfect square.
     Every pair found is coprime: a prime p dividing x and y divides s and
@@ -288,15 +306,20 @@ def _coprime_pairs(
     e3 = factors.get(3, 0)
     if e3 == 1:
         return [], 0
-    sums = [3 ** (e3 - 1) if e3 else 1]
-    if sums[0] > bound:
-        return [], 0
+    forced = 3 ** (e3 - 1) if e3 else 1
+    split = []
     for p, e in factors.items():
-        if p != 3:
-            pe = p**e
-            for a in sums[:]:
-                if a * pe <= bound:
-                    sums.append(a * pe)
+        if p % 3 == 2:
+            forced *= p**e
+        elif p != 3:
+            split.append(p**e)
+    if forced > bound:
+        return [], 0
+    sums = [forced]
+    for pe in split:
+        for a in sums[:]:
+            if a * pe <= bound:
+                sums.append(a * pe)
     sign = 1 if m > 0 else -1
     pairs = []
     for a in sums:
@@ -384,24 +407,41 @@ def search_points(cfg: CurveConfig, zmax: int) -> list[CubicPoint]:
 
     Found by running the census kernel _coprime_pairs on (m0 / g^3) z^3 for
     each g with g^3 | m0 and gcd(g, z) = 1, and scaling its pairs by g.  m0
-    is factored once and each z on its own, and the kernel's factorization
-    of (m0 / g^3) z^3 is put together from the two.  Sorted by (z, x) for
-    determinism.
+    is factored once.  The primes of each z are read off one table of least
+    prime factors for 0..zmax, filled by one slice per prime up to
+    isqrt(zmax) from its square on, the largest first, so that the least
+    prime of each composite is written last; an entry left 0 marks a
+    prime.  The kernel's
+    factorization of (m0 / g^3) z^3 is put together from the two.  A zmax
+    past SEARCH_BUDGET is a ValueError, raised before the table is built.
+    Sorted by (z, x) for determinism.
     """
     if zmax < 1:
         raise ValueError("zmax must be at least 1")
+    if zmax > SEARCH_BUDGET:
+        raise ValueError(
+            f"zmax is past the search budget of {SEARCH_BUDGET:,}"
+        )
     m0 = cfg.m0
     cube_divisors = list(_cube_divisors(factorize(m0)))
+    least = [0] * (zmax + 1)
+    for p in reversed(_primes_below(isqrt(zmax) + 1)):
+        least[p * p::p] = [p] * ((zmax - p * p) // p + 1)
     found = []
     for z in range(1, zmax + 1):
-        z_factors = factorize(z)
+        cube_factors: dict[int, int] = {}
+        rest_z = z
+        while rest_z > 1:
+            p = least[rest_z] or rest_z
+            cube_factors[p] = cube_factors.get(p, 0) + 3
+            rest_z //= p
         cube = z**3
         for g, rest in cube_divisors:
             if gcd(g, z) != 1:
                 continue
             factors = dict(rest)
-            for p, e in z_factors.items():
-                factors[p] = factors.get(p, 0) + 3 * e
+            for p, e in cube_factors.items():
+                factors[p] = factors.get(p, 0) + e
             m = m0 // g**3 * cube
             pairs, _ = _coprime_pairs(m, factors, icbrt(4 * abs(m))[0])
             found += [CubicPoint(g * x, g * y, z) for x, y in pairs]

@@ -112,6 +112,14 @@ class TestSearch:
         assert rc == EXIT_INVALID_INPUT
         assert "error:" in err
 
+    def test_zmax_past_the_budget(self, capsys):
+        rc, out, err = run(
+            capsys, ["search", "--m0", "91", "--zmax", "1000000000000"]
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "search budget of 1,048,576" in err
+
 
 class TestPhi:
     def test_maps_generator(self, capsys):
@@ -188,8 +196,29 @@ class TestHeight:
         assert rc == EXIT_PRECISION
         assert "achievable tolerance" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "0", "-1e-3", "nan"])
+    def test_tol_rule_of_construct(self, capsys, tol):
+        # construct.checked_tol, the rule construct and verify apply
+        rc, out, err = run(
+            capsys,
+            ["height", "--m0", "6", "--point", "17,37,21", f"--tol={tol}"],
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
 
 class TestIndependence:
+    def test_infinite_tol(self, capsys, gen_file):
+        rc, out, err = run(
+            capsys,
+            ["independence", "--m0", "6", "--points", gen_file,
+             "--tol", "inf"],
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
     def test_far_good_multiple(self, capsys, tmp_path):
         # (202, -101, 1) on m0 = 7 * 101^3: the least multiple of
         # nonsingular reduction at every prime is 102, past the cap
@@ -768,6 +797,13 @@ class TestHostileInput:
     )
     def test_long_integer(self, capsys, argv):
         self.assert_refused(capsys, argv, "more than 4300 digits")
+
+    def test_long_zmax_within_the_digit_limit(self, capsys):
+        # 4,300 digits convert, and the budget's refusal does not echo them
+        self.assert_refused(
+            capsys, ["search", "--m0", "6", "--zmax", "9" * 4300],
+            "past the search budget",
+        )
 
     def test_long_schema_version_is_not_echoed(self, capsys, cert4_path,
                                                tmp_path):

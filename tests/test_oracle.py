@@ -17,7 +17,7 @@ from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
@@ -75,6 +75,11 @@ def is_prime_by_trial(p):
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
+PRIMES_2_MOD_3 = [
+    p for p in range(2, 100) if p % 3 == 2 and is_prime_by_trial(p)
+]
+
+
 def seeded_cube_sums(count, lo, hi, seed):
     """count values m = x^3 + y^3 with lo <= |m| <= hi, half of each sign."""
     rng = random.Random(seed)
@@ -119,9 +124,24 @@ class TestCountReps:
         # 5187 = 3 * 1729: v_3 = 1 leaves no coprime sum to try
         assert count_reps(5187).sums_tried == 0
         # 1000 * 1729, scan_bound 190: g = 1, 2, 5, 10 leave m / g^3 with
-        # bounds 190, 95, 38, 19 and 11, 5, 5, 4 products of the full prime
-        # powers below them (at g = 10: 1, 7, 13, 19 of 1729, not 91 or 133)
-        assert count_reps(1000 * 1729).sums_tried == 25
+        # bounds 190, 95, 38 and 19.  2 and 5 are 2 (mod 3), so their full
+        # powers are forced into every sum: at g = 1 and g = 2 the forced
+        # 2^3 * 5^3 and 5^3 are past the bound and no sum is tried, at
+        # g = 5 the one sum is 8 (8 * 7 > 38), and at g = 10 the sums are
+        # 1, 7, 13 and 19 of 1729 (not 91 or 133)
+        assert count_reps(1000 * 1729).sums_tried == 5
+
+    @given(
+        x=st.integers(-10**6, 10**6),
+        y=st.integers(-10**6, 10**6),
+    )
+    def test_primes_2_mod_3_never_divide_q(self, x, y):
+        # the lemma behind _coprime_pairs' forced part: for coprime x, y no
+        # prime p = 2 (mod 3) divides q = x^2 - x y + y^2
+        assume(gcd(x, y) == 1)
+        q = x * x - x * y + y * y
+        for p in PRIMES_2_MOD_3:
+            assert q % p, (x, y, p)
 
     def test_mixed_sign_pairs(self):
         assert count_reps(91).pairs == ((-5, 6), (3, 4), (4, 3), (6, -5))
@@ -210,8 +230,8 @@ def _certificate_m(box_size, m0=91):
 
 
 def _work_by_walk(factors):
-    """census_work spelled out: one step per cube divisor g, and per g the
-    sums _coprime_pairs forms before its cut, none when v_3(m / g^3) = 1,
+    """census_work spelled out: one step per cube divisor g, and per g a
+    bound on the sums _coprime_pairs forms, none when v_3(m / g^3) = 1,
     else 2 to the number of primes other than 3 in m / g^3."""
     work = 0
     for _, rest in oracle._cube_divisors(factors):
@@ -259,7 +279,8 @@ class TestCensusBudget:
         assert census.sums_tried + 3072 <= 275_232
 
     def test_largest_certificate_m_within_the_budget(self):
-        # the 62-digit m of m0 = 1729 at N = 3, a second of work
+        # the 62-digit m of m0 = 1729 at N = 3, the largest certificate m of
+        # the pool curves at N <= 4 that counts
         m = _certificate_m(3, 1729)
         assert oracle.census_work(factorize(m)) == 6_839_568
         assert 6_839_568 <= oracle.CENSUS_BUDGET == 2**23
@@ -517,7 +538,42 @@ class TestSearchPoints:
 
     @pytest.mark.parametrize("m0", REFERENCE_CURVES)
     def test_matches_reference(self, m0):
-        assert search_points(CurveConfig(m0), 100) == search_reference(m0, 100)
+        # each small zmax puts at the table's last entry a prime (2, 3, 5),
+        # a prime square, where a slice starts (4, 9, 25, 49), or 8
+        reference = search_reference(m0, 100)
+        for zmax in (1, 2, 3, 4, 5, 8, 9, 25, 49, 100):
+            assert search_points(CurveConfig(m0), zmax) == [
+                p for p in reference if p.z <= zmax
+            ], zmax
+
+    def test_factors_only_m0(self, monkeypatch):
+        # every z is read off the least-prime-factor table
+        calls = []
+        original = oracle.factorize
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(oracle, "factorize", counting)
+        assert len(search_points(CurveConfig(91), 100)) == 12
+        assert calls == [91]
+
+    def test_refused_past_the_budget(self, cfg6):
+        # refused before the table is allocated, so at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            search_points(cfg6, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "zmax is past the search budget of 1,048,576"
+        )
+
+    def test_budget_is_inclusive(self, cfg7, monkeypatch):
+        monkeypatch.setattr(oracle, "SEARCH_BUDGET", 2)
+        assert search_points(cfg7, 2) == search_reference(7, 2)
+        with pytest.raises(ValueError, match="search budget of 2$"):
+            search_points(cfg7, 3)
 
     @pytest.mark.parametrize("m0", [*REFERENCE_CURVES, *WIDE_Z_CURVES])
     def test_matches_reference_above_wheel(self, m0):
