@@ -40,9 +40,12 @@ The reader checks every column's length (r per entry for ``index``, one per
 entry for the rest, the entries counted by ``z``) before it converts any,
 and builds the records with C-level maps, so no Python function runs per
 entry.  There is no stored check map and no stored verdict:
-verify_certificate parses the document into a Certificate, re-derives
-everything from the generators alone and compares, proves the identity
-x^3 + y^3 = m from the lattice without forming m or a representation (see
+verify_certificate parses the document into a Certificate, checks
+everything against the generators alone and compares: the stored lattice
+is proved from them by the chord rule where it holds, on curve points in
+normal form, and derived with the group law where it does not
+(construct.verify_checks).  It proves the identity x^3 + y^3 = m from the
+lattice without forming m or a representation (see
 construct.evaluate_checks), and returns the parsed Certificate with those
 fresh checks.
 

@@ -36,9 +36,15 @@ and Z.  derive_lattice computes the lattice and Z from the inputs
 (m0, generators, Gram matrix, indices, N, tol) and returns them as a
 Certificate with no checks.  build_certificate runs independence once,
 chooses I from its Gram matrix, runs derive_lattice and fills in the
-checks; the verifier screens the stored indices (index_set_screen), runs
-independence and derive_lattice over them, never choosing again, and
-compares field by field.
+checks.  The verifier screens the stored indices (index_set_screen), never
+choosing them again, and runs independence.  Then it checks each stored
+triple Q against the two terms A, B that build adds (lattice_terms) by
+the chord rule, A, B and -Q collinear (lattice_proved_by_chords), and
+takes the stored lattice as the derived one when that proof holds and
+lattice_on_curve and lattice_primitive, its premises, hold on the stored
+triples; otherwise it runs derive_lattice over the stored indices.  Either
+way it compares field by field, and the check map is the one derivation
+gives.
 """
 
 from __future__ import annotations
@@ -48,12 +54,13 @@ import math
 import sys
 from collections import namedtuple
 from functools import reduce
-from operator import add, eq, itemgetter, lt, mod, mul, neg
+from operator import add, eq, itemgetter, le, lt, mod, mul, neg, not_
 
 from .curves import (
     CUBIC_IDENTITY,
     CubicPoint,
     CurveConfig,
+    chord_sums,
     cubic_add,
     is_primitive,
     on_cubic,
@@ -246,6 +253,59 @@ def index_set_screen(indices: list[tuple[int, ...]], box_size: int) -> bool:
     )
 
 
+def lattice_terms(
+    cfg: CurveConfig,
+    generators: list[CubicPoint],
+    indices: list[tuple[int, ...]],
+) -> tuple[list[CubicPoint | None], list[CubicPoint | None]]:
+    """Each index's two terms, as two columns: the sum over all its
+    coordinates but the last, and n_r P_r, with None for an empty sum or a
+    zero n_r.
+
+    One table of multiples per generator reaches the largest |n_i| used,
+    and -cP is read from the end of it as cP with x and y swapped.  The
+    partial sums are memoized by index prefix, each one prefix shorter plus
+    one table entry by cubic_add, so the N^r indices share them: at rank 2
+    a partial sum is a table entry, and at rank 4 half the additions of
+    adding every point term by term are saved.  A partial sum may be the
+    identity.  Every point is the primitive triple cubic_add or from_triple
+    gives.  Python runs once per distinct prefix; the columns are C-level
+    lookups.  Build adds the two terms (generate_lattice_points); verify
+    checks the stored sum against them (lattice_proved_by_chords).
+    """
+    if not generators:
+        raise ValueError("at least one generator is required")
+    multiples = []
+    for i, p in enumerate(generators):
+        top = max(map(abs, map(itemgetter(i), indices)), default=0)
+        row = [CUBIC_IDENTITY, CubicPoint.from_triple(*p.triple())]
+        while len(row) <= top:
+            row.append(cubic_add(cfg, row[-1], row[1]))
+        multiples.append(row[: top + 1] + [q.neg() for q in row[top:0:-1]])
+    partial: dict[tuple[int, ...], CubicPoint | None] = {(): None}
+
+    def head(prefix):
+        if prefix not in partial:
+            q, k = head(prefix[:-1]), prefix[-1]
+            if k:
+                term = multiples[len(prefix) - 1][k]
+                q = term if q is None else cubic_add(cfg, q, term)
+            partial[prefix] = q
+        return partial[prefix]
+
+    # the prefixes are sliced twice, not kept: one tuple per index would
+    # stay alive until the columns are built
+    prefix = itemgetter(slice(-1))
+    for distinct in dict.fromkeys(map(prefix, indices)):
+        head(distinct)
+    # the last table with None in the place of 0 P
+    ends = [None, *multiples[-1][1:]]
+    return (
+        list(map(partial.__getitem__, map(prefix, indices))),
+        list(map(ends.__getitem__, map(itemgetter(-1), indices))),
+    )
+
+
 def generate_lattice_points(
     cfg: CurveConfig,
     generators: list[CubicPoint],
@@ -253,30 +313,16 @@ def generate_lattice_points(
 ) -> list[tuple[tuple[int, ...], CubicPoint]]:
     """The combinations n_1 P_1 + ... + n_r P_r, one per index, in its order.
 
-    One table of multiples per generator reaches the largest |n_i| used, and
-    each point adds its nonzero coordinates only, left to right, with
-    cubic_add: one addition per point at rank 2.  So every point is the
-    primitive triple cubic_add gives.  The zero index is a ValueError.  A
-    collision or an identity hit proves the generators dependent and raises.
+    Each point adds its two lattice_terms with cubic_add, or is the one
+    term it has: one addition per point at rank 2, besides the tables.  So
+    every point is the primitive triple cubic_add gives.  The zero index is
+    a ValueError.  A collision or an identity hit proves the generators
+    dependent and raises.
     """
-    rank = len(generators)
-    if rank < 1:
-        raise ValueError("at least one generator is required")
-    multiples = []
-    for i, p in enumerate(generators):
-        top = max((abs(n[i]) for n in indices), default=0)
-        row = [CUBIC_IDENTITY, CubicPoint.from_triple(*p.triple())]
-        while len(row) <= top:
-            row.append(cubic_add(cfg, row[-1], row[1]))
-        # read with negative keys from the end: -cP is cP with x and y swapped
-        multiples.append(row[: top + 1] + [q.neg() for q in row[top:0:-1]])
     out: list[tuple[tuple[int, ...], CubicPoint]] = []
     seen: dict[CubicPoint, tuple[int, ...]] = {}
-    for idx in indices:
-        q = None
-        for row, k in zip(multiples, idx):
-            if k:
-                q = row[k] if q is None else cubic_add(cfg, q, row[k])
+    for idx, a, b in zip(indices, *lattice_terms(cfg, generators, indices)):
+        q = b if a is None else a if b is None else cubic_add(cfg, a, b)
         if q is None:
             raise ValueError("the zero index names no lattice point")
         if q.z == 0:
@@ -291,6 +337,64 @@ def generate_lattice_points(
         seen[q] = idx
         out.append((idx, q))
     return out
+
+
+def _bits(points) -> map:
+    """The largest coordinate bit length of each point."""
+    xs, ys, zs = _columns(points, 3)
+    bit_length = int.bit_length
+    return map(max, map(bit_length, xs), map(bit_length, ys),
+               map(bit_length, zs))
+
+
+def lattice_proved_by_chords(
+    cfg: CurveConfig,
+    generators: list[CubicPoint],
+    lattice: list[tuple[tuple[int, ...], CubicPoint]],
+) -> bool:
+    """Whether the stored lattice is the one generate_lattice_points would
+    derive over its indices, given that its triples are primitive points of
+    the curve (lattice_on_curve and lattice_primitive, which the caller
+    decides on them).
+
+    The indices must have passed index_set_screen.  lattice_terms gives each
+    entry's terms A and B from the generators, points of the curve in normal
+    form.  An entry with one term must equal it.  Every other stored Q is
+    screened in this order, each step before the next one's work:
+    - size, before any multiplication: cubic_add's formulas are of degree 2
+      in A's coordinates and 2 in B's, with m0 in the rotated ones, and the
+      gcd only shrinks them, so each coordinate of A + B has at most
+      2 (bits A + bits B) + bits |m0| + 2 bits;
+    - every stored z > 0 and no two stored triples equal, which the derived
+      lattice has, or derivation would raise;
+    - Q = A + B by the chord rule (curves.chord_sums), which also needs
+      -Q not in {A, B} and A != B.
+    With the caller's two premises the stored triples are then the sums
+    cubic_add would give, in the same normal form, and the lattice over
+    the stored indices is the derived one, so verify need not add.
+    """
+    indices = list(map(itemgetter(0), lattice))
+    heads, lasts = lattice_terms(cfg, generators, indices)
+    stored = list(map(itemgetter(1), lattice))
+    # entries with both terms; the rest have one, or none for the zero index
+    both = list(map(all, zip(heads, lasts)))
+    for a, b, q in itertools.compress(
+        zip(heads, lasts, stored), map(not_, both)
+    ):
+        if q != (b if a is None else a):
+            return False
+    heads = list(itertools.compress(heads, both))
+    lasts = list(itertools.compress(lasts, both))
+    sums = list(itertools.compress(stored, both))
+    sizes = map(add, _bits(heads), _bits(lasts))
+    bounds = map(add, map(mul, itertools.repeat(2), sizes),
+                 itertools.repeat(abs(cfg.m0).bit_length() + 2))
+    return (
+        all(map(le, _bits(sums), bounds))
+        and min(_columns(stored, 3)[2], default=1) > 0
+        and len(set(stored)) == len(stored)
+        and chord_sums(heads, lasts, sums)
+    )
 
 
 def product_tree(factors: list[int]) -> int:
@@ -408,17 +512,33 @@ def derive_lattice(
     """The certificate the generators and their Gram matrix determine: the
     lattice over the given indices and Z, the product of its z's.
 
-    hhat_bar is read off the Gram diagonal, which holds 2 hhat(P_i):
-    halving is exact, so no height is computed twice.  The lattice and Z
-    are None when two lattice combinations collide or one is the identity.
+    The lattice and Z are None when two lattice combinations collide or
+    one is the identity.
     """
-    rank = len(generators)
-    hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
     try:
         lattice = generate_lattice_points(cfg, generators, indices)
     except GeneratorDependenceError:
-        lattice = z_total = None
-    else:
+        lattice = None
+    return _with_lattice(cfg, generators, gram, lattice, box_size, tol)
+
+
+def _with_lattice(
+    cfg: CurveConfig,
+    generators: list[CubicPoint],
+    gram: list[list[ApproxReal]],
+    lattice: list[tuple[tuple[int, ...], CubicPoint]] | None,
+    box_size: int,
+    tol: float,
+) -> Certificate:
+    """The certificate of this lattice, Z the product of its z's.
+
+    hhat_bar is read off the Gram diagonal, which holds 2 hhat(P_i):
+    halving is exact, so no height is computed twice.
+    """
+    rank = len(generators)
+    hhat_bar = reduce(interval_max, (gram[i][i].ldexp(-1) for i in range(rank)))
+    z_total = None
+    if lattice is not None:
         z_total = product_tree([q.z for _, q in lattice])
     return Certificate(
         cfg.m0, rank, box_size, tol, list(generators), hhat_bar, lattice,
@@ -447,8 +567,9 @@ def evaluate_checks(
     ``generator_checks`` is _generator_checks of cert.generators, computed
     once by the caller, which screens on it; ``independent`` is the verdict
     of independence on them, and ``derived`` is derive_lattice over its Gram
-    matrix and the stored indices.  Each stored value is compared with its
-    derived counterpart; nothing is derived again.  The two divisor lemmas
+    matrix and the stored indices, or, in verify_checks, the stored lattice
+    itself once the chord proof holds.  Each stored value is compared with
+    its derived counterpart; nothing is derived again.  The two divisor lemmas
     are decided on the d's of the derived triples (divisor_records), with
     5184 m0^2 and 9 * 12^6 * |m0|^15 formed once per call:
     d^3 | 5184 m0^2 (x + y) and d^6 < 9 * 12^6 * |m0|^15 * z^3.
@@ -467,9 +588,10 @@ def evaluate_checks(
     passes over the lattice are C-level maps over the x, y, z and d
     columns, each check still decided on its own: z^3 is formed once for
     the curve equation and the bound.  lattice_on_curve and
-    lattice_primitive stay as independent exact checks of the lattice
-    pass.  The chain constants are m_factor(r) and n_min, computed here
-    from m0, r and the derived hhat_bar.  chain_bound and final_inequality
+    lattice_primitive are independent exact checks of the lattice pass,
+    and the premises of verify's chord proof when it takes the stored
+    lattice as derived.  The chain constants are m_factor(r) and n_min,
+    computed here from m0, r and the derived hhat_bar.  chain_bound and final_inequality
     are one exact comparison on the stored Z: the paper's inequality raised
     to the power (r+2)/r is log m < K N^(r+2) hhat, decided in integers
     with the floats log_m(m0, Z).upper() and hhat_bar.upper() read as their
@@ -568,9 +690,10 @@ def evaluate_checks(
 
 
 def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
-    """The verifier's check map: screen the document, then derive once.
+    """The verifier's check map: screen the document, then prove the stored
+    lattice or derive it.
 
-    Nothing is derived unless the generators are nontrivial primitive curve
+    Nothing is computed unless the generators are nontrivial primitive curve
     points, the document holds exactly N^r lattice entries, and their
     indices pass index_set_screen, so the work is bounded by the size of
     the document (N is compared with the entry count before N^r is
@@ -578,6 +701,15 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     screen leaves every later check false without evaluating it: false
     means not established, so generators_independent is false there
     whatever the generators are.
+
+    Past the screen, independence runs once.  When lattice_proved_by_chords
+    accepts the stored lattice, it is taken as the derived one, and its
+    proof's premises are two of the checks that evaluate_checks decides on
+    it: lattice_on_curve and lattice_primitive.  When both hold, that check
+    map is the one derivation would give, and no lattice point is added.
+    Otherwise, the screen refused or a premise failed, derive_lattice
+    derives the lattice with cubic_add and the checks compare against it,
+    so every check map is the derivation's.
     """
     screen = _generator_checks(cfg, cert.generators)
     checks = dict.fromkeys(CHECK_NAMES, False) | screen
@@ -591,6 +723,13 @@ def verify_checks(cfg: CurveConfig, cert: Certificate) -> dict[str, bool]:
     ):
         return checks
     gram, independent = independence(cfg, cert.generators, cert.tol)
+    if lattice_proved_by_chords(cfg, cert.generators, cert.lattice_points):
+        proved = _with_lattice(
+            cfg, cert.generators, gram, cert.lattice_points, box_size, cert.tol
+        )
+        checks = evaluate_checks(cfg, cert, screen, independent, proved)
+        if checks["lattice_on_curve"] and checks["lattice_primitive"]:
+            return checks
     derived = derive_lattice(
         cfg, cert.generators, gram, indices, box_size, cert.tol
     )

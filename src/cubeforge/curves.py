@@ -8,7 +8,8 @@ by the map that sends a point [x, y, z] of C with x + y != 0 to
 
 and the identity [1, -1, 0] to the point at infinity.  The map is a group
 isomorphism.  The one group law is on C: the integer projective formulas of
-twisted Hessian curves (cubic_add).  Everything else reads W through
+twisted Hessian curves (cubic_add); chord_sums checks claimed sums against
+it by collinearity, without adding.  Everything else reads W through
 weierstrass_image, which gives X and Y as integer ratios in lowest terms.
 Points on C are kept primitive: gcd(x, y, z) = 1 and z > 0 off the identity.
 CubicPoint.from_triple is the one place an integer triple is put in that form,
@@ -18,6 +19,7 @@ and the one place that knows the point at infinity of C.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .numeric import ApproxReal, log_abs
@@ -183,6 +185,55 @@ def cubic_add(cfg: CurveConfig, p: CubicPoint, q: CubicPoint) -> CubicPoint:
                 f"{q.triple()}: the points are not on the curve"
             )
     return CubicPoint.from_triple(x3, y3, z3)
+
+
+def chord_sums(
+    a_points: list[CubicPoint],
+    b_points: list[CubicPoint],
+    sums: list[CubicPoint],
+) -> bool:
+    """Whether Q_i = A_i + B_i for every i, decided by lines, not added.
+
+    The identity O = [1 : -1 : 0] is a flex of the smooth cubic: its tangent
+    x + y = 0 meets the curve at O three times.  So, as for a Weierstrass
+    curve (Silverman, The Arithmetic of Elliptic Curves, III.2), P + Q + R
+    = O exactly when P, Q and R are the three intersections, counted with
+    multiplicity, of one line with the curve.  For A != B on the curve the
+    line AB is unique and meets the curve in A, B and R = -(A + B) alone.
+    A point -Q of the curve with det[A; B; -Q] = 0 lies on that line, so it
+    is one of A, B, R, and when it is neither A nor B, Q = -R = A + B.  That
+    is the check, with -Q = (y, x, z) the swap of Q = (x, y, z): A_i != B_i,
+    -Q_i not in {A_i, B_i}, and the determinant zero, the scalar triple
+    product (A x B) . (-Q), nine products and no gcd.  Comparing triples
+    compares points only in one normal form, so A, B and Q must be
+    primitive with z > 0 or the identity (1, -1, 0), as from_triple makes
+    them, and all three on the curve; the caller establishes both.  A Q
+    with z = 0 is refused: its swap (-1, 1, 0) is O in another scaling.
+    Columnar: one C-level map per product over the coordinate columns.
+    """
+    if not sums:
+        return True
+    # bound here, not imported: a module-level add would revive curves.add,
+    # a retired name that perfbench's tracer still looks up
+    add, mul, ne, sub = operator.add, operator.mul, operator.ne, operator.sub
+    ax, ay, az = zip(*a_points)
+    bx, by, bz = zip(*b_points)
+    qx, qy, qz = zip(*sums)
+    # the swaps -Q as plain tuples, which compare equal to CubicPoints
+    if not (
+        all(qz)
+        and all(map(ne, a_points, b_points))
+        and all(map(ne, zip(qy, qx, qz), a_points))
+        and all(map(ne, zip(qy, qx, qz), b_points))
+    ):
+        return False
+    cross_x = map(sub, map(mul, ay, bz), map(mul, az, by))
+    cross_y = map(sub, map(mul, az, bx), map(mul, ax, bz))
+    cross_z = map(sub, map(mul, ax, by), map(mul, ay, bx))
+    return not any(
+        map(add, map(add, map(mul, cross_x, qy), map(mul, cross_y, qx)),
+            map(mul, cross_z, qz))
+    )
 
 
 def is_primitive(p: CubicPoint) -> bool:

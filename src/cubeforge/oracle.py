@@ -27,7 +27,8 @@ those sums from the exponents of m alone, and count_reps refuses an m past
 CENSUS_BUDGET before the kernel runs.  search_points runs the same kernel
 on (m0 / g^3) z^3.  It factors m0 once, reads the primes of every z off one
 least-prime-factor table, and refuses a zmax past SEARCH_BUDGET before it
-builds the table.
+factors m0, or a zmax times m0's cube divisors past it before it builds the
+table.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ _RHO_BATCH = 128
 # tries 84,272 in 0.15 s, against 24,354 for the first 18 (CPython 3.11,
 # one core)
 CENSUS_BUDGET = 1 << 23
-# search_points refuses a zmax past this: its least-prime-factor table holds
-# zmax + 1 entries of 8 bytes, and each z runs the kernel once per cube
-# divisor of m0.  At the budget, m0 = 91 takes about 5.5 s and 16 MB
-# (CPython 3.11, one core)
+# search_points refuses a zmax past this, and a zmax times the number of
+# cube divisors of m0 past it: its least-prime-factor table holds zmax + 1
+# entries of 8 bytes, and each z runs the kernel once per cube divisor of
+# m0 coprime to it.  At the budget, m0 = 91 (one cube divisor) takes about
+# 5.5 s and 16 MB (CPython 3.11, one core)
 SEARCH_BUDGET = 1 << 20
 
 
@@ -413,7 +415,9 @@ def search_points(cfg: CurveConfig, zmax: int) -> list[CubicPoint]:
     prime of each composite is written last; an entry left 0 marks a
     prime.  The kernel's
     factorization of (m0 / g^3) z^3 is put together from the two.  A zmax
-    past SEARCH_BUDGET is a ValueError, raised before the table is built.
+    past SEARCH_BUDGET is a ValueError, raised before m0 is factored; so is
+    a zmax whose product with the number of cube divisors of m0, the kernel
+    runs per z at most, is past it, raised before the table is built.
     Sorted by (z, x) for determinism.
     """
     if zmax < 1:
@@ -424,6 +428,11 @@ def search_points(cfg: CurveConfig, zmax: int) -> list[CubicPoint]:
         )
     m0 = cfg.m0
     cube_divisors = list(_cube_divisors(factorize(m0)))
+    if len(cube_divisors) * zmax > SEARCH_BUDGET:
+        raise ValueError(
+            f"zmax times the {len(cube_divisors):,} cube divisors of m0 is "
+            f"past the search budget of {SEARCH_BUDGET:,}"
+        )
     least = [0] * (zmax + 1)
     for p in reversed(_primes_below(isqrt(zmax) + 1)):
         least[p * p::p] = [p] * ((zmax - p * p) // p + 1)

@@ -120,6 +120,17 @@ class TestSearch:
         assert out == ""
         assert "search budget of 1,048,576" in err
 
+    def test_zmax_times_cube_divisors_past_the_budget(self, capsys):
+        # (2*5*...*31)^3 has 1,024 cube divisors: zmax = 2,000 is within
+        # the zmax budget but past it in kernel runs
+        m0 = (2 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31) ** 3
+        rc, out, err = run(
+            capsys, ["search", "--m0", str(m0), "--zmax", "2000"]
+        )
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "1,024 cube divisors of m0 is past the search budget" in err
+
 
 class TestPhi:
     def test_maps_generator(self, capsys):

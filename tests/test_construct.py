@@ -42,8 +42,14 @@ from cubeforge.construct import (
     representations_from_lattice,
     z_factor,
 )
-from cubeforge.curves import CUBIC_IDENTITY, cubic_add, is_primitive, on_cubic
-from cubeforge.heights import canonical_height
+from cubeforge.curves import (
+    CUBIC_IDENTITY,
+    chord_sums,
+    cubic_add,
+    is_primitive,
+    on_cubic,
+)
+from cubeforge.heights import canonical_height, independence
 from cubeforge.numeric import ApproxReal, log_abs
 from tests.conftest import (
     KNOWN_GENERATORS,
@@ -406,6 +412,41 @@ class TestLatticeGeneration:
         assert calls["cubic_add"] == both + sum(max(k - 1, 0) for k in reach)
         assert both <= len(indices) == 64
 
+    @pytest.mark.parametrize(
+        "m0, box_size, memoized, term_by_term",
+        [(657, 4, 61, 86), (152551, 3, 77, 140), (152551, 6, 1314, 3046)],
+    )
+    def test_partial_sums_are_shared_by_prefix(
+        self, monkeypatch, m0, box_size, memoized, term_by_term
+    ):
+        # the tables, one addition per distinct prefix n_1..n_j (2 <= j < r)
+        # whose n_j and an earlier coordinate are nonzero, and one per point
+        # whose n_r and an earlier coordinate are nonzero; adding each point
+        # term by term would take one per nonzero coordinate but the first
+        cfg = CurveConfig(m0)
+        gens = [CubicPoint(*g) for g in _SETS[m0]]
+        indices = chosen_indices(cfg, gens, box_size)
+        rank = len(gens)
+        tables = sum(
+            max(max(abs(n[i]) for n in indices) - 1, 0) for i in range(rank)
+        )
+        prefixes = {n[:j] for n in indices for j in range(2, rank)}
+        joins = sum(1 for p in prefixes if p[-1] and any(p[:-1]))
+        ends = sum(1 for n in indices if n[-1] and any(n[:-1]))
+        each = sum(max(sum(1 for k in n if k) - 1, 0) for n in indices)
+        calls = Counter()
+        original = curves.cubic_add
+
+        def counting(*args):
+            calls["cubic_add"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(construct, "cubic_add", counting)
+        lattice = generate_lattice_points(cfg, gens, indices)
+        assert calls["cubic_add"] == tables + joins + ends == memoized
+        assert tables + each == term_by_term
+        assert lattice == loop_reference.lattice_points(cfg, gens, indices)
+
     def test_zero_index_is_refused(self, cfg6, gen6):
         with pytest.raises(ValueError, match="zero index"):
             generate_lattice_points(cfg6, [gen6], [(1,), (0,)])
@@ -664,12 +705,301 @@ class TestDerivedOnce:
         calls.clear()
         report = verify_certificate(certificate_to_json(cert))
         assert report.checks == cert.checks
+        # the stored lattice passes the chord proof, so verify derives none
+        assert calls == {
+            "canonical_height": 3,
+            "_generator_checks": 1,
+            "independence": 1,
+        }
+        # after a failed chord (the last entry negated) it derives once
+        doc = json.loads(certificate_to_json(cert))
+        with lattice_entries(doc) as lattice:
+            lattice[-1]["point"][:2] = lattice[-1]["point"][1::-1]
+        calls.clear()
+        report = verify_certificate(doc)
+        assert not report.checks["lattice_points_match"]
         assert calls == {
             "canonical_height": 3,
             "generate_lattice_points": 1,
             "_generator_checks": 1,
             "independence": 1,
         }
+
+    def test_rank_two_verify_adds_only_for_the_tables(self, monkeypatch):
+        # verify's cubic_add calls at rank 2 are the tables of multiples,
+        # sum of max(max|n_i| - 1, 0), and independence's own: no lattice
+        # point is added
+        cfg = CurveConfig(91)
+        cert = build_certificate(cfg, list(_POOL_91), 12)
+        text = certificate_to_json(cert)
+        calls = Counter()
+
+        def counting(*args, _original=curves.cubic_add):
+            calls["cubic_add"] += 1
+            return _original(*args)
+
+        for module in (curves, construct, heights):
+            monkeypatch.setattr(module, "cubic_add", counting)
+        independence(cfg, list(_POOL_91), cert.tol)
+        own = calls["cubic_add"]
+        calls.clear()
+        assert verify_certificate(text).all_checks_pass
+        indices = [idx for idx, _ in cert.lattice_points]
+        tables = sum(
+            max(max(abs(n[i]) for n in indices) - 1, 0) for i in range(2)
+        )
+        assert calls["cubic_add"] == tables + own == 24
+
+    @pytest.mark.parametrize(
+        "m0, box_size, failing",
+        [
+            (657, 4, set()),
+            # N = 3 is below this curve's n_min = 6, which is all that fails
+            (152551, 3, {"theorem_preconditions"}),
+            (152551, 6, set()),
+        ],
+    )
+    def test_ranks_three_and_four_verify_without_deriving(
+        self, calls, m0, box_size, failing
+    ):
+        cfg = CurveConfig(m0)
+        cert = build_certificate(
+            cfg, [CubicPoint(*g) for g in _SETS[m0]], box_size
+        )
+        calls.clear()
+        report = verify_certificate(certificate_to_json(cert))
+        assert report.checks == cert.checks
+        assert {k for k, ok in report.checks.items() if not ok} == failing
+        assert calls["generate_lattice_points"] == 0
+
+
+def _derivation_checks(cfg, cert):
+    """verify_checks with the chord proof refused: the derivation path,
+    which derives the lattice with cubic_add and compares."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "lattice_proved_by_chords", _refuse)
+        return construct.verify_checks(cfg, cert)
+
+
+def _refuse(*args):
+    return False
+
+
+# the documents the verdict-equivalence test tampers with: the pool pairs
+# in all four draws at N = 2..4, the rank-1 m0=6 line and the rank-3 set
+_EQUIVALENCE_BASES = [
+    (m0, tuple(map(tuple, draw)), box_size)
+    for m0 in (91, 1729)
+    for draw in pool_draws(_SETS[m0])
+    for box_size in (2, 3, 4)
+] + [(6, ((17, 37, 21),), box_size) for box_size in (2, 3, 4)] + [
+    (657, _SETS[657], box_size) for box_size in (2, 3)
+]
+
+_TAMPERS = (
+    "swap-x-y", "copy-entry", "identity", "double", "negate-index",
+    "swap-generator", "repeat-first-generator",
+)
+
+
+@lru_cache(maxsize=None)
+def _equivalence_base(m0, generators, box_size):
+    return build_certificate(
+        CurveConfig(m0), [CubicPoint(*g) for g in generators], box_size
+    )
+
+
+def _tampered(cert, tamper, entry, other, coordinate):
+    """cert with one tamper applied to its lattice entry or generators,
+    each picked by the integers given, modulo the counts."""
+    lattice, gens = list(cert.lattice_points), list(cert.generators)
+    rank = len(gens)
+    entry, other = entry % len(lattice), other % len(lattice)
+    idx, q = lattice[entry]
+    if tamper == "swap-x-y":
+        lattice[entry] = (idx, q.neg())
+    elif tamper == "copy-entry":
+        lattice[entry] = (idx, lattice[other][1])
+    elif tamper == "identity":
+        lattice[entry] = (idx, CUBIC_IDENTITY)
+    elif tamper == "double":
+        lattice[entry] = (idx, CubicPoint(*(2 * c for c in q)))
+    elif tamper == "negate-index":
+        flipped = list(idx)
+        flipped[coordinate % rank] *= -1
+        lattice[entry] = (tuple(flipped), q)
+    elif tamper == "swap-generator":
+        gens[coordinate % rank] = gens[coordinate % rank].neg()
+    elif rank > 1:  # the first generator repeated in another slot
+        gens[1 + coordinate % (rank - 1)] = gens[0]
+    return cert._replace(generators=gens, lattice_points=lattice, checks={})
+
+
+def _with_stored_sums(cfg, generators, indices):
+    """A rank-r, N = 2 certificate whose lattice holds the sums of each
+    index's lattice_terms, formed whether or not derivation would raise."""
+    gram, _ = independence(cfg, generators, 1e-3)
+    lattice = [
+        (idx, b if a is None else a if b is None else cubic_add(cfg, a, b))
+        for idx, a, b in zip(
+            indices, *construct.lattice_terms(cfg, generators, indices)
+        )
+    ]
+    with pytest.raises(GeneratorDependenceError):
+        generate_lattice_points(cfg, generators, indices)
+    cert = derive_lattice(cfg, generators, gram, indices, 2, 1e-3)
+    return cert._replace(lattice_points=lattice, Z=1)
+
+
+class TestChordProof:
+    """verify takes the stored lattice as the derived one only when the
+    chord proof holds, and every check map is the derivation's."""
+
+    @pytest.fixture()
+    def derivations(self, monkeypatch):
+        counts = Counter()
+        original = construct.generate_lattice_points
+
+        def counting(*args):
+            counts["generate_lattice_points"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(construct, "generate_lattice_points", counting)
+        return counts
+
+    @given(
+        st.sampled_from(_EQUIVALENCE_BASES),
+        st.sampled_from(_TAMPERS),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_equal_the_derivation_path(
+        self, base, tamper, entry, other, coordinate
+    ):
+        cert = _tampered(_equivalence_base(*base), tamper, entry, other,
+                         coordinate)
+        cfg = CurveConfig(cert.m0)
+        assert construct.verify_checks(cfg, cert) == _derivation_checks(
+            cfg, cert
+        )
+
+    def _named(self, case):
+        """The certificate of one named case, and whether the chord proof
+        holds on it."""
+        if case == "equal-terms":
+            # generators P, P: the entry (1, 1) has A = B = P, and its
+            # stored 2P is right, but no line is defined, so verify derives;
+            # the derived lattice has no collision and matches
+            cfg = CurveConfig(91)
+            gens = [_POOL_91[0], _POOL_91[0]]
+            indices = [(1, 1), (1, 2), (2, 2), (1, -2)]
+            gram, _ = independence(cfg, gens, 1e-3)
+            return derive_lattice(cfg, gens, gram, indices, 2, 1e-3), False
+        if case.startswith("identity-partial-sum"):
+            # generators P1, -P1, P3: the prefix (1, 1) sums to O, and the
+            # line through O and P3 proves O + P3 = P3; the negated entry
+            # fails the chord and is derived
+            cfg = CurveConfig(657)
+            p1, _, p3 = (CubicPoint(*g) for g in _SETS[657])
+            gens = [p1, p1.neg(), p3]
+            indices = [(1, 1, 1), (1, 1, 2), (1, 0, 1), (2, 0, 1),
+                       (1, 0, 2), (2, 0, 2), (1, 0, -1), (2, 0, -1)]
+            gram, _ = independence(cfg, gens, 1e-3)
+            cert = derive_lattice(cfg, gens, gram, indices, 2, 1e-3)
+            assert cert.lattice_points[0][1] == p3
+            if case.endswith("negated"):
+                return _tampered(cert, "swap-x-y", 0, 0, 0), False
+            return cert, True
+        if case == "collision":
+            # generators P, 2P: (2, 0) and (0, 1) both sum to 2P, and each
+            # stored sum is right, but two equal triples fail the screen,
+            # and derivation raises on the collision
+            cfg = CurveConfig(6)
+            p = KNOWN_GENERATORS[6]
+            gens = [p, cubic_add(cfg, p, p)]
+            return _with_stored_sums(cfg, gens, [(1, 0), (2, 0), (0, 1),
+                                                 (1, 1)]), False
+        if case == "torsion-identity":
+            # (1, 1, 1) has order 2 on x^3 + y^3 = 2 z^3: the stored O at
+            # (2,) is the derived term, but z = 0 fails the screen, and
+            # derivation raises on the identity
+            return _with_stored_sums(
+                CurveConfig(2), [CubicPoint(1, 1, 1)], [(1,), (2,)]
+            ), False
+        cert = _equivalence_base(91, _SETS[91], 2)
+        assert cert.lattice_points[-1][0] == (1, 1)
+        if case == "minus-q-is-a-term":
+            # (1, 1) stored as -P1: -Q = P1 = A lies on the line AB
+            return cert._replace(lattice_points=cert.lattice_points[:-1] + [
+                ((1, 1), _POOL_91[0].neg())
+            ]), False
+        # a stored identity fails the screen z > 0
+        return _tampered(cert, "identity", -1, 0, 0), False
+
+    @pytest.mark.parametrize(
+        "case",
+        ["equal-terms", "minus-q-is-a-term", "identity-partial-sum",
+         "identity-partial-sum-negated", "stored-identity", "collision",
+         "torsion-identity"],
+    )
+    def test_named_fallbacks(self, derivations, case):
+        cert, proved = self._named(case)
+        cfg = CurveConfig(cert.m0)
+        derivations.clear()
+        checks = construct.verify_checks(cfg, cert)
+        assert derivations["generate_lattice_points"] == (0 if proved else 1)
+        assert checks == _derivation_checks(cfg, cert)
+        assert checks["lattice_points_match"] is (
+            case in ("equal-terms", "identity-partial-sum")
+        )
+
+    def test_a_huge_point_on_the_chord_is_refused_by_its_size(self):
+        # the swap of C = A + 2^2,000,000 B lies on the line AB with z > 0,
+        # is no stored triple and no term, so only the size screen refuses
+        # it; cubing it for lattice_on_curve would take most of a second
+        cfg = CurveConfig(91)
+        cert = build_certificate(cfg, list(_POOL_91), 8, 1e-4)
+        assert cert.all_checks_pass
+        indices = [idx for idx, _ in cert.lattice_points]
+        entry = next(k for k, n in enumerate(indices) if all(n))
+        heads, lasts = construct.lattice_terms(cfg, cert.generators, indices)
+        a, b = heads[entry], lasts[entry]
+        c = CubicPoint(*(s + (t << 2_000_000) for s, t in zip(a, b)))
+        assert chord_sums([a], [b], [c.neg()])
+        doc = json.loads(certificate_to_json(cert))
+        with lattice_entries(doc) as lattice:
+            lattice[entry]["point"] = list(map(hex, c.neg()))
+        text = json.dumps(doc)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = verify_certificate(text)
+            seconds.append(time.perf_counter() - start)
+        assert {k for k, ok in report.checks.items() if not ok} == {
+            "lattice_points_match",
+            "divisor_records_match",
+            "representations_match_formula",
+            "representation_identity",
+        }
+        assert min(seconds) < 0.1
+        # and the huge triple is never cubed, which the timing alone cannot
+        # tell on a fast host
+        powers = []
+
+        class Counted(int):
+            def __pow__(self, exponent, modulo=None):
+                powers.append(exponent)
+                return int.__pow__(self, exponent, modulo)
+
+        lattice = list(report.lattice_points)
+        lattice[entry] = (lattice[entry][0],
+                          CubicPoint(*map(Counted, c.neg())))
+        assert construct.verify_checks(
+            cfg, report._replace(lattice_points=lattice, checks={})
+        ) == report.checks
+        assert powers == []
 
 
 class TestPerPointPasses:

@@ -24,6 +24,7 @@ from cubeforge import (
     weierstrass_image,
 )
 from cubeforge import construct, curves
+from cubeforge.curves import chord_sums
 from tests import group_reference, loop_reference
 from tests.conftest import KNOWN_GENERATORS, chosen_indices
 from tests.group_reference import (
@@ -369,3 +370,77 @@ class TestIntegerGroupLaw:
         p = CubicPoint(0, 0, 1)
         with pytest.raises(ValueError, match="both addition formulas vanish"):
             cubic_add(cfg6, p, p)
+
+
+class TestChordSums:
+    """chord_sums against cubic_add: a correct sum passes, and each case
+    the chord rule cannot decide is refused, not passed."""
+
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
+           st.integers(-6, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_cubic_add_on_91(self, i, j, k, l):
+        # A = iP1 + jP2 and B = kP1 + lP2: the cubic_add sum passes unless
+        # A = B, -(A + B) is A or B, or A + B = O, and a sum that is not
+        # A + B never passes
+        cfg = CurveConfig(91)
+        p1, p2 = _P91
+        a = cubic_add(cfg, cubic_smul(cfg, i, p1), cubic_smul(cfg, j, p2))
+        b = cubic_add(cfg, cubic_smul(cfg, k, p1), cubic_smul(cfg, l, p2))
+        q = cubic_add(cfg, a, b)
+        undecided = a == b or q.neg() in (a, b) or q.is_identity
+        assert chord_sums([a], [b], [q]) is (not undecided)
+        for wrong in (q.neg(), cubic_add(cfg, q, _P91[0]), a, b):
+            if wrong != q:
+                assert not chord_sums([a], [b], [wrong])
+
+    def test_columns(self):
+        # one verdict over all the rows: a single wrong row refuses
+        cfg = CurveConfig(91)
+        p1, p2 = _P91
+        heads = [cubic_smul(cfg, k, p1) for k in (1, 2, -3)]
+        lasts = [cubic_smul(cfg, k, p2) for k in (1, -1, 4)]
+        sums = [cubic_add(cfg, a, b) for a, b in zip(heads, lasts)]
+        assert chord_sums(heads, lasts, sums)
+        assert not chord_sums(heads, lasts, sums[:2] + [sums[2].neg()])
+        assert chord_sums([], [], [])
+
+    def test_equal_terms_are_refused(self):
+        # A = B gives no line: det[A; A; -Q] is 0 for every Q, 2A included
+        cfg = CurveConfig(91)
+        a = _P91[0]
+        assert not chord_sums([a], [a], [cubic_add(cfg, a, a)])
+
+    def test_minus_q_among_the_terms_is_refused(self):
+        # Q = -A puts -Q = A on the line AB, so the determinant vanishes,
+        # but -A is not A + B
+        a, b = _P91
+        for wrong in (a.neg(), b.neg()):
+            assert not chord_sums([a], [b], [wrong])
+
+    def test_an_identity_term(self):
+        # O is a point like any other: the line through O and B meets the
+        # curve in -B, so O + B = B passes and nothing else on the line does
+        cfg = CurveConfig(91)
+        b = _P91[1]
+        assert chord_sums([CUBIC_IDENTITY], [b], [b])
+        assert not chord_sums([CUBIC_IDENTITY], [b], [b.neg()])
+        assert not chord_sums([CUBIC_IDENTITY], [b], [cubic_add(cfg, b, b)])
+        # a sum that is O: its swap (-1, 1, 0) is O too, on every line
+        # through O, and no comparison of normal forms would see it
+        assert not chord_sums([CUBIC_IDENTITY], [b], [CUBIC_IDENTITY])
+        assert not chord_sums([b], [b.neg()], [CUBIC_IDENTITY])
+
+    def test_premises_are_the_callers(self):
+        # what the determinant alone accepts: the swap of any triple on the
+        # line AB, off the curve (A + 2B as vectors), or A + B with its
+        # coordinates doubled; lattice_on_curve and lattice_primitive
+        # refuse both, which is why verify decides them before it trusts
+        # the chord
+        cfg = CurveConfig(91)
+        a, b = _P91
+        line_point = CubicPoint(*(s + 2 * t for s, t in zip(a, b)))
+        assert not on_cubic(cfg, *line_point)
+        assert chord_sums([a], [b], [line_point.neg()])
+        doubled = CubicPoint(*(2 * c for c in cubic_add(cfg, a, b)))
+        assert chord_sums([a], [b], [doubled])

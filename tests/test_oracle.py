@@ -569,6 +569,36 @@ class TestSearchPoints:
             "zmax is past the search budget of 1,048,576"
         )
 
+    def test_refused_past_the_budget_in_kernel_runs(self):
+        # 1,024 cube divisors: zmax = 1,024 is 2^20 kernel runs at most,
+        # the budget, and 1,025 is past it, refused after factoring m0 and
+        # before the table is built
+        m0 = prod((2, 5, 7, 11, 13, 17, 19, 23, 29, 31)) ** 3
+        for zmax in (1025, 2000):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as info:
+                search_points(CurveConfig(m0), zmax)
+            assert time.perf_counter() - start < 1.0
+            assert str(info.value) == (
+                "zmax times the 1,024 cube divisors of m0 is past the search "
+                "budget of 1,048,576"
+            )
+
+    def test_kernel_run_budget_is_inclusive(self, monkeypatch):
+        # 56 = 2^3 * 7 has the cube divisors 1 and 2
+        monkeypatch.setattr(oracle, "SEARCH_BUDGET", 4)
+        assert search_points(CurveConfig(56), 2) == search_reference(56, 2)
+        with pytest.raises(ValueError, match="2 cube divisors of m0 is past"):
+            search_points(CurveConfig(56), 3)
+
+    def test_zmax_is_refused_before_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("m0 was factored")
+
+        monkeypatch.setattr(oracle, "factorize", refuse)
+        with pytest.raises(ValueError, match="^zmax is past the search"):
+            search_points(CurveConfig(91), 10**12)
+
     def test_budget_is_inclusive(self, cfg7, monkeypatch):
         monkeypatch.setattr(oracle, "SEARCH_BUDGET", 2)
         assert search_points(cfg7, 2) == search_reference(7, 2)
